@@ -74,7 +74,7 @@ class RunConfig:
     n: int = 2
     seed: int = 0
     t_grid: str = "dyadic:12"
-    haar: int = 512
+    haar: int = 512  # build_config lowers it to 128 for n > 3 unless set
     torus: int = 64
     quad: int = 1024
     format: str = "csv"
@@ -134,10 +134,10 @@ def load_config_file(path: str) -> dict:
 
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            current = getattr(cfg, key)
-            setattr(cfg, key, type(current)(value) if not isinstance(current, str) else value)
+    file_values = load_config_file(args.config) if args.config else {}
+    for key, value in file_values.items():
+        current = getattr(cfg, key)
+        setattr(cfg, key, type(current)(value) if not isinstance(current, str) else value)
     for key in ("n", "seed", "t_grid", "haar", "torus", "quad", "format", "out"):
         value = getattr(args, key, None)
         if value is not None:
@@ -150,6 +150,8 @@ def build_config(args) -> RunConfig:
         cfg.quad = int(cfg.quad)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad integer config value: {exc}")
+    if getattr(args, "haar", None) is None and "haar" not in file_values:
+        cfg.haar = 512 if cfg.n <= 3 else 128
     cfg.validate()
     return cfg
 
@@ -279,8 +281,6 @@ def sweep_table(samples: list[growth.GrowthSample], fmt: str) -> str:
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
     t_grid = cfg.parse_t_grid()
-    if args.haar is None and "haar" not in (load_config_file(args.config) if args.config else {}):
-        cfg.haar = 512 if cfg.n <= 3 else 128
     if args.x_diag is not None:
         x = _parse_x_diag(args.x_diag, cfg.n)
     else:

@@ -9,6 +9,14 @@ monotone under added samples.  Component scales only need moduli, so the
 sweep uses a direct pivot-free LDL of g^T g per sample with principal
 square roots; branch-coherent continuation is not required here and lives
 in ``iwasawa.decompose_path``.
+
+Per t, the grid is one ``component_scales_batch`` call, and all pattern
+searches of that t (each component from its best grid sample and from the
+previous t's maximizer) run as one batched ascent: every step stacks the
+probes of all still-active searches into one evaluation.  That evaluation
+shares the Gram/minor/LDL stage with ``component_scales_batch`` and then
+computes, per row, only the column its search climbs, so each search
+returns bit for bit what it would return run alone on the full scales.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .numkernel import group_exp, hermitian_eigensystem
 BOUNDARY_RHO_TOL = 1e-12
 PATTERN_STEP_FLOOR = 1e-9
 PATTERN_MAX_EVALS = 600
+COMPONENTS = ("kappa", "alpha", "eta")
 
 
 @dataclass
@@ -96,6 +105,36 @@ def _sv_ratio(stack: np.ndarray) -> np.ndarray:
         return sv[:, 0] / sv[:, -1]
 
 
+def _ldl_stage(g_stack: np.ndarray, tol: Tolerances):
+    """Shared first stage of the component scales of a stack (m, n, n).
+
+    Forms the Gram matrices g^T g, their LAPACK leading minors, the floor
+    test and the pivot-free LDL.  Rows failing the floor (``ok`` false) are
+    factored as the identity so that later stages stay finite; callers mask
+    them.  Returns (minors, min_minor, ok, unit, diag).
+    """
+    s = np.einsum("mji,mjk->mik", g_stack, g_stack)
+    minors = leading_minors_batch(s)
+    s_norms = np.linalg.norm(s, axis=(1, 2))
+    floor = tol.minor_floor_rel * np.maximum(1.0, s_norms)
+    min_minor = np.min(np.abs(minors), axis=1)
+    ok = min_minor > floor
+    n = g_stack.shape[-1]
+    s_safe = np.where(ok[:, None, None], s, np.eye(n, dtype=complex))
+    unit, diag = _sym_ldl_batch(s_safe)
+    return minors, min_minor, ok, unit, diag
+
+
+def _alpha_ratio(diag: np.ndarray) -> np.ndarray:
+    abs_alpha = np.sqrt(np.abs(diag))
+    return np.max(abs_alpha, axis=1) / np.min(abs_alpha, axis=1)
+
+
+def _kappa(g_stack: np.ndarray, unit: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    alpha = np.sqrt(diag.astype(complex))
+    return (g_stack @ _inv_unit_upper_batch(unit)) / alpha[:, None, :]
+
+
 def component_scales_batch(
     g_stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> dict[str, np.ndarray]:
@@ -104,24 +143,11 @@ def component_scales_batch(
     Elements whose smallest leading minor of g^T g is below the floor are
     flagged not-ok; their component entries are +inf.
     """
-    s = np.einsum("mji,mjk->mik", g_stack, g_stack)
-    minors = leading_minors_batch(s)
-    s_norms = np.linalg.norm(s, axis=(1, 2))
-    floor = tol.minor_floor_rel * np.maximum(1.0, s_norms)
-    min_minor = np.min(np.abs(minors), axis=1)
-    ok = min_minor > floor
-
-    n = g_stack.shape[-1]
-    s_safe = np.where(ok[:, None, None], s, np.eye(n, dtype=complex))
-    unit, diag = _sym_ldl_batch(s_safe)
-    abs_alpha = np.sqrt(np.abs(diag))
-    s_alpha = np.max(abs_alpha, axis=1) / np.min(abs_alpha, axis=1)
-    alpha = np.sqrt(diag.astype(complex))
-    kappa = (g_stack @ _inv_unit_upper_batch(unit)) / alpha[:, None, :]
+    minors, min_minor, ok, unit, diag = _ldl_stage(g_stack, tol)
     out = {
         "s_g": _sv_ratio(g_stack),
-        "s_kappa": np.where(ok, _sv_ratio(kappa), np.inf),
-        "s_alpha": np.where(ok, s_alpha, np.inf),
+        "s_kappa": np.where(ok, _sv_ratio(_kappa(g_stack, unit, diag)), np.inf),
+        "s_alpha": np.where(ok, _alpha_ratio(diag), np.inf),
         "s_eta": np.where(ok, _sv_ratio(unit), np.inf),
         "eta_norm": np.where(ok, np.linalg.norm(unit, axis=(1, 2)), np.inf),
         "g_norm": np.linalg.norm(g_stack, axis=(1, 2)),
@@ -130,6 +156,27 @@ def component_scales_batch(
         "ok": ok,
     }
     return out
+
+
+def _component_values(
+    g_stack: np.ndarray, comp_idx: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row r's scale of component COMPONENTS[comp_idx[r]], and the ok flags.
+
+    Runs the shared LDL stage once, then each row computes only its own
+    column: kappa rows the unit-upper inverse and one SVD, eta rows an SVD
+    of the unit factor, alpha rows no SVD (one LAPACK call serves the kappa
+    and eta rows).  Not-ok rows read -inf.  Each value equals the matching
+    ``component_scales_batch`` entry bit for bit.
+    """
+    _, _, ok, unit, diag = _ldl_stage(g_stack, tol)
+    kap, alp, eta = (comp_idx == c for c in range(len(COMPONENTS)))
+    vals = np.empty(len(comp_idx))
+    vals[alp] = _alpha_ratio(diag[alp])
+    ratios = _sv_ratio(np.concatenate([_kappa(g_stack[kap], unit[kap], diag[kap]), unit[eta]]))
+    n_kap = int(kap.sum())
+    vals[kap], vals[eta] = ratios[:n_kap], ratios[n_kap:]
+    return np.where(ok, vals, -np.inf), ok
 
 
 def component_scales(g, tol: Tolerances = DEFAULT_TOLERANCES) -> ComponentScales:
@@ -206,7 +253,6 @@ def sweep_components(
     w, q = hermitian_eigensystem(x.matrix)
     torus = torus_samples(n, torus_grid)
     labels = [f"torus:{i}" for i in range(len(torus))]
-    components = ("kappa", "alpha", "eta")
     carry: dict[str, np.ndarray] = {}
     results = []
     for t_idx, t in enumerate(ts):
@@ -221,7 +267,12 @@ def sweep_components(
 
         sups, argmax = {}, {}
         step0 = math.pi / max(8, torus_grid if torus else 8)
-        for comp in components:
+        # refine each component from its best grid sample and, when
+        # available, from the previous t's maximizer: the maximizing k moves
+        # continuously in t, so warm-starting keeps the estimator on one
+        # ridge and the sup sequence smooth enough to fit
+        searches: list[tuple[str, np.ndarray, str]] = []
+        for comp in COMPONENTS:
             vals = batch[f"s_{comp}"]
             finite = np.where(np.isfinite(vals), vals, -np.inf)
             best = int(np.argmax(finite))
@@ -229,28 +280,26 @@ def sweep_components(
             argmax[comp] = all_labels[best]
             if not np.isfinite(sups[comp]):
                 continue
-
-            # refine from the best grid sample and, when available, from the
-            # previous t's maximizer: the maximizing k moves continuously in
-            # t, so warm-starting keeps the estimator on one ridge and the
-            # sup sequence smooth enough to fit
-            starts = [(k_stack[best].real, argmax[comp])]
+            searches.append((comp, k_stack[best].real, argmax[comp]))
             if comp in carry:
-                starts.append((carry[comp], f"carry:{comp}"))
-            best_val, best_k, best_label = -math.inf, None, argmax[comp]
-            for k_start, start_label in starts:
-                val, k_fin, n_used, n_exit = _pattern_search(
-                    e_mat, k_start, comp, step0, tol
-                )
-                used += n_used
-                exits += n_exit
-                if val > best_val:
-                    best_val, best_k, best_label = val, k_fin, start_label
-            if best_val > sups[comp]:
-                sups[comp] = best_val
-                argmax[comp] = f"{best_label}+search"
-            if best_k is not None:
-                carry[comp] = best_k
+                searches.append((comp, carry[comp], f"carry:{comp}"))
+
+        found = (
+            _pattern_search(e_mat, [k for _, k, _ in searches], [c for c, _, _ in searches], step0, tol)
+            if searches
+            else []
+        )
+        winners: dict[str, tuple[float, np.ndarray, str]] = {}
+        for (comp, _, start_label), (val, k_fin, n_used, n_exit) in zip(searches, found):
+            used += n_used
+            exits += n_exit
+            if val > winners.get(comp, (-math.inf,))[0]:
+                winners[comp] = (val, k_fin, start_label)
+        for comp, (val, k_fin, start_label) in winners.items():
+            if val > sups[comp]:
+                sups[comp] = val
+                argmax[comp] = f"{start_label}+search"
+            carry[comp] = k_fin
 
         results.append(
             GrowthSample(
@@ -268,43 +317,70 @@ def sweep_components(
 
 def _pattern_search(
     e_mat: np.ndarray,
-    k_start: np.ndarray,
-    comp: str,
+    starts: list[np.ndarray],
+    comps: list[str],
     step0: float,
     tol: Tolerances,
-) -> tuple[float, np.ndarray, int, int]:
-    """Coordinate-wise ascent of one component scale over SO(n).
+) -> list[tuple[float, np.ndarray, int, int]]:
+    """Coordinate-wise ascents over SO(n), one per (start, component), run together.
 
-    Probes every Givens plane at +-step, moves while improving, halves the
-    step otherwise, down to a step floor.  The sup basins sharpen like
-    1 - t, so the halving runs to convergence rather than a fixed round
-    count; the estimate stays one-sided (never above the true sup).
+    Each search probes every Givens plane at +-step around its current k,
+    moves to the best probe while it strictly improves, halves its step
+    otherwise, and stops at the step floor or its eval budget.  The sup
+    basins sharpen like 1 - t, so the halving runs to convergence rather
+    than a fixed round count; the estimate stays one-sided (never above
+    the true sup).  Searches keep their own step, budget and position, so
+    each returns exactly what it would alone; the batching only stacks all
+    active searches' probes into one evaluation per step, in which every
+    row computes just its own component (see ``_component_values``).
+    Returns (value, k, evals used, domain exits) per start.
     """
     n = e_mat.shape[0]
-    k_best = k_start
-    g0 = (e_mat @ k_best.astype(complex))[np.newaxis]
-    b0 = component_scales_batch(g0, tol)
-    val = float(b0[f"s_{comp}"][0]) if b0["ok"][0] else -math.inf
-    used, exits = 1, int(not b0["ok"][0])
-    step = step0
-    while step > PATTERN_STEP_FLOOR and used < PATTERN_MAX_EVALS:
-        probes = []
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                for sgn in (1.0, -1.0):
-                    probes.append(_givens(n, i, j, sgn * step) @ k_best)
-        p_stack = e_mat[np.newaxis] @ np.stack([p.astype(complex) for p in probes])
-        p_batch = component_scales_batch(p_stack, tol)
-        used += len(probes)
-        exits += int(np.sum(~p_batch["ok"]))
-        p_vals = np.where(np.isfinite(p_batch[f"s_{comp}"]), p_batch[f"s_{comp}"], -math.inf)
-        p_best = int(np.argmax(p_vals))
-        if p_vals[p_best] > val:
-            val = float(p_vals[p_best])
-            k_best = probes[p_best]
-        else:
-            step *= 0.5
-    return val, k_best, used, exits
+    planes = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    n_probe = 2 * len(planes)
+    comp_idx = np.array([COMPONENTS.index(c) for c in comps])
+
+    k_best = list(starts)
+    g0 = e_mat[np.newaxis] @ np.stack([k.astype(complex) for k in k_best])
+    v0, ok0 = _component_values(g0, comp_idx, tol)
+    val = [float(v) for v in v0]
+    used = [1] * len(starts)
+    exits = [int(not o) for o in ok0]
+    step = [step0] * len(starts)
+    while True:
+        active = [
+            a for a in range(len(starts))
+            if step[a] > PATTERN_STEP_FLOOR and used[a] < PATTERN_MAX_EVALS
+        ]
+        if not active:
+            break
+        # probes run search by search, then plane by plane, then +step, -step
+        angles = [(step[a], -step[a]) for a in active]
+        cos = np.array([[math.cos(x) for x in pair] for pair in angles])
+        sin = np.array([[math.sin(x) for x in pair] for pair in angles])
+        rot = np.tile(np.eye(n), (len(active), len(planes), 2, 1, 1))
+        for q, (i, j) in enumerate(planes):
+            rot[:, q, :, i, i] = cos
+            rot[:, q, :, j, j] = cos
+            rot[:, q, :, i, j] = -sin
+            rot[:, q, :, j, i] = sin
+        k_rep = np.stack([k_best[a] for a in active]).repeat(n_probe, axis=0)
+        probes = rot.reshape(-1, n, n) @ k_rep
+        p_vals, p_ok = _component_values(
+            e_mat[np.newaxis] @ probes.astype(complex), comp_idx[active].repeat(n_probe), tol
+        )
+        p_vals = np.where(np.isfinite(p_vals), p_vals, -math.inf).reshape(len(active), n_probe)
+        p_exits = np.sum(~p_ok.reshape(len(active), n_probe), axis=1)
+        p_best = np.argmax(p_vals, axis=1)
+        for slot, a in enumerate(active):
+            used[a] += n_probe
+            exits[a] += int(p_exits[slot])
+            if p_vals[slot, p_best[slot]] > val[a]:
+                val[a] = float(p_vals[slot, p_best[slot]])
+                k_best[a] = probes[slot * n_probe + p_best[slot]]
+            else:
+                step[a] *= 0.5
+    return list(zip(val, k_best, used, exits))
 
 
 def fit_power_law(ts, values, t_window: tuple[float, float] | None = None) -> BlowupFit:

@@ -192,6 +192,21 @@ class TestConfigFile:
         assert code == 0
         assert len(out_override.strip().splitlines()) == 2
 
+    def test_file_read_once_and_haar_default_per_n(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 4\nt_grid = 0.5\n")
+        reads = []
+        original = cli.load_config_file
+        monkeypatch.setattr(cli, "load_config_file", lambda path: reads.append(path) or original(path))
+        parser = cli.build_parser()
+        assert cli.build_config(parser.parse_args(["sweep", "--config", str(cfg)])).haar == 128
+        assert reads == [str(cfg)]
+        assert cli.build_config(parser.parse_args(["sweep", "--n", "3"])).haar == 512
+        cfg.write_text("n = 4\nhaar = 64\n")
+        assert cli.build_config(parser.parse_args(["sweep", "--config", str(cfg)])).haar == 64
+        flags = ["sweep", "--config", str(cfg), "--haar", "32"]
+        assert cli.build_config(parser.parse_args(flags)).haar == 32
+
     def test_unknown_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble = 3\n")

@@ -1,19 +1,35 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import rot2
+from crownlab import growth
+from crownlab.config import DEFAULT_TOLERANCES
 from crownlab.growth import (
+    COMPONENTS,
+    PATTERN_STEP_FLOOR,
     component_scales,
+    component_scales_batch,
     crown_corpus,
     fit_blowup,
     fit_power_law,
     scale_relation_check,
     sweep_components,
+    _component_values,
+    _givens,
+    _pattern_search,
     _scan_certificate,
 )
-from crownlab.liegroup import PElement, boundary_direction, random_p_element, random_sl, s_max
+from crownlab.liegroup import (
+    PElement,
+    boundary_direction,
+    haar_so,
+    random_p_element,
+    random_sl,
+    s_max,
+)
 from crownlab.numkernel import group_exp
 
 PI = math.pi
@@ -55,6 +71,18 @@ class TestSweep:
             for a, b in zip(vals, vals[1:]):
                 assert b >= 0.99 * a
 
+    def test_one_batched_search_per_t(self, monkeypatch):
+        calls = []
+
+        def counting(e_mat, starts, comps, step0, tol):
+            calls.append(list(comps))
+            return _pattern_search(e_mat, starts, comps, step0, tol)
+
+        monkeypatch.setattr(growth, "_pattern_search", counting)
+        sweep_components(X2, [0.5, 0.75, 0.875], n_haar=8, torus_grid=8, seed=1)
+        # three components from the grid, and from the previous t once it exists
+        assert calls == [list(COMPONENTS)] + [[c for c in COMPONENTS for _ in range(2)]] * 2
+
     def test_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
             sweep_components(X2, [], 8, 8, seed=0)
@@ -70,6 +98,114 @@ class TestSweep:
             v >= 1.0 and math.isfinite(v) for v in (s.sup_kappa, s.sup_alpha, s.sup_eta)
         )
         assert s.argmax["alpha"].startswith(("haar", "carry"))
+
+
+def serial_pattern_search(e_mat, k_start, comp, step0, tol):
+    """Oracle: one search at a time, full component_scales_batch per step."""
+    n = e_mat.shape[0]
+    k_best = k_start
+    g0 = (e_mat @ k_best.astype(complex))[np.newaxis]
+    b0 = component_scales_batch(g0, tol)
+    val = float(b0[f"s_{comp}"][0]) if b0["ok"][0] else -math.inf
+    used, exits = 1, int(not b0["ok"][0])
+    step = step0
+    while step > PATTERN_STEP_FLOOR and used < growth.PATTERN_MAX_EVALS:
+        probes = []
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                for sgn in (1.0, -1.0):
+                    probes.append(_givens(n, i, j, sgn * step) @ k_best)
+        p_stack = e_mat[np.newaxis] @ np.stack([p.astype(complex) for p in probes])
+        p_batch = component_scales_batch(p_stack, tol)
+        used += len(probes)
+        exits += int(np.sum(~p_batch["ok"]))
+        p_vals = np.where(np.isfinite(p_batch[f"s_{comp}"]), p_batch[f"s_{comp}"], -math.inf)
+        p_best = int(np.argmax(p_vals))
+        if p_vals[p_best] > val:
+            val = float(p_vals[p_best])
+            k_best = probes[p_best]
+        else:
+            step *= 0.5
+    return val, k_best, used, exits
+
+
+def boundary_exp(n, rng, t):
+    x = boundary_direction(random_p_element(n, rng))
+    return group_exp(x.matrix, -1j * t)
+
+
+class TestPatternSearch:
+    def _starts(self, n, rng):
+        # strided real views of complex stacks, as the sweep passes its grid
+        # samples, next to contiguous rotations, as it passes carried maximizers
+        ks = [haar_so(n, rng) for _ in range(6)]
+        viewed = np.stack([k.astype(complex) for k in ks[:3]])
+        return [viewed[i].real for i in range(3)] + ks[3:]
+
+    def _assert_matches_serial(self, e_mat, starts, comps, step0, tol):
+        batched = _pattern_search(e_mat, starts, comps, step0, tol)
+        assert len(batched) == len(starts)
+        exits = 0
+        for k0, comp, (val, k_fin, used, n_exit) in zip(starts, comps, batched):
+            ref_val, ref_k, ref_used, ref_exit = serial_pattern_search(e_mat, k0, comp, step0, tol)
+            assert (val, used, n_exit) == (ref_val, ref_used, ref_exit)
+            assert k_fin.tobytes() == np.ascontiguousarray(ref_k).tobytes()
+            exits += n_exit
+        return exits
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batched_matches_serial_oracle(self, n, rng):
+        e_mat = boundary_exp(n, rng, 1.0 - 2.0**-6)
+        starts = self._starts(n, rng)
+        comps = [COMPONENTS[i % 3] for i in range(len(starts))]
+        self._assert_matches_serial(e_mat, starts, comps, PI / 8, DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize("n, budget", [(2, 84), (3, 500), (4, 1500)])
+    def test_budget_cuts_searches_at_different_steps(self, n, budget, rng, monkeypatch):
+        # at t = 0.3 some of these starts reach the step floor within the
+        # budget and the others are cut off by it
+        e_mat = boundary_exp(n, rng, 0.3)
+        starts = self._starts(n, rng)
+        comps = [COMPONENTS[i % 3] for i in range(len(starts))]
+        monkeypatch.setattr(growth, "PATTERN_MAX_EVALS", budget)
+        batched = _pattern_search(e_mat, starts, comps, PI / 8, DEFAULT_TOLERANCES)
+        used = [u for _, _, u, _ in batched]
+        assert min(used) < budget <= max(used)
+        self._assert_matches_serial(e_mat, starts, comps, PI / 8, DEFAULT_TOLERANCES)
+
+    def test_not_ok_probes_count_as_exits(self, rng):
+        # a raised minor floor puts part of K outside the numerical domain,
+        # so searches start or probe on not-ok rows
+        n = 3
+        e_mat = boundary_exp(n, rng, 1.0 - 2.0**-8)
+        starts = self._starts(n, rng)
+        g = e_mat[np.newaxis] @ np.stack([haar_so(n, rng).astype(complex) for _ in range(64)])
+        b = component_scales_batch(g)
+        gram = np.einsum("mji,mjk->mik", g, g)
+        rel = b["min_minor"] / np.maximum(1.0, np.linalg.norm(gram, axis=(1, 2)))
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, minor_floor_rel=float(np.median(rel)))
+        comps = [COMPONENTS[i % 3] for i in range(len(starts))]
+        assert self._assert_matches_serial(e_mat, starts, comps, PI / 8, tol) > 0
+
+
+class TestComponentValues:
+    def test_columns_equal_full_batch(self, rng):
+        for n in (2, 3, 4):
+            g = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+            # a nearly isotropic first column puts the first minor of g^T g
+            # (about 2e-15) below the floor
+            g[::5, :, 0] = 0.0
+            g[::5, 0, 0], g[::5, 1, 0] = 1.0, 1j + 1e-15
+            full = component_scales_batch(g)
+            assert not full["ok"].all() and full["ok"].any()
+            mixed = rng.integers(0, 3, len(g))
+            for comp_idx in [np.full(len(g), c) for c in range(3)] + [mixed]:
+                vals, ok = _component_values(g, comp_idx, DEFAULT_TOLERANCES)
+                assert np.array_equal(ok, full["ok"])
+                assert np.all(vals[~ok] == -np.inf)
+                for c, comp in enumerate(COMPONENTS):
+                    rows = ok & (comp_idx == c)
+                    assert vals[rows].tobytes() == full[f"s_{comp}"][rows].tobytes()
 
 
 class TestFit:
