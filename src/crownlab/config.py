@@ -20,17 +20,17 @@ class Tolerances:
     determinant       allowed |det(g) - 1| for SL(n) membership
     minor_floor_rel   leading-minor magnitude floor, relative to
                       max(1, ||S||_F); below it an input counts as outside
-                      the complexified Iwasawa domain rather than as noise
+                      the complexified Iwasawa domain rather than as noise.
+                      The same floor guards the domain test, the pivot-free
+                      LDL, path continuation and the component scales
     sv_floor_rel      smallest singular value, relative to the largest,
                       below which a matrix counts as singular
-    reconstruction_rel target relative residual for factorizations
     """
 
     symmetry: float = 1e-10
     determinant: float = 1e-9
     minor_floor_rel: float = 1e-13
     sv_floor_rel: float = 1e-13
-    reconstruction_rel: float = 1e-11
 
 
 DEFAULT_TOLERANCES = Tolerances()

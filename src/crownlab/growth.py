@@ -27,9 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .iwasawa import domain_test, leading_minors_batch
+from .iwasawa import domain_test
 from .liegroup import PElement, boundary_direction, haar_so, random_p_element, random_sl, rho
-from .numkernel import group_exp, hermitian_eigensystem
+from .numkernel import (
+    as_square,
+    group_exp,
+    hermitian_eigensystem,
+    inv_unit_upper,
+    leading_minors_batch,
+    sym_ldl_batch,
+)
 
 BOUNDARY_RHO_TOL = 1e-12
 PATTERN_STEP_FLOOR = 1e-9
@@ -75,30 +82,6 @@ class ComponentScales:
     ok: bool
 
 
-def _sym_ldl_batch(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m, n = s.shape[0], s.shape[-1]
-    work = s.copy()
-    unit = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
-    diag = np.zeros((m, n), dtype=complex)
-    for k in range(n):
-        d = work[:, k, k].copy()
-        diag[:, k] = d
-        if k + 1 < n:
-            row = work[:, k, k + 1 :] / d[:, None]
-            unit[:, k, k + 1 :] = row
-            work[:, k + 1 :, k + 1 :] -= d[:, None, None] * row[:, :, None] * row[:, None, :]
-    return unit, diag
-
-
-def _inv_unit_upper_batch(u: np.ndarray) -> np.ndarray:
-    m, n = u.shape[0], u.shape[-1]
-    inv = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            inv[:, i, j] = -np.einsum("ml,ml->m", u[:, i, i + 1 : j + 1], inv[:, i + 1 : j + 1, j])
-    return inv
-
-
 def _sv_ratio(stack: np.ndarray) -> np.ndarray:
     sv = np.linalg.svd(stack, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,7 +104,7 @@ def _ldl_stage(g_stack: np.ndarray, tol: Tolerances):
     ok = min_minor > floor
     n = g_stack.shape[-1]
     s_safe = np.where(ok[:, None, None], s, np.eye(n, dtype=complex))
-    unit, diag = _sym_ldl_batch(s_safe)
+    unit, diag = sym_ldl_batch(s_safe)
     return minors, min_minor, ok, unit, diag
 
 
@@ -132,7 +115,7 @@ def _alpha_ratio(diag: np.ndarray) -> np.ndarray:
 
 def _kappa(g_stack: np.ndarray, unit: np.ndarray, diag: np.ndarray) -> np.ndarray:
     alpha = np.sqrt(diag.astype(complex))
-    return (g_stack @ _inv_unit_upper_batch(unit)) / alpha[:, None, :]
+    return (g_stack @ inv_unit_upper(unit)) / alpha[:, None, :]
 
 
 def component_scales_batch(
@@ -151,7 +134,9 @@ def component_scales_batch(
         "s_eta": np.where(ok, _sv_ratio(unit), np.inf),
         "eta_norm": np.where(ok, np.linalg.norm(unit, axis=(1, 2)), np.inf),
         "g_norm": np.linalg.norm(g_stack, axis=(1, 2)),
-        "log_minor_product": np.where(ok, np.sum(np.log(np.abs(minors)), axis=1), -np.inf),
+        "log_minor_product": np.log(
+            np.abs(minors), out=np.full(minors.shape, -np.inf), where=ok[:, None]
+        ).sum(axis=1),
         "min_minor": min_minor,
         "ok": ok,
     }
@@ -473,22 +458,19 @@ def scale_relation_check(
     log C <= log_c_cap is the certificate.  Infeasibility within the caps is
     a report, not an error: the caps are artifacts of the search.
     """
-    mats = [np.asarray(g, dtype=complex) for g in corpus]
+    mats = [as_square(g) for g in corpus]
     if not mats:
         raise ValueError("corpus must be nonempty")
-    for i, g in enumerate(mats):
-        ok, smallest = domain_test(g, tol)
-        if not ok:
-            raise ValueError(
-                f"corpus element {i} fails the domain test (min minor {smallest:.3e})"
-            )
-    scales = [component_scales(g, tol) for g in mats]
-    ls_g = np.array([math.log(c.s_g) for c in scales])
-    ls_alpha = np.array([math.log(c.s_alpha) for c in scales])
-    ls_eta = np.array([math.log(c.s_eta) for c in scales])
-    l_gnorm = np.array([math.log(c.g_norm) for c in scales])
-    l_etanorm = np.array([math.log(c.eta_norm) for c in scales])
-    l_delta = np.array([c.log_minor_product for c in scales])
+    b = component_scales_batch(np.stack(mats), tol)
+    if not b["ok"].all():
+        i = int(np.argmin(b["ok"]))
+        raise ValueError(
+            f"corpus element {i} fails the domain test (min minor {b['min_minor'][i]:.3e})"
+        )
+    ls_g, ls_alpha, ls_eta, l_gnorm, l_etanorm = (
+        np.log(b[key]) for key in ("s_g", "s_alpha", "s_eta", "g_norm", "eta_norm")
+    )
+    l_delta = b["log_minor_product"]
 
     smax_cert = _scan_certificate(
         smax_caps, log_c_cap, lambda m, n: float(np.max(ls_eta - m * ls_g - n * ls_alpha))

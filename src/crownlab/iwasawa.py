@@ -25,6 +25,7 @@ from .numkernel import (
     check_real,
     hermitian_eigensystem,
     inv_unit_upper,
+    leading_minors_batch,
     principal_minors,
     sym_ldl,
 )
@@ -64,13 +65,14 @@ class PathConfig:
 
     max_arg_jump must stay below pi/2: a jump of pi in a minor's argument is
     exactly the sign ambiguity of its square root, which the guard exists to
-    exclude.  minor_floor is relative to max(1, ||g^T g||_F).
+    exclude.  The leading-minor floor along the path is the shared
+    Tolerances.minor_floor_rel, scaled by the largest ||g^T g|| the path can
+    reach.
     """
 
     initial_steps: int = 32
     max_refinement_depth: int = 40
     max_arg_jump: float = float(np.pi / 4)
-    minor_floor: float = 1e-13
 
     def __post_init__(self):
         if self.initial_steps < 1:
@@ -79,22 +81,9 @@ class PathConfig:
             raise ValueError("max_refinement_depth must be >= 0")
         if not 0.0 < self.max_arg_jump < 0.5 * np.pi:
             raise ValueError("max_arg_jump must lie in (0, pi/2)")
-        if self.minor_floor <= 0.0:
-            raise ValueError("minor_floor must be positive")
 
 
 DEFAULT_PATH_CONFIG = PathConfig()
-
-
-def leading_minors_batch(s: np.ndarray) -> np.ndarray:
-    """Leading principal minors of a stack of matrices (..., n, n) -> (..., n).
-
-    Batched LAPACK determinants; the single-matrix reference route is
-    numkernel.principal_minors and the two agree to roundoff (tested).
-    """
-    n = s.shape[-1]
-    cols = [np.linalg.det(s[..., :k, :k]) for k in range(1, n + 1)]
-    return np.stack(cols, axis=-1)
 
 
 def decompose_real(g, tol: Tolerances = DEFAULT_TOLERANCES) -> IwasawaFactors:
@@ -115,7 +104,7 @@ def decompose_real(g, tol: Tolerances = DEFAULT_TOLERANCES) -> IwasawaFactors:
     H = 0.5 * np.log(d)
     alpha = np.sqrt(d)
     eta = unit.real
-    kappa = (G @ inv_unit_upper(unit.astype(complex)).real) / alpha[np.newaxis, :]
+    kappa = (G @ inv_unit_upper(unit).real) / alpha[np.newaxis, :]
     minors = np.cumprod(d)
     return IwasawaFactors(
         kappa=kappa,
@@ -178,7 +167,7 @@ def _check_k_matrix(k, tol: Tolerances) -> np.ndarray:
 
 
 def _continued_path(
-    x: PElement, k: np.ndarray, z_target: complex, cfg: PathConfig
+    x: PElement, k: np.ndarray, z_target: complex, cfg: PathConfig, tol: Tolerances
 ) -> tuple[list[float], np.ndarray, _CrownPath, float]:
     """Refined path 0 = tau_0 < ... < tau_m = 1 with minors at every point.
 
@@ -191,17 +180,19 @@ def _continued_path(
     taus = list(np.linspace(0.0, 1.0, cfg.initial_steps + 1))
     minors = list(path.minors_at(np.asarray(taus)))
     s_scale = max(1.0, float(np.exp(2.0 * abs(z_target) * max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))))
-    floor = cfg.minor_floor * s_scale
+    floor = tol.minor_floor_rel * s_scale
 
     def t_of(tau: float) -> float:
         return tau * abs(z_target)
 
-    # locate the first floor violation, tightening by bisection for reporting
+    # locate the first floor violation, bisecting down to float resolution
     def raise_exit(i_good: int, tau_bad: float, m_bad: np.ndarray):
         lo = taus[i_good]
         hi, m_hi = tau_bad, m_bad
-        for _ in range(12):
+        while True:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             m_mid = path.minors_at(np.array([mid]))[0]
             if np.min(np.abs(m_mid)) > floor:
                 lo = mid
@@ -309,7 +300,7 @@ def continue_factors(
             steps_used=1,
             min_minor_magnitude=1.0,
         )
-    taus, minors, path, _ = _continued_path(x, K, z_target, cfg)
+    taus, minors, path, _ = _continued_path(x, K, z_target, cfg, tol)
     label = z_target.real if z_target.imag == 0.0 else abs(z_target)
     return _factors_from_path(taus, minors, path, label, tol)
 

@@ -1,10 +1,13 @@
 """Dense complex linear-algebra kernels for small matrices (n <= ~8).
 
-All routines are pure, deterministic and dependency-light: leading principal
-minors by a division-free subset recursion, symmetric (bilinear, not
-hermitian) LDL^T without pivoting so the diagonal matches leading-minor
-ratios exactly, hermitian eigenvalues by cyclic Jacobi sweeps, and matrix
-exponentials along diagonalizable directions through the eigensystem.
+One batched kernel per quantity, each over stacks shaped (..., n, n):
+leading principal minors by LAPACK determinants of the leading blocks,
+symmetric (bilinear, not hermitian) LDL^T without pivoting so the diagonal
+matches leading-minor ratios exactly, inverses of unit upper-triangular
+matrices by back substitution, hermitian eigensystems by LAPACK ``eigh``
+and singular values by LAPACK ``svd``.  The single-matrix entries below
+check their input and are the m = 1 call of these kernels; matrix
+exponentials along real symmetric directions go through the eigensystem.
 """
 
 from __future__ import annotations
@@ -47,30 +50,68 @@ def check_real(s: np.ndarray, tol: float) -> None:
         raise SymmetryError("real", gap)
 
 
-def principal_minors(s, tol: Tolerances = DEFAULT_TOLERANCES) -> list[complex]:
-    """All leading principal minors Delta_1, ..., Delta_n of a complex symmetric S.
+def leading_minors_batch(s: np.ndarray) -> np.ndarray:
+    """Leading principal minors of a stack of matrices (..., n, n) -> (..., n).
 
-    Division-free: D[mask] holds the determinant of the block formed by the
-    first popcount(mask) rows and the column set encoded by mask; expanding
-    along the last row fills every mask once, and Delta_k is read off at the
-    contiguous mask (1 << k) - 1.  No pivoting, no divisions, deterministic.
+    One batched LAPACK determinant per block size k = 2..n.  Delta_1 is the
+    corner entry itself: LAPACK's determinant passes through exp(log|det|),
+    which would round it.
     """
+    n = s.shape[-1]
+    out = np.empty(s.shape[:-1], dtype=np.result_type(s.dtype, 1.0))
+    out[..., 0] = s[..., 0, 0]
+    for k in range(2, n + 1):
+        out[..., k - 1] = np.linalg.det(s[..., :k, :k])
+    return out
+
+
+def sym_ldl_batch(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot-free LDL^T of complex symmetric matrices (..., n, n).
+
+    Returns (unit, diag) with S = unit^T diag(diag) unit and unit unit
+    upper-triangular.  No floor test: a zero pivot makes that matrix's
+    later entries non-finite, so callers test the running minors (the
+    cumulative products of diag) or mask such rows beforehand.
+    """
+    n = s.shape[-1]
+    work = np.array(s, dtype=complex)
+    unit = np.zeros_like(work)
+    for k in range(n - 1):
+        d = work[..., k, k, None]
+        row = work[..., k, k + 1 :] / d
+        unit[..., k, k + 1 :] = row
+        work[..., k + 1 :, k + 1 :] -= d[..., None] * row[..., :, None] * row[..., None, :]
+    unit += np.eye(n)
+    # elimination never revisits a pivot, so the final diagonal holds them all
+    return unit, work.diagonal(0, -2, -1).copy()
+
+
+def inv_unit_upper(u: np.ndarray) -> np.ndarray:
+    """Inverses of unit upper-triangular matrices (..., n, n) by back substitution.
+
+    Row i of the inverse is e_i - u[i, i+1:] @ inv[i+1:, :], filled from the
+    bottom row up.
+    """
+    n = u.shape[-1]
+    inv = np.zeros(u.shape, dtype=complex)
+    for i in range(n - 1, -1, -1):
+        inv[..., i, None, i + 1 :] = -u[..., i, None, i + 1 :] @ inv[..., i + 1 :, i + 1 :]
+        inv[..., i, i] = 1.0
+    return inv
+
+
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(x + x^H) / 2, real when x is, so a real symmetric x keeps a real eigenbasis."""
+    if not x.imag.any():
+        x = x.real
+    return 0.5 * (x + x.T.conj())
+
+
+def principal_minors(s, tol: Tolerances = DEFAULT_TOLERANCES) -> list[complex]:
+    """All leading principal minors Delta_1, ..., Delta_n of a complex symmetric S."""
     S = as_square(s)
     check_symmetric(S, tol.symmetry)
-    n = S.shape[0]
-    dets = np.zeros(1 << n, dtype=complex)
-    dets[0] = 1.0
-    for mask in range(1, 1 << n):
-        r = bin(mask).count("1") - 1
-        sign = -1.0 if r % 2 else 1.0
-        acc = 0.0 + 0.0j
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                acc += sign * S[r, j] * dets[mask ^ bit]
-                sign = -sign
-        dets[mask] = acc
-    return [complex(dets[(1 << k) - 1]) for k in range(1, n + 1)]
+    return leading_minors_batch(S).tolist()
 
 
 def sym_ldl(s, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
@@ -78,94 +119,36 @@ def sym_ldl(s, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.nda
 
     Gaussian elimination without pivoting: pivoting is forbidden because the
     pivots must equal the leading-minor ratios Delta_k / Delta_{k-1} exactly.
-    Raises NearSingularMinorError as soon as the running minor falls below
-    the configured floor (relative to max(1, ||S||_F)).
+    Raises NearSingularMinorError at the first running minor (product of the
+    pivots so far) below the configured floor (relative to max(1, ||S||_F)).
     """
     S = as_square(s)
     check_symmetric(S, tol.symmetry)
-    n = S.shape[0]
-    work = S.copy()
-    unit = np.eye(n, dtype=complex)
-    diag = np.zeros(n, dtype=complex)
+    unit, diag = sym_ldl_batch(S)
     floor = tol.minor_floor_rel * max(1.0, float(np.linalg.norm(S)))
     minor = 1.0 + 0.0j
-    for k in range(n):
-        d = work[k, k]
-        minor = minor * d
+    for k, d in enumerate(diag.tolist()):
+        minor *= d
         if abs(minor) < floor:
             raise NearSingularMinorError(index=k + 1, magnitude=abs(minor), floor=floor)
-        diag[k] = d
-        if k + 1 < n:
-            row = work[k, k + 1 :] / d
-            unit[k, k + 1 :] = row
-            work[k + 1 :, k + 1 :] -= d * np.outer(row, row)
     return unit, diag
-
-
-def _hermitian_eigensystem(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for a hermitian matrix: eigenvalues ascending, unitary V.
-
-    Satisfies x = V diag(w) V^H.  Each rotation phases the (p, q) entry real
-    and applies the classical angle choice; off-diagonal mass converges
-    quadratically, so a handful of sweeps suffices at these sizes.
-    """
-    a = np.array(x, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.ravel().copy(), v
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-    skip = 1e-18 * scale
-    for _ in range(60):
-        off = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-        if off <= 3e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                phi = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - sn * np.conj(phi) * cq
-                a[:, q] = sn * cp + c * np.conj(phi) * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - sn * phi * rq
-                a[q, :] = sn * rp + c * phi * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - sn * np.conj(phi) * vq
-                v[:, q] = sn * vp + c * np.conj(phi) * vq
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 def sym_eig(x, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Eigenvalues of a real symmetric or hermitian matrix, ascending."""
     X = as_square(x)
     check_hermitian(X, tol.symmetry)
-    w, _ = _hermitian_eigensystem(0.5 * (X + X.conj().T))
-    return w
+    return np.linalg.eigvalsh(_hermitian_part(X))
 
 
 def hermitian_eigensystem(x, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a hermitian x."""
+    """Eigenvalues (ascending) and unitary V with x = V diag(w) V^H.
+
+    V is real orthogonal when x is real symmetric.
+    """
     X = as_square(x)
     check_hermitian(X, tol.symmetry)
-    return _hermitian_eigensystem(0.5 * (X + X.conj().T))
+    return np.linalg.eigh(_hermitian_part(X))
 
 
 def group_exp(x, z: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -173,22 +156,10 @@ def group_exp(x, z: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray
     X = as_square(x)
     check_real(X, tol.symmetry)
     check_symmetric(X, tol.symmetry)
-    w, q = _hermitian_eigensystem(0.5 * (X.real + X.real.T).astype(complex))
-    return (q * np.exp(complex(z) * w)) @ q.conj().T
+    w, q = np.linalg.eigh(0.5 * (X.real + X.real.T))
+    return (q * np.exp(complex(z) * w)) @ q.T
 
 
 def singular_values(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Singular values of g, descending: square roots of eig(g^H g)."""
-    G = as_square(g)
-    w, _ = _hermitian_eigensystem(G.conj().T @ G)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1].copy()
-
-
-def inv_unit_upper(u: np.ndarray) -> np.ndarray:
-    """Inverse of a unit upper-triangular matrix by back substitution."""
-    n = u.shape[0]
-    inv = np.eye(n, dtype=complex)
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            inv[i, j] = -np.dot(u[i, i + 1 : j + 1], inv[i + 1 : j + 1, j])
-    return inv
+    """Singular values of g, descending."""
+    return np.linalg.svd(as_square(g), compute_uv=False)

@@ -238,7 +238,7 @@ class TestFit:
 
 class TestComponentScales:
     def test_matches_public_smax_route(self, rng):
-        # batched SVD internals against the Jacobi-backed public s_max
+        # the stacked SVD of component_scales against the single-matrix s_max
         for _ in range(20):
             g = crown_element(
                 boundary_direction(random_p_element(2, rng)).eigenvalues,

@@ -104,6 +104,15 @@ class TestDecomposePath:
         assert err.value.last_good_t > 0.999
         assert err.value.t_fail == pytest.approx(1.0, abs=1e-4)
 
+    def test_domain_exit_bisected_to_float_resolution(self):
+        # factors exist at 1 - 1e-12 on this path, so the report must not
+        # place the last good t before it
+        decompose_path(X2, rot2(PI / 4), 1.0 - 1e-12)
+        with pytest.raises(DomainExitError) as err:
+            decompose_path(X2, rot2(PI / 4), 1.0 - 1e-14)
+        assert err.value.last_good_t > 1.0 - 1e-12
+        assert err.value.t_fail - err.value.last_good_t < 1e-15
+
     def test_dual_oracle_against_closed_form(self, rng):
         for _ in range(40):
             theta = rng.uniform(0, 2 * PI)

@@ -142,6 +142,18 @@ class TestSMax:
         with pytest.raises(SingularInputError):
             s_max(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
+    def test_high_condition_matches_mpmath_oracle(self, scale):
+        # g = Q diag(s, 1, 1/s) Q' has ratio s^2; the oracle is a 50-digit
+        # SVD of the same float g, and eps * kappa is the conditioning limit
+        mpmath = pytest.importorskip("mpmath")
+        for seed in range(8):
+            g = haar_so(3, [seed, 0]) @ np.diag([scale, 1.0, 1.0 / scale]) @ haar_so(3, [seed, 1])
+            with mpmath.workdps(50):
+                sv = mpmath.svd_r(mpmath.matrix(g.tolist()), compute_uv=False)
+                kappa = float(max(sv) / min(sv))
+            assert abs(s_max(g) / kappa - 1.0) <= 100 * np.finfo(float).eps * kappa
+
     def test_axioms_sampled(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 5))

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crownlab.errors import NearSingularMinorError, SymmetryError
-from crownlab.iwasawa import leading_minors_batch
 from crownlab.numkernel import (
     group_exp,
     hermitian_eigensystem,
     inv_unit_upper,
+    leading_minors_batch,
     principal_minors,
     singular_values,
     sym_eig,
     sym_ldl,
+    sym_ldl_batch,
 )
 
 PROP_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -24,6 +25,79 @@ def random_complex_symmetric(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a + a.T
+
+
+def subset_minors(s: np.ndarray) -> np.ndarray:
+    """Oracle: leading principal minors by a division-free subset recursion.
+
+    D[mask] holds the determinant of the block formed by the first
+    popcount(mask) rows and the column set encoded by mask; expanding along
+    the last row fills every mask once, and Delta_k is read off at the
+    contiguous mask (1 << k) - 1.  No pivoting, no divisions.
+    """
+    n = s.shape[0]
+    dets = np.zeros(1 << n, dtype=complex)
+    dets[0] = 1.0
+    for mask in range(1, 1 << n):
+        r = bin(mask).count("1") - 1
+        sign = -1.0 if r % 2 else 1.0
+        acc = 0.0 + 0.0j
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                acc += sign * s[r, j] * dets[mask ^ bit]
+                sign = -sign
+        dets[mask] = acc
+    return np.array([dets[(1 << k) - 1] for k in range(1, n + 1)])
+
+
+def jacobi_eigensystem(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: cyclic Jacobi for a hermitian matrix, eigenvalues ascending.
+
+    Satisfies x = V diag(w) V^H.  Each rotation phases the (p, q) entry real
+    and applies the classical angle choice; off-diagonal mass converges
+    quadratically, so a handful of sweeps suffices at these sizes.
+    """
+    a = np.array(x, dtype=complex)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    scale = float(np.linalg.norm(a))
+    if n == 1 or scale == 0.0:
+        return a.real.diagonal().copy(), v
+    skip = 1e-18 * scale
+    for _ in range(60):
+        off = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
+        if off <= 3e-15 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                mag = abs(apq)
+                if mag <= skip:
+                    a[p, q] = 0.0
+                    a[q, p] = 0.0
+                    continue
+                phi = apq / mag
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                sn = t * c
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - sn * np.conj(phi) * cq
+                a[:, q] = sn * cp + c * np.conj(phi) * cq
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - sn * phi * rq
+                a[q, :] = sn * rp + c * phi * rq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - sn * np.conj(phi) * vq
+                v[:, q] = sn * vp + c * np.conj(phi) * vq
+    w = np.diagonal(a).real.copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
 
 
 class TestPrincipalMinors:
@@ -46,11 +120,15 @@ class TestPrincipalMinors:
     @PROP_SETTINGS
     @given(st.integers(0, 10**6), st.integers(2, 8))
     def test_matches_batched_determinant_route(self, seed, n):
+        # the LAPACK route against the subset-recursion oracle, and the
+        # single-matrix entry as row 0 of a stacked kernel call
         s = random_complex_symmetric(seed, n)
-        ref = np.array(principal_minors(s))
-        alt = leading_minors_batch(s[np.newaxis])[0]
+        ref = subset_minors(s)
+        alt = np.array(principal_minors(s))
         scale = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(ref - alt) / scale) < 1e-10
+        stack = np.stack([s, random_complex_symmetric(seed + 1, n)])
+        assert np.array_equal(leading_minors_batch(stack)[0], alt)
 
 
 class TestSymLdl:
@@ -75,6 +153,23 @@ class TestSymLdl:
         assert err.value.index == 1
         assert err.value.magnitude == pytest.approx(1e-20)
         assert "near-singular leading minor" in str(err.value)
+
+    def test_error_names_first_small_running_minor(self):
+        # Delta_1 = 2 is fine, Delta_2 = 2 * 1e-14 is below 1e-13 * ||S||_F
+        with pytest.raises(NearSingularMinorError) as err:
+            sym_ldl([[2.0, 1.0], [1.0, 0.5 + 1e-14]])
+        assert err.value.index == 2
+        assert err.value.magnitude == pytest.approx(2e-14, rel=1e-2, abs=0.0)
+        assert err.value.floor == pytest.approx(2.5e-13, rel=1e-12, abs=0.0)
+
+    @PROP_SETTINGS
+    @given(st.integers(0, 10**6), st.integers(2, 6))
+    def test_stack_rows_match_single_calls(self, seed, n):
+        stack = np.stack([random_complex_symmetric(seed + i, n) for i in range(3)])
+        unit, diag = sym_ldl_batch(stack)
+        for i, s in enumerate(stack):
+            u1, d1 = sym_ldl(s)
+            assert np.array_equal(unit[i], u1) and np.array_equal(diag[i], d1)
 
     @PROP_SETTINGS
     @given(st.integers(0, 10**6), st.integers(2, 8))
@@ -108,13 +203,16 @@ class TestSymEig:
     @PROP_SETTINGS
     @given(st.integers(0, 10**6), st.integers(1, 8))
     def test_sum_matches_trace_and_lapack(self, seed, n):
+        # the LAPACK route against the trace and the cyclic Jacobi oracle
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = a + a.conj().T
         w = sym_eig(h)
         scale = max(1.0, float(np.max(np.abs(w))))
         assert abs(w.sum() - np.trace(h).real) <= 1e-12 * max(1.0, abs(np.trace(h).real)) * n
-        assert np.max(np.abs(w - np.linalg.eigvalsh(h))) <= 1e-12 * scale
+        w_jac, v_jac = jacobi_eigensystem(h)
+        assert np.max(np.abs(w - w_jac)) <= 1e-12 * scale
+        assert np.linalg.norm(v_jac @ np.diag(w_jac) @ v_jac.conj().T - h) <= 1e-12 * scale * n
 
     def test_eigensystem_reconstructs(self, rng):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -122,6 +220,15 @@ class TestSymEig:
         w, v = hermitian_eigensystem(h)
         assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) < 1e-12 * np.linalg.norm(h)
         assert np.linalg.norm(v.conj().T @ v - np.eye(6)) < 1e-13
+
+    def test_real_symmetric_input_has_real_eigenbasis(self, rng):
+        # crown paths form Q diag Q^T with a plain transpose
+        a = rng.standard_normal((4, 4))
+        x = a + a.T
+        for inp in (x, x.astype(complex)):
+            w, q = hermitian_eigensystem(inp)
+            assert not np.iscomplexobj(q)
+            assert np.linalg.norm(q @ np.diag(w) @ q.T - x) < 1e-12 * np.linalg.norm(x)
 
 
 class TestGroupExp:
@@ -179,8 +286,22 @@ class TestSingularValues:
         q, _ = np.linalg.qr(a)
         assert np.max(np.abs(singular_values(q) - 1.0)) < 1e-12
 
+    @PROP_SETTINGS
+    @given(st.integers(0, 10**6), st.integers(1, 6))
+    def test_matches_gram_oracle_when_well_conditioned(self, seed, n):
+        # square roots of the Jacobi eigenvalues of g^H g; the Gram route
+        # loses relative accuracy like cond(g)^2, so draw near-unitary g
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        g = q @ np.diag(rng.uniform(0.5, 2.0, n))
+        w, _ = jacobi_eigensystem(g.conj().T @ g)
+        assert np.allclose(singular_values(g), np.sqrt(w)[::-1], rtol=1e-12, atol=0.0)
+
 
 def test_inv_unit_upper(rng):
-    u = np.eye(5, dtype=complex)
-    u[np.triu_indices(5, 1)] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    assert np.linalg.norm(u @ inv_unit_upper(u) - np.eye(5)) < 1e-12
+    u = np.broadcast_to(np.eye(5, dtype=complex), (3, 5, 5)).copy()
+    rows, cols = np.triu_indices(5, 1)
+    u[:, rows, cols] = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+    inv = inv_unit_upper(u)
+    assert np.linalg.norm(u @ inv - np.eye(5)) < 1e-12
+    assert np.array_equal(inv_unit_upper(u[1]), inv[1])
