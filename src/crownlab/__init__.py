@@ -31,7 +31,6 @@ from .growth import (
 )
 from .iwasawa import (
     IwasawaFactors,
-    PathConfig,
     check_H_range,
     decompose_path,
     decompose_real,

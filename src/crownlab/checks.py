@@ -419,21 +419,6 @@ def acceptance_12_smax_axioms() -> CheckResult:
     )
 
 
-ACCEPTANCE_CHECKS = [
-    acceptance_01_real_reconstruction,
-    acceptance_02_sl2_dual_oracle,
-    acceptance_03_minor_weight_identity,
-    acceptance_04_cosine_formula,
-    acceptance_05_taylor_machinery,
-    acceptance_06_imaginary_containment,
-    acceptance_07_sl2_blowup,
-    acceptance_08_growth_bound_shape,
-    acceptance_09_scale_relations,
-    acceptance_10_principal_series,
-    acceptance_11_distributional_limit,
-    acceptance_12_smax_axioms,
-]
-
 SUITES = {
     "identities": [
         acceptance_01_real_reconstruction,

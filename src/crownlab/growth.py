@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .iwasawa import domain_test
+from .iwasawa import domain_test, kappa_factor
 from .liegroup import PElement, boundary_direction, haar_so, random_p_element, random_sl, rho
 from .numkernel import (
     as_square,
     group_exp,
     hermitian_eigensystem,
-    inv_unit_upper,
     leading_minors_batch,
     sym_ldl_batch,
 )
@@ -113,11 +112,6 @@ def _alpha_ratio(diag: np.ndarray) -> np.ndarray:
     return np.max(abs_alpha, axis=1) / np.min(abs_alpha, axis=1)
 
 
-def _kappa(g_stack: np.ndarray, unit: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    alpha = np.sqrt(diag.astype(complex))
-    return (g_stack @ inv_unit_upper(unit)) / alpha[:, None, :]
-
-
 def component_scales_batch(
     g_stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> dict[str, np.ndarray]:
@@ -127,9 +121,10 @@ def component_scales_batch(
     flagged not-ok; their component entries are +inf.
     """
     minors, min_minor, ok, unit, diag = _ldl_stage(g_stack, tol)
+    alpha = np.sqrt(diag.astype(complex))
     out = {
         "s_g": _sv_ratio(g_stack),
-        "s_kappa": np.where(ok, _sv_ratio(_kappa(g_stack, unit, diag)), np.inf),
+        "s_kappa": np.where(ok, _sv_ratio(kappa_factor(g_stack, unit, alpha)), np.inf),
         "s_alpha": np.where(ok, _alpha_ratio(diag), np.inf),
         "s_eta": np.where(ok, _sv_ratio(unit), np.inf),
         "eta_norm": np.where(ok, np.linalg.norm(unit, axis=(1, 2)), np.inf),
@@ -158,7 +153,8 @@ def _component_values(
     kap, alp, eta = (comp_idx == c for c in range(len(COMPONENTS)))
     vals = np.empty(len(comp_idx))
     vals[alp] = _alpha_ratio(diag[alp])
-    ratios = _sv_ratio(np.concatenate([_kappa(g_stack[kap], unit[kap], diag[kap]), unit[eta]]))
+    kappa = kappa_factor(g_stack[kap], unit[kap], np.sqrt(diag[kap].astype(complex)))
+    ratios = _sv_ratio(np.concatenate([kappa, unit[eta]]))
     n_kap = int(kap.sum())
     vals[kap], vals[eta] = ratios[:n_kap], ratios[n_kap:]
     return np.where(ok, vals, -np.inf), ok

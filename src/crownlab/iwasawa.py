@@ -30,6 +30,16 @@ from .numkernel import (
     sym_ldl,
 )
 
+# Path continuation: the initial uniform grid, how often one interval may be
+# bisected, and the largest argument step of a minor accepted per interval.
+# MAX_ARG_JUMP must stay below pi/2: a jump of pi in a minor's argument is
+# exactly the sign ambiguity of its square root, which the guard exists to
+# exclude.  The leading-minor floor along the path is the shared
+# Tolerances.minor_floor_rel, scaled by the largest ||g^T g|| the path can
+# reach.
+INITIAL_STEPS = 32
+MAX_REFINEMENT_DEPTH = 40
+MAX_ARG_JUMP = float(np.pi / 4)
 MAGNITUDE_DROP_GUARD = 10.0
 
 
@@ -57,33 +67,6 @@ class IwasawaFactors:
 
     def reconstruct(self) -> np.ndarray:
         return (self.kappa * self.alpha) @ self.eta
-
-
-@dataclass(frozen=True)
-class PathConfig:
-    """Continuation controls.
-
-    max_arg_jump must stay below pi/2: a jump of pi in a minor's argument is
-    exactly the sign ambiguity of its square root, which the guard exists to
-    exclude.  The leading-minor floor along the path is the shared
-    Tolerances.minor_floor_rel, scaled by the largest ||g^T g|| the path can
-    reach.
-    """
-
-    initial_steps: int = 32
-    max_refinement_depth: int = 40
-    max_arg_jump: float = float(np.pi / 4)
-
-    def __post_init__(self):
-        if self.initial_steps < 1:
-            raise ValueError("initial_steps must be >= 1")
-        if self.max_refinement_depth < 0:
-            raise ValueError("max_refinement_depth must be >= 0")
-        if not 0.0 < self.max_arg_jump < 0.5 * np.pi:
-            raise ValueError("max_arg_jump must lie in (0, pi/2)")
-
-
-DEFAULT_PATH_CONFIG = PathConfig()
 
 
 def decompose_real(g, tol: Tolerances = DEFAULT_TOLERANCES) -> IwasawaFactors:
@@ -167,17 +150,18 @@ def _check_k_matrix(k, tol: Tolerances) -> np.ndarray:
 
 
 def _continued_path(
-    x: PElement, k: np.ndarray, z_target: complex, cfg: PathConfig, tol: Tolerances
-) -> tuple[list[float], np.ndarray, _CrownPath, float]:
+    x: PElement, k: np.ndarray, z_target: complex, tol: Tolerances
+) -> tuple[list[float], np.ndarray, _CrownPath]:
     """Refined path 0 = tau_0 < ... < tau_m = 1 with minors at every point.
 
-    Refinement bisects any interval where some minor's argument jumps more
-    than max_arg_jump or its magnitude drops more than 10x; only a
-    persisting argument jump at max depth is fatal.  Returns the tau grid,
-    the (m+1, n) minor array, the path evaluator and the scaled floor.
+    One left-to-right pass over the grid: an interval where some minor's
+    argument jumps more than MAX_ARG_JUMP or its magnitude drops more than
+    10x is bisected in place, at most MAX_REFINEMENT_DEPTH times in a row;
+    only a persisting argument jump is fatal.  Returns the tau grid, the
+    (m+1, n) minor array and the path evaluator.
     """
     path = _CrownPath(x, k, z_target)
-    taus = list(np.linspace(0.0, 1.0, cfg.initial_steps + 1))
+    taus = list(np.linspace(0.0, 1.0, INITIAL_STEPS + 1))
     minors = list(path.minors_at(np.asarray(taus)))
     s_scale = max(1.0, float(np.exp(2.0 * abs(z_target) * max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))))
     floor = tol.minor_floor_rel * s_scale
@@ -185,10 +169,8 @@ def _continued_path(
     def t_of(tau: float) -> float:
         return tau * abs(z_target)
 
-    # locate the first floor violation, bisecting down to float resolution
-    def raise_exit(i_good: int, tau_bad: float, m_bad: np.ndarray):
-        lo = taus[i_good]
-        hi, m_hi = tau_bad, m_bad
+    # locate the first floor violation in (lo, hi], bisecting to float resolution
+    def exit_error(lo: float, hi: float, m_hi: np.ndarray) -> DomainExitError:
         while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
@@ -199,52 +181,47 @@ def _continued_path(
             else:
                 hi, m_hi = mid, m_mid
         idx = int(np.argmin(np.abs(m_hi)))
-        raise DomainExitError(
+        return DomainExitError(
             last_good_t=t_of(lo),
             t_fail=t_of(hi),
             minor_index=idx + 1,
             magnitude=float(np.abs(m_hi)[idx]),
         )
 
-    def violation(m0: np.ndarray, m1: np.ndarray) -> tuple[bool, bool, int, float]:
-        ratio = m1 / m0
-        jumps = np.abs(np.angle(ratio))
-        drops = np.abs(m1) * MAGNITUDE_DROP_GUARD < np.abs(m0)
-        idx = int(np.argmax(jumps))
-        return bool(np.any(jumps > cfg.max_arg_jump)), bool(np.any(drops)), idx, float(jumps[idx])
-
-    i = 0
+    i = depth = 0
     while i + 1 < len(taus):
         m0, m1 = minors[i], minors[i + 1]
         if np.min(np.abs(m1)) <= floor:
-            raise_exit(i, taus[i + 1], m1)
-        arg_bad, drop_bad, idx, jump = violation(m0, m1)
-        if not (arg_bad or drop_bad):
-            i += 1
-            continue
-        depth = 0
-        # bisect this interval until both guards clear or depth runs out
-        while depth < cfg.max_refinement_depth:
-            mid = 0.5 * (taus[i] + taus[i + 1])
-            if mid == taus[i] or mid == taus[i + 1]:
-                break
-            m_mid = path.minors_at(np.array([mid]))[0]
-            if np.min(np.abs(m_mid)) <= floor:
-                raise_exit(i, mid, m_mid)
+            raise exit_error(taus[i], taus[i + 1], m1)
+        jumps = np.abs(np.angle(m1 / m0))
+        arg_bad = bool(np.any(jumps > MAX_ARG_JUMP))
+        guard_failed = arg_bad or bool(np.any(np.abs(m1) * MAGNITUDE_DROP_GUARD < np.abs(m0)))
+        mid = 0.5 * (taus[i] + taus[i + 1])
+        if guard_failed and depth < MAX_REFINEMENT_DEPTH and taus[i] < mid < taus[i + 1]:
             taus.insert(i + 1, mid)
-            minors.insert(i + 1, m_mid)
+            minors.insert(i + 1, path.minors_at(np.array([mid]))[0])
             depth += 1
-            arg_bad, drop_bad, idx, jump = violation(minors[i], minors[i + 1])
-            if not (arg_bad or drop_bad):
-                break
-        arg_bad, drop_bad, idx, jump = violation(minors[i], minors[i + 1])
-        if arg_bad:
+        elif arg_bad:
+            idx = int(np.argmax(jumps))
             raise BranchAmbiguityError(
-                t_lo=t_of(taus[i]), t_hi=t_of(taus[i + 1]), minor_index=idx + 1, arg_jump=jump
+                t_lo=t_of(taus[i]),
+                t_hi=t_of(taus[i + 1]),
+                minor_index=idx + 1,
+                arg_jump=float(jumps[idx]),
             )
-        i += 1
+        else:
+            i, depth = i + 1, 0
 
-    return taus, np.asarray(minors), path, floor
+    return taus, np.asarray(minors), path
+
+
+def kappa_factor(g: np.ndarray, unit: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """kappa of g = kappa * diag(alpha) * unit, for one matrix or a stack.
+
+    g and unit are (..., n, n), alpha is (..., n); this is the one complex
+    kappa assembly, shared by path continuation and the component scales.
+    """
+    return (g @ inv_unit_upper(unit)) / alpha[..., np.newaxis, :]
 
 
 def _factors_from_path(
@@ -254,7 +231,6 @@ def _factors_from_path(
     t_label: float,
     tol: Tolerances,
 ) -> IwasawaFactors:
-    n = path.n
     # continued logs of the minors: real part from the endpoint modulus,
     # argument accumulated by nearest-argument increments from Delta_k(0) = 1
     ratios = minors[1:] / minors[:-1]
@@ -266,10 +242,8 @@ def _factors_from_path(
     g_end = path.group_points(np.array([1.0]))[0]
     s_end = g_end.T @ g_end
     unit, _ = sym_ldl(s_end, tol)
-    alpha = np.exp(H)
-    kappa = (g_end @ inv_unit_upper(unit)) / alpha[np.newaxis, :]
     return IwasawaFactors(
-        kappa=kappa,
+        kappa=kappa_factor(g_end, unit, np.exp(H)),
         H=H,
         eta=unit,
         t=t_label,
@@ -282,7 +256,6 @@ def continue_factors(
     x: PElement,
     k,
     z_target: complex,
-    cfg: PathConfig = DEFAULT_PATH_CONFIG,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> IwasawaFactors:
     """Branch-continued factors of exp(-i z x) k along the segment 0 -> z.
@@ -300,7 +273,7 @@ def continue_factors(
             steps_used=1,
             min_minor_magnitude=1.0,
         )
-    taus, minors, path, _ = _continued_path(x, K, z_target, cfg, tol)
+    taus, minors, path = _continued_path(x, K, z_target, tol)
     label = z_target.real if z_target.imag == 0.0 else abs(z_target)
     return _factors_from_path(taus, minors, path, label, tol)
 
@@ -309,7 +282,6 @@ def decompose_path(
     x: PElement,
     k,
     t_target: float,
-    cfg: PathConfig = DEFAULT_PATH_CONFIG,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> IwasawaFactors:
     """Holomorphically continued Iwasawa factors of exp(-i t x) k.
@@ -321,9 +293,7 @@ def decompose_path(
     """
     if t_target < 0.0:
         raise ValueError(f"t_target must be >= 0, got {t_target}")
-    factors = continue_factors(x, k, complex(t_target), cfg, tol)
-    factors.t = float(t_target)
-    return factors
+    return continue_factors(x, k, complex(t_target), tol)
 
 
 def check_H_range(

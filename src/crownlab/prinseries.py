@@ -34,6 +34,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainExitError
 from .growth import BlowupFit, fit_power_law
 
+MIN_QUAD_POINTS = 64
 QUAD_STRIP_FACTOR = 32.0
 MAX_QUAD_POINTS = 4_000_000
 
@@ -78,11 +79,12 @@ class ModeVector:
         return ms, cs
 
     def evaluate(self, angles: np.ndarray) -> np.ndarray:
-        """Values at real angles (plain Fourier sum)."""
+        """Fourier sum sum_m c_m e^{i m angle} at real or complex angles."""
         ms, cs = self.arrays()
+        angles = np.asarray(angles)
         if ms.size == 0:
-            return np.zeros_like(np.asarray(angles, dtype=float), dtype=complex)
-        return np.exp(1j * np.multiply.outer(np.asarray(angles, dtype=float), ms)) @ cs
+            return np.zeros(angles.shape, dtype=complex)
+        return np.exp(1j * np.multiply.outer(angles, ms)) @ cs
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ModeVector({self.modes})"
@@ -190,6 +192,11 @@ def sl2_iwasawa_closed(
     return Sl2Components(alpha1=complex(alpha1[0]), zeta=complex(zeta[0]), nu=complex(nu[0]))
 
 
+def _check_quad_points(quad_points: int) -> None:
+    if quad_points < MIN_QUAD_POINTS:
+        raise ValueError(f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
+
+
 def _effective_quad_points(quad_points: int, z: complex, x_scale: float) -> int:
     """Grow the node count as the integrand's analyticity strip shrinks.
 
@@ -220,11 +227,19 @@ def _orbit_values(
     """
     _, h1, zeta, _ = _closed_components(x_scale, thetas, z, tol)
     shift = 1.0 if p.rho_shift else 0.0
-    factor = np.exp((shift - p.s) * h1)
-    ms, cs = v.arrays()
-    if ms.size == 0:
-        return np.zeros_like(factor)
-    return factor * (np.exp(1j * np.multiply.outer(zeta, ms)) @ cs)
+    return np.exp((shift - p.s) * h1) * v.evaluate(zeta)
+
+
+def _orbit_norm_sq(
+    v: ModeVector, p: SeriesParams, x_scale: float, z: complex, quad_points: int, tol: Tolerances
+) -> float:
+    """||pi_sigma(exp(z x)) v||^2 by trapezoid quadrature over K/M, for z = i t
+    on the crown path or real z on the real flow."""
+    _check_quad_points(quad_points)
+    pts = _effective_quad_points(quad_points, z, x_scale)
+    thetas = math.pi * np.arange(pts) / pts
+    vals = _orbit_values(v, p, x_scale, z, thetas, tol)
+    return float(np.mean(np.abs(vals) ** 2))
 
 
 def extended_norm_sq(
@@ -241,13 +256,7 @@ def extended_norm_sq(
     times |alpha1|^2 under the rho-shift, with H1 and zeta branch-continued
     along the path.
     """
-    if quad_points < 64:
-        raise ValueError(f"quad_points must be >= 64, got {quad_points}")
-    z = 1j * float(t)
-    pts = _effective_quad_points(quad_points, z, x_scale)
-    thetas = math.pi * np.arange(pts) / pts
-    vals = _orbit_values(v, p, x_scale, z, thetas, tol)
-    return float(np.mean(np.abs(vals) ** 2))
+    return _orbit_norm_sq(v, p, x_scale, 1j * float(t), quad_points, tol)
 
 
 def real_time_norm_sq(
@@ -260,11 +269,7 @@ def real_time_norm_sq(
 ) -> float:
     """||pi_sigma(exp(tau x)) v||^2 at real time, same code path as the
     holomorphic formula (oracle partner: action_norm_sq)."""
-    if quad_points < 64:
-        raise ValueError(f"quad_points must be >= 64, got {quad_points}")
-    thetas = math.pi * np.arange(quad_points) / quad_points
-    vals = _orbit_values(v, p, x_scale, complex(tau), thetas, tol)
-    return float(np.mean(np.abs(vals) ** 2))
+    return _orbit_norm_sq(v, p, x_scale, complex(tau), quad_points, tol)
 
 
 def _real_cocycle(g: np.ndarray, angles: np.ndarray, p: SeriesParams):
@@ -294,13 +299,14 @@ def action_norm_sq(
     Independent second code path for real-time checks: uses only the real
     Iwasawa decomposition of 2x2 matrices, never the holomorphic formula.
     """
+    _check_quad_points(quad_points)
     thetas = math.pi * np.arange(quad_points) / quad_points
     total = np.ones_like(thetas, dtype=complex)
     angles = thetas.copy()
     for g in gs:
         gm = np.asarray(g, dtype=float)
         det = gm[0, 0] * gm[1, 1] - gm[0, 1] * gm[1, 0]
-        if abs(det - 1.0) > 1e-9:
+        if abs(det - 1.0) > DEFAULT_TOLERANCES.determinant:
             raise ValueError(f"group element must have det 1, got {det!r}")
         factor, angles = _real_cocycle(gm, angles, p)
         total = total * factor
@@ -322,6 +328,7 @@ def orbit_derivative_norm(
     The step shrinks with the distance to the strip boundary so the
     difference quotient stays inside the domain of holomorphy.
     """
+    _check_quad_points(quad_points)
     h = fd_scale * (1.0 - t)
     pts = _effective_quad_points(quad_points, 1j * (t + h), x_scale)
     thetas = math.pi * np.arange(pts) / pts
@@ -382,6 +389,7 @@ def boundary_pairing(
     test vector's smoothness margin: keep v low-mode (a mode m contributes
     blow-up up to (1-t)^(-|m|/2) at the singular angles).
     """
+    _check_quad_points(quad_points)
     ms, cs = w_smooth.arrays()
     if ms.size:
         mags = np.abs(cs)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import OrderUndeterminedError
 from .numkernel import as_square, check_real
 
@@ -45,7 +46,7 @@ def fundamental_profile(k_rot, rep_index: int) -> WeightProfile:
     minor of rows I against the first rep_index columns of the rotation.
     """
     K = as_square(k_rot)
-    check_real(K, 1e-10)
+    check_real(K, DEFAULT_TOLERANCES.symmetry)
     K = K.real
     n = K.shape[0]
     if not 1 <= rep_index <= n - 1:

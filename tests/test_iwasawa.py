@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import rot2
+from crownlab import iwasawa
 from crownlab.errors import BranchAmbiguityError, DomainExitError
+from crownlab.growth import _givens
 from crownlab.iwasawa import (
-    PathConfig,
     check_H_range,
     continue_factors,
     decompose_path,
@@ -19,6 +20,7 @@ from crownlab.prinseries import sl2_iwasawa_closed
 
 PI = math.pi
 X2 = PElement(np.diag([PI / 4, -PI / 4]))
+X3 = PElement(np.diag([PI / 4, 0.0, -PI / 4]))
 
 
 def crown_point(x: PElement, k: np.ndarray, t: float) -> np.ndarray:
@@ -135,10 +137,13 @@ class TestDecomposePath:
             assert np.linalg.norm(f.kappa.T @ f.kappa - np.eye(n)) < 1e-9
             assert abs(np.sum(f.H)) < 1e-10
 
-    def test_refinement_consistency(self):
+    def test_refinement_consistency(self, monkeypatch):
         k = haar_so(2, 4)
-        f32 = decompose_path(X2, k, 0.93, PathConfig(initial_steps=32))
-        f64 = decompose_path(X2, k, 0.93, PathConfig(initial_steps=64))
+        monkeypatch.setattr(iwasawa, "INITIAL_STEPS", 32)
+        f32 = decompose_path(X2, k, 0.93)
+        monkeypatch.setattr(iwasawa, "INITIAL_STEPS", 64)
+        f64 = decompose_path(X2, k, 0.93)
+        assert f64.steps_used == 65
         assert np.max(np.abs(f32.H - f64.H)) < 1e-10
 
     def test_holomorphy_probe(self):
@@ -154,10 +159,12 @@ class TestDecomposePath:
         ) / (2j * eps)
         assert np.max(np.abs(fd_re - fd_im)) < 1e-5 * np.max(np.abs(fd_re))
 
-    def test_branch_guard_escalates(self):
-        cfg = PathConfig(initial_steps=1, max_refinement_depth=0, max_arg_jump=0.05)
+    def test_branch_guard_escalates(self, monkeypatch):
+        monkeypatch.setattr(iwasawa, "INITIAL_STEPS", 1)
+        monkeypatch.setattr(iwasawa, "MAX_REFINEMENT_DEPTH", 0)
+        monkeypatch.setattr(iwasawa, "MAX_ARG_JUMP", 0.05)
         with pytest.raises(BranchAmbiguityError):
-            decompose_path(X2, rot2(1.1), 0.9, cfg)
+            decompose_path(X2, rot2(1.1), 0.9)
 
     def test_imaginary_parameter_reaches_real_group(self, rng):
         # z = -i tau puts exp(-i z x) k = exp(-tau x) k back in SL(n,R), so
@@ -189,14 +196,52 @@ class TestDecomposePath:
             decompose_path(X2, [[1.0, 0.5], [0.0, 1.0]], 0.5)
 
 
-class TestPathConfig:
-    def test_rejects_large_arg_jump(self):
-        with pytest.raises(ValueError):
-            PathConfig(max_arg_jump=PI / 2)
+class TestRefinementGrid:
+    """Where the continuation inserts points: the point count and the smallest
+    minor seen.  The minors near a corner lose relative accuracy to
+    cancellation, so their pin is looser than the point count's."""
 
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            PathConfig(initial_steps=0)
+    @pytest.mark.parametrize(
+        "x, k, t, points, min_minor",
+        [
+            (X2, rot2(PI / 4), 1.0 - 2.0**-20, 45, 1.4980281132781492e-06),
+            (
+                X3,
+                _givens(3, 0, 2, PI / 4) @ _givens(3, 0, 1, 0.3),
+                1.0 - 2.0**-30,
+                55,
+                1.4629181213373193e-09,
+            ),
+            (
+                X3,
+                _givens(3, 0, 2, PI / 4 + 1e-3) @ _givens(3, 0, 1, 0.2),
+                1.0 - 2.0**-20,
+                38,
+                0.001999999227686921,
+            ),
+        ],
+        ids=["sl2_corner", "sl3_corner", "sl3_near_corner"],
+    )
+    def test_pinned_grid(self, x, k, t, points, min_minor):
+        f = decompose_path(x, k, t)
+        assert f.steps_used == points
+        assert f.min_minor_magnitude == pytest.approx(min_minor, rel=1e-6)
+
+    def test_depth_resets_after_cap(self, monkeypatch):
+        # On the real flow exp(-7x) the first minor falls by e^14 over the
+        # path, so from one initial step only intervals of length 1/8 clear
+        # the 10x drop guard.  Capped at depth 2, [0, 1/4] still fails it;
+        # the pass moves on and the next interval bisects afresh, giving the
+        # grid 0, 1/4, 3/8, 1/2, 5/8, 3/4, 7/8, 1 (uncapped: steps of 1/8).
+        monkeypatch.setattr(iwasawa, "INITIAL_STEPS", 1)
+        monkeypatch.setattr(iwasawa, "MAX_REFINEMENT_DEPTH", 2)
+        x = PElement(np.diag([1.0, -1.0]))
+        f = continue_factors(x, np.eye(2), complex(0.0, -7.0))
+        assert f.steps_used == 8
+        assert f.min_minor_magnitude == pytest.approx(math.exp(-14.0), rel=1e-12)
+        assert np.max(np.abs(f.H - [-7.0, 7.0])) < 1e-12
+        monkeypatch.setattr(iwasawa, "MAX_REFINEMENT_DEPTH", 40)
+        assert continue_factors(x, np.eye(2), complex(0.0, -7.0)).steps_used == 9
 
 
 class TestHRange:

@@ -162,6 +162,27 @@ class TestGroupLaw:
             action_norm_sq(V_MIX, P_OFF, [2.0 * np.eye(2)], 256)
 
 
+QUADRATURE_ENTRY_POINTS = {
+    "extended_norm_sq": lambda q: extended_norm_sq(V_MIX, P_AXIS, XS, 0.5, q),
+    "real_time_norm_sq": lambda q: real_time_norm_sq(V_MIX, P_AXIS, XS, 0.5, q),
+    "growth_exponent": lambda q: growth_exponent(V_MIX, P_AXIS, [0.5, 0.6, 0.7, 0.8], q),
+    "action_norm_sq": lambda q: action_norm_sq(V_MIX, P_AXIS, [np.eye(2)], q),
+    "orbit_derivative_norm": lambda q: orbit_derivative_norm(V_MIX, P_AXIS, XS, 0.5, q),
+    "boundary_pairing": lambda q: boundary_pairing(
+        V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.75], q
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(QUADRATURE_ENTRY_POINTS))
+def test_quadrature_entry_points_validate_quad_points(entry):
+    call = QUADRATURE_ENTRY_POINTS[entry]
+    for quad_points in (0, 1, 63):
+        with pytest.raises(ValueError, match="quad_points must be >= 64"):
+            call(quad_points)
+    call(64)
+
+
 class TestGrowthExponent:
     def test_synthetic_power_law_recovery(self):
         ts = [1 - 2.0**-j for j in range(4, 13)]
