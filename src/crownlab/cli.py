@@ -24,6 +24,7 @@ import numpy as np
 from . import checks, growth, iwasawa, liegroup
 from .errors import BranchAmbiguityError, CrownLabError, DomainExitError
 from .numkernel import group_exp
+from .prinseries import MIN_QUAD_POINTS
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -45,7 +46,12 @@ def fmt_float(x: float) -> str:
 
 
 def emit_json(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic strict JSON with 17-significant-digit floats.
+
+    NaN and +-inf have no JSON spelling and become null; the one place
+    they occur, a sweep sup of +inf after every sample left the domain,
+    reads back as +inf in ``fit``.
+    """
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {emit_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -57,11 +63,7 @@ def emit_json(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return fmt_float(x)
+        return fmt_float(x) if math.isfinite(x) else "null"
     if isinstance(obj, (complex, np.complexfloating)):
         return emit_json({"re": float(obj.real), "im": float(obj.imag)})
     if obj is None:
@@ -87,8 +89,10 @@ class RunConfig:
             raise UsageError(f"config field 'haar' must be >= 0, got {self.haar}")
         if self.torus < 0:
             raise UsageError(f"config field 'torus' must be >= 0, got {self.torus}")
-        if self.quad < 64:
-            raise UsageError(f"config field 'quad' must be >= 64, got {self.quad}")
+        if self.quad < MIN_QUAD_POINTS:
+            raise UsageError(
+                f"config field 'quad' must be >= {MIN_QUAD_POINTS}, got {self.quad}"
+            )
         if self.format not in ("csv", "json"):
             raise UsageError(f"config field 'format' must be csv or json, got {self.format!r}")
         self.parse_t_grid()
@@ -323,9 +327,13 @@ def _read_table(path: str) -> list[dict]:
         raise ValueError("empty input table")
     if text.startswith("[") or text.startswith("{"):
         rows = json.loads(text)
-        if not isinstance(rows, list):
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
             raise ValueError("JSON table must be a list of row objects")
-        return rows
+        # emit_json writes a +inf sup (every sample left the domain) as null
+        return [
+            {k: math.inf if v is None and k.startswith("sup_") else v for k, v in row.items()}
+            for row in rows
+        ]
     lines = text.splitlines()
     header = [h.strip() for h in lines[0].split(",")]
     rows = []

@@ -9,6 +9,12 @@ flow.  The K_C, A_C, N_C data of g(z) is in closed form:
     e^{i zeta} = (a + i c) / alpha1       (zeta continued from theta)
     nu        = (a b + c d) / (a^2 + c^2) = sin(2 theta) sinh(2 z x1) / (a^2+c^2)
 
+On the crown path with t x_scale < pi/2 both continued branches are the
+principal ones: along the segment Re(a^2 + c^2) = cos(2 tau t x1) > 0 and
+Re((a + i c) e^{-i theta}) >= cos(tau t x1) - sin(tau t x1) > 0, so neither
+quantity winds around 0 and one endpoint evaluation gives the data.  Real
+z and longer segments continue the arguments by a march in tau.
+
 The character on A is sigma(exp H) = e^{s H1} in the coordinate
 H = diag(H1, -H1); the optional rho-shift multiplies the orbit integrand by
 |alpha1|^2 (rho_a is 1 in the H1 coordinate).  With the shift the action is
@@ -20,7 +26,8 @@ K-finite vectors are finite Fourier series on K/M, theta in [0, pi) with
 probability measure d theta / pi; M-invariance forces even modes.  Orbit
 norms and boundary pairings are uniform trapezoid quadratures, spectrally
 accurate for t < 1, with the point count grown like 1/(1 - t) to track the
-shrinking analyticity strip of the integrand.
+shrinking analyticity strip of the integrand.  On that grid the pairing with
+a finite Fourier series is a sum of DFT bins of the orbit values.
 """
 
 from __future__ import annotations
@@ -124,21 +131,18 @@ def _march_steps(x_scale: float, z: complex) -> int:
     return max(16, int(math.ceil(abs(z) * x_scale / 0.15)) + 1)
 
 
-def _closed_components(
-    x_scale: float, theta, z: complex, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Branch-continued (alpha1, H1, zeta, nu) arrays over a theta grid.
+def _march_arguments(
+    x_scale: float, th: np.ndarray, z: complex, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Continued arguments of w = a^2 + c^2 and u = a + i c at the end of the
+    segment to z, by nearest-argument steps in tau from 0 to 1.
 
-    Marches tau from 0 to 1 along the segment to z, accumulating the
-    arguments of w = a^2 + c^2 and u = a + i c by nearest-argument steps
-    (never a principal log of the endpoint).
+    Raises DomainExitError at the first step where min |w| <= floor.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
     x1 = 0.5 * x_scale
     n_steps = _march_steps(x_scale, z)
     taus = np.linspace(0.0, 1.0, n_steps)
     cos2t, cos_t, sin_t = np.cos(2.0 * th), np.cos(th), np.sin(th)
-    floor = tol.minor_floor_rel * max(1.0, math.exp(2.0 * abs(z) * x1))
 
     # e^{+-2 tau z x1} is a scalar per step; only the combination with the
     # theta trig is a vector, so one live row suffices per quantity
@@ -146,7 +150,6 @@ def _closed_components(
     u_prev = cos_t + 1j * sin_t
     arg_w = np.zeros_like(th)
     arg_u = th.copy()
-    w_cur = w_prev
     for j in range(1, n_steps):
         zt = taus[j] * complex(z)
         ep = np.exp(zt * x1)
@@ -166,15 +169,42 @@ def _closed_components(
         arg_w += np.angle(w_cur / w_prev)
         arg_u += np.angle(u_cur / u_prev)
         w_prev, u_prev = w_cur, u_cur
+    return arg_w, arg_u
 
-    log_w = np.log(np.abs(w_prev)) + 1j * arg_w
-    log_u = np.log(np.abs(u_prev)) + 1j * arg_u
-    h1 = 0.5 * log_w
+
+def _closed_components(
+    x_scale: float, theta, z: complex, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Branch-continued (alpha1, H1, zeta, nu) arrays over a theta grid.
+
+    The arguments of w = a^2 + c^2 and u = a + i c are continued from
+    (0, theta) at z = 0 along the segment to z.  For z = i t with
+    t x_scale < pi/2 they are the principal ones at the endpoint, angle(w)
+    and theta + angle(u e^{-i theta}) (see the module docstring), and
+    |w|^2 = 1 - sin^2(tau t x_scale) sin^2(2 theta) falls in tau, so the floor
+    test at the endpoint equals the test at every point of the segment.
+    Real z, longer segments and an endpoint below the floor take the march
+    of ``_march_arguments``, which reports where the floor was crossed.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    x1 = 0.5 * x_scale
+    floor = tol.minor_floor_rel * max(1.0, math.exp(2.0 * abs(z) * x1))
+    cos_t, sin_t = np.cos(th), np.sin(th)
+    ep = np.exp(complex(z) * x1)
+    em = 1.0 / ep
+    cosh2, sinh2 = 0.5 * (ep * ep + em * em), 0.5 * (ep * ep - em * em)
+    w = cosh2 - sinh2 * np.cos(2.0 * th)
+    u = em * cos_t + 1j * ep * sin_t
+    if z.real == 0.0 and abs(z) * x_scale < 0.5 * math.pi and np.abs(w).min() > floor:
+        arg_w = np.angle(w)
+        arg_u = th + np.angle(u * (cos_t - 1j * sin_t))
+    else:
+        arg_w, arg_u = _march_arguments(x_scale, th, z, floor)
+
+    h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     alpha1 = np.exp(h1)
-    zeta = -1j * (log_u - h1)
-    ep_end = np.exp(complex(z) * x1)
-    sinh2_end = 0.5 * (ep_end * ep_end - 1.0 / (ep_end * ep_end))
-    nu = np.sin(2.0 * th) * sinh2_end / w_cur
+    zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
+    nu = np.sin(2.0 * th) * sinh2 / w
     return alpha1, h1, zeta, nu
 
 
@@ -402,13 +432,17 @@ def boundary_pairing(
     ts = [float(t) for t in t_grid]
     if len(ts) < 3 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
+    # e^{-i m theta_k} = e^{-2 pi i (m/2) k / P} on theta_k = pi k / P, so the
+    # trapezoid sum of conj(w) * orbit is sum_m conj(c_m) fft(orbit)[m/2 mod P] / P,
+    # aliasing included
+    half_modes = ms.astype(np.int64) // 2
     values = []
     for t in ts:
         z = 1j * t
         pts = _effective_quad_points(quad_points, z, x_scale)
         thetas = math.pi * np.arange(pts) / pts
-        orbit = _orbit_values(v, p, x_scale, z, thetas, tol)
-        values.append(complex(np.mean(np.conj(w_smooth.evaluate(thetas)) * orbit)))
+        spectrum = np.fft.fft(_orbit_values(v, p, x_scale, z, thetas, tol))
+        values.append(complex(np.conj(cs) @ spectrum[half_modes % pts]) / pts)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     final = diffs[-1]

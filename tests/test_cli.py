@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from crownlab import checks, cli
+from crownlab import checks, cli, growth
+from crownlab.prinseries import MIN_QUAD_POINTS
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and +-Infinity, as strict parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, *argv):
@@ -176,6 +186,14 @@ class TestFit:
         code, _, _ = run(capsys, "fit", "--input", str(table), "--component", "alpha")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ['{"t": 0.5}', "[[0.5, 2.0]]", '[{"t": 0.5}, 3]'])
+    def test_json_table_must_hold_row_objects(self, capsys, tmp_path, text):
+        table = tmp_path / "rows.json"
+        table.write_text(text)
+        code, _, err = run(capsys, "fit", "--input", str(table), "--component", "alpha")
+        assert code == 2
+        assert "list of row objects" in err
+
     def test_bad_component_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "fit", "--component", "beta", "--input", "x")
         assert code == 1
@@ -214,6 +232,17 @@ class TestConfigFile:
         assert code == 1
         assert "wibble" in err
 
+    @pytest.mark.parametrize("quad", [MIN_QUAD_POINTS - 1, MIN_QUAD_POINTS])
+    def test_quad_minimum_follows_prinseries(self, capsys, quad):
+        assert MIN_QUAD_POINTS == 64
+        code, _, err = run(capsys, "sweep", "--n", "2", "--t-grid", "0.5", "--haar", "2",
+                           "--torus", "0", "--quad", str(quad))
+        if quad < MIN_QUAD_POINTS:
+            assert code == 1
+            assert f"config field 'quad' must be >= {MIN_QUAD_POINTS}, got {quad}" in err
+        else:
+            assert code == 0
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--config", "/nonexistent.cfg")
         assert code == 1
@@ -228,6 +257,80 @@ class TestJsonEmitter:
         payload = json.loads(cli.emit_json(complex(1.5, -2.5)))
         assert payload == {"re": 1.5, "im": -2.5}
 
-    def test_nonfinite_floats_round_trip(self):
-        assert json.loads(cli.emit_json(float("inf"))) == float("inf")
-        assert json.loads(cli.emit_json(float("-inf"))) == float("-inf")
+    def test_nonfinite_floats_round_trip(self, capsys, tmp_path):
+        # strict JSON has no spelling for them, so they are written as null;
+        # fit reads a null sup back as +inf, so a JSON sweep table with an
+        # all-exit time fits exactly like its CSV twin
+        for x in (float("inf"), float("-inf"), float("nan"), np.float64("inf")):
+            assert cli.emit_json(x) == "null"
+        samples = [
+            growth.GrowthSample(t=t, sup_kappa=1.0, sup_alpha=2.0 * (1 - t) ** -1.5, sup_eta=1.0)
+            for t in (0.5, 0.75, 0.875, 0.9375, 0.96875)
+        ]
+        samples.append(growth.GrowthSample(t=0.984375, sup_kappa=math.inf,
+                                           sup_alpha=math.inf, sup_eta=math.inf, exits=9))
+        fits, sups = [], []
+        for fmt in ("json", "csv"):
+            table = tmp_path / f"sweep.{fmt}"
+            table.write_text(cli.sweep_table(samples, fmt))
+            if fmt == "json":
+                rows = strict_loads(table.read_text())
+                assert rows[-1]["sup_alpha"] is None and rows[0]["sup_alpha"] == 2.0 * 0.5**-1.5
+            rows = cli._read_table(str(table))
+            sups.append([[row[f"sup_{c}"] for c in ("kappa", "alpha", "eta")] for row in rows])
+            code, out, _ = run(capsys, "fit", "--input", str(table), "--component", "alpha")
+            assert code == 0
+            fits.append(out)
+        assert sups[0] == sups[1]
+        assert sups[0][-1] == [math.inf] * 3
+        assert fits[0] == fits[1]
+        assert json.loads(fits[0])["n_hat"] == pytest.approx(1.5, abs=1e-12)
+
+    def test_finite_output_bytes(self):
+        # pinned at the output of the emitter that wrote Infinity and NaN
+        payload = {"a": [0.1, -2.5e-300, 1e300], "b": complex(1 / 3, -0.0), "c": None, "d": True}
+        assert cli.emit_json(payload) == (
+            '{"a": [0.10000000000000001, -2.5e-300, 1.0000000000000001e+300], '
+            '"b": {"re": 0.33333333333333331, "im": -0}, "c": null, "d": true}'
+        )
+
+
+class TestStrictJsonOutput:
+    """Every JSON output of the CLI parses under a strict parser."""
+
+    def test_decompose(self, capsys):
+        for argv in (
+            ("--matrix", "[[2,1],[1,1]]"),
+            ("--x-diag", "1,-1", "--theta", "0.3", "--t", "0.9"),
+            ("--x-diag", "1,0,-1", "--t", "0.99", "--seed", "4"),
+        ):
+            code, out, _ = run(capsys, "decompose", "--format", "json", *argv)
+            assert code == 0
+            strict_loads(out)
+
+    def test_sweep_and_fit(self, capsys, tmp_path):
+        table = tmp_path / "sweep.json"
+        code, _, _ = run(capsys, "sweep", "--n", "2", "--seed", "3", "--t-grid", "dyadic:6",
+                         "--haar", "8", "--torus", "16", "--format", "json", "--out", str(table))
+        assert code == 0
+        assert len(strict_loads(table.read_text())) == 6
+        code, out, _ = run(capsys, "fit", "--input", str(table), "--component", "eta")
+        assert code == 0
+        strict_loads(out)
+
+    def test_check_with_nonfinite_measurements(self, capsys, monkeypatch):
+        results = [
+            checks.CheckResult(name="never", passed=False, measured=math.inf, threshold=1e-6),
+            checks.CheckResult(name="undefined", passed=False, measured=math.nan, threshold=1.0),
+        ]
+        monkeypatch.setitem(checks.SUITES, "stub_nonfinite", [lambda r=r: r for r in results])
+        code, out, _ = run(capsys, "check", "--suite", "stub_nonfinite")
+        assert code == 2
+        payload = strict_loads(out)
+        assert [c["measured"] for c in payload["checks"]] == [None, None]
+
+    def test_prinseries_suite(self, capsys):
+        code, out, _ = run(capsys, "check", "--suite", "prinseries", "--quad", "128")
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["passed"] == 2 and len(payload["tables"]["pairing"]) == 11

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import rot2
+from crownlab import prinseries
+from crownlab.config import DEFAULT_TOLERANCES
 from crownlab.errors import DomainExitError
 from crownlab.growth import fit_power_law
 from crownlab.iwasawa import decompose_path
@@ -26,6 +28,7 @@ from crownlab.prinseries import (
 PI = math.pi
 XS = PI / 2
 V_MIX = ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
+V_ASYM = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25})
 P_AXIS = unitary_params(0.4)
 P_OFF = SeriesParams(s=2.8 + 0.3j, rho_shift=True)
 
@@ -33,6 +36,60 @@ P_OFF = SeriesParams(s=2.8 + 0.3j, rho_shift=True)
 def flow(tau, x_scale=XS):
     h = tau * x_scale / 2
     return np.diag([math.exp(h), math.exp(-h)])
+
+
+def march_components(x_scale, theta, z):
+    """(alpha1, H1, zeta, nu) with both arguments continued by the march."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    x1 = 0.5 * x_scale
+    floor = DEFAULT_TOLERANCES.minor_floor_rel * max(1.0, math.exp(2.0 * abs(z) * x1))
+    arg_w, arg_u = prinseries._march_arguments(x_scale, th, z, floor)
+    # endpoint values in the library's arithmetic: near the corner |w| is
+    # small, and w's rounding then moves log |w| and nu well past 1e-14
+    ep = np.exp(complex(z) * x1)
+    em = 1.0 / ep
+    sinh2 = 0.5 * (ep * ep - em * em)
+    w = 0.5 * (ep * ep + em * em) - sinh2 * np.cos(2 * th)
+    u = em * np.cos(th) + 1j * ep * np.sin(th)
+    h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
+    zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
+    nu = np.sin(2 * th) * sinh2 / w
+    return np.exp(h1), h1, zeta, nu
+
+
+def outcome(route, *args):
+    """A route's components, or the payload of the DomainExitError it raised."""
+    try:
+        return route(*args)
+    except DomainExitError as exc:
+        return (exc.last_good_t, exc.t_fail, exc.minor_index, exc.magnitude)
+
+
+def assert_routes_agree(x_scale, theta, z):
+    closed = outcome(prinseries._closed_components, x_scale, theta, z)
+    march = outcome(march_components, x_scale, theta, z)
+    if isinstance(march[0], float):
+        assert closed == march
+        return
+    for a, b in zip(closed, march):
+        assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
+
+
+def dense_pairing(v, w_smooth, p, t_grid, quad_points, x_scale=XS):
+    """The trapezoid pairing summed over a (nodes x modes) matrix of w's modes,
+    in chunks of nodes so the matrix stays small."""
+    values = []
+    for t in t_grid:
+        z = 1j * t
+        pts = prinseries._effective_quad_points(quad_points, z, x_scale)
+        thetas = PI * np.arange(pts) / pts
+        orbit = prinseries._orbit_values(v, p, x_scale, z, thetas)
+        total = sum(
+            np.sum(np.conj(w_smooth.evaluate(thetas[k : k + 65536])) * orbit[k : k + 65536])
+            for k in range(0, pts, 65536)
+        )
+        values.append(complex(total) / pts)
+    return values
 
 
 class TestModeVector:
@@ -80,6 +137,77 @@ class TestClosedForm:
                 [np.exp(-1j * t * xs / 2), np.exp(1j * t * xs / 2)]
             ) @ rot2(theta)
             assert np.linalg.norm(c.reconstruct() - g) < 1e-10
+
+    def test_corner_exit_keeps_march_payload(self):
+        # at theta = pi/4 |w| = cos(t pi/2) crosses the floor near 1 - t = 3e-13;
+        # below it the endpoint test fails over to the march, which reports
+        # where along the segment the floor was crossed
+        with pytest.raises(DomainExitError) as closed:
+            sl2_iwasawa_closed(XS, PI / 4, 1.0 - 1e-14)
+        march = outcome(march_components, XS, [PI / 4], 1j * (1.0 - 1e-14))
+        exc = closed.value
+        assert (exc.last_good_t, exc.t_fail, exc.minor_index, exc.magnitude) == march
+        for gap in np.geomspace(1e-12, 1e-14, 17):
+            assert_routes_agree(XS, [PI / 4, 0.3], 1j * (1.0 - gap))
+
+    def test_long_segments_and_real_time_take_the_march(self, monkeypatch):
+        calls = []
+        march = prinseries._march_arguments
+        monkeypatch.setattr(
+            prinseries, "_march_arguments", lambda *a: calls.append(a[2]) or march(*a)
+        )
+        thetas = [0.1, 0.3, 2.0]
+        prinseries._closed_components(XS, thetas, 0.9j)
+        prinseries._closed_components(0.5, thetas, 3.0j)
+        assert calls == []
+        prinseries._closed_components(XS, thetas, 1.0j)
+        prinseries._closed_components(0.5, thetas, 3.2j)
+        prinseries._closed_components(XS, thetas, complex(0.9))
+        assert calls == [1.0j, 3.2j, complex(0.9)]
+
+    def test_principal_route_matches_march_on_criterion_grids(self):
+        # criterion 11's pairings at quad 1024; criteria 10/11's fits at 512,
+        # with the derivative's difference points t +- h
+        grid = [(1024, 1.0 - 2.0**-j) for j in range(4, 15)]
+        for j in range(4, 13):
+            t = 1.0 - 2.0**-j
+            h = 1e-2 * (1.0 - t)
+            grid += [(512, t - h), (512, t), (512, t + h)]
+        for quad, t in grid:
+            pts = prinseries._effective_quad_points(quad, 1j * t, XS)
+            assert_routes_agree(XS, PI * np.arange(pts) / pts, 1j * t)
+
+    def test_principal_route_matches_march_on_seeded_draws(self):
+        rng = np.random.default_rng(20261018)
+        for i in range(200):
+            x_scale = XS if i % 2 else rng.uniform(0.05, XS)
+            theta = rng.uniform(0.0, 2 * PI)
+            t = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+            assert_routes_agree(x_scale, [theta], 1j * t)
+
+    def test_both_routes_match_mpmath_oracle(self):
+        # 50-digit principal-branch formulas (exact on this segment); w is the
+        # conditioning: its rounding error eps divides by |w| in log w
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(50)
+        for i in range(60):
+            x_scale = XS if i % 2 else rng.uniform(0.05, XS)
+            theta = rng.uniform(0.0, 2 * PI)
+            t = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0)
+            with mpmath.workdps(50):
+                x1, th, z = mpmath.mpf(x_scale) / 2, mpmath.mpf(theta), mpmath.mpc(0, t)
+                w = mpmath.cosh(2 * z * x1) - mpmath.sinh(2 * z * x1) * mpmath.cos(2 * th)
+                u = mpmath.exp(-z * x1) * mpmath.cos(th) + 1j * mpmath.exp(z * x1) * mpmath.sin(th)
+                h1 = mpmath.log(w) / 2
+                arg_u = th + mpmath.arg(u * mpmath.exp(-1j * th))
+                zeta = -1j * (mpmath.log(abs(u)) + 1j * arg_u - h1)
+                nu = mpmath.sin(2 * th) * mpmath.sinh(2 * z * x1) / w
+                ref = [complex(v) for v in (mpmath.exp(h1), h1, zeta, nu)]
+                bound = 16 * eps / min(1.0, float(abs(w)))
+            for route in (prinseries._closed_components, march_components):
+                for got, want in zip(route(x_scale, [theta], 1j * t), ref):
+                    assert abs(complex(got[0]) - want) <= bound * max(1.0, abs(want))
 
     def test_consistent_with_decompose_path(self, rng):
         x = PElement(np.diag([PI / 4, -PI / 4]))
@@ -234,6 +362,23 @@ class TestBoundaryPairing:
         rep = boundary_pairing(V_MIX, w_small, P_AXIS, ts, 1024)
         assert rep.cauchy
         assert rep.final_diff < 1e-6
+
+    # criterion 11's orbit is even in theta, so its DFT cannot tell bin m/2
+    # from -m/2; the other cases pair an orbit that is not
+    @pytest.mark.parametrize(
+        "w,v,quad,t_grid",
+        [
+            (smooth_test_vector(), V_MIX, 1024, [1 - 2.0**-j for j in range(4, 15)]),
+            (smooth_test_vector(), V_ASYM, 1000, [0.0, 0.5, 0.75, 0.9]),
+            (ModeVector({4: 0.3 - 0.2j}), V_ASYM, 1024, [0.5, 0.75, 0.9, 0.99]),
+            (ModeVector({-2: 1.0, -4: 0.5j, -10: 1e-5}), V_ASYM, 1000, [0.5, 0.75, 0.9]),
+        ],
+        ids=["criterion_11", "quad_1000", "single_mode", "negative_modes"],
+    )
+    def test_spectral_sum_matches_dense_oracle(self, w, v, quad, t_grid):
+        rep = boundary_pairing(v, w, P_AXIS, t_grid, quad)
+        for got, want in zip(rep.values, dense_pairing(v, w, P_AXIS, t_grid, quad)):
+            assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_rejects_fat_tail_test_vector(self):
         fat = ModeVector({m: 1.0 for m in range(-20, 21, 2)})
