@@ -1,20 +1,20 @@
 """crownlab: numerical laboratory for the complexified Iwasawa decomposition
 on the crown domain of SL(n,R).
 
-Modules: numkernel (dense complex kernels), liegroup (sl(n,R) structure and
-scales), iwasawa (KAN factorization and branch-tracked continuation),
-weights (exterior-power weight expansions), growth (sup sweeps and blow-up
-fits), prinseries (SL(2,R) principal-series bench), checks (named
-verification suites) and cli (command-line frontend).
+Modules: config (the tolerance record), numkernel (dense complex kernels),
+liegroup (rho, crown membership, Haar sampling and scales), iwasawa (KAN
+factorization and branch-tracked continuation), weights (exterior-power
+weight expansions), growth (sup sweeps and blow-up fits), prinseries
+(SL(2,R) principal-series bench), checks (named verification suites) and
+cli (command-line frontend).
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOLERANCES, Tolerances
 from .errors import (
     BranchAmbiguityError,
     CrownLabError,
     DomainExitError,
     NearSingularMinorError,
-    OrderUndeterminedError,
     SingularInputError,
     SymmetryError,
 )
@@ -37,12 +37,10 @@ from .iwasawa import (
     domain_test,
 )
 from .liegroup import (
-    LieStructure,
     PElement,
     boundary_direction,
     crown_contains,
     haar_so,
-    lie_structure,
     rho,
     s_max,
 )
@@ -64,7 +62,6 @@ from .weights import (
     alpha_pow,
     cos_formula,
     fundamental_profile,
-    leading_vanishing_order,
     taylor_coeffs,
 )
 

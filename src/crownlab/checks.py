@@ -179,6 +179,7 @@ def acceptance_05_taylor_machinery() -> CheckResult:
 
 def acceptance_06_imaginary_containment() -> CheckResult:
     """Im H inside conv(Weyl * (t x)) on successful crown paths, n in 2, 3."""
+    threshold = 1e-8
     rng = np.random.default_rng([SEED, 6])
     worst = -math.inf
     paths = 0
@@ -194,22 +195,22 @@ def acceptance_06_imaginary_containment() -> CheckResult:
                     f = iwasawa.decompose_path(x, k, t)
                 except DomainExitError:
                     continue
-                ok, violation = iwasawa.check_H_range(f, x, t, tol=1e-8)
+                violation = iwasawa.check_H_range(f, x, t)
                 worst = max(worst, violation)
                 paths += 1
-                if not ok:
+                if not violation <= threshold:
                     return CheckResult(
                         name="imaginary_containment",
                         passed=False,
                         measured=violation,
-                        threshold=1e-8,
+                        threshold=threshold,
                         detail=f"containment failed at n={n}, t={t}",
                     )
     return CheckResult(
         name="imaginary_containment",
-        passed=worst <= 1e-8,
+        passed=worst <= threshold,
         measured=worst,
-        threshold=1e-8,
+        threshold=threshold,
         detail=f"{paths} paths, worst hull violation {worst:.3e}",
     )
 
@@ -379,7 +380,7 @@ def acceptance_11_distributional_limit() -> CheckResult:
         name="distributional_limit",
         passed=passed,
         measured=rep.final_diff,
-        threshold=1e-6,
+        threshold=prinseries.FINAL_DIFF_TOL,
         detail=f"final diff {rep.final_diff:.3e} at probe scale {probe_scale} "
         f"(decreasing={rep.decreasing}); unit-scale diff ratios -> 1/2 "
         f"({ratio_ok}); derivative bump {bump:+.4f} (1 +- 0.1)",

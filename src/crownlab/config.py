@@ -1,9 +1,10 @@
-"""Central tolerance configuration.
+"""The one tolerance record.
 
-Every numerical threshold used by the library lives in one frozen record so
-that tests, the CLI and library callers agree on what "zero" means.  The
-defaults are the contract; individual operations take a ``Tolerances``
-argument for callers that need to tighten or loosen them coherently.
+Every numerical threshold of the library lives in ``TOLERANCES``.  No
+function takes a tolerance argument: each reads ``config.TOLERANCES``
+through this module when it is called, so rebinding that one name (as the
+tests do with ``monkeypatch.setattr(config, "TOLERANCES", ...)``) moves
+every reader at once and nothing can disagree on what "zero" means.
 """
 
 from __future__ import annotations
@@ -16,21 +17,29 @@ class Tolerances:
     """Shared numerical thresholds.
 
     symmetry          relative gap allowed in structural checks (S = S^T,
-                      hermitian, realness) before an input is rejected
+                      hermitian, realness, tracelessness) before an input is
+                      rejected
     determinant       allowed |det(g) - 1| for SL(n) membership
+    orthogonality     allowed max |k^T k - 1| for a path's starting k in SO(n)
+    diagonality       largest off-diagonal entry, relative to max(1, max |x|),
+                      of a direction that counts as diagonal
     minor_floor_rel   leading-minor magnitude floor, relative to
-                      max(1, ||S||_F); below it an input counts as outside
-                      the complexified Iwasawa domain rather than as noise.
-                      The same floor guards the domain test, the pivot-free
-                      LDL, path continuation and the component scales
+                      max(1, ||S||_F); at or below it an input counts as
+                      outside the complexified Iwasawa domain rather than as
+                      noise.  The same floor guards the domain test, the
+                      pivot-free LDL, path continuation and the component
+                      scales (``numkernel.minors_outside_floor`` and
+                      ``numkernel.path_minor_floor``)
     sv_floor_rel      smallest singular value, relative to the largest,
                       below which a matrix counts as singular
     """
 
     symmetry: float = 1e-10
     determinant: float = 1e-9
+    orthogonality: float = 1e-8
+    diagonality: float = 1e-12
     minor_floor_rel: float = 1e-13
     sv_floor_rel: float = 1e-13
 
 
-DEFAULT_TOLERANCES = Tolerances()
+TOLERANCES = Tolerances()

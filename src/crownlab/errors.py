@@ -72,6 +72,3 @@ class BranchAmbiguityError(CrownLabError, RuntimeError):
             f"argument jump {arg_jump:.3f} rad exceeds the guard at max refinement depth"
         )
 
-
-class OrderUndeterminedError(CrownLabError, RuntimeError):
-    """All Taylor coefficients up to the cap were below tolerance."""

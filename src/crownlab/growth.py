@@ -4,11 +4,17 @@ power-law blow-up fitting, and scale-relation certificates.
 The sup over the compact group is estimated from below: Haar samples plus a
 deterministic torus grid of Givens-angle rotations, refined by a
 coordinate-wise pattern search (step halving to a floor, warm-started across
-the t grid).  Estimates are one-sided (never above the true sup) and
-monotone under added samples.  Component scales only need moduli, so the
-sweep uses a direct pivot-free LDL of g^T g per sample with principal
-square roots; branch-coherent continuation is not required here and lives
-in ``iwasawa.decompose_path``.
+the t grid).  Estimates are one-sided (never above the true sup).  The grid
+sup is monotone in n_haar: Haar seeds are per (t, index), so more samples
+only add rows.  The search refinement is not yet monotone: its starts (the
+best grid sample, the previous t's winner) move with n_haar and most
+searches end on their eval budget, not at a local maximum, so at n = 3 a
+refined sup can drop when samples are added (47 of 648 comparisons on six
+seeded directions, n_haar 32 to 256, the worst by 3.0%).
+
+Component scales only need moduli, so the sweep uses a direct pivot-free
+LDL of g^T g per sample with principal square roots; branch-coherent
+continuation is not required here and lives in ``iwasawa.decompose_path``.
 
 Per t, the grid is one ``component_scales_batch`` call, and all pattern
 searches of that t (each component from its best grid sample and from the
@@ -26,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .iwasawa import domain_test, kappa_factor
 from .liegroup import PElement, boundary_direction, haar_so, random_p_element, random_sl, rho
 from .numkernel import (
@@ -34,6 +39,7 @@ from .numkernel import (
     group_exp,
     hermitian_eigensystem,
     leading_minors_batch,
+    minors_outside_floor,
     sym_ldl_batch,
 )
 
@@ -87,20 +93,21 @@ def _sv_ratio(stack: np.ndarray) -> np.ndarray:
         return sv[:, 0] / sv[:, -1]
 
 
-def _ldl_stage(g_stack: np.ndarray, tol: Tolerances):
+def _ldl_stage(g_stack: np.ndarray):
     """Shared first stage of the component scales of a stack (m, n, n).
 
     Forms the Gram matrices g^T g, their LAPACK leading minors, the floor
-    test and the pivot-free LDL.  Rows failing the floor (``ok`` false) are
-    factored as the identity so that later stages stay finite; callers mask
-    them.  Returns (minors, min_minor, ok, unit, diag).
+    test of ``numkernel.minors_outside_floor`` and the pivot-free LDL.  Rows
+    failing the floor (``ok`` false) are factored as the identity so that
+    later stages stay finite; callers mask them.  Returns (minors,
+    min_minor, ok, unit, diag).
     """
     s = np.einsum("mji,mjk->mik", g_stack, g_stack)
     minors = leading_minors_batch(s)
-    s_norms = np.linalg.norm(s, axis=(1, 2))
-    floor = tol.minor_floor_rel * np.maximum(1.0, s_norms)
-    min_minor = np.min(np.abs(minors), axis=1)
-    ok = min_minor > floor
+    magnitudes = np.abs(minors)
+    outside, _ = minors_outside_floor(s, magnitudes)
+    min_minor = np.min(magnitudes, axis=1)
+    ok = ~outside.any(axis=1)
     n = g_stack.shape[-1]
     s_safe = np.where(ok[:, None, None], s, np.eye(n, dtype=complex))
     unit, diag = sym_ldl_batch(s_safe)
@@ -112,15 +119,13 @@ def _alpha_ratio(diag: np.ndarray) -> np.ndarray:
     return np.max(abs_alpha, axis=1) / np.min(abs_alpha, axis=1)
 
 
-def component_scales_batch(
-    g_stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> dict[str, np.ndarray]:
+def component_scales_batch(g_stack: np.ndarray) -> dict[str, np.ndarray]:
     """Component scales for a stack of domain elements (m, n, n).
 
-    Elements whose smallest leading minor of g^T g is below the floor are
+    Elements with a leading minor of g^T g at or below the floor are
     flagged not-ok; their component entries are +inf.
     """
-    minors, min_minor, ok, unit, diag = _ldl_stage(g_stack, tol)
+    minors, min_minor, ok, unit, diag = _ldl_stage(g_stack)
     alpha = np.sqrt(diag.astype(complex))
     out = {
         "s_g": _sv_ratio(g_stack),
@@ -138,9 +143,7 @@ def component_scales_batch(
     return out
 
 
-def _component_values(
-    g_stack: np.ndarray, comp_idx: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
+def _component_values(g_stack: np.ndarray, comp_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row r's scale of component COMPONENTS[comp_idx[r]], and the ok flags.
 
     Runs the shared LDL stage once, then each row computes only its own
@@ -149,7 +152,7 @@ def _component_values(
     and eta rows).  Not-ok rows read -inf.  Each value equals the matching
     ``component_scales_batch`` entry bit for bit.
     """
-    _, _, ok, unit, diag = _ldl_stage(g_stack, tol)
+    _, _, ok, unit, diag = _ldl_stage(g_stack)
     kap, alp, eta = (comp_idx == c for c in range(len(COMPONENTS)))
     vals = np.empty(len(comp_idx))
     vals[alp] = _alpha_ratio(diag[alp])
@@ -160,10 +163,10 @@ def _component_values(
     return np.where(ok, vals, -np.inf), ok
 
 
-def component_scales(g, tol: Tolerances = DEFAULT_TOLERANCES) -> ComponentScales:
+def component_scales(g) -> ComponentScales:
     """Component scales of a single domain element."""
     stack = np.asarray(g, dtype=complex)[np.newaxis]
-    b = component_scales_batch(stack, tol)
+    b = component_scales_batch(stack)
     return ComponentScales(
         s_g=float(b["s_g"][0]),
         s_kappa=float(b["s_kappa"][0]),
@@ -207,18 +210,15 @@ def torus_samples(n: int, torus_grid: int) -> list[np.ndarray]:
 
 
 def sweep_components(
-    x: PElement,
-    t_grid,
-    n_haar: int,
-    torus_grid: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    x: PElement, t_grid, n_haar: int, torus_grid: int, seed: int
 ) -> list[GrowthSample]:
     """Estimated sup over K of the three component scales along exp(-i t x) k.
 
     x must lie on the crown boundary (rho = pi/2); pass directions through
     ``boundary_direction`` first.  Haar samples get per-(t, index) seeds, so
-    enlarging n_haar only adds samples and the sup estimates are monotone.
+    enlarging n_haar only adds samples and the grid sup cannot drop; the
+    refined sups can, since the search starts move with n_haar (see the
+    module docstring).
     """
     ts = [float(t) for t in t_grid]
     if not ts:
@@ -242,7 +242,7 @@ def sweep_components(
         k_stack = np.stack([m.astype(complex) for m in (torus + haar)])
         all_labels = labels + [f"haar:{j}" for j in range(n_haar)]
         g_stack = e_mat[np.newaxis] @ k_stack
-        batch = component_scales_batch(g_stack, tol)
+        batch = component_scales_batch(g_stack)
         exits = int(np.sum(~batch["ok"]))
         used = len(all_labels)
 
@@ -266,7 +266,7 @@ def sweep_components(
                 searches.append((comp, carry[comp], f"carry:{comp}"))
 
         found = (
-            _pattern_search(e_mat, [k for _, k, _ in searches], [c for c, _, _ in searches], step0, tol)
+            _pattern_search(e_mat, [k for _, k, _ in searches], [c for c, _, _ in searches], step0)
             if searches
             else []
         )
@@ -297,11 +297,7 @@ def sweep_components(
 
 
 def _pattern_search(
-    e_mat: np.ndarray,
-    starts: list[np.ndarray],
-    comps: list[str],
-    step0: float,
-    tol: Tolerances,
+    e_mat: np.ndarray, starts: list[np.ndarray], comps: list[str], step0: float
 ) -> list[tuple[float, np.ndarray, int, int]]:
     """Coordinate-wise ascents over SO(n), one per (start, component), run together.
 
@@ -323,7 +319,7 @@ def _pattern_search(
 
     k_best = list(starts)
     g0 = e_mat[np.newaxis] @ np.stack([k.astype(complex) for k in k_best])
-    v0, ok0 = _component_values(g0, comp_idx, tol)
+    v0, ok0 = _component_values(g0, comp_idx)
     val = [float(v) for v in v0]
     used = [1] * len(starts)
     exits = [int(not o) for o in ok0]
@@ -348,7 +344,7 @@ def _pattern_search(
         k_rep = np.stack([k_best[a] for a in active]).repeat(n_probe, axis=0)
         probes = rot.reshape(-1, n, n) @ k_rep
         p_vals, p_ok = _component_values(
-            e_mat[np.newaxis] @ probes.astype(complex), comp_idx[active].repeat(n_probe), tol
+            e_mat[np.newaxis] @ probes.astype(complex), comp_idx[active].repeat(n_probe)
         )
         p_vals = np.where(np.isfinite(p_vals), p_vals, -math.inf).reshape(len(active), n_probe)
         p_exits = np.sum(~p_ok.reshape(len(active), n_probe), axis=1)
@@ -440,24 +436,26 @@ def _scan_certificate(caps: tuple[int, int], log_c_cap: float, needed_log_c) -> 
     return ScaleCertificate(a, b, log_c, False, log_c - log_c_cap)
 
 
-def scale_relation_check(
-    corpus,
-    smax_caps: tuple[int, int] = (12, 12),
-    norm_caps: tuple[int, int] = (12, 12),
-    log_c_cap: float = 20.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ScaleRelationReport:
+# Exponent caps of the s_max form (M, N) and of the minor form (r, N), and
+# the largest log C a certificate may need.
+SMAX_CAPS = (12, 12)
+NORM_CAPS = (12, 12)
+LOG_C_CAP = 20.0
+
+
+def scale_relation_check(corpus) -> ScaleRelationReport:
     """Certify s(eta) <= C s(g)^M s(alpha)^N and ||eta|| <= C ||g||^r / |Delta|^N.
 
-    Scans exponent pairs smallest-first ((M + N) ascending, then M) and sets
-    log C to the corpus maximum of the residual; the first pair with
-    log C <= log_c_cap is the certificate.  Infeasibility within the caps is
-    a report, not an error: the caps are artifacts of the search.
+    Scans exponent pairs smallest-first ((M + N) ascending, then M) up to
+    SMAX_CAPS and NORM_CAPS and sets log C to the corpus maximum of the
+    residual; the first pair with log C <= LOG_C_CAP is the certificate.
+    Infeasibility within the caps is a report, not an error: the caps are
+    artifacts of the search.
     """
     mats = [as_square(g) for g in corpus]
     if not mats:
         raise ValueError("corpus must be nonempty")
-    b = component_scales_batch(np.stack(mats), tol)
+    b = component_scales_batch(np.stack(mats))
     if not b["ok"].all():
         i = int(np.argmin(b["ok"]))
         raise ValueError(
@@ -469,26 +467,25 @@ def scale_relation_check(
     l_delta = b["log_minor_product"]
 
     smax_cert = _scan_certificate(
-        smax_caps, log_c_cap, lambda m, n: float(np.max(ls_eta - m * ls_g - n * ls_alpha))
+        SMAX_CAPS, LOG_C_CAP, lambda m, n: float(np.max(ls_eta - m * ls_g - n * ls_alpha))
     )
     minor_cert = _scan_certificate(
-        norm_caps, log_c_cap, lambda r, n: float(np.max(l_etanorm - r * l_gnorm + n * l_delta))
+        NORM_CAPS, LOG_C_CAP, lambda r, n: float(np.max(l_etanorm - r * l_gnorm + n * l_delta))
     )
     return ScaleRelationReport(smax=smax_cert, minor=minor_cert, corpus_size=len(mats))
 
 
-def crown_corpus(
-    n: int,
-    size: int,
-    seed: int,
-    deep_exponent_range: tuple[float, float] = (1.0, 30.0),
-    real_fraction: float = 0.3,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[np.ndarray]:
+# Corpus path depths 1 - t = 2^{-u} with u uniform on DEEP_EXPONENT_RANGE,
+# and the share of elements given a random real SL(n,R) factor.
+DEEP_EXPONENT_RANGE = (1.0, 30.0)
+REAL_FRACTION = 0.3
+
+
+def crown_corpus(n: int, size: int, seed: int) -> list[np.ndarray]:
     """Seeded corpus of Iwasawa-domain elements exp(-i t x) k (optionally * r).
 
-    Path depths are log-uniform in 1 - t = 2^{-u}, u in deep_exponent_range,
-    stressing the scale relations near the boundary; a real_fraction of the
+    Path depths are log-uniform in 1 - t = 2^{-u}, u in DEEP_EXPONENT_RANGE,
+    stressing the scale relations near the boundary; a REAL_FRACTION of the
     elements is right-multiplied by a random SL(n,R) factor to vary s(g)
     (right G_R-multiplication keeps the transposed crown inside the domain).
     Elements failing the numerical domain test are resampled.
@@ -498,14 +495,14 @@ def crown_corpus(
     attempts = 0
     while len(out) < size and attempts < 50 * size:
         attempts += 1
-        u = rng.uniform(*deep_exponent_range)
+        u = rng.uniform(*DEEP_EXPONENT_RANGE)
         t = 1.0 - 2.0**-u
         x = boundary_direction(random_p_element(n, rng))
         k = haar_so(n, rng)
         g = group_exp(x.matrix, -1j * t) @ k
-        if rng.uniform() < real_fraction:
+        if rng.uniform() < REAL_FRACTION:
             g = g @ random_sl(n, rng)
-        if domain_test(g, tol)[0]:
+        if domain_test(g)[0]:
             out.append(g)
     if len(out) < size:
         raise RuntimeError(f"corpus generation stalled at {len(out)}/{size}")

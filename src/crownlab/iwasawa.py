@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from . import config
 from .errors import BranchAmbiguityError, DomainExitError
 from .liegroup import PElement
 from .numkernel import (
@@ -26,6 +26,8 @@ from .numkernel import (
     hermitian_eigensystem,
     inv_unit_upper,
     leading_minors_batch,
+    minors_outside_floor,
+    path_minor_floor,
     principal_minors,
     sym_ldl,
 )
@@ -34,9 +36,8 @@ from .numkernel import (
 # bisected, and the largest argument step of a minor accepted per interval.
 # MAX_ARG_JUMP must stay below pi/2: a jump of pi in a minor's argument is
 # exactly the sign ambiguity of its square root, which the guard exists to
-# exclude.  The leading-minor floor along the path is the shared
-# Tolerances.minor_floor_rel, scaled by the largest ||g^T g|| the path can
-# reach.
+# exclude.  The leading-minor floor along the path is
+# ``numkernel.path_minor_floor``.
 INITIAL_STEPS = 32
 MAX_REFINEMENT_DEPTH = 40
 MAX_ARG_JUMP = float(np.pi / 4)
@@ -69,20 +70,20 @@ class IwasawaFactors:
         return (self.kappa * self.alpha) @ self.eta
 
 
-def decompose_real(g, tol: Tolerances = DEFAULT_TOLERANCES) -> IwasawaFactors:
+def decompose_real(g) -> IwasawaFactors:
     """KAN factors of a real g in SL(n,R): kappa orthogonal, H real, eta real.
 
     Always exists: g^T g is positive definite, so the pivot-free LDL cannot
     encounter a small minor for well-conditioned input.
     """
     G = as_square(g)
-    check_real(G, tol.symmetry)
+    check_real(G)
     G = G.real.astype(float)
     det = float(np.linalg.det(G))
-    if abs(det - 1.0) > tol.determinant:
+    if abs(det - 1.0) > config.TOLERANCES.determinant:
         raise ValueError(f"input is not in SL(n,R): det={det!r}")
     s = G.T @ G
-    unit, diag = sym_ldl(s, tol)
+    unit, diag = sym_ldl(s)
     d = diag.real
     H = 0.5 * np.log(d)
     alpha = np.sqrt(d)
@@ -99,19 +100,18 @@ def decompose_real(g, tol: Tolerances = DEFAULT_TOLERANCES) -> IwasawaFactors:
     )
 
 
-def domain_test(g, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
+def domain_test(g) -> tuple[bool, float]:
     """Whether g lies in K_C A_C N_C, plus the smallest minor magnitude.
 
     The domain is cut out by Delta_k(g^T g) != 0 for all k (bilinear
-    transpose); numerically "!= 0" means above minor_floor_rel relative to
-    max(1, ||g^T g||_F).
+    transpose); numerically "!= 0" means above the floor of
+    ``numkernel.minors_outside_floor``.
     """
     G = as_square(g)
     s = G.T @ G
-    minors = principal_minors(s, tol)
-    smallest = float(min(abs(m) for m in minors))
-    floor = tol.minor_floor_rel * max(1.0, float(np.linalg.norm(s)))
-    return smallest > floor, smallest
+    magnitudes = [abs(m) for m in principal_minors(s)]
+    outside, _ = minors_outside_floor(s, magnitudes)
+    return not outside.any(), float(min(magnitudes))
 
 
 class _CrownPath:
@@ -137,12 +137,12 @@ class _CrownPath:
         return leading_minors_batch(s)
 
 
-def _check_k_matrix(k, tol: Tolerances) -> np.ndarray:
+def _check_k_matrix(k) -> np.ndarray:
     K = as_square(k)
-    check_real(K, tol.symmetry)
+    check_real(K)
     K = K.real
     gap = float(np.max(np.abs(K.T @ K - np.eye(K.shape[0]))))
-    if gap > 1e-8:
+    if gap > config.TOLERANCES.orthogonality:
         raise ValueError(f"k is not orthogonal: ||k^T k - 1|| = {gap:.3e}")
     if np.linalg.det(K) < 0.0:
         raise ValueError("k must lie in SO(n) (det +1)")
@@ -150,7 +150,7 @@ def _check_k_matrix(k, tol: Tolerances) -> np.ndarray:
 
 
 def _continued_path(
-    x: PElement, k: np.ndarray, z_target: complex, tol: Tolerances
+    x: PElement, k: np.ndarray, z_target: complex
 ) -> tuple[list[float], np.ndarray, _CrownPath]:
     """Refined path 0 = tau_0 < ... < tau_m = 1 with minors at every point.
 
@@ -163,8 +163,7 @@ def _continued_path(
     path = _CrownPath(x, k, z_target)
     taus = list(np.linspace(0.0, 1.0, INITIAL_STEPS + 1))
     minors = list(path.minors_at(np.asarray(taus)))
-    s_scale = max(1.0, float(np.exp(2.0 * abs(z_target) * max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))))
-    floor = tol.minor_floor_rel * s_scale
+    floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
 
     def t_of(tau: float) -> float:
         return tau * abs(z_target)
@@ -229,7 +228,6 @@ def _factors_from_path(
     minors: np.ndarray,
     path: _CrownPath,
     t_label: float,
-    tol: Tolerances,
 ) -> IwasawaFactors:
     # continued logs of the minors: real part from the endpoint modulus,
     # argument accumulated by nearest-argument increments from Delta_k(0) = 1
@@ -241,7 +239,7 @@ def _factors_from_path(
 
     g_end = path.group_points(np.array([1.0]))[0]
     s_end = g_end.T @ g_end
-    unit, _ = sym_ldl(s_end, tol)
+    unit, _ = sym_ldl(s_end)
     return IwasawaFactors(
         kappa=kappa_factor(g_end, unit, np.exp(H)),
         H=H,
@@ -252,18 +250,13 @@ def _factors_from_path(
     )
 
 
-def continue_factors(
-    x: PElement,
-    k,
-    z_target: complex,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> IwasawaFactors:
+def continue_factors(x: PElement, k, z_target: complex) -> IwasawaFactors:
     """Branch-continued factors of exp(-i z x) k along the segment 0 -> z.
 
     General-z driver behind decompose_path; also used by the holomorphy
     probes, which perturb the path parameter off the real axis.
     """
-    K = _check_k_matrix(k, tol)
+    K = _check_k_matrix(k)
     if z_target == 0:
         return IwasawaFactors(
             kappa=K.astype(complex),
@@ -273,17 +266,12 @@ def continue_factors(
             steps_used=1,
             min_minor_magnitude=1.0,
         )
-    taus, minors, path = _continued_path(x, K, z_target, tol)
+    taus, minors, path = _continued_path(x, K, z_target)
     label = z_target.real if z_target.imag == 0.0 else abs(z_target)
-    return _factors_from_path(taus, minors, path, label, tol)
+    return _factors_from_path(taus, minors, path, label)
 
 
-def decompose_path(
-    x: PElement,
-    k,
-    t_target: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> IwasawaFactors:
+def decompose_path(x: PElement, k, t_target: float) -> IwasawaFactors:
     """Holomorphically continued Iwasawa factors of exp(-i t x) k.
 
     H(t) is the continuous branch with H(0) = 0 (the real Iwasawa value of
@@ -293,15 +281,10 @@ def decompose_path(
     """
     if t_target < 0.0:
         raise ValueError(f"t_target must be >= 0, got {t_target}")
-    return continue_factors(x, k, complex(t_target), tol)
+    return continue_factors(x, k, complex(t_target))
 
 
-def check_H_range(
-    factors: IwasawaFactors,
-    x: PElement,
-    t: float,
-    tol: float = 1e-8,
-) -> tuple[bool, float]:
+def check_H_range(factors: IwasawaFactors, x: PElement, t: float) -> float:
     """Test Im H against the convex hull of Weyl-permuted copies of t*diag(x).
 
     x must be a diagonal a-representative (conjugate into a first; left
@@ -311,16 +294,16 @@ def check_H_range(
     the one spanned by permutations of -t*diag(x) (for n = 2 the two hulls
     coincide).  Membership in the permutation hull is Rado's majorization
     criterion: equal totals plus dominated partial sums of the decreasingly
-    sorted vectors.  The returned violation is the largest partial-sum
-    excess folded with the total-sum residual: <= 0 within rounding inside
-    the hull, positive outside.
+    sorted vectors.  Returns the violation: the largest partial-sum excess
+    folded with the total-sum residual, <= 0 within rounding inside the
+    hull and positive outside; callers compare it with their own bound.
     """
     off = x.matrix - np.diag(np.diagonal(x.matrix))
-    if float(np.max(np.abs(off))) > 1e-12 * max(1.0, float(np.max(np.abs(x.matrix)))):
+    scale = max(1.0, float(np.max(np.abs(x.matrix))))
+    if float(np.max(np.abs(off))) > config.TOLERANCES.diagonality * scale:
         raise ValueError("x must be diagonal (conjugate into a first)")
     target = np.sort(-t * np.diagonal(x.matrix))[::-1]
     point = np.sort(np.imag(factors.H))[::-1]
     excess = np.cumsum(point)[:-1] - np.cumsum(target)[:-1]
     total = abs(float(np.sum(point) - np.sum(target)))
-    violation = max(float(np.max(excess)) if excess.size else 0.0, total)
-    return violation <= tol, violation
+    return max(float(np.max(excess)) if excess.size else 0.0, total)

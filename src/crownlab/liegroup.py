@@ -10,65 +10,28 @@ ad(x) for symmetric x.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from . import config
 from .errors import SingularInputError
 from .numkernel import as_square, check_real, check_symmetric, singular_values, sym_eig
-
-WEYL_ENUMERATION_LIMIT = 5
-
-
-@dataclass(frozen=True)
-class LieStructure:
-    """Restricted root data of sl(n,R).
-
-    restricted_roots are the n(n-1) vectors eps_i - eps_j (i != j) acting on
-    diagonal a-coordinates.  The Weyl group is the symmetric group realized
-    as coordinate permutations; it is enumerated only for n <= 5 and left
-    None beyond that (callers sample permutations instead).
-    """
-
-    n: int
-    restricted_roots: list[np.ndarray] = field(repr=False)
-    weyl_group: list[tuple[int, ...]] | None = field(repr=False)
-
-
-def lie_structure(n: int) -> LieStructure:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = np.zeros(n)
-                v[i] = 1.0
-                v[j] = -1.0
-                roots.append(v)
-    weyl = None
-    if n <= WEYL_ENUMERATION_LIMIT:
-        weyl = [tuple(p) for p in itertools.permutations(range(n))]
-    return LieStructure(n=n, restricted_roots=roots, weyl_group=weyl)
 
 
 class PElement:
     """A point of p: real symmetric traceless matrix with cached eigenvalues."""
 
-    def __init__(self, matrix, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, matrix):
         m = as_square(matrix)
-        check_real(m, tol.symmetry)
-        check_symmetric(m, tol.symmetry)
+        check_real(m)
+        check_symmetric(m)
         m = 0.5 * (m.real + m.real.T)
         scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
         tr = float(np.trace(m))
-        if abs(tr) > tol.symmetry * scale * m.shape[0]:
+        if abs(tr) > config.TOLERANCES.symmetry * scale * m.shape[0]:
             raise ValueError(f"matrix is not traceless: trace={tr:.3e}")
         self.matrix = m
         self.matrix.flags.writeable = False
-        self.eigenvalues = sym_eig(m, tol)
+        self.eigenvalues = sym_eig(m)
         self.n = m.shape[0]
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -120,7 +83,7 @@ def haar_so(n: int, seed) -> np.ndarray:
     return q
 
 
-def s_max(g, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def s_max(g) -> float:
     """Maximal scale of g in GL(n,C): the extreme singular-value ratio.
 
     For the Cartan decomposition g = u exp(iX) (u unitary, X hermitian) the
@@ -128,8 +91,8 @@ def s_max(g, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     log(sigma_max/sigma_min), so this ratio equals e^{rho(iX)} with the
     rho-norm; diagonal cases pin the identification (see tests).
     """
-    sv = singular_values(g, tol)
-    if sv[0] == 0.0 or sv[-1] <= tol.sv_floor_rel * sv[0]:
+    sv = singular_values(g)
+    if sv[0] == 0.0 or sv[-1] <= config.TOLERANCES.sv_floor_rel * sv[0]:
         raise SingularInputError(
             f"matrix is singular within tolerance (sigma_min={sv[-1]:.3e})"
         )

@@ -8,13 +8,21 @@ matrices by back substitution, hermitian eigensystems by LAPACK ``eigh``
 and singular values by LAPACK ``svd``.  The single-matrix entries below
 check their input and are the m = 1 call of these kernels; matrix
 exponentials along real symmetric directions go through the eigensystem.
+
+The decision when a leading minor counts as zero has its one home here:
+``minors_outside_floor`` for matrices, batched, and ``path_minor_floor``
+for whole crown paths, both reading ``config.TOLERANCES`` at call time.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
+
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from . import config
 from .errors import NearSingularMinorError, SymmetryError
 
 
@@ -28,26 +36,51 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def _entry_scale(m: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
+def _check_gap(kind: str, deviation: np.ndarray, s: np.ndarray) -> None:
+    """Reject s when max |deviation| exceeds the symmetry tolerance, relative
+    to max(1, max |s|)."""
+    if not s.size:
+        return
+    gap = float(np.max(np.abs(deviation)))
+    if gap > config.TOLERANCES.symmetry * max(1.0, float(np.max(np.abs(s)))):
+        raise SymmetryError(kind, gap)
 
 
-def check_symmetric(s: np.ndarray, tol: float) -> None:
-    gap = float(np.max(np.abs(s - s.T))) if s.size else 0.0
-    if gap > tol * _entry_scale(s):
-        raise SymmetryError("symmetric", gap)
+def check_symmetric(s: np.ndarray) -> None:
+    _check_gap("symmetric", s - s.T, s)
 
 
-def check_hermitian(s: np.ndarray, tol: float) -> None:
-    gap = float(np.max(np.abs(s - s.conj().T))) if s.size else 0.0
-    if gap > tol * _entry_scale(s):
-        raise SymmetryError("hermitian", gap)
+def check_hermitian(s: np.ndarray) -> None:
+    _check_gap("hermitian", s - s.conj().T, s)
 
 
-def check_real(s: np.ndarray, tol: float) -> None:
-    gap = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    if gap > tol * _entry_scale(s):
-        raise SymmetryError("real", gap)
+def check_real(s: np.ndarray) -> None:
+    _check_gap("real", s.imag, s)
+
+
+def minors_outside_floor(s: np.ndarray, minor_abs) -> tuple[np.ndarray, np.ndarray]:
+    """The pointwise floor test of a stack of matrices S (..., n, n).
+
+    ``minor_abs`` holds the magnitudes |Delta_k| of their leading minors
+    (..., n).  The floor of each matrix is minor_floor_rel * max(1, ||S||_F);
+    a minor at or below it (or NaN) counts as zero, which puts that matrix
+    outside the complexified Iwasawa domain.  Returns the per-minor
+    ``outside`` flags (..., n) and the floors (...).
+    """
+    floor = config.TOLERANCES.minor_floor_rel * np.maximum(
+        1.0, np.linalg.norm(s, axis=(-2, -1))
+    )
+    return ~(np.asarray(minor_abs) > np.expand_dims(floor, -1)), floor
+
+
+def path_minor_floor(z: complex, radius: float) -> float:
+    """The floor along a crown path exp(-i tau z x) k, tau in [0, 1].
+
+    ``radius`` bounds |lambda| over the eigenvalues of x, so ||g^T g|| stays
+    below e^{2 |z| radius} on the whole path; the floor is minor_floor_rel *
+    max(1, e^{2 |z| radius}), the pointwise rule at that largest norm.
+    """
+    return config.TOLERANCES.minor_floor_rel * max(1.0, math.exp(2.0 * abs(z) * radius))
 
 
 def leading_minors_batch(s: np.ndarray) -> np.ndarray:
@@ -107,59 +140,58 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T.conj())
 
 
-def principal_minors(s, tol: Tolerances = DEFAULT_TOLERANCES) -> list[complex]:
+def principal_minors(s) -> list[complex]:
     """All leading principal minors Delta_1, ..., Delta_n of a complex symmetric S."""
     S = as_square(s)
-    check_symmetric(S, tol.symmetry)
+    check_symmetric(S)
     return leading_minors_batch(S).tolist()
 
 
-def sym_ldl(s, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+def sym_ldl(s) -> tuple[np.ndarray, np.ndarray]:
     """Factor a complex symmetric S as N^T diag(D) N, N unit upper-triangular.
 
     Gaussian elimination without pivoting: pivoting is forbidden because the
     pivots must equal the leading-minor ratios Delta_k / Delta_{k-1} exactly.
     Raises NearSingularMinorError at the first running minor (product of the
-    pivots so far) below the configured floor (relative to max(1, ||S||_F)).
+    pivots so far) at or below the floor of ``minors_outside_floor``.
     """
     S = as_square(s)
-    check_symmetric(S, tol.symmetry)
+    check_symmetric(S)
     unit, diag = sym_ldl_batch(S)
-    floor = tol.minor_floor_rel * max(1.0, float(np.linalg.norm(S)))
-    minor = 1.0 + 0.0j
-    for k, d in enumerate(diag.tolist()):
-        minor *= d
-        if abs(minor) < floor:
-            raise NearSingularMinorError(index=k + 1, magnitude=abs(minor), floor=floor)
+    running = [abs(m) for m in itertools.accumulate(diag.tolist(), operator.mul)]
+    outside, floor = minors_outside_floor(S, running)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise NearSingularMinorError(index=k + 1, magnitude=running[k], floor=float(floor))
     return unit, diag
 
 
-def sym_eig(x, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def sym_eig(x) -> np.ndarray:
     """Eigenvalues of a real symmetric or hermitian matrix, ascending."""
     X = as_square(x)
-    check_hermitian(X, tol.symmetry)
+    check_hermitian(X)
     return np.linalg.eigvalsh(_hermitian_part(X))
 
 
-def hermitian_eigensystem(x, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and unitary V with x = V diag(w) V^H.
 
     V is real orthogonal when x is real symmetric.
     """
     X = as_square(x)
-    check_hermitian(X, tol.symmetry)
+    check_hermitian(X)
     return np.linalg.eigh(_hermitian_part(X))
 
 
-def group_exp(x, z: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def group_exp(x, z: complex) -> np.ndarray:
     """exp(z*x) for real symmetric x via the eigensystem x = Q diag(w) Q^T."""
     X = as_square(x)
-    check_real(X, tol.symmetry)
-    check_symmetric(X, tol.symmetry)
+    check_real(X)
+    check_symmetric(X)
     w, q = np.linalg.eigh(0.5 * (X.real + X.real.T))
     return (q * np.exp(complex(z) * w)) @ q.T
 
 
-def singular_values(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def singular_values(g) -> np.ndarray:
     """Singular values of g, descending."""
     return np.linalg.svd(as_square(g), compute_uv=False)

@@ -37,9 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from . import config
 from .errors import DomainExitError
 from .growth import BlowupFit, fit_power_law
+from .numkernel import path_minor_floor
 
 MIN_QUAD_POINTS = 64
 QUAD_STRIP_FACTOR = 32.0
@@ -173,7 +174,7 @@ def _march_arguments(
 
 
 def _closed_components(
-    x_scale: float, theta, z: complex, tol: Tolerances = DEFAULT_TOLERANCES
+    x_scale: float, theta, z: complex
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Branch-continued (alpha1, H1, zeta, nu) arrays over a theta grid.
 
@@ -188,7 +189,7 @@ def _closed_components(
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     x1 = 0.5 * x_scale
-    floor = tol.minor_floor_rel * max(1.0, math.exp(2.0 * abs(z) * x1))
+    floor = path_minor_floor(z, x1)
     cos_t, sin_t = np.cos(th), np.sin(th)
     ep = np.exp(complex(z) * x1)
     em = 1.0 / ep
@@ -208,9 +209,7 @@ def _closed_components(
     return alpha1, h1, zeta, nu
 
 
-def sl2_iwasawa_closed(
-    x_scale: float, theta: float, t: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Sl2Components:
+def sl2_iwasawa_closed(x_scale: float, theta: float, t: float) -> Sl2Components:
     """Closed-form complexified Iwasawa data of exp(-i t x) k_theta.
 
     x = diag(x_scale/2, -x_scale/2), so rho(x) = x_scale; raises
@@ -218,7 +217,7 @@ def sl2_iwasawa_closed(
     """
     if not 0.0 < x_scale <= 0.5 * math.pi:
         raise ValueError(f"x_scale must lie in (0, pi/2], got {x_scale}")
-    alpha1, _, zeta, nu = _closed_components(x_scale, [theta], 1j * t, tol)
+    alpha1, _, zeta, nu = _closed_components(x_scale, [theta], 1j * t)
     return Sl2Components(alpha1=complex(alpha1[0]), zeta=complex(zeta[0]), nu=complex(nu[0]))
 
 
@@ -247,7 +246,6 @@ def _orbit_values(
     x_scale: float,
     z: complex,
     thetas: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """(pi_sigma(exp(z x)) v)(k_theta) on a grid, via the closed components.
 
@@ -255,20 +253,20 @@ def _orbit_values(
     g(z) itself, since exp(z x)^{-1} = exp(-z x)); with the rho-shift the
     factor is e^{(1 - s) H1}, without it e^{-s H1}.
     """
-    _, h1, zeta, _ = _closed_components(x_scale, thetas, z, tol)
+    _, h1, zeta, _ = _closed_components(x_scale, thetas, z)
     shift = 1.0 if p.rho_shift else 0.0
     return np.exp((shift - p.s) * h1) * v.evaluate(zeta)
 
 
 def _orbit_norm_sq(
-    v: ModeVector, p: SeriesParams, x_scale: float, z: complex, quad_points: int, tol: Tolerances
+    v: ModeVector, p: SeriesParams, x_scale: float, z: complex, quad_points: int
 ) -> float:
     """||pi_sigma(exp(z x)) v||^2 by trapezoid quadrature over K/M, for z = i t
     on the crown path or real z on the real flow."""
     _check_quad_points(quad_points)
     pts = _effective_quad_points(quad_points, z, x_scale)
     thetas = math.pi * np.arange(pts) / pts
-    vals = _orbit_values(v, p, x_scale, z, thetas, tol)
+    vals = _orbit_values(v, p, x_scale, z, thetas)
     return float(np.mean(np.abs(vals) ** 2))
 
 
@@ -278,7 +276,6 @@ def extended_norm_sq(
     x_scale: float,
     t: float,
     quad_points: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """||e^{i t dpi(x)} v||^2 by trapezoid quadrature over K/M.
 
@@ -286,7 +283,7 @@ def extended_norm_sq(
     times |alpha1|^2 under the rho-shift, with H1 and zeta branch-continued
     along the path.
     """
-    return _orbit_norm_sq(v, p, x_scale, 1j * float(t), quad_points, tol)
+    return _orbit_norm_sq(v, p, x_scale, 1j * float(t), quad_points)
 
 
 def real_time_norm_sq(
@@ -295,11 +292,10 @@ def real_time_norm_sq(
     x_scale: float,
     tau: float,
     quad_points: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """||pi_sigma(exp(tau x)) v||^2 at real time, same code path as the
     holomorphic formula (oracle partner: action_norm_sq)."""
-    return _orbit_norm_sq(v, p, x_scale, complex(tau), quad_points, tol)
+    return _orbit_norm_sq(v, p, x_scale, complex(tau), quad_points)
 
 
 def _real_cocycle(g: np.ndarray, angles: np.ndarray, p: SeriesParams):
@@ -336,7 +332,7 @@ def action_norm_sq(
     for g in gs:
         gm = np.asarray(g, dtype=float)
         det = gm[0, 0] * gm[1, 1] - gm[0, 1] * gm[1, 0]
-        if abs(det - 1.0) > DEFAULT_TOLERANCES.determinant:
+        if abs(det - 1.0) > config.TOLERANCES.determinant:
             raise ValueError(f"group element must have det 1, got {det!r}")
         factor, angles = _real_cocycle(gm, angles, p)
         total = total * factor
@@ -344,26 +340,25 @@ def action_norm_sq(
     return float(np.mean(np.abs(vals) ** 2))
 
 
+# The finite-difference step of orbit_derivative_norm, relative to 1 - t.
+FD_SCALE = 1e-2
+
+
 def orbit_derivative_norm(
-    v: ModeVector,
-    p: SeriesParams,
-    x_scale: float,
-    t: float,
-    quad_points: int,
-    fd_scale: float = 1e-2,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    v: ModeVector, p: SeriesParams, x_scale: float, t: float, quad_points: int
 ) -> float:
     """L2 norm of the centered finite-difference t-derivative of the orbit.
 
-    The step shrinks with the distance to the strip boundary so the
-    difference quotient stays inside the domain of holomorphy.
+    The step FD_SCALE * (1 - t) shrinks with the distance to the strip
+    boundary so the difference quotient stays inside the domain of
+    holomorphy.
     """
     _check_quad_points(quad_points)
-    h = fd_scale * (1.0 - t)
+    h = FD_SCALE * (1.0 - t)
     pts = _effective_quad_points(quad_points, 1j * (t + h), x_scale)
     thetas = math.pi * np.arange(pts) / pts
-    hi = _orbit_values(v, p, x_scale, 1j * (t + h), thetas, tol)
-    lo = _orbit_values(v, p, x_scale, 1j * (t - h), thetas, tol)
+    hi = _orbit_values(v, p, x_scale, 1j * (t + h), thetas)
+    lo = _orbit_values(v, p, x_scale, 1j * (t - h), thetas)
     quot = (hi - lo) / (2.0 * h)
     return math.sqrt(float(np.mean(np.abs(quot) ** 2)))
 
@@ -374,7 +369,6 @@ def growth_exponent(
     t_grid,
     quad_points: int,
     x_scale: float = 0.5 * math.pi,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> BlowupFit:
     """Fit of log ||e^{i t dpi(x)} v|| against -log(1 - t) over the grid."""
     ts = [float(t) for t in t_grid]
@@ -384,8 +378,12 @@ def growth_exponent(
         raise ValueError("t_grid must lie in [0.5, 1)")
     if v.norm_sq == 0.0:
         raise ValueError("cannot fit the growth of the zero vector")
-    norms = [math.sqrt(extended_norm_sq(v, p, x_scale, t, quad_points, tol)) for t in ts]
+    norms = [math.sqrt(extended_norm_sq(v, p, x_scale, t, quad_points)) for t in ts]
     return fit_power_law(ts, norms)
+
+
+# The largest final successive difference of a Cauchy pairing sequence.
+FINAL_DIFF_TOL = 1e-6
 
 
 @dataclass
@@ -407,14 +405,12 @@ def boundary_pairing(
     t_grid,
     quad_points: int,
     x_scale: float = 0.5 * math.pi,
-    final_diff_tol: float = 1e-6,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> PairingReport:
     """Pairings of the continued orbit against a fixed smooth test vector.
 
     F(t) = (1/pi) int conj(w(theta)) (orbit_t)(theta) dtheta; the report
     carries successive differences |F(t_{j+1}) - F(t_j)| and the Cauchy
-    verdict (differences decreasing, final one below final_diff_tol).
+    verdict (differences decreasing, final one below FINAL_DIFF_TOL).
     Convergence requires the orbit's slow-growth order to stay below the
     test vector's smoothness margin: keep v low-mode (a mode m contributes
     blow-up up to (1-t)^(-|m|/2) at the singular angles).
@@ -441,7 +437,7 @@ def boundary_pairing(
         z = 1j * t
         pts = _effective_quad_points(quad_points, z, x_scale)
         thetas = math.pi * np.arange(pts) / pts
-        spectrum = np.fft.fft(_orbit_values(v, p, x_scale, z, thetas, tol))
+        spectrum = np.fft.fft(_orbit_values(v, p, x_scale, z, thetas))
         values.append(complex(np.conj(cs) @ spectrum[half_modes % pts]) / pts)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
@@ -452,5 +448,5 @@ def boundary_pairing(
         diffs=diffs,
         decreasing=decreasing,
         final_diff=final,
-        cauchy=decreasing and final < final_diff_tol,
+        cauchy=decreasing and final < FINAL_DIFF_TOL,
     )

@@ -6,8 +6,8 @@ omega_k = eps_1 + ... + eps_k; rotating the highest-weight vector by
 k_rot in SO(n) spreads it over the weight spaces indexed by k-element
 subsets I, with squared component norms equal to squared Plucker minors
 det(k_rot[I, :k])^2.  Everything downstream (the holomorphic alpha-power,
-the cosine formula, boundary Taylor coefficients and the leading vanishing
-order) is a finite sum over these profiles.
+the cosine formula and the boundary Taylor coefficients) is a finite sum
+over these profiles.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import OrderUndeterminedError
 from .numkernel import as_square, check_real
 
 
@@ -46,7 +44,7 @@ def fundamental_profile(k_rot, rep_index: int) -> WeightProfile:
     minor of rows I against the first rep_index columns of the rotation.
     """
     K = as_square(k_rot)
-    check_real(K, DEFAULT_TOLERANCES.symmetry)
+    check_real(K)
     K = K.real
     n = K.shape[0]
     if not 1 <= rep_index <= n - 1:
@@ -105,17 +103,3 @@ def taylor_coeffs(profile: WeightProfile, h, order: int) -> np.ndarray:
         coeffs[m] = (-1.0) ** r * 2.0**m / math.factorial(m) * total
     return coeffs
 
-
-def leading_vanishing_order(
-    profile: WeightProfile, h, tol: float, cap: int = 20
-) -> int:
-    """Smallest N with |a_N| > tol; the order of vanishing of f_{h,k} at t = 1."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    coeffs = taylor_coeffs(profile, h, cap)
-    for m, a in enumerate(coeffs):
-        if abs(a) > tol:
-            return m
-    raise OrderUndeterminedError(
-        f"all Taylor coefficients up to order {cap} are below tol={tol:.3e}"
-    )

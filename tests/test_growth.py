@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rot2
-from crownlab import growth
-from crownlab.config import DEFAULT_TOLERANCES
+from crownlab import config, growth
 from crownlab.growth import (
     COMPONENTS,
     PATTERN_STEP_FLOOR,
@@ -74,9 +73,9 @@ class TestSweep:
     def test_one_batched_search_per_t(self, monkeypatch):
         calls = []
 
-        def counting(e_mat, starts, comps, step0, tol):
+        def counting(e_mat, starts, comps, step0):
             calls.append(list(comps))
-            return _pattern_search(e_mat, starts, comps, step0, tol)
+            return _pattern_search(e_mat, starts, comps, step0)
 
         monkeypatch.setattr(growth, "_pattern_search", counting)
         sweep_components(X2, [0.5, 0.75, 0.875], n_haar=8, torus_grid=8, seed=1)
@@ -100,12 +99,12 @@ class TestSweep:
         assert s.argmax["alpha"].startswith(("haar", "carry"))
 
 
-def serial_pattern_search(e_mat, k_start, comp, step0, tol):
+def serial_pattern_search(e_mat, k_start, comp, step0):
     """Oracle: one search at a time, full component_scales_batch per step."""
     n = e_mat.shape[0]
     k_best = k_start
     g0 = (e_mat @ k_best.astype(complex))[np.newaxis]
-    b0 = component_scales_batch(g0, tol)
+    b0 = component_scales_batch(g0)
     val = float(b0[f"s_{comp}"][0]) if b0["ok"][0] else -math.inf
     used, exits = 1, int(not b0["ok"][0])
     step = step0
@@ -116,7 +115,7 @@ def serial_pattern_search(e_mat, k_start, comp, step0, tol):
                 for sgn in (1.0, -1.0):
                     probes.append(_givens(n, i, j, sgn * step) @ k_best)
         p_stack = e_mat[np.newaxis] @ np.stack([p.astype(complex) for p in probes])
-        p_batch = component_scales_batch(p_stack, tol)
+        p_batch = component_scales_batch(p_stack)
         used += len(probes)
         exits += int(np.sum(~p_batch["ok"]))
         p_vals = np.where(np.isfinite(p_batch[f"s_{comp}"]), p_batch[f"s_{comp}"], -math.inf)
@@ -142,12 +141,12 @@ class TestPatternSearch:
         viewed = np.stack([k.astype(complex) for k in ks[:3]])
         return [viewed[i].real for i in range(3)] + ks[3:]
 
-    def _assert_matches_serial(self, e_mat, starts, comps, step0, tol):
-        batched = _pattern_search(e_mat, starts, comps, step0, tol)
+    def _assert_matches_serial(self, e_mat, starts, comps, step0):
+        batched = _pattern_search(e_mat, starts, comps, step0)
         assert len(batched) == len(starts)
         exits = 0
         for k0, comp, (val, k_fin, used, n_exit) in zip(starts, comps, batched):
-            ref_val, ref_k, ref_used, ref_exit = serial_pattern_search(e_mat, k0, comp, step0, tol)
+            ref_val, ref_k, ref_used, ref_exit = serial_pattern_search(e_mat, k0, comp, step0)
             assert (val, used, n_exit) == (ref_val, ref_used, ref_exit)
             assert k_fin.tobytes() == np.ascontiguousarray(ref_k).tobytes()
             exits += n_exit
@@ -158,7 +157,7 @@ class TestPatternSearch:
         e_mat = boundary_exp(n, rng, 1.0 - 2.0**-6)
         starts = self._starts(n, rng)
         comps = [COMPONENTS[i % 3] for i in range(len(starts))]
-        self._assert_matches_serial(e_mat, starts, comps, PI / 8, DEFAULT_TOLERANCES)
+        self._assert_matches_serial(e_mat, starts, comps, PI / 8)
 
     @pytest.mark.parametrize("n, budget", [(2, 84), (3, 500), (4, 1500)])
     def test_budget_cuts_searches_at_different_steps(self, n, budget, rng, monkeypatch):
@@ -168,12 +167,12 @@ class TestPatternSearch:
         starts = self._starts(n, rng)
         comps = [COMPONENTS[i % 3] for i in range(len(starts))]
         monkeypatch.setattr(growth, "PATTERN_MAX_EVALS", budget)
-        batched = _pattern_search(e_mat, starts, comps, PI / 8, DEFAULT_TOLERANCES)
+        batched = _pattern_search(e_mat, starts, comps, PI / 8)
         used = [u for _, _, u, _ in batched]
         assert min(used) < budget <= max(used)
-        self._assert_matches_serial(e_mat, starts, comps, PI / 8, DEFAULT_TOLERANCES)
+        self._assert_matches_serial(e_mat, starts, comps, PI / 8)
 
-    def test_not_ok_probes_count_as_exits(self, rng):
+    def test_not_ok_probes_count_as_exits(self, rng, monkeypatch):
         # a raised minor floor puts part of K outside the numerical domain,
         # so searches start or probe on not-ok rows
         n = 3
@@ -183,9 +182,10 @@ class TestPatternSearch:
         b = component_scales_batch(g)
         gram = np.einsum("mji,mjk->mik", g, g)
         rel = b["min_minor"] / np.maximum(1.0, np.linalg.norm(gram, axis=(1, 2)))
-        tol = dataclasses.replace(DEFAULT_TOLERANCES, minor_floor_rel=float(np.median(rel)))
+        raised = dataclasses.replace(config.TOLERANCES, minor_floor_rel=float(np.median(rel)))
+        monkeypatch.setattr(config, "TOLERANCES", raised)
         comps = [COMPONENTS[i % 3] for i in range(len(starts))]
-        assert self._assert_matches_serial(e_mat, starts, comps, PI / 8, tol) > 0
+        assert self._assert_matches_serial(e_mat, starts, comps, PI / 8) > 0
 
 
 class TestComponentValues:
@@ -200,7 +200,7 @@ class TestComponentValues:
             assert not full["ok"].all() and full["ok"].any()
             mixed = rng.integers(0, 3, len(g))
             for comp_idx in [np.full(len(g), c) for c in range(3)] + [mixed]:
-                vals, ok = _component_values(g, comp_idx, DEFAULT_TOLERANCES)
+                vals, ok = _component_values(g, comp_idx)
                 assert np.array_equal(ok, full["ok"])
                 assert np.all(vals[~ok] == -np.inf)
                 for c, comp in enumerate(COMPONENTS):
@@ -286,9 +286,11 @@ class TestScaleRelation:
         with pytest.raises(ValueError, match="nonempty"):
             scale_relation_check([])
 
-    def test_infeasible_reported_not_raised(self):
+    def test_infeasible_reported_not_raised(self, monkeypatch):
         deep = [crown_element([PI / 4, -PI / 4], PI / 4 + 2.0**-30, 1 - 2.0**-30)]
-        report = scale_relation_check(deep, smax_caps=(0, 0), log_c_cap=5.0)
+        monkeypatch.setattr(growth, "SMAX_CAPS", (0, 0))
+        monkeypatch.setattr(growth, "LOG_C_CAP", 5.0)
+        report = scale_relation_check(deep)
         assert not report.smax.certified
         assert report.smax.max_violation > 0.0
 

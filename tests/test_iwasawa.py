@@ -247,9 +247,7 @@ class TestRefinementGrid:
 class TestHRange:
     def test_zero_time_trivial(self):
         f = decompose_path(X2, rot2(0.4), 0.0)
-        ok, violation = check_H_range(f, X2, 0.0)
-        assert ok
-        assert violation == pytest.approx(0.0, abs=1e-14)
+        assert check_H_range(f, X2, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_sl2_closed_form_band(self, rng):
         # Im H1 = -(1/2) arg(a^2 + c^2) stays inside [-t pi/4, t pi/4]
@@ -259,8 +257,7 @@ class TestHRange:
             w = math.cos(t * PI / 2) - 1j * math.sin(t * PI / 2) * math.cos(2 * theta)
             assert f.H[0].imag == pytest.approx(0.5 * np.angle(w), abs=1e-10)
             assert abs(f.H[0].imag) <= t * PI / 4 + 1e-12
-            ok, _ = check_H_range(f, X2, t)
-            assert ok
+            assert check_H_range(f, X2, t) <= 1e-8
 
     def test_random_n3_containment(self, rng):
         for _ in range(20):
@@ -271,8 +268,8 @@ class TestHRange:
                 f = decompose_path(x, k, t)
             except DomainExitError:
                 continue
-            ok, violation = check_H_range(f, x, t, tol=1e-8)
-            assert ok, violation
+            violation = check_H_range(f, x, t)
+            assert violation <= 1e-8, violation
 
     def test_rejects_non_diagonal_direction(self, rng):
         x = random_diag_direction(3, rng)

@@ -9,7 +9,6 @@ from crownlab.liegroup import (
     boundary_direction,
     crown_contains,
     haar_so,
-    lie_structure,
     random_p_element,
     random_sl,
     rho,
@@ -17,21 +16,6 @@ from crownlab.liegroup import (
 )
 
 PI = math.pi
-
-
-class TestStructure:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_root_count_and_weyl_order(self, n):
-        ls = lie_structure(n)
-        assert len(ls.restricted_roots) == n * (n - 1)
-        assert len(ls.weyl_group) == math.factorial(n)
-
-    def test_large_n_weyl_lazy(self):
-        assert lie_structure(7).weyl_group is None
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            lie_structure(1)
 
 
 class TestPElement:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crownlab import config
 from crownlab.errors import NearSingularMinorError, SymmetryError
+from crownlab.growth import component_scales_batch
 from crownlab.numkernel import (
     group_exp,
     hermitian_eigensystem,
@@ -161,6 +164,22 @@ class TestSymLdl:
         assert err.value.index == 2
         assert err.value.magnitude == pytest.approx(2e-14, rel=1e-2, abs=0.0)
         assert err.value.floor == pytest.approx(2.5e-13, rel=1e-12, abs=0.0)
+
+    def test_minor_at_the_floor_is_outside(self, monkeypatch):
+        # ||S||_F = 1, so Delta_1 = 1e-13 sits exactly on the floor
+        with pytest.raises(NearSingularMinorError) as err:
+            sym_ldl(np.diag([1e-13, 1.0]))
+        assert (err.value.index, err.value.magnitude, err.value.floor) == (1, 1e-13, 1e-13)
+        # the stack route decides that boundary the same way; no double a has
+        # a * a == 1e-13, so the Gram matrix here is diag(2^-44, 1), exact,
+        # with the floor moved onto 2^-44
+        raised = dataclasses.replace(config.TOLERANCES, minor_floor_rel=2.0**-44)
+        monkeypatch.setattr(config, "TOLERANCES", raised)
+        g = np.diag([2.0**-22, 1.0])
+        assert not component_scales_batch(g[np.newaxis])["ok"][0]
+        with pytest.raises(NearSingularMinorError) as err:
+            sym_ldl(g.T @ g)
+        assert (err.value.index, err.value.magnitude, err.value.floor) == (1, 2.0**-44, 2.0**-44)
 
     @PROP_SETTINGS
     @given(st.integers(0, 10**6), st.integers(2, 6))

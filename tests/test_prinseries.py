@@ -5,11 +5,11 @@ import pytest
 
 from conftest import rot2
 from crownlab import prinseries
-from crownlab.config import DEFAULT_TOLERANCES
 from crownlab.errors import DomainExitError
 from crownlab.growth import fit_power_law
 from crownlab.iwasawa import decompose_path
 from crownlab.liegroup import PElement, random_sl
+from crownlab.numkernel import path_minor_floor
 from crownlab.prinseries import (
     ModeVector,
     SeriesParams,
@@ -42,8 +42,7 @@ def march_components(x_scale, theta, z):
     """(alpha1, H1, zeta, nu) with both arguments continued by the march."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     x1 = 0.5 * x_scale
-    floor = DEFAULT_TOLERANCES.minor_floor_rel * max(1.0, math.exp(2.0 * abs(z) * x1))
-    arg_w, arg_u = prinseries._march_arguments(x_scale, th, z, floor)
+    arg_w, arg_u = prinseries._march_arguments(x_scale, th, z, path_minor_floor(z, x1))
     # endpoint values in the library's arithmetic: near the corner |w| is
     # small, and w's rounding then moves log |w| and nu well past 1e-14
     ep = np.exp(complex(z) * x1)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import rot2
-from crownlab.errors import OrderUndeterminedError
 from crownlab.iwasawa import domain_test
 from crownlab.liegroup import boundary_direction, haar_so, random_p_element
 from crownlab.numkernel import group_exp, principal_minors
@@ -13,7 +12,6 @@ from crownlab.weights import (
     alpha_pow,
     cos_formula,
     fundamental_profile,
-    leading_vanishing_order,
     taylor_coeffs,
 )
 
@@ -161,28 +159,28 @@ class TestTaylor:
 
 
 class TestLeadingOrder:
+    """The order of vanishing of f_{h,k} at t = 1: its first Taylor
+    coefficient above 1e-10."""
+
     def test_generic_angle_is_zero(self):
-        assert leading_vanishing_order(fundamental_profile(rot2(0.0), 1), H2, 1e-10) == 0
+        coeffs = taylor_coeffs(fundamental_profile(rot2(0.0), 1), H2, 2)
+        assert abs(coeffs[0]) > 1e-10
 
     def test_corner_angle_is_two(self):
-        assert leading_vanishing_order(fundamental_profile(rot2(PI / 4), 1), H2, 1e-10) == 2
+        # the SL(2) corner path: |Delta_1|^2 vanishes like (1 - t)^2, which
+        # predicts the alpha exponent of 1
+        coeffs = taylor_coeffs(fundamental_profile(rot2(PI / 4), 1), H2, 2)
+        assert np.all(np.abs(coeffs[:2]) <= 1e-10)
+        assert abs(coeffs[2]) > 1e-10
 
     def test_flat_direction_is_zero(self):
-        assert leading_vanishing_order(fundamental_profile(rot2(0.7), 1), np.zeros(2), 1e-10) == 0
+        coeffs = taylor_coeffs(fundamental_profile(rot2(0.7), 1), np.zeros(2), 2)
+        assert abs(coeffs[0]) > 1e-10
 
     def test_matches_boundary_limit(self):
-        # 0 < (1-t)^N |alpha^{-2 lambda}|^2 < inf at t = 1 - 1e-4
+        # 0 < (1-t)^2 |alpha^{-2 lambda}|^2 < inf at t = 1 - 1e-4
         prof = fundamental_profile(rot2(PI / 4), 1)
-        order = leading_vanishing_order(prof, H2, 1e-10)
         t = 1.0 - 1e-4
-        scaled = cos_formula(prof, H2, t) / (1.0 - t) ** order
-        a_n = taylor_coeffs(prof, H2, order)[order]
-        assert scaled == pytest.approx(a_n, rel=1e-3)
-
-    def test_undetermined_when_tolerance_swamps(self):
-        with pytest.raises(OrderUndeterminedError):
-            leading_vanishing_order(fundamental_profile(rot2(0.2), 1), H2, 5.0)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            leading_vanishing_order(fundamental_profile(rot2(0.2), 1), H2, 0.0)
+        scaled = cos_formula(prof, H2, t) / (1.0 - t) ** 2
+        a_2 = taylor_coeffs(prof, H2, 2)[2]
+        assert scaled == pytest.approx(a_2, rel=1e-3)
