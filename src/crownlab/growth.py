@@ -5,12 +5,13 @@ The sup over the compact group is estimated from below: Haar samples plus a
 deterministic torus grid of Givens-angle rotations, refined by a
 coordinate-wise pattern search (step halving to a floor, warm-started across
 the t grid).  Estimates are one-sided (never above the true sup).  The grid
-sup is monotone in n_haar: Haar seeds are per (t, index), so more samples
-only add rows.  The search refinement is not yet monotone: its starts (the
-best grid sample, the previous t's winner) move with n_haar and most
-searches end on their eval budget, not at a local maximum, so at n = 3 a
-refined sup can drop when samples are added (47 of 648 comparisons on six
-seeded directions, n_haar 32 to 256, the worst by 3.0%).
+sup is monotone in n_haar: each t draws its Haar block from one stream,
+whose first m rows do not depend on n_haar, so more samples only add rows.
+The search refinement is not yet monotone: its starts (the best grid
+sample, the previous t's winner) move with n_haar and most searches end on
+their eval budget, not at a local maximum, so at n = 3 a refined sup can
+drop when samples are added (47 of 648 comparisons on six seeded
+directions, n_haar 32 to 256, the worst by 3.0%).
 
 Component scales only need moduli, so the sweep uses a direct pivot-free
 LDL of g^T g per sample with principal square roots; branch-coherent
@@ -37,9 +38,9 @@ from .liegroup import PElement, boundary_direction, haar_so, random_p_element, r
 from .numkernel import (
     as_square,
     group_exp,
+    gram_minors,
     hermitian_eigensystem,
     leading_minors_batch,
-    minors_outside_floor,
     sym_ldl_batch,
 )
 
@@ -96,16 +97,13 @@ def _sv_ratio(stack: np.ndarray) -> np.ndarray:
 def _ldl_stage(g_stack: np.ndarray):
     """Shared first stage of the component scales of a stack (m, n, n).
 
-    Forms the Gram matrices g^T g, their LAPACK leading minors, the floor
-    test of ``numkernel.minors_outside_floor`` and the pivot-free LDL.  Rows
-    failing the floor (``ok`` false) are factored as the identity so that
-    later stages stay finite; callers mask them.  Returns (minors,
-    min_minor, ok, unit, diag).
+    Forms the Gram matrices g^T g, their leading minors and the floor test
+    by ``numkernel.gram_minors`` (the arithmetic ``domain_test`` uses), then
+    the pivot-free LDL.  Rows failing the floor (``ok`` false) are factored
+    as the identity so that later stages stay finite; callers mask them.
+    Returns (minors, min_minor, ok, unit, diag).
     """
-    s = np.einsum("mji,mjk->mik", g_stack, g_stack)
-    minors = leading_minors_batch(s)
-    magnitudes = np.abs(minors)
-    outside, _ = minors_outside_floor(s, magnitudes)
+    s, minors, magnitudes, outside = gram_minors(g_stack, leading_minors_batch)
     min_minor = np.min(magnitudes, axis=1)
     ok = ~outside.any(axis=1)
     n = g_stack.shape[-1]
@@ -215,10 +213,11 @@ def sweep_components(
     """Estimated sup over K of the three component scales along exp(-i t x) k.
 
     x must lie on the crown boundary (rho = pi/2); pass directions through
-    ``boundary_direction`` first.  Haar samples get per-(t, index) seeds, so
-    enlarging n_haar only adds samples and the grid sup cannot drop; the
-    refined sups can, since the search starts move with n_haar (see the
-    module docstring).
+    ``boundary_direction`` first.  Each t draws its n_haar Haar samples as
+    one block from the stream [seed, t index]; the first m rows of that
+    block do not depend on n_haar, so enlarging n_haar only adds samples and
+    the grid sup cannot drop.  The refined sups can, since the search starts
+    move with n_haar (see the module docstring).
     """
     ts = [float(t) for t in t_grid]
     if not ts:
@@ -232,22 +231,20 @@ def sweep_components(
 
     n = x.n
     w, q = hermitian_eigensystem(x.matrix)
-    torus = torus_samples(n, torus_grid)
-    labels = [f"torus:{i}" for i in range(len(torus))]
+    torus = np.array(torus_samples(n, torus_grid), dtype=complex).reshape(-1, n, n)
+    labels = [f"torus:{i}" for i in range(len(torus))] + [f"haar:{j}" for j in range(n_haar)]
     carry: dict[str, np.ndarray] = {}
     results = []
     for t_idx, t in enumerate(ts):
         e_mat = (q * np.exp(-1j * t * w)) @ q.conj().T
-        haar = [haar_so(n, [seed, t_idx, j]) for j in range(n_haar)]
-        k_stack = np.stack([m.astype(complex) for m in (torus + haar)])
-        all_labels = labels + [f"haar:{j}" for j in range(n_haar)]
+        k_stack = np.concatenate([torus, haar_so(n, [seed, t_idx], n_haar)], dtype=complex)
         g_stack = e_mat[np.newaxis] @ k_stack
         batch = component_scales_batch(g_stack)
         exits = int(np.sum(~batch["ok"]))
-        used = len(all_labels)
+        used = len(labels)
 
         sups, argmax = {}, {}
-        step0 = math.pi / max(8, torus_grid if torus else 8)
+        step0 = math.pi / max(8, torus_grid if len(torus) else 8)
         # refine each component from its best grid sample and, when
         # available, from the previous t's maximizer: the maximizing k moves
         # continuously in t, so warm-starting keeps the estimator on one
@@ -258,7 +255,7 @@ def sweep_components(
             finite = np.where(np.isfinite(vals), vals, -np.inf)
             best = int(np.argmax(finite))
             sups[comp] = float(finite[best]) if np.isfinite(finite[best]) else np.inf
-            argmax[comp] = all_labels[best]
+            argmax[comp] = labels[best]
             if not np.isfinite(sups[comp]):
                 continue
             searches.append((comp, k_stack[best].real, argmax[comp]))

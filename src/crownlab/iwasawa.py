@@ -23,10 +23,10 @@ from .liegroup import PElement
 from .numkernel import (
     as_square,
     check_real,
+    gram_minors,
     hermitian_eigensystem,
     inv_unit_upper,
     leading_minors_batch,
-    minors_outside_floor,
     path_minor_floor,
     principal_minors,
     sym_ldl,
@@ -105,13 +105,11 @@ def domain_test(g) -> tuple[bool, float]:
 
     The domain is cut out by Delta_k(g^T g) != 0 for all k (bilinear
     transpose); numerically "!= 0" means above the floor of
-    ``numkernel.minors_outside_floor``.
+    ``numkernel.minors_outside_floor``, fed by ``numkernel.gram_minors`` with
+    m = 1, the arithmetic of ``growth.component_scales_batch``.
     """
-    G = as_square(g)
-    s = G.T @ G
-    magnitudes = [abs(m) for m in principal_minors(s)]
-    outside, _ = minors_outside_floor(s, magnitudes)
-    return not outside.any(), float(min(magnitudes))
+    _, _, magnitudes, outside = gram_minors(as_square(g), principal_minors)
+    return not outside.any(), float(magnitudes.min())
 
 
 class _CrownPath:

@@ -63,24 +63,27 @@ def boundary_direction(x_raw: PElement) -> PElement:
     return PElement((0.5 * np.pi / r) * x_raw.matrix)
 
 
-def haar_so(n: int, seed) -> np.ndarray:
-    """Haar-distributed element of SO(n), deterministic under the seed.
+def haar_so(n: int, seed, m: int | None = None) -> np.ndarray:
+    """Haar-distributed elements of SO(n), deterministic under the seed.
 
-    Gaussian matrix, QR, sign convention making diag(R) positive (which
-    makes the distribution exactly Haar on O(n)), then determinant fixed to
-    +1 by flipping the last column.
+    One Gaussian draw of shape (m, n, n) from ``default_rng(seed)``, one
+    stacked QR, the sign convention making each diag(R) positive (which
+    makes the distribution exactly Haar on O(n); Mezzadri, Notices AMS 54,
+    2007), then each determinant fixed to +1 by flipping the last column.
+    Returns the stack (m, n, n), or one matrix (n, n) when m is None, the
+    m = 1 case.  The normal stream is filled row by row, so the first m'
+    rows of the m block equal the m' block bit for bit.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diagonal(r))
+    q, r = np.linalg.qr(rng.standard_normal((1 if m is None else m, n, n)))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    q = q * signs
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
-    return q
+    q = q * signs[:, np.newaxis, :]
+    flip = np.linalg.det(q) < 0.0
+    q[flip, :, -1] = -q[flip, :, -1]
+    return q[0] if m is None else q
 
 
 def s_max(g) -> float:

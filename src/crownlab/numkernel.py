@@ -12,6 +12,8 @@ exponentials along real symmetric directions go through the eigensystem.
 The decision when a leading minor counts as zero has its one home here:
 ``minors_outside_floor`` for matrices, batched, and ``path_minor_floor``
 for whole crown paths, both reading ``config.TOLERANCES`` at call time.
+``gram_minors`` feeds the pointwise rule from g itself, with one Gram and
+magnitude arithmetic for the domain test and the component scales.
 """
 
 from __future__ import annotations
@@ -138,6 +140,24 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     if not x.imag.any():
         x = x.real
     return 0.5 * (x + x.T.conj())
+
+
+def gram_minors(g: np.ndarray, minors_of) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The domain test's one arithmetic for g, a stack (m, n, n) or one matrix.
+
+    Forms the bilinear Gram matrices S = g^T g by one ``einsum``, their
+    leading minors by ``minors_of``, the magnitudes |Delta_k| by ``np.abs``
+    and the ``minors_outside_floor`` flags, so every caller deciding domain
+    membership sees the same bits for the same g.  ``minors_of`` is
+    ``leading_minors_batch`` for a stack or, for one matrix (the m = 1
+    case), the checked entry ``principal_minors``, which runs the same
+    determinants.  Returns (S, minors, magnitudes, outside).
+    """
+    s = np.einsum("...ji,...jk->...ik", g, g)
+    minors = np.asarray(minors_of(s))
+    magnitudes = np.abs(minors)
+    outside, _ = minors_outside_floor(s, magnitudes)
+    return s, minors, magnitudes, outside
 
 
 def principal_minors(s) -> list[complex]:

@@ -62,6 +62,22 @@ class TestSweep:
         assert hi.sup_kappa >= slack * lo.sup_kappa
         assert hi.sup_eta >= slack * lo.sup_eta
 
+    @pytest.mark.parametrize("t", [0.5, 0.9, 0.99])
+    def test_grid_sup_monotone_in_haar_count_n3(self, t, monkeypatch):
+        # one eval per search leaves only grid values; the first m rows of a
+        # t's Haar block do not depend on n_haar, so the grid only grows
+        monkeypatch.setattr(growth, "PATTERN_MAX_EVALS", 1)
+        rng = np.random.default_rng(31)
+        for d in range(4):
+            x = boundary_direction(random_p_element(3, rng))
+            sups = [
+                sweep_components(x, [t], n_haar=m, torus_grid=0, seed=50 + d)[0]
+                for m in (16, 32, 64)
+            ]
+            for lo, hi in zip(sups, sups[1:]):
+                for comp in COMPONENTS:
+                    assert getattr(hi, f"sup_{comp}") >= getattr(lo, f"sup_{comp}")
+
     def test_sup_nondecreasing_in_t(self, rng):
         x = boundary_direction(random_p_element(3, rng))
         samples = sweep_components(x, [1 - 2.0**-j for j in range(1, 11)], 64, 8, seed=4)

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import rot2
-from crownlab import iwasawa
+from crownlab import config, iwasawa
 from crownlab.errors import BranchAmbiguityError, DomainExitError
-from crownlab.growth import _givens
+from crownlab.growth import _givens, component_scales_batch
 from crownlab.iwasawa import (
     check_H_range,
     continue_factors,
@@ -14,7 +15,7 @@ from crownlab.iwasawa import (
     decompose_real,
     domain_test,
 )
-from crownlab.liegroup import PElement, haar_so, random_sl
+from crownlab.liegroup import PElement, boundary_direction, haar_so, random_p_element, random_sl
 from crownlab.numkernel import group_exp
 from crownlab.prinseries import sl2_iwasawa_closed
 
@@ -83,6 +84,41 @@ class TestDomainTest:
         ok, smallest = domain_test(np.eye(4))
         assert ok
         assert smallest == pytest.approx(1.0)
+
+    def test_verdict_matches_component_scales_at_the_floor(self, monkeypatch):
+        # The floor is placed exactly on each route's smallest minor magnitude
+        # (outside) and just below it (inside); the scalar and the batched
+        # route must agree on both sides every time.
+        rng = np.random.default_rng(20261018)
+        placed = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            x = boundary_direction(random_p_element(n, rng))
+            g = crown_point(x, haar_so(n, rng), 1.0 - 2.0 ** -rng.uniform(1.0, 30.0))
+            s = np.einsum("ji,jk->ik", g, g)
+            scale = max(1.0, float(np.linalg.norm(s, axis=(-2, -1))))
+            batch_min = component_scales_batch(g[np.newaxis])["min_minor"][0]
+            for magnitude in (domain_test(g)[1], batch_min):
+                near = magnitude / scale
+                exact = [r for r in (near, np.nextafter(near, np.inf), np.nextafter(near, 0.0))
+                         if r * scale == magnitude]
+                if not exact:
+                    continue
+                rel = exact[0]
+                placed += 1
+                below = rel
+                while below * scale == magnitude:
+                    below = np.nextafter(below, 0.0)
+                for floor_rel in (rel, below):
+                    monkeypatch.setattr(
+                        config,
+                        "TOLERANCES",
+                        dataclasses.replace(config.TOLERANCES, minor_floor_rel=float(floor_rel)),
+                    )
+                    inside = domain_test(g)[0]
+                    assert inside == component_scales_batch(g[np.newaxis])["ok"][0]
+                    assert inside == (floor_rel == below)
+        assert placed >= 400
 
 
 class TestDecomposePath:

@@ -111,6 +111,37 @@ class TestHaar:
         with pytest.raises(ValueError):
             haar_so(1, 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_block_rows_special_orthogonal(self, n):
+        q = haar_so(n, [6, n], 256)
+        gap = np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max()
+        det_gap = np.abs(np.linalg.det(q) - 1.0).max()
+        assert q.shape == (256, n, n) and gap < 1e-12 and det_gap < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m_prefix", [1, 16, 100, 511])
+    def test_block_prefix_equals_smaller_block(self, n, m_prefix):
+        assert np.array_equal(haar_so(n, [5, 2], 512)[:m_prefix], haar_so(n, [5, 2], m_prefix))
+
+    def test_single_draw_pinned_int_seed(self):
+        pinned = [
+            [0.3056572521325831, -0.9440777770580763, -0.12365595450215668],
+            [0.9434667295206645, 0.3177984972478506, -0.09420533655048038],
+            [0.12823484123411946, -0.08787073467366081, 0.9878433881347647],
+        ]
+        assert np.array_equal(haar_so(3, 42), pinned)
+
+    def test_single_draw_pinned_generator_stream(self):
+        # the second draw from one Generator: each call consumes n * n normals
+        rng = np.random.default_rng(2007)
+        haar_so(3, rng)
+        pinned = [
+            [-0.7825358429801292, 0.6180469374784872, -0.07520397279958853],
+            [-0.5036288505081981, -0.5573459742184128, 0.6600935130406292],
+            [0.3660541426990951, 0.5544217240476703, 0.7474094704489899],
+        ]
+        assert np.array_equal(haar_so(3, rng), pinned)
+
 
 class TestSMax:
     def test_unitary_is_one(self, rng):
