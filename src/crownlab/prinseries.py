@@ -15,6 +15,13 @@ Re((a + i c) e^{-i theta}) >= cos(tau t x1) - sin(tau t x1) > 0, so neither
 quantity winds around 0 and one endpoint evaluation gives the data.  Real
 z and longer segments continue the arguments by a march in tau.
 
+The orbit needs no argument of u at all.  Since zeta = -i (log u - H1) and
+alpha1^2 = e^{2 H1} = w = a^2 + c^2 on every branch, e^{2 i zeta} = u^2 / w
+exactly, whatever the continuation; for even m, e^{i m zeta} is the power
+q^{m/2} of the branch-free point q = u^2 / w = (a + i c) / (a - i c).  So a
+K-finite orbit value is e^{(shift - s) H1} sum_m c_m q^{m/2}, and only the
+prefactor reads the continued argument of w.
+
 The character on A is sigma(exp H) = e^{s H1} in the coordinate
 H = diag(H1, -H1); the optional rho-shift multiplies the orbit integrand by
 |alpha1|^2 (rho_a is 1 in the H1 coordinate).  With the shift the action is
@@ -86,13 +93,27 @@ class ModeVector:
         cs = np.array(list(self.modes.values()), dtype=complex)
         return ms, cs
 
-    def evaluate(self, angles: np.ndarray) -> np.ndarray:
-        """Fourier sum sum_m c_m e^{i m angle} at real or complex angles."""
-        ms, cs = self.arrays()
-        angles = np.asarray(angles)
-        if ms.size == 0:
-            return np.zeros(angles.shape, dtype=complex)
-        return np.exp(1j * np.multiply.outer(angles, ms)) @ cs
+    def evaluate(self, q: np.ndarray) -> np.ndarray:
+        """Fourier sum sum_m c_m e^{i m angle} at the point q = e^{2 i angle}.
+
+        Every mode is even, so e^{i m angle} = q^{m/2} exactly, on whatever
+        branch the (real or complex) angle was continued: the sum is a Laurent
+        polynomial in q, summed with running products of q and 1/q and no
+        exp per mode.
+        """
+        q = np.asarray(q, dtype=complex)
+        total = np.full(q.shape, self.modes.get(0, 0.0), dtype=complex)
+        for sign in (1, -1):
+            terms = sorted((sign * m // 2, c) for m, c in self.modes.items() if sign * m > 0)
+            if not terms:
+                continue
+            step = q if sign > 0 else 1.0 / q
+            power, k = step, 1
+            for j, c in terms:
+                while k < j:
+                    power, k = power * step, k + 1
+                total += c * power
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ModeVector({self.modes})"
@@ -113,10 +134,6 @@ class Sl2Components:
     alpha1: complex
     zeta: complex
     nu: complex
-
-    @property
-    def h1(self) -> complex:
-        return np.log(self.alpha1)
 
     def kappa(self) -> np.ndarray:
         z = self.zeta
@@ -173,40 +190,46 @@ def _march_arguments(
     return arg_w, arg_u
 
 
-def _closed_components(
-    x_scale: float, theta, z: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Branch-continued (alpha1, H1, zeta, nu) arrays over a theta grid.
-
-    The arguments of w = a^2 + c^2 and u = a + i c are continued from
-    (0, theta) at z = 0 along the segment to z.  For z = i t with
-    t x_scale < pi/2 they are the principal ones at the endpoint, angle(w)
-    and theta + angle(u e^{-i theta}) (see the module docstring), and
-    |w|^2 = 1 - sin^2(tau t x_scale) sin^2(2 theta) falls in tau, so the floor
-    test at the endpoint equals the test at every point of the segment.
-    Real z, longer segments and an endpoint below the floor take the march
-    of ``_march_arguments``, which reports where the floor was crossed.
-    """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+def _endpoint(x_scale: float, th: np.ndarray, z: complex):
+    """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v) and sinh(2 z x1)
+    at the end of the segment to z."""
     x1 = 0.5 * x_scale
-    floor = path_minor_floor(z, x1)
-    cos_t, sin_t = np.cos(th), np.sin(th)
     ep = np.exp(complex(z) * x1)
     em = 1.0 / ep
     cosh2, sinh2 = 0.5 * (ep * ep + em * em), 0.5 * (ep * ep - em * em)
     w = cosh2 - sinh2 * np.cos(2.0 * th)
-    u = em * cos_t + 1j * ep * sin_t
-    if z.real == 0.0 and abs(z) * x_scale < 0.5 * math.pi and np.abs(w).min() > floor:
-        arg_w = np.angle(w)
-        arg_u = th + np.angle(u * (cos_t - 1j * sin_t))
-    else:
-        arg_w, arg_u = _march_arguments(x_scale, th, z, floor)
+    a, ic = em * np.cos(th), 1j * ep * np.sin(th)
+    return w, a + ic, a - ic, sinh2
 
-    h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
-    alpha1 = np.exp(h1)
-    zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
-    nu = np.sin(2.0 * th) * sinh2 / w
-    return alpha1, h1, zeta, nu
+
+def _principal_segment(x_scale: float, z: complex) -> bool:
+    """Whether the continued arguments of w and u at z are the principal ones
+    once |w| clears the floor (z = i t with t x_scale < pi/2, module docstring)."""
+    return z.real == 0.0 and abs(z) * x_scale < 0.5 * math.pi
+
+
+def _closed_components(x_scale: float, theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta} over a theta grid.
+
+    The argument of w = a^2 + c^2 is continued from 0 at z = 0 along the
+    segment to z.  On a principal segment it is angle(w), and
+    |w|^2 = 1 - sin^2(tau t x_scale) sin^2(2 theta) falls in tau, so the floor
+    test at the endpoint equals the test at every point of the segment.
+    Real z, longer segments and an endpoint below the floor take the march
+    of ``_march_arguments``, which reports where the floor was crossed.
+    q needs no argument at all: e^{i zeta} = u / alpha1 and alpha1^2 = w on
+    every branch.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    floor = path_minor_floor(z, 0.5 * x_scale)
+    w, u, v, _ = _endpoint(x_scale, th, z)
+    mag_w = np.abs(w)
+    if _principal_segment(x_scale, z) and mag_w.min() > floor:
+        arg_w = np.angle(w)
+    else:
+        arg_w, _ = _march_arguments(x_scale, th, z, floor)
+    h1 = 0.5 * (np.log(mag_w) + 1j * arg_w)
+    return h1, u / v
 
 
 def sl2_iwasawa_closed(x_scale: float, theta: float, t: float) -> Sl2Components:
@@ -214,11 +237,21 @@ def sl2_iwasawa_closed(x_scale: float, theta: float, t: float) -> Sl2Components:
 
     x = diag(x_scale/2, -x_scale/2), so rho(x) = x_scale; raises
     DomainExitError when a^2 + c^2 falls below the floor along the path.
+    zeta = -i (log u - H1) continues the argument of u by the same route as
+    ``_closed_components`` continues that of w.
     """
     if not 0.0 < x_scale <= 0.5 * math.pi:
         raise ValueError(f"x_scale must lie in (0, pi/2], got {x_scale}")
-    alpha1, _, zeta, nu = _closed_components(x_scale, [theta], 1j * t)
-    return Sl2Components(alpha1=complex(alpha1[0]), zeta=complex(zeta[0]), nu=complex(nu[0]))
+    th, z = np.array([float(theta)]), 1j * t
+    h1, _ = _closed_components(x_scale, th, z)
+    w, u, _, sinh2 = _endpoint(x_scale, th, z)
+    if _principal_segment(x_scale, z):
+        arg_u = th + np.angle(u * (np.cos(th) - 1j * np.sin(th)))
+    else:
+        _, arg_u = _march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
+    zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
+    nu = np.sin(2.0 * th) * sinh2 / w
+    return Sl2Components(alpha1=complex(np.exp(h1[0])), zeta=complex(zeta[0]), nu=complex(nu[0]))
 
 
 def _check_quad_points(quad_points: int) -> None:
@@ -251,11 +284,12 @@ def _orbit_values(
 
     The action evaluates the Iwasawa data of exp(-z x) k_theta (the family
     g(z) itself, since exp(z x)^{-1} = exp(-z x)); with the rho-shift the
-    factor is e^{(1 - s) H1}, without it e^{-s H1}.
+    factor is e^{(1 - s) H1}, without it e^{-s H1}, and the modes are summed
+    at q = e^{2 i zeta} (module docstring).
     """
-    _, h1, zeta, _ = _closed_components(x_scale, thetas, z)
+    h1, q = _closed_components(x_scale, thetas, z)
     shift = 1.0 if p.rho_shift else 0.0
-    return np.exp((shift - p.s) * h1) * v.evaluate(zeta)
+    return np.exp((shift - p.s) * h1) * v.evaluate(q)
 
 
 def _orbit_norm_sq(
@@ -280,8 +314,10 @@ def extended_norm_sq(
     """||e^{i t dpi(x)} v||^2 by trapezoid quadrature over K/M.
 
     Integrand per the orbit formula: |e^{-s H1}|^2 |sum c_m e^{i m zeta}|^2,
-    times |alpha1|^2 under the rho-shift, with H1 and zeta branch-continued
-    along the path.
+    times |alpha1|^2 under the rho-shift, with H1 branch-continued along the
+    path.  The mode sum is the Laurent polynomial sum c_m q^{m/2} at
+    q = u^2 / w = e^{2 i zeta}, which is branch-free because every mode is
+    even, so zeta's continuation never enters.
     """
     return _orbit_norm_sq(v, p, x_scale, 1j * float(t), quad_points)
 
@@ -336,7 +372,7 @@ def action_norm_sq(
             raise ValueError(f"group element must have det 1, got {det!r}")
         factor, angles = _real_cocycle(gm, angles, p)
         total = total * factor
-    vals = total * v.evaluate(angles)
+    vals = total * v.evaluate(np.exp(2j * angles))
     return float(np.mean(np.abs(vals) ** 2))
 
 
@@ -412,8 +448,11 @@ def boundary_pairing(
     carries successive differences |F(t_{j+1}) - F(t_j)| and the Cauchy
     verdict (differences decreasing, final one below FINAL_DIFF_TOL).
     Convergence requires the orbit's slow-growth order to stay below the
-    test vector's smoothness margin: keep v low-mode (a mode m contributes
-    blow-up up to (1-t)^(-|m|/2) at the singular angles).
+    test vector's smoothness margin: keep v low-mode.  Near the singular
+    angles the squared orbit behaves like |w|^(axis - 1 - Re s - max|m|),
+    with axis = ``unitary_axis_re(p.rho_shift)``; integrated across a width
+    of order 1 - t, the orbit norm grows like (1-t)^(-N) with
+    N = (max|m| + Re s - axis) / 2, which is max|m|/2 on the unitary axis.
     """
     _check_quad_points(quad_points)
     ms, cs = w_smooth.arrays()

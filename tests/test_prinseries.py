@@ -39,21 +39,28 @@ def flow(tau, x_scale=XS):
 
 
 def march_components(x_scale, theta, z):
-    """(alpha1, H1, zeta, nu) with both arguments continued by the march."""
+    """(H1, q) with the argument of w continued by the march."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    x1 = 0.5 * x_scale
-    arg_w, arg_u = prinseries._march_arguments(x_scale, th, z, path_minor_floor(z, x1))
+    arg_w, _ = prinseries._march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
     # endpoint values in the library's arithmetic: near the corner |w| is
-    # small, and w's rounding then moves log |w| and nu well past 1e-14
-    ep = np.exp(complex(z) * x1)
-    em = 1.0 / ep
-    sinh2 = 0.5 * (ep * ep - em * em)
-    w = 0.5 * (ep * ep + em * em) - sinh2 * np.cos(2 * th)
-    u = em * np.cos(th) + 1j * ep * np.sin(th)
+    # small, and w's rounding then moves log |w| well past 1e-14
+    w, u, v, _ = prinseries._endpoint(x_scale, th, z)
+    return 0.5 * (np.log(np.abs(w)) + 1j * arg_w), u / v
+
+
+def sl2_components(x_scale, theta, t):
+    c = sl2_iwasawa_closed(x_scale, theta, t)
+    return c.alpha1, c.zeta, c.nu
+
+
+def march_sl2(x_scale, theta, t):
+    """sl2_iwasawa_closed's (alpha1, zeta, nu) with both arguments continued by the march."""
+    th, z = np.array([float(theta)]), 1j * t
+    arg_w, arg_u = prinseries._march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
+    w, u, _, sinh2 = prinseries._endpoint(x_scale, th, z)
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
-    nu = np.sin(2 * th) * sinh2 / w
-    return np.exp(h1), h1, zeta, nu
+    return complex(np.exp(h1[0])), complex(zeta[0]), complex((np.sin(2 * th) * sinh2 / w)[0])
 
 
 def outcome(route, *args):
@@ -64,9 +71,7 @@ def outcome(route, *args):
         return (exc.last_good_t, exc.t_fail, exc.minor_index, exc.magnitude)
 
 
-def assert_routes_agree(x_scale, theta, z):
-    closed = outcome(prinseries._closed_components, x_scale, theta, z)
-    march = outcome(march_components, x_scale, theta, z)
+def assert_same_outcome(closed, march):
     if isinstance(march[0], float):
         assert closed == march
         return
@@ -74,19 +79,27 @@ def assert_routes_agree(x_scale, theta, z):
         assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
 
 
+def assert_routes_agree(x_scale, theta, z):
+    assert_same_outcome(
+        outcome(prinseries._closed_components, x_scale, theta, z),
+        outcome(march_components, x_scale, theta, z),
+    )
+
+
 def dense_pairing(v, w_smooth, p, t_grid, quad_points, x_scale=XS):
     """The trapezoid pairing summed over a (nodes x modes) matrix of w's modes,
-    in chunks of nodes so the matrix stays small."""
+    each a fresh exp, in chunks of nodes so the matrix stays small."""
+    ms, cs = w_smooth.arrays()
     values = []
     for t in t_grid:
         z = 1j * t
         pts = prinseries._effective_quad_points(quad_points, z, x_scale)
         thetas = PI * np.arange(pts) / pts
         orbit = prinseries._orbit_values(v, p, x_scale, z, thetas)
-        total = sum(
-            np.sum(np.conj(w_smooth.evaluate(thetas[k : k + 65536])) * orbit[k : k + 65536])
-            for k in range(0, pts, 65536)
-        )
+        total = 0.0
+        for k in range(0, pts, 65536):
+            w_vals = np.exp(1j * np.multiply.outer(thetas[k : k + 65536], ms)) @ cs
+            total += np.sum(np.conj(w_vals) * orbit[k : k + 65536])
         values.append(complex(total) / pts)
     return values
 
@@ -164,6 +177,14 @@ class TestClosedForm:
         prinseries._closed_components(XS, thetas, complex(0.9))
         assert calls == [1.0j, 3.2j, complex(0.9)]
 
+    def test_sl2_continues_zeta_by_the_march_on_long_segments(self):
+        # past t x_scale = 2 pi the argument of u winds, and its principal
+        # value is 2 pi off the continued one
+        for x_scale, t in ((0.5, 3.2), (0.5, 14.0), (1.0, 7.0)):
+            for theta in (0.1, 0.4, 1.0, 2.0, 2.8):
+                closed = outcome(sl2_components, x_scale, theta, t)
+                assert_same_outcome(closed, outcome(march_sl2, x_scale, theta, t))
+
     def test_principal_route_matches_march_on_criterion_grids(self):
         # criterion 11's pairings at quad 1024; criteria 10/11's fits at 512,
         # with the derivative's difference points t +- h
@@ -183,6 +204,9 @@ class TestClosedForm:
             theta = rng.uniform(0.0, 2 * PI)
             t = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
             assert_routes_agree(x_scale, [theta], 1j * t)
+            assert_same_outcome(
+                outcome(sl2_components, x_scale, theta, t), outcome(march_sl2, x_scale, theta, t)
+            )
 
     def test_both_routes_match_mpmath_oracle(self):
         # 50-digit principal-branch formulas (exact on this segment); w is the
@@ -202,11 +226,15 @@ class TestClosedForm:
                 arg_u = th + mpmath.arg(u * mpmath.exp(-1j * th))
                 zeta = -1j * (mpmath.log(abs(u)) + 1j * arg_u - h1)
                 nu = mpmath.sin(2 * th) * mpmath.sinh(2 * z * x1) / w
-                ref = [complex(v) for v in (mpmath.exp(h1), h1, zeta, nu)]
+                ref_h1_q = [complex(h1), complex(u * u / w)]
+                ref_sl2 = [complex(v) for v in (mpmath.exp(h1), zeta, nu)]
                 bound = 16 * eps / min(1.0, float(abs(w)))
             for route in (prinseries._closed_components, march_components):
-                for got, want in zip(route(x_scale, [theta], 1j * t), ref):
+                for got, want in zip(route(x_scale, [theta], 1j * t), ref_h1_q):
                     assert abs(complex(got[0]) - want) <= bound * max(1.0, abs(want))
+            for route in (sl2_components, march_sl2):
+                for got, want in zip(route(x_scale, theta, t), ref_sl2):
+                    assert abs(got - want) <= bound * max(1.0, abs(want))
 
     def test_consistent_with_decompose_path(self, rng):
         x = PElement(np.diag([PI / 4, -PI / 4]))
@@ -217,6 +245,46 @@ class TestClosedForm:
             assert abs(np.exp(f.H[0]) - c.alpha1) < 1e-10
             assert abs(f.eta[0, 1] - c.nu) < 1e-10
             assert np.max(np.abs(f.kappa - c.kappa())) < 1e-10
+
+
+class TestOrbitValues:
+    def test_orbit_values_match_mpmath_oracle(self):
+        # 50-digit orbit e^{(shift - s) H1} sum c_m e^{i m zeta} from the
+        # principal-branch H1 and zeta (exact on this segment).  The error is
+        # measured against the sum of the terms' magnitudes, so that
+        # cancellation inside the sum is not charged to the kernel; the
+        # conditioning is w's rounding, as for the components
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
+        params = (P_AXIS, P_OFF, SeriesParams(s=2.8 + 0.3j, rho_shift=False))
+        rng = np.random.default_rng(8)
+        for i in range(200):
+            x_scale = XS if i % 2 else rng.uniform(0.05, XS)
+            if i % 4 == 1:
+                # both singular angles: q -> 0 at pi/4 and q -> infinity at 3 pi/4
+                corner = PI / 4 if i % 8 == 1 else 3 * PI / 4
+                gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, math.log10(0.3))
+                theta = corner + gap
+            else:
+                theta = rng.uniform(0.0, 2 * PI)
+            t = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0)
+            with mpmath.workdps(50):
+                x1, th, z = mpmath.mpf(x_scale) / 2, mpmath.mpf(theta), mpmath.mpc(0, t)
+                w = mpmath.cosh(2 * z * x1) - mpmath.sinh(2 * z * x1) * mpmath.cos(2 * th)
+                u = mpmath.exp(-z * x1) * mpmath.cos(th) + 1j * mpmath.exp(z * x1) * mpmath.sin(th)
+                h1 = mpmath.log(w) / 2
+                zeta = -1j * (mpmath.log(u * mpmath.exp(-1j * th)) + 1j * th - h1)
+                terms = [mpmath.mpc(c) * mpmath.exp(1j * m * zeta) for m, c in v.modes.items()]
+                refs = []
+                for p in params:
+                    factor = mpmath.exp((int(p.rho_shift) - mpmath.mpc(p.s)) * h1)
+                    refs.append((complex(factor * sum(terms)),
+                                 float(abs(factor) * sum(abs(x) for x in terms))))
+                bound = 16 * eps / min(1.0, float(abs(w)))
+            for p, (want, scale) in zip(params, refs):
+                got = prinseries._orbit_values(v, p, x_scale, 1j * t, np.array([theta]))[0]
+                assert abs(got - want) <= bound * scale
 
 
 class TestExtendedNorm:
@@ -322,6 +390,19 @@ class TestGrowthExponent:
         fit = growth_exponent(ModeVector({2: 1.0, -2: 1.0}), P_AXIS, ts, 256)
         assert fit.r_squared > 0.999
         assert fit.n_hat == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "m,s",
+        [(2, 2 + 0.4j), (4, 2 + 0.4j), (6, 2 + 0.4j)]
+        + [(2, re_s + 0.4j) for re_s in (1.5, 2.5, 3.0)],
+    )
+    def test_exponent_law(self, m, s):
+        # mode m contributes |w|^(-|m|) and the rho-shifted character
+        # |w|^(1 - Re s) near the corner; integrated across a width of order
+        # 1 - t this gives N = (max|m| + Re s - 2) / 2
+        ts = [1 - 2.0**-j for j in range(4, 13)]
+        fit = growth_exponent(ModeVector({m: 1.0, -m: 1.0}), SeriesParams(s=s), ts, 512)
+        assert fit.n_hat == pytest.approx((m + s.real - 2.0) / 2.0, abs=0.01)
 
     def test_spherical_axis_orbit_measured_behavior(self):
         # sqrt-log truth: small finite exponent, fit quality below a clean
