@@ -41,11 +41,6 @@ class CheckResult:
         return asdict(self)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def acceptance_01_real_reconstruction() -> CheckResult:
     """Real KAN reconstruction: 500 seeded SL(n,R) elements per n in 2..6."""
     rng = np.random.default_rng([SEED, 1])
@@ -75,7 +70,7 @@ def acceptance_02_sl2_dual_oracle() -> CheckResult:
     for _ in range(200):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         t = rng.uniform(0.0, 0.999)
-        f = iwasawa.decompose_path(x, _rotation(theta), t)
+        f = iwasawa.decompose_path(x, liegroup.givens(2, 0, 1, theta), t)
         c = prinseries.sl2_iwasawa_closed(math.pi / 2, theta, t)
         worst = max(
             worst,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import checks, growth, iwasawa, liegroup
-from .errors import BranchAmbiguityError, CrownLabError, DomainExitError
+from .errors import CrownLabError
 from .numkernel import group_exp
 from .prinseries import MIN_QUAD_POINTS
 
@@ -245,8 +245,7 @@ def cmd_decompose(args) -> int:
         if args.theta is not None:
             if x.n != 2:
                 raise UsageError("--theta only makes sense for n = 2")
-            c, s = math.cos(args.theta), math.sin(args.theta)
-            k = np.array([[c, -s], [s, c]])
+            k = liegroup.givens(2, 0, 1, args.theta)
         else:
             k = liegroup.haar_so(x.n, [cfg.seed, 0])
         factors = iwasawa.decompose_path(x, k, t)
@@ -259,27 +258,11 @@ def cmd_decompose(args) -> int:
 
 
 def sweep_table(samples: list[growth.GrowthSample], fmt: str) -> str:
+    rows = [[getattr(s, col) for col in SWEEP_COLUMNS] for s in samples]
     if fmt == "json":
-        rows = [
-            {col: getattr(s, col) for col in SWEEP_COLUMNS}
-            for s in samples
-        ]
-        return emit_json(rows)
-    lines = [",".join(SWEEP_COLUMNS)]
-    for s in samples:
-        lines.append(
-            ",".join(
-                [
-                    fmt_float(s.t),
-                    fmt_float(s.sup_kappa),
-                    fmt_float(s.sup_alpha),
-                    fmt_float(s.sup_eta),
-                    str(s.samples_used),
-                    str(s.exits),
-                ]
-            )
-        )
-    return "\n".join(lines)
+        return emit_json([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
+    cells = [[fmt_float(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+    return "\n".join(",".join(row) for row in [SWEEP_COLUMNS, *cells])
 
 
 def cmd_sweep(args) -> int:
@@ -430,9 +413,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR
-    except (DomainExitError, BranchAmbiguityError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return DOMAIN_ERROR
     except CrownLabError as exc:
         sys.stderr.write(f"{exc}\n")
         return DOMAIN_ERROR

@@ -4,7 +4,9 @@ power-law blow-up fitting, and scale-relation certificates.
 The sup over the compact group is estimated from below: Haar samples plus a
 deterministic torus grid of Givens-angle rotations, refined by a
 coordinate-wise pattern search (step halving to a floor, warm-started across
-the t grid).  Estimates are one-sided (never above the true sup).  The grid
+the t grid).  The torus grid (broadcast products of three rotation stacks
+for n = 3) and the search probes take their rotations from
+``liegroup.givens``.  Estimates are one-sided (never above the true sup).  The grid
 sup is monotone in n_haar: each t draws its Haar block from one stream,
 whose first m rows do not depend on n_haar, so more samples only add rows.
 The search refinement is not yet monotone: its starts (the best grid
@@ -34,7 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .iwasawa import domain_test, kappa_factor
-from .liegroup import PElement, boundary_direction, haar_so, random_p_element, random_sl, rho
+from .liegroup import (
+    PElement, boundary_direction, givens, haar_so, random_p_element, random_sl, rho
+)
 from .numkernel import (
     as_square,
     group_exp,
@@ -178,33 +182,20 @@ def component_scales(g) -> ComponentScales:
     )
 
 
-def _givens(n: int, i: int, j: int, angle: float) -> np.ndarray:
-    r = np.eye(n)
-    c, s = math.cos(angle), math.sin(angle)
-    r[i, i] = c
-    r[j, j] = c
-    r[i, j] = -s
-    r[j, i] = s
-    return r
+def torus_samples(n: int, torus_grid: int) -> np.ndarray:
+    """Deterministic grid of Givens-angle rotations (n = 2 and 3 only).
 
-
-def torus_samples(n: int, torus_grid: int) -> list[np.ndarray]:
-    """Deterministic grid of Givens-angle rotations (n = 2 and 3 only)."""
-    if torus_grid <= 0:
-        return []
-    angles = [2.0 * math.pi * i / torus_grid for i in range(torus_grid)]
+    For n = 3 the element (a, b, c) is R01(a) R02(b) R12(c), with c running
+    fastest; other n, or a grid of 0, give an empty stack (0, n, n).
+    """
+    if torus_grid <= 0 or n not in (2, 3):
+        return np.empty((0, n, n))
+    angles = 2.0 * math.pi * np.arange(torus_grid) / torus_grid
     if n == 2:
-        return [_givens(2, 0, 1, a) for a in angles]
-    if n == 3:
-        out = []
-        for a in angles:
-            ga = _givens(3, 0, 1, a)
-            for b in angles:
-                gb = ga @ _givens(3, 0, 2, b)
-                for c in angles:
-                    out.append(gb @ _givens(3, 1, 2, c))
-        return out
-    return []
+        return givens(2, 0, 1, angles)
+    ga, gb, gc = (givens(3, i, j, angles) for i, j in ((0, 1), (0, 2), (1, 2)))
+    gab = ga[:, np.newaxis] @ gb[np.newaxis]
+    return (gab[:, :, np.newaxis] @ gc).reshape(-1, 3, 3)
 
 
 def sweep_components(
@@ -231,7 +222,7 @@ def sweep_components(
 
     n = x.n
     w, q = hermitian_eigensystem(x.matrix)
-    torus = np.array(torus_samples(n, torus_grid), dtype=complex).reshape(-1, n, n)
+    torus = torus_samples(n, torus_grid).astype(complex)
     labels = [f"torus:{i}" for i in range(len(torus))] + [f"haar:{j}" for j in range(n_haar)]
     carry: dict[str, np.ndarray] = {}
     results = []
@@ -310,8 +301,8 @@ def _pattern_search(
     Returns (value, k, evals used, domain exits) per start.
     """
     n = e_mat.shape[0]
-    planes = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    n_probe = 2 * len(planes)
+    plane_i, plane_j = (np.array(a)[:, np.newaxis] for a in np.triu_indices(n, 1))
+    n_probe = 2 * len(plane_i)
     comp_idx = np.array([COMPONENTS.index(c) for c in comps])
 
     k_best = list(starts)
@@ -329,15 +320,8 @@ def _pattern_search(
         if not active:
             break
         # probes run search by search, then plane by plane, then +step, -step
-        angles = [(step[a], -step[a]) for a in active]
-        cos = np.array([[math.cos(x) for x in pair] for pair in angles])
-        sin = np.array([[math.sin(x) for x in pair] for pair in angles])
-        rot = np.tile(np.eye(n), (len(active), len(planes), 2, 1, 1))
-        for q, (i, j) in enumerate(planes):
-            rot[:, q, :, i, i] = cos
-            rot[:, q, :, j, j] = cos
-            rot[:, q, :, i, j] = -sin
-            rot[:, q, :, j, i] = sin
+        angles = np.array([(step[a], -step[a]) for a in active])
+        rot = givens(n, plane_i, plane_j, angles[:, np.newaxis, :])
         k_rep = np.stack([k_best[a] for a in active]).repeat(n_probe, axis=0)
         probes = rot.reshape(-1, n, n) @ k_rep
         p_vals, p_ok = _component_values(

@@ -1,6 +1,7 @@
 """Structure data for sl(n,R): the crown radius rho, crown membership,
-boundary normalization, Haar sampling on SO(n) and the maximal scale
-function on matrix groups.
+boundary normalization, Givens rotations (``givens``, the one builder of
+plane rotations) and Haar sampling on SO(n), and the maximal scale function
+on matrix groups.
 
 Conventions: the Cartan subspace a is the traceless diagonal matrices, the
 restricted roots are eps_i - eps_j on a-coordinates, and the K-invariant
@@ -9,6 +10,8 @@ ad(x) for symmetric x.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,11 +51,9 @@ def rho(x: PElement) -> float:
     return float(w[-1] - w[0])
 
 
-def crown_contains(x: PElement, margin: float = 0.0) -> bool:
-    """Whether x lies in the crown parameter set, i.e. rho(x) < pi/2 - margin."""
-    if margin < 0.0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    return rho(x) < 0.5 * np.pi - margin
+def crown_contains(x: PElement) -> bool:
+    """Whether x lies in the crown parameter set, i.e. rho(x) < pi/2."""
+    return rho(x) < 0.5 * np.pi
 
 
 def boundary_direction(x_raw: PElement) -> PElement:
@@ -61,6 +62,30 @@ def boundary_direction(x_raw: PElement) -> PElement:
     if r == 0.0:
         raise ValueError("cannot normalize the zero direction onto the boundary")
     return PElement((0.5 * np.pi / r) * x_raw.matrix)
+
+
+def givens(n: int, i, j, angle) -> np.ndarray:
+    """Givens rotations of R^n: [[c, -s], [s, c]] in the plane (i, j), with
+    c = cos(angle) and s = sin(angle), and the identity elsewhere.
+
+    i, j and angle broadcast against each other to a batch shape B, and the
+    result is the stack (*B, n, n); scalar arguments give one matrix (n, n),
+    the m = 1 case.  The trig is one ``math.cos`` and one ``math.sin`` per
+    entry of angle, before broadcasting.
+    """
+    angle = np.asarray(angle, dtype=float)
+    vals = np.array([(c, c, -s, s) for c, s in ((math.cos(a), math.sin(a)) for a in angle.flat)])
+    i, j = np.asarray(i)[..., np.newaxis], np.asarray(j)[..., np.newaxis]
+    if np.any(i == j):
+        raise ValueError("a Givens plane needs two distinct axes")
+    shape = np.broadcast_shapes(i.shape[:-1], j.shape[:-1], angle.shape)
+    rot = np.empty(shape + (n, n))
+    rot[...] = np.eye(n)
+    # flat offsets of the (i, i), (j, j), (i, j) and (j, i) entries of a matrix
+    offsets = np.array([n + 1, 0, n, 1]) * i + np.array([0, n + 1, 1, n]) * j
+    cells = n * n * np.arange(rot.size // (n * n)).reshape(shape + (1,))
+    rot.reshape(-1)[cells + offsets] = vals.reshape(angle.shape + (4,))
+    return rot
 
 
 def haar_so(n: int, seed, m: int | None = None) -> np.ndarray:

@@ -13,7 +13,8 @@ On the crown path with t x_scale < pi/2 both continued branches are the
 principal ones: along the segment Re(a^2 + c^2) = cos(2 tau t x1) > 0 and
 Re((a + i c) e^{-i theta}) >= cos(tau t x1) - sin(tau t x1) > 0, so neither
 quantity winds around 0 and one endpoint evaluation gives the data.  Real
-z and longer segments continue the arguments by a march in tau.
+z and longer segments continue the arguments by a march in tau, whose
+every step evaluates the one endpoint formula, ``_endpoint``.
 
 The orbit needs no argument of u at all.  Since zeta = -i (log u - H1) and
 alpha1^2 = e^{2 H1} = w = a^2 + c^2 on every branch, e^{2 i zeta} = u^2 / w
@@ -33,8 +34,10 @@ K-finite vectors are finite Fourier series on K/M, theta in [0, pi) with
 probability measure d theta / pi; M-invariance forces even modes.  Orbit
 norms and boundary pairings are uniform trapezoid quadratures, spectrally
 accurate for t < 1, with the point count grown like 1/(1 - t) to track the
-shrinking analyticity strip of the integrand.  On that grid the pairing with
-a finite Fourier series is a sum of DFT bins of the orbit values.
+shrinking analyticity strip of the integrand.  ``_quad_nodes`` builds every
+node grid, and first rejects imaginary time on or past the crown boundary
+|t| x_scale >= pi/2, where |w| reaches 0 at theta = pi/4.  On that grid the
+pairing with a finite Fourier series is a sum of DFT bins of the orbit values.
 """
 
 from __future__ import annotations
@@ -119,11 +122,17 @@ class ModeVector:
         return f"ModeVector({self.modes})"
 
 
-def smooth_test_vector(decay: float = 8.0, m_max: int = 40) -> ModeVector:
-    """Desk-scale stand-in for a smooth vector: c_m = (1 + |m|)^(-decay),
-    truncated at |m| <= m_max, even modes only."""
-    modes = {m: (1.0 + abs(m)) ** -decay for m in range(-m_max, m_max + 1, 2)}
-    return ModeVector(modes)
+# The decay exponent of smooth_test_vector, which boundary_pairing also asks
+# of its test vector, and the vector's largest |m|.
+SMOOTH_DECAY = 8.0
+SMOOTH_M_MAX = 40
+
+
+def smooth_test_vector() -> ModeVector:
+    """Desk-scale stand-in for a smooth vector: c_m = (1 + |m|)^(-SMOOTH_DECAY),
+    truncated at |m| <= SMOOTH_M_MAX, even modes only."""
+    ms = range(-SMOOTH_M_MAX, SMOOTH_M_MAX + 1, 2)
+    return ModeVector({m: (1.0 + abs(m)) ** -SMOOTH_DECAY for m in ms})
 
 
 @dataclass
@@ -153,27 +162,17 @@ def _march_arguments(
     x_scale: float, th: np.ndarray, z: complex, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continued arguments of w = a^2 + c^2 and u = a + i c at the end of the
-    segment to z, by nearest-argument steps in tau from 0 to 1.
+    segment to z, by nearest-argument steps in tau from 0 to 1, each step
+    evaluating w and u by ``_endpoint``.
 
     Raises DomainExitError at the first step where min |w| <= floor.
     """
-    x1 = 0.5 * x_scale
-    n_steps = _march_steps(x_scale, z)
-    taus = np.linspace(0.0, 1.0, n_steps)
-    cos2t, cos_t, sin_t = np.cos(2.0 * th), np.cos(th), np.sin(th)
-
-    # e^{+-2 tau z x1} is a scalar per step; only the combination with the
-    # theta trig is a vector, so one live row suffices per quantity
-    w_prev = np.ones_like(th, dtype=complex)
-    u_prev = cos_t + 1j * sin_t
+    taus = np.linspace(0.0, 1.0, _march_steps(x_scale, z))
+    w_prev, u_prev, _, _ = _endpoint(x_scale, th, taus[0] * complex(z))
     arg_w = np.zeros_like(th)
     arg_u = th.copy()
-    for j in range(1, n_steps):
-        zt = taus[j] * complex(z)
-        ep = np.exp(zt * x1)
-        em = 1.0 / ep
-        cosh2, sinh2 = 0.5 * (ep * ep + em * em), 0.5 * (ep * ep - em * em)
-        w_cur = cosh2 - sinh2 * cos2t
+    for j in range(1, taus.size):
+        w_cur, u_cur, _, _ = _endpoint(x_scale, th, taus[j] * complex(z))
         mags = np.abs(w_cur)
         i_min = int(np.argmin(mags))
         if mags[i_min] <= floor:
@@ -183,7 +182,6 @@ def _march_arguments(
                 minor_index=1,
                 magnitude=float(mags[i_min]),
             )
-        u_cur = em * cos_t + 1j * ep * sin_t
         arg_w += np.angle(w_cur / w_prev)
         arg_u += np.angle(u_cur / u_prev)
         w_prev, u_prev = w_cur, u_cur
@@ -192,7 +190,8 @@ def _march_arguments(
 
 def _endpoint(x_scale: float, th: np.ndarray, z: complex):
     """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v) and sinh(2 z x1)
-    at the end of the segment to z."""
+    at the end of the segment to z: the one formula for them, which the
+    march evaluates at every step."""
     x1 = 0.5 * x_scale
     ep = np.exp(complex(z) * x1)
     em = 1.0 / ep
@@ -202,33 +201,37 @@ def _endpoint(x_scale: float, th: np.ndarray, z: complex):
     return w, a + ic, a - ic, sinh2
 
 
-def _principal_segment(x_scale: float, z: complex) -> bool:
-    """Whether the continued arguments of w and u at z are the principal ones
-    once |w| clears the floor (z = i t with t x_scale < pi/2, module docstring)."""
-    return z.real == 0.0 and abs(z) * x_scale < 0.5 * math.pi
+def _continued_endpoint(x_scale: float, th: np.ndarray, z: complex):
+    """(H1, w, u, v, sinh2, marched) at z: ``_endpoint``'s data, H1 = log alpha1
+    continued from 0 at z = 0, and the march's (arg w, arg u), or None where
+    the principal arguments are the continued ones.
+
+    That is a principal segment (z = i t, t x_scale < pi/2) whose endpoint |w|
+    clears the floor: |w|^2 = 1 - sin^2(tau t x_scale) sin^2(2 theta) falls in
+    tau, so the endpoint's floor test covers the segment.  Real z, longer
+    segments and an endpoint below the floor take the march, which reports
+    where the floor was crossed.
+    """
+    floor = path_minor_floor(z, 0.5 * x_scale)
+    w, u, v, sinh2 = _endpoint(x_scale, th, z)
+    mag_w = np.abs(w)
+    if z.real == 0.0 and abs(z) * x_scale < 0.5 * math.pi and mag_w.min() > floor:
+        marched, arg_w = None, np.angle(w)
+    else:
+        marched = _march_arguments(x_scale, th, z, floor)
+        arg_w = marched[0]
+    h1 = 0.5 * (np.log(mag_w) + 1j * arg_w)
+    return h1, w, u, v, sinh2, marched
 
 
 def _closed_components(x_scale: float, theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta} over a theta grid.
 
-    The argument of w = a^2 + c^2 is continued from 0 at z = 0 along the
-    segment to z.  On a principal segment it is angle(w), and
-    |w|^2 = 1 - sin^2(tau t x_scale) sin^2(2 theta) falls in tau, so the floor
-    test at the endpoint equals the test at every point of the segment.
-    Real z, longer segments and an endpoint below the floor take the march
-    of ``_march_arguments``, which reports where the floor was crossed.
-    q needs no argument at all: e^{i zeta} = u / alpha1 and alpha1^2 = w on
-    every branch.
+    H1 takes the route of ``_continued_endpoint``.  q needs no argument at
+    all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    floor = path_minor_floor(z, 0.5 * x_scale)
-    w, u, v, _ = _endpoint(x_scale, th, z)
-    mag_w = np.abs(w)
-    if _principal_segment(x_scale, z) and mag_w.min() > floor:
-        arg_w = np.angle(w)
-    else:
-        arg_w, _ = _march_arguments(x_scale, th, z, floor)
-    h1 = 0.5 * (np.log(mag_w) + 1j * arg_w)
+    h1, _, u, v, _, _ = _continued_endpoint(x_scale, th, z)
     return h1, u / v
 
 
@@ -237,40 +240,43 @@ def sl2_iwasawa_closed(x_scale: float, theta: float, t: float) -> Sl2Components:
 
     x = diag(x_scale/2, -x_scale/2), so rho(x) = x_scale; raises
     DomainExitError when a^2 + c^2 falls below the floor along the path.
-    zeta = -i (log u - H1) continues the argument of u by the same route as
-    ``_closed_components`` continues that of w.
+    zeta = -i (log u - H1) continues the argument of u by the route H1
+    takes: its principal value on a principal segment, else the same march.
     """
     if not 0.0 < x_scale <= 0.5 * math.pi:
         raise ValueError(f"x_scale must lie in (0, pi/2], got {x_scale}")
-    th, z = np.array([float(theta)]), 1j * t
-    h1, _ = _closed_components(x_scale, th, z)
-    w, u, _, sinh2 = _endpoint(x_scale, th, z)
-    if _principal_segment(x_scale, z):
-        arg_u = th + np.angle(u * (np.cos(th) - 1j * np.sin(th)))
-    else:
-        _, arg_u = _march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
+    th = np.array([float(theta)])
+    h1, w, u, _, sinh2, marched = _continued_endpoint(x_scale, th, 1j * t)
+    arg_u = marched[1] if marched else th + np.angle(u * (np.cos(th) - 1j * np.sin(th)))
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     nu = np.sin(2.0 * th) * sinh2 / w
     return Sl2Components(alpha1=complex(np.exp(h1[0])), zeta=complex(zeta[0]), nu=complex(nu[0]))
 
 
-def _check_quad_points(quad_points: int) -> None:
+def _strip_gap(t: float, x_scale: float) -> float:
+    """1 - |t| x_scale / (pi/2), the relative distance of i t from the crown
+    boundary, where |w| reaches 0 at theta = pi/4; ValueError if it is <= 0."""
+    gap = 1.0 - abs(t) * (x_scale / (0.5 * math.pi))
+    if gap <= 0.0:
+        raise ValueError(f"t = {t!r} is on or past the crown boundary |t| x_scale >= pi/2")
+    return gap
+
+
+def _quad_nodes(quad_points: int, z: complex, x_scale: float) -> np.ndarray:
+    """The trapezoid nodes theta_k = pi k / P on K/M for an orbit at time z.
+
+    Rejects fewer than MIN_QUAD_POINTS nodes, and imaginary z on or past the
+    crown boundary, before building any node.  For z = i t the strip
+    half-width is of order the gap and the error decays like exp(-2 P delta),
+    so P grows to QUAD_STRIP_FACTOR / gap (at most MAX_QUAD_POINTS).
+    """
     if quad_points < MIN_QUAD_POINTS:
         raise ValueError(f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
-
-
-def _effective_quad_points(quad_points: int, z: complex, x_scale: float) -> int:
-    """Grow the node count as the integrand's analyticity strip shrinks.
-
-    For z = i t on a boundary direction the strip half-width is of order
-    (1 - t); the trapezoid error decays like exp(-2 P delta), so P is scaled
-    by 1/(1 - t) once t gets close to 1.
-    """
-    if z.real != 0.0:
-        return quad_points
-    t = abs(z.imag)
-    gap = max(1e-12, 1.0 - t * (x_scale / (0.5 * math.pi)))
-    return min(MAX_QUAD_POINTS, max(quad_points, int(math.ceil(QUAD_STRIP_FACTOR / gap))))
+    pts = quad_points
+    if z.real == 0.0:
+        grown = int(math.ceil(QUAD_STRIP_FACTOR / _strip_gap(z.imag, x_scale)))
+        pts = min(MAX_QUAD_POINTS, max(quad_points, grown))
+    return math.pi * np.arange(pts) / pts
 
 
 def _orbit_values(
@@ -289,7 +295,10 @@ def _orbit_values(
     """
     h1, q = _closed_components(x_scale, thetas, z)
     shift = 1.0 if p.rho_shift else 0.0
-    return np.exp((shift - p.s) * h1) * v.evaluate(q)
+    # the mode sum runs before the prefactor exists, so that the two and the
+    # sum's work arrays are never all alive on the largest grids
+    modes = v.evaluate(q)
+    return np.exp((shift - p.s) * h1) * modes
 
 
 def _orbit_norm_sq(
@@ -297,9 +306,7 @@ def _orbit_norm_sq(
 ) -> float:
     """||pi_sigma(exp(z x)) v||^2 by trapezoid quadrature over K/M, for z = i t
     on the crown path or real z on the real flow."""
-    _check_quad_points(quad_points)
-    pts = _effective_quad_points(quad_points, z, x_scale)
-    thetas = math.pi * np.arange(pts) / pts
+    thetas = _quad_nodes(quad_points, z, x_scale)
     vals = _orbit_values(v, p, x_scale, z, thetas)
     return float(np.mean(np.abs(vals) ** 2))
 
@@ -361,8 +368,8 @@ def action_norm_sq(
     Independent second code path for real-time checks: uses only the real
     Iwasawa decomposition of 2x2 matrices, never the holomorphic formula.
     """
-    _check_quad_points(quad_points)
-    thetas = math.pi * np.arange(quad_points) / quad_points
+    # real group elements: no strip, the requested count
+    thetas = _quad_nodes(quad_points, 0j, 0.0)
     total = np.ones_like(thetas, dtype=complex)
     angles = thetas.copy()
     for g in gs:
@@ -389,10 +396,9 @@ def orbit_derivative_norm(
     boundary so the difference quotient stays inside the domain of
     holomorphy.
     """
-    _check_quad_points(quad_points)
+    _strip_gap(t, x_scale)
     h = FD_SCALE * (1.0 - t)
-    pts = _effective_quad_points(quad_points, 1j * (t + h), x_scale)
-    thetas = math.pi * np.arange(pts) / pts
+    thetas = _quad_nodes(quad_points, 1j * (t + h), x_scale)
     hi = _orbit_values(v, p, x_scale, 1j * (t + h), thetas)
     lo = _orbit_values(v, p, x_scale, 1j * (t - h), thetas)
     quot = (hi - lo) / (2.0 * h)
@@ -454,19 +460,20 @@ def boundary_pairing(
     of order 1 - t, the orbit norm grows like (1-t)^(-N) with
     N = (max|m| + Re s - axis) / 2, which is max|m|/2 on the unitary axis.
     """
-    _check_quad_points(quad_points)
     ms, cs = w_smooth.arrays()
     if ms.size:
         mags = np.abs(cs)
-        weighted = mags * (1.0 + np.abs(ms)) ** 8
+        weighted = mags * (1.0 + np.abs(ms)) ** SMOOTH_DECAY
         head = float(np.max(weighted[np.abs(ms) <= 4])) if np.any(np.abs(ms) <= 4) else float(
             np.min(weighted)
         )
         if np.any(weighted > 10.0 * max(head, 1e-300)):
-            raise ValueError("w_smooth must decay at least like |m|^-8")
+            raise ValueError(f"w_smooth must decay at least like |m|^-{SMOOTH_DECAY:g}")
     ts = [float(t) for t in t_grid]
     if len(ts) < 3 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
+    for t in ts:
+        _strip_gap(t, x_scale)
     # e^{-i m theta_k} = e^{-2 pi i (m/2) k / P} on theta_k = pi k / P, so the
     # trapezoid sum of conj(w) * orbit is sum_m conj(c_m) fft(orbit)[m/2 mod P] / P,
     # aliasing included
@@ -474,10 +481,9 @@ def boundary_pairing(
     values = []
     for t in ts:
         z = 1j * t
-        pts = _effective_quad_points(quad_points, z, x_scale)
-        thetas = math.pi * np.arange(pts) / pts
+        thetas = _quad_nodes(quad_points, z, x_scale)
         spectrum = np.fft.fft(_orbit_values(v, p, x_scale, z, thetas))
-        values.append(complex(np.conj(cs) @ spectrum[half_modes % pts]) / pts)
+        values.append(complex(np.conj(cs) @ spectrum[half_modes % thetas.size]) / thetas.size)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     final = diffs[-1]

@@ -16,14 +16,15 @@ from crownlab.growth import (
     fit_power_law,
     scale_relation_check,
     sweep_components,
+    torus_samples,
     _component_values,
-    _givens,
     _pattern_search,
     _scan_certificate,
 )
 from crownlab.liegroup import (
     PElement,
     boundary_direction,
+    givens,
     haar_so,
     random_p_element,
     random_sl,
@@ -115,6 +116,34 @@ class TestSweep:
         assert s.argmax["alpha"].startswith(("haar", "carry"))
 
 
+def torus_loop(n, torus_grid):
+    """Oracle: the torus grid built one rotation product at a time."""
+    angles = [2.0 * math.pi * i / torus_grid for i in range(torus_grid)]
+    if n == 2:
+        return [givens(2, 0, 1, a) for a in angles]
+    out = []
+    for a in angles:
+        ga = givens(3, 0, 1, a)
+        for b in angles:
+            gb = ga @ givens(3, 0, 2, b)
+            for c in angles:
+                out.append(gb @ givens(3, 1, 2, c))
+    return out
+
+
+class TestTorus:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("grid", [8, 16, 64])
+    def test_batched_matches_loop_oracle(self, n, grid):
+        torus, loop = torus_samples(n, grid), np.stack(torus_loop(n, grid))
+        assert torus.shape == loop.shape == (grid ** (n * (n - 1) // 2), n, n)
+        assert torus.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("n, grid", [(2, 0), (3, 0), (4, 8)])
+    def test_empty_stack(self, n, grid):
+        assert torus_samples(n, grid).shape == (0, n, n)
+
+
 def serial_pattern_search(e_mat, k_start, comp, step0):
     """Oracle: one search at a time, full component_scales_batch per step."""
     n = e_mat.shape[0]
@@ -129,7 +158,7 @@ def serial_pattern_search(e_mat, k_start, comp, step0):
         for i in range(n - 1):
             for j in range(i + 1, n):
                 for sgn in (1.0, -1.0):
-                    probes.append(_givens(n, i, j, sgn * step) @ k_best)
+                    probes.append(givens(n, i, j, sgn * step) @ k_best)
         p_stack = e_mat[np.newaxis] @ np.stack([p.astype(complex) for p in probes])
         p_batch = component_scales_batch(p_stack)
         used += len(probes)

@@ -7,7 +7,7 @@ import pytest
 from conftest import rot2
 from crownlab import config, iwasawa
 from crownlab.errors import BranchAmbiguityError, DomainExitError
-from crownlab.growth import _givens, component_scales_batch
+from crownlab.growth import component_scales_batch
 from crownlab.iwasawa import (
     check_H_range,
     continue_factors,
@@ -15,7 +15,14 @@ from crownlab.iwasawa import (
     decompose_real,
     domain_test,
 )
-from crownlab.liegroup import PElement, boundary_direction, haar_so, random_p_element, random_sl
+from crownlab.liegroup import (
+    PElement,
+    boundary_direction,
+    givens,
+    haar_so,
+    random_p_element,
+    random_sl,
+)
 from crownlab.numkernel import group_exp
 from crownlab.prinseries import sl2_iwasawa_closed
 
@@ -243,14 +250,14 @@ class TestRefinementGrid:
             (X2, rot2(PI / 4), 1.0 - 2.0**-20, 45, 1.4980281132781492e-06),
             (
                 X3,
-                _givens(3, 0, 2, PI / 4) @ _givens(3, 0, 1, 0.3),
+                givens(3, 0, 2, PI / 4) @ givens(3, 0, 1, 0.3),
                 1.0 - 2.0**-30,
                 55,
                 1.4629181213373193e-09,
             ),
             (
                 X3,
-                _givens(3, 0, 2, PI / 4 + 1e-3) @ _givens(3, 0, 1, 0.2),
+                givens(3, 0, 2, PI / 4 + 1e-3) @ givens(3, 0, 1, 0.2),
                 1.0 - 2.0**-20,
                 38,
                 0.001999999227686921,

@@ -8,6 +8,7 @@ from crownlab.liegroup import (
     PElement,
     boundary_direction,
     crown_contains,
+    givens,
     haar_so,
     random_p_element,
     random_sl,
@@ -52,17 +53,13 @@ class TestRho:
 
 class TestCrown:
     def test_origin_inside(self):
-        assert crown_contains(PElement(np.zeros((2, 2))), 0.0)
+        assert crown_contains(PElement(np.zeros((2, 2))))
 
     def test_boundary_point_excluded(self):
-        assert not crown_contains(PElement(np.diag([PI / 4, -PI / 4])), 0.0)
+        assert not crown_contains(PElement(np.diag([PI / 4, -PI / 4])))
 
     def test_interior_point(self):
-        assert crown_contains(PElement(0.9 * np.diag([PI / 4, -PI / 4])), 0.0)
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            crown_contains(PElement(np.zeros((2, 2))), -0.1)
+        assert crown_contains(PElement(0.9 * np.diag([PI / 4, -PI / 4])))
 
 
 class TestBoundaryDirection:
@@ -86,6 +83,35 @@ class TestBoundaryDirection:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             boundary_direction(PElement(np.zeros((2, 2))))
+
+
+class TestGivens:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stack_rows_special_orthogonal(self, n, rng):
+        i, j = np.triu_indices(n, 1)
+        angles = rng.uniform(-PI, PI, (7, 1))
+        rot = givens(n, i, j, angles)
+        assert rot.shape == (7, i.size, n, n)
+        gap = np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(n)).max()
+        assert gap < 1e-15 and np.abs(np.linalg.det(rot) - 1.0).max() < 1e-15
+
+    def test_single_call_is_the_m1_case(self, rng):
+        for angle in rng.uniform(-PI, PI, 20):
+            single = givens(4, 1, 3, angle)
+            assert single.shape == (4, 4)
+            assert single.tobytes() == givens(4, 1, 3, [angle])[0].tobytes()
+
+    def test_sign_convention(self):
+        rot = givens(4, 3, 1, 0.3)
+        c, s = math.cos(0.3), math.sin(0.3)
+        expected = np.eye(4)
+        expected[np.ix_([3, 1], [3, 1])] = [[c, -s], [s, c]]
+        assert np.array_equal(rot, expected)
+        assert np.array_equal(givens(2, 0, 1, 0.3), [[c, -s], [s, c]])
+
+    def test_rejects_a_degenerate_plane(self):
+        with pytest.raises(ValueError, match="distinct"):
+            givens(3, [0, 1], [1, 1], 0.5)
 
 
 class TestHaar:

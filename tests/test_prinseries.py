@@ -93,8 +93,8 @@ def dense_pairing(v, w_smooth, p, t_grid, quad_points, x_scale=XS):
     values = []
     for t in t_grid:
         z = 1j * t
-        pts = prinseries._effective_quad_points(quad_points, z, x_scale)
-        thetas = PI * np.arange(pts) / pts
+        thetas = prinseries._quad_nodes(quad_points, z, x_scale)
+        pts = thetas.size
         orbit = prinseries._orbit_values(v, p, x_scale, z, thetas)
         total = 0.0
         for k in range(0, pts, 65536):
@@ -177,6 +177,33 @@ class TestClosedForm:
         prinseries._closed_components(XS, thetas, complex(0.9))
         assert calls == [1.0j, 3.2j, complex(0.9)]
 
+    def test_sl2_marches_once_on_a_long_segment(self, monkeypatch):
+        calls = []
+        march = prinseries._march_arguments
+        monkeypatch.setattr(
+            prinseries, "_march_arguments", lambda *a: calls.append(a[2]) or march(*a)
+        )
+        sl2_iwasawa_closed(0.5, 0.4, 14.0)
+        assert calls == [14.0j]
+
+    def test_march_steps_through_endpoint(self, monkeypatch):
+        # a conjugating endpoint must negate the march's increments: the
+        # march has no formula for w or u of its own
+        th, z = np.array([0.1, 0.4, 1.0, 2.0]), 7.0j
+        floor = path_minor_floor(z, 0.25)
+        arg_w, arg_u = prinseries._march_arguments(0.5, th, z, floor)
+        endpoint, zs = prinseries._endpoint, []
+
+        def conjugated(x_scale, th_, z_):
+            zs.append(z_)
+            return tuple(np.conj(a) for a in endpoint(x_scale, th_, z_))
+
+        monkeypatch.setattr(prinseries, "_endpoint", conjugated)
+        conj_w, conj_u = prinseries._march_arguments(0.5, th, z, floor)
+        assert zs == list(np.linspace(0.0, 1.0, prinseries._march_steps(0.5, z)) * z)
+        assert np.allclose(conj_w, -arg_w, rtol=0.0, atol=1e-13)
+        assert np.allclose(conj_u - th, th - arg_u, rtol=0.0, atol=1e-13)
+
     def test_sl2_continues_zeta_by_the_march_on_long_segments(self):
         # past t x_scale = 2 pi the argument of u winds, and its principal
         # value is 2 pi off the continued one
@@ -194,8 +221,7 @@ class TestClosedForm:
             h = 1e-2 * (1.0 - t)
             grid += [(512, t - h), (512, t), (512, t + h)]
         for quad, t in grid:
-            pts = prinseries._effective_quad_points(quad, 1j * t, XS)
-            assert_routes_agree(XS, PI * np.arange(pts) / pts, 1j * t)
+            assert_routes_agree(XS, prinseries._quad_nodes(quad, 1j * t, XS), 1j * t)
 
     def test_principal_route_matches_march_on_seeded_draws(self):
         rng = np.random.default_rng(20261018)
@@ -376,6 +402,28 @@ def test_quadrature_entry_points_validate_quad_points(entry):
         with pytest.raises(ValueError, match="quad_points must be >= 64"):
             call(quad_points)
     call(64)
+
+
+CROWN_TIME_ENTRY_POINTS = {
+    "extended_norm_sq": lambda xs, t: extended_norm_sq(V_MIX, P_AXIS, xs, t, 1024),
+    "orbit_derivative_norm": lambda xs, t: orbit_derivative_norm(V_MIX, P_AXIS, xs, t, 1024),
+    "boundary_pairing": lambda xs, t: boundary_pairing(
+        V_MIX, smooth_test_vector(), P_AXIS, [t - 0.2, t - 0.1, t], 1024, xs
+    ),
+}
+
+
+@pytest.mark.parametrize("x_scale, t", [(XS, 1.0), (PI / 4, 2.0)])
+@pytest.mark.parametrize("entry", sorted(CROWN_TIME_ENTRY_POINTS))
+def test_crown_boundary_time_is_rejected_before_any_node(entry, x_scale, t, monkeypatch):
+    # |t| x_scale = pi/2 puts the corner angle's |w| at 0; the grid would grow
+    # to MAX_QUAD_POINTS nodes and march into a DomainExitError
+    def no_orbit(*args):
+        raise AssertionError("orbit evaluated for a crown-boundary time")
+
+    monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
+    with pytest.raises(ValueError, match="crown boundary"):
+        CROWN_TIME_ENTRY_POINTS[entry](x_scale, t)
 
 
 class TestGrowthExponent:
