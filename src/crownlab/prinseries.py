@@ -38,6 +38,17 @@ shrinking analyticity strip of the integrand.  ``_quad_nodes`` builds every
 node grid, and first rejects imaginary time on or past the crown boundary
 |t| x_scale >= pi/2, where |w| reaches 0 at theta = pi/4.  On that grid the
 pairing with a finite Fourier series is a sum of DFT bins of the orbit values.
+
+Every such grid is symmetric under k -> P - k, that is theta -> pi - theta,
+and for every z cos(pi - theta) = -cos theta and sin(pi - theta) = sin theta
+give
+    w(pi - theta) = w(theta),  u(pi - theta) = -v(theta),  v(pi - theta) = -u(theta),
+so q(pi - theta) = 1 / q(theta).  H1 agrees at the two nodes on every route:
+the principal route takes the angle of the same w, and the march continues
+the same w(tau z) at every step.  So ``_grid_orbit`` evaluates the orbit on
+k = 0 ... P // 2 only and gives node P - k the same prefactor times
+sum_m c_m q^{-m/2}; ``_orbit_values`` stays the pointwise route on arbitrary
+angles.
 """
 
 from __future__ import annotations
@@ -286,7 +297,8 @@ def _orbit_values(
     z: complex,
     thetas: np.ndarray,
 ) -> np.ndarray:
-    """(pi_sigma(exp(z x)) v)(k_theta) on a grid, via the closed components.
+    """(pi_sigma(exp(z x)) v)(k_theta) at each of the given angles, which may
+    be arbitrary: the pointwise route, with no use of the grid's symmetry.
 
     The action evaluates the Iwasawa data of exp(-z x) k_theta (the family
     g(z) itself, since exp(z x)^{-1} = exp(-z x)); with the rho-shift the
@@ -294,11 +306,42 @@ def _orbit_values(
     at q = e^{2 i zeta} (module docstring).
     """
     h1, q = _closed_components(x_scale, thetas, z)
-    shift = 1.0 if p.rho_shift else 0.0
     # the mode sum runs before the prefactor exists, so that the two and the
     # sum's work arrays are never all alive on the largest grids
     modes = v.evaluate(q)
-    return np.exp((shift - p.s) * h1) * modes
+    return _orbit_prefactor(p, h1) * modes
+
+
+def _orbit_prefactor(p: SeriesParams, h1: np.ndarray) -> np.ndarray:
+    """e^{(shift - s) H1}, with shift 1 under the rho-shift and 0 without."""
+    shift = 1.0 if p.rho_shift else 0.0
+    return np.exp((shift - p.s) * h1)
+
+
+def _grid_orbit(
+    v: ModeVector, p: SeriesParams, x_scale: float, z: complex, thetas: np.ndarray
+) -> np.ndarray:
+    """The orbit on a ``_quad_nodes`` grid theta_k = pi k / P (P even or odd),
+    evaluated on k = 0 ... P // 2 and reflected onto the rest.
+
+    Node P - k is pi - theta_k, where w is the same, u and v trade places
+    with a sign, q becomes 1/q and H1 (continued along the same w) agrees
+    (module docstring).  So its value is the same prefactor times
+    sum_m c_m q^{-m/2}: the modes of v reflected, m -> -m, summed at q.
+    """
+    pts = thetas.size
+    h1, q = _closed_components(x_scale, thetas[: pts // 2 + 1], z)
+    half = h1.size
+    # vals[half:] holds nodes P - k for k = (P - 1) // 2 down to 1
+    mirror = slice((pts - 1) // 2, 0, -1)
+    vals = np.empty(pts, dtype=complex)
+    vals[:half] = v.evaluate(q)
+    vals[half:] = ModeVector({-m: c for m, c in v.modes.items()}).evaluate(q[mirror])
+    del q  # as in _orbit_values: q and the prefactor are never alive together
+    pre = _orbit_prefactor(p, h1)
+    vals[:half] *= pre
+    vals[half:] *= pre[mirror]
+    return vals
 
 
 def _orbit_norm_sq(
@@ -307,7 +350,7 @@ def _orbit_norm_sq(
     """||pi_sigma(exp(z x)) v||^2 by trapezoid quadrature over K/M, for z = i t
     on the crown path or real z on the real flow."""
     thetas = _quad_nodes(quad_points, z, x_scale)
-    vals = _orbit_values(v, p, x_scale, z, thetas)
+    vals = _grid_orbit(v, p, x_scale, z, thetas)
     return float(np.mean(np.abs(vals) ** 2))
 
 
@@ -383,7 +426,8 @@ def action_norm_sq(
     return float(np.mean(np.abs(vals) ** 2))
 
 
-# The finite-difference step of orbit_derivative_norm, relative to 1 - t.
+# The finite-difference step of orbit_derivative_norm, relative to the
+# distance of t from the crown boundary.
 FD_SCALE = 1e-2
 
 
@@ -392,15 +436,15 @@ def orbit_derivative_norm(
 ) -> float:
     """L2 norm of the centered finite-difference t-derivative of the orbit.
 
-    The step FD_SCALE * (1 - t) shrinks with the distance to the strip
-    boundary so the difference quotient stays inside the domain of
-    holomorphy.
+    The step is FD_SCALE times the distance (pi/2) / x_scale - |t| from the
+    crown boundary, so both stencil points stay inside the domain of
+    holomorphy on either side of t = 0; the node grid is the one for the
+    stencil point nearer the boundary.
     """
-    _strip_gap(t, x_scale)
-    h = FD_SCALE * (1.0 - t)
-    thetas = _quad_nodes(quad_points, 1j * (t + h), x_scale)
-    hi = _orbit_values(v, p, x_scale, 1j * (t + h), thetas)
-    lo = _orbit_values(v, p, x_scale, 1j * (t - h), thetas)
+    h = FD_SCALE * _strip_gap(t, x_scale) * (0.5 * math.pi / x_scale)
+    thetas = _quad_nodes(quad_points, 1j * (abs(t) + h), x_scale)
+    hi = _grid_orbit(v, p, x_scale, 1j * (t + h), thetas)
+    lo = _grid_orbit(v, p, x_scale, 1j * (t - h), thetas)
     quot = (hi - lo) / (2.0 * h)
     return math.sqrt(float(np.mean(np.abs(quot) ** 2)))
 
@@ -482,7 +526,7 @@ def boundary_pairing(
     for t in ts:
         z = 1j * t
         thetas = _quad_nodes(quad_points, z, x_scale)
-        spectrum = np.fft.fft(_orbit_values(v, p, x_scale, z, thetas))
+        spectrum = np.fft.fft(_grid_orbit(v, p, x_scale, z, thetas))
         values.append(complex(np.conj(cs) @ spectrum[half_modes % thetas.size]) / thetas.size)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))

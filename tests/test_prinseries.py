@@ -88,14 +88,15 @@ def assert_routes_agree(x_scale, theta, z):
 
 def dense_pairing(v, w_smooth, p, t_grid, quad_points, x_scale=XS):
     """The trapezoid pairing summed over a (nodes x modes) matrix of w's modes,
-    each a fresh exp, in chunks of nodes so the matrix stays small."""
+    each a fresh exp, in chunks of nodes so the matrix stays small.  The orbit
+    values are the library's grid values: the subject is the DFT-bin sum."""
     ms, cs = w_smooth.arrays()
     values = []
     for t in t_grid:
         z = 1j * t
         thetas = prinseries._quad_nodes(quad_points, z, x_scale)
         pts = thetas.size
-        orbit = prinseries._orbit_values(v, p, x_scale, z, thetas)
+        orbit = prinseries._grid_orbit(v, p, x_scale, z, thetas)
         total = 0.0
         for k in range(0, pts, 65536):
             w_vals = np.exp(1j * np.multiply.outer(thetas[k : k + 65536], ms)) @ cs
@@ -313,6 +314,84 @@ class TestOrbitValues:
                 assert abs(got - want) <= bound * scale
 
 
+def grid_orbit_oracle(mpmath, v, params, x_scale, z, node):
+    """50-digit orbit at one node (an mpf angle), one (value, scale) per
+    parameter set; scale is |prefactor| sum |c_m q^{m/2}|.  The principal log
+    of w is its continued log on every segment used here (real time, or
+    t x_scale < pi, where w crosses no negative real axis)."""
+    x1, z = mpmath.mpf(x_scale) / 2, mpmath.mpc(z)
+    w = mpmath.cosh(2 * z * x1) - mpmath.sinh(2 * z * x1) * mpmath.cos(2 * node)
+    u = mpmath.exp(-z * x1) * mpmath.cos(node) + 1j * mpmath.exp(z * x1) * mpmath.sin(node)
+    q = u * u / w
+    terms = [mpmath.mpc(c) * q ** (m // 2) for m, c in v.modes.items()]
+    refs = []
+    for p in params:
+        factor = mpmath.exp((int(p.rho_shift) - mpmath.mpc(p.s)) * mpmath.log(w) / 2)
+        refs.append((complex(factor * sum(terms)), float(abs(factor) * sum(abs(x) for x in terms))))
+    return refs, float(abs(w))
+
+
+class TestGridOrbit:
+    # (x_scale, z): the principal route near the corner, and two march routes
+    ROUTES = [(XS, 1j * (1.0 - 2.0**-8)), (XS, complex(1.1)), (1.0, 2.5j)]
+
+    @pytest.mark.parametrize("pts", [1024, 1001])
+    @pytest.mark.parametrize("x_scale, z", ROUTES, ids=["principal", "real_time", "long_segment"])
+    def test_mirrored_values_match_mpmath_at_the_mirrored_node(self, pts, x_scale, z):
+        # node P - k is evaluated at exactly pi - theta_k, not at its own
+        # rounded angle; both halves are held to the pointwise oracle bound
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
+        params = (P_AXIS, SeriesParams(s=2.8 + 0.3j, rho_shift=False))
+        thetas = PI * np.arange(pts) / pts
+        got = [prinseries._grid_orbit(v, p, x_scale, z, thetas) for p in params]
+        rng = np.random.default_rng(pts)
+        near_corner = int(round(0.75 * pts))  # q -> infinity at 3 pi / 4
+        picks = {0, 1, pts // 2, pts // 2 + 1, pts - 1, near_corner - 1, near_corner, near_corner + 1}
+        picks |= set(rng.integers(0, pts, 24).tolist())
+        for k in sorted(picks):
+            with mpmath.workdps(50):
+                if k <= pts // 2:
+                    node = mpmath.mpf(thetas[k])
+                else:
+                    node = mpmath.pi - mpmath.mpf(thetas[pts - k])
+                refs, mag_w = grid_orbit_oracle(mpmath, v, params, x_scale, z, node)
+            bound = 16 * eps / min(1.0, mag_w)
+            for vals, (want, scale) in zip(got, refs):
+                assert abs(vals[k] - want) <= bound * scale
+
+    @pytest.mark.parametrize("quad", [1024, 1001])
+    def test_half_the_nodes_reach_the_components(self, quad, monkeypatch):
+        grids, nodes = [], []
+        quad_nodes, closed = prinseries._quad_nodes, prinseries._closed_components
+        monkeypatch.setattr(
+            prinseries, "_quad_nodes", lambda *a: grids.append(quad_nodes(*a).size) or quad_nodes(*a)
+        )
+        monkeypatch.setattr(
+            prinseries, "_closed_components", lambda *a: nodes.append(np.size(a[1])) or closed(*a)
+        )
+        extended_norm_sq(V_MIX, P_AXIS, XS, 0.9, quad)  # P = quad
+        real_time_norm_sq(V_MIX, P_OFF, XS, 0.7, quad)
+        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99], quad)
+        assert nodes == [g // 2 + 1 for g in grids]
+        # one grid, built for the stencil point nearer the boundary, serves both
+        grids.clear()
+        nodes.clear()
+        orbit_derivative_norm(V_MIX, P_AXIS, XS, 0.9, quad)
+        assert len(grids) == 1 and nodes == [grids[0] // 2 + 1] * 2
+
+    @pytest.mark.parametrize("pts", [1024, 1000])
+    @pytest.mark.parametrize("z", [1.0j, 1j * (1.0 - 1e-14)])
+    def test_exit_keeps_the_march_payload(self, pts, z):
+        # fl(pi/4) is a node; the march crosses the floor there, and the
+        # reflected grid reports the exit the march reports on the full grid
+        thetas = PI * np.arange(pts) / pts
+        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, XS, z, thetas)
+        full = outcome(march_components, XS, thetas, z)
+        assert isinstance(full[0], float) and half == full
+
+
 class TestExtendedNorm:
     def test_zero_time_is_mode_norm(self):
         assert extended_norm_sq(V_MIX, P_AXIS, XS, 0.0, 256) == pytest.approx(
@@ -452,6 +531,15 @@ class TestGrowthExponent:
         fit = growth_exponent(ModeVector({m: 1.0, -m: 1.0}), SeriesParams(s=s), ts, 512)
         assert fit.n_hat == pytest.approx((m + s.real - 2.0) / 2.0, abs=0.01)
 
+    @pytest.mark.parametrize("m,re_s", [(2, 1.0), (2, 1.5), (4, 1.0)])
+    def test_exponent_law_without_rho_shift(self, m, re_s):
+        # without the shift the character contributes |w|^(-Re s), so the
+        # axis moves to 1 and N = (max|m| + Re s - 1) / 2
+        ts = [1 - 2.0**-j for j in range(4, 13)]
+        p = SeriesParams(s=complex(re_s, 0.4), rho_shift=False)
+        fit = growth_exponent(ModeVector({m: 1.0, -m: 1.0}), p, ts, 512)
+        assert fit.n_hat == pytest.approx((m + re_s - 1.0) / 2.0, abs=0.01)
+
     def test_spherical_axis_orbit_measured_behavior(self):
         # sqrt-log truth: small finite exponent, fit quality below a clean
         # power law (measured 0.982 on this grid) but stable
@@ -512,6 +600,14 @@ class TestBoundaryPairing:
         fat = ModeVector({m: 1.0 for m in range(-20, 21, 2)})
         with pytest.raises(ValueError, match="decay"):
             boundary_pairing(V_MIX, fat, P_AXIS, [0.5, 0.75, 0.9], 256)
+
+    @pytest.mark.parametrize("x_scale, t_far, t_near", [(PI / 4, 1.99, 1.999), (XS, -0.99, -0.999)])
+    def test_derivative_grows_toward_the_crown_boundary(self, x_scale, t_far, t_near):
+        # the difference step scales with the distance to |t| = (pi/2) / x_scale,
+        # so the stencil t -+ h stays inside the strip on both sides of t = 0
+        far = orbit_derivative_norm(V_MIX, P_AXIS, x_scale, t_far, 1024)
+        near = orbit_derivative_norm(V_MIX, P_AXIS, x_scale, t_near, 1024)
+        assert near > far
 
     def test_derivative_bump(self):
         ts = [1 - 2.0**-j for j in range(4, 12)]
