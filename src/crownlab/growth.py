@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .iwasawa import domain_test, kappa_factor
+from .iwasawa import kappa_factor
 from .liegroup import (
     PElement, boundary_direction, givens, haar_so, random_p_element, random_sl, rho
 )
@@ -213,6 +213,10 @@ def sweep_components(
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ValueError("t_grid must be nonempty")
+    # NaN fails no comparison below, so it is rejected first
+    bad = [t for t in ts if not math.isfinite(t)]
+    if bad:
+        raise ValueError(f"t_grid must be finite, got t = {bad[0]!r}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing")
     if ts[0] < 0.0 or ts[-1] >= 1.0:
@@ -469,22 +473,33 @@ def crown_corpus(n: int, size: int, seed: int) -> list[np.ndarray]:
     stressing the scale relations near the boundary; a REAL_FRACTION of the
     elements is right-multiplied by a random SL(n,R) factor to vary s(g)
     (right G_R-multiplication keeps the transposed crown inside the domain).
-    Elements failing the numerical domain test are resampled.
+    Elements failing the numerical domain test are resampled, at most
+    50 * size candidates in all.
     """
     rng = np.random.default_rng([seed, n, size])
-    out = []
+    out: list[np.ndarray] = []
     attempts = 0
+    # No draw depends on a verdict, so candidates are drawn in blocks and each
+    # block gets one domain test.  A block never holds more candidates than
+    # are still needed, so the members and the attempt count are those of
+    # drawing and testing one candidate at a time.
     while len(out) < size and attempts < 50 * size:
-        attempts += 1
-        u = rng.uniform(*DEEP_EXPONENT_RANGE)
-        t = 1.0 - 2.0**-u
-        x = boundary_direction(random_p_element(n, rng))
-        k = haar_so(n, rng)
-        g = group_exp(x.matrix, -1j * t) @ k
-        if rng.uniform() < REAL_FRACTION:
-            g = g @ random_sl(n, rng)
-        if domain_test(g)[0]:
-            out.append(g)
+        block = min(size - len(out), 50 * size - attempts)
+        attempts += block
+        candidates = np.stack([_corpus_candidate(n, rng) for _ in range(block)])
+        _, _, _, outside = gram_minors(candidates, leading_minors_batch)
+        out.extend(candidates[~outside.any(axis=-1)])
     if len(out) < size:
         raise RuntimeError(f"corpus generation stalled at {len(out)}/{size}")
     return out
+
+
+def _corpus_candidate(n: int, rng: np.random.Generator) -> np.ndarray:
+    u = rng.uniform(*DEEP_EXPONENT_RANGE)
+    t = 1.0 - 2.0**-u
+    x = boundary_direction(random_p_element(n, rng))
+    k = haar_so(n, rng)
+    g = group_exp(x.matrix, -1j * t) @ k
+    if rng.uniform() < REAL_FRACTION:
+        g = g @ random_sl(n, rng)
+    return g

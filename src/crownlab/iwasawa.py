@@ -9,6 +9,14 @@ g^T g (bilinear transpose, never conjugate).  Branches are fixed by
 continuity from the real group: H(0) = 0 on paths starting at k in SO(n),
 and each leading minor's argument is continued by nearest-argument steps
 guarded by a maximum jump per step.
+
+The continuation evaluates the path on a uniform grid of INITIAL_STEPS
+intervals as one batch and tests every interval at once for a domain exit,
+an argument jump and a magnitude drop.  Most paths pass and use the grid as
+it is; on the others a sequential pass bisects from the first flagged
+interval on.  The end point g(1) is the last point of the grid's batch.
+Non-finite path times are rejected before any point is built, since NaN
+passes every interval test.
 """
 
 from __future__ import annotations
@@ -129,10 +137,13 @@ class _CrownPath:
         e = np.einsum("ij,tj,kj->tik", self.q, phases, self.q)
         return e @ self.k
 
+    @staticmethod
+    def minors_of(points: np.ndarray) -> np.ndarray:
+        """Leading minors of the bilinear Gram matrices g^T g of a point stack."""
+        return leading_minors_batch(np.einsum("tji,tjk->tik", points, points))
+
     def minors_at(self, taus: np.ndarray) -> np.ndarray:
-        g = self.group_points(np.atleast_1d(taus))
-        s = np.einsum("tji,tjk->tik", g, g)
-        return leading_minors_batch(s)
+        return self.minors_of(self.group_points(np.atleast_1d(taus)))
 
 
 def _check_k_matrix(k) -> np.ndarray:
@@ -149,19 +160,37 @@ def _check_k_matrix(k) -> np.ndarray:
 
 def _continued_path(
     x: PElement, k: np.ndarray, z_target: complex
-) -> tuple[list[float], np.ndarray, _CrownPath]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refined path 0 = tau_0 < ... < tau_m = 1 with minors at every point.
 
-    One left-to-right pass over the grid: an interval where some minor's
-    argument jumps more than MAX_ARG_JUMP or its magnitude drops more than
-    10x is bisected in place, at most MAX_REFINEMENT_DEPTH times in a row;
+    Each interval [tau_i, tau_{i+1}] is tested three ways: a minor at or
+    below the floor at its right end is a domain exit, and a minor whose
+    argument jumps more than MAX_ARG_JUMP or whose magnitude drops more than
+    10x fails the guard.  One array pass tests every interval of the initial
+    uniform grid at once; the grid is returned as it is when none is flagged.
+    Otherwise a left-to-right pass resumes at the first flagged interval
+    (every interval before it passed the same three tests): a guard failure
+    is bisected in place, at most MAX_REFINEMENT_DEPTH times in a row, and
     only a persisting argument jump is fatal.  Returns the tau grid, the
-    (m+1, n) minor array and the path evaluator.
+    (m+1, n) minor array and the group point at tau = 1.
     """
     path = _CrownPath(x, k, z_target)
-    taus = list(np.linspace(0.0, 1.0, INITIAL_STEPS + 1))
-    minors = list(path.minors_at(np.asarray(taus)))
+    grid = np.linspace(0.0, 1.0, INITIAL_STEPS + 1)
+    points = path.group_points(grid)
+    grid_minors = _CrownPath.minors_of(points)
     floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
+
+    # NaN passes each test, as it does in the pass below; callers keep
+    # non-finite times out before any point is built
+    mags = np.abs(grid_minors)
+    flagged = (
+        (np.min(mags[1:], axis=1) <= floor)
+        | np.any(np.abs(np.angle(grid_minors[1:] / grid_minors[:-1])) > MAX_ARG_JUMP, axis=1)
+        | np.any(mags[1:] * MAGNITUDE_DROP_GUARD < mags[:-1], axis=1)
+    )
+    if not flagged.any():
+        return grid, grid_minors, points[-1]
+    taus, minors = list(grid), list(grid_minors)
 
     def t_of(tau: float) -> float:
         return tau * abs(z_target)
@@ -185,7 +214,7 @@ def _continued_path(
             magnitude=float(np.abs(m_hi)[idx]),
         )
 
-    i = depth = 0
+    i, depth = int(np.argmax(flagged)), 0
     while i + 1 < len(taus):
         m0, m1 = minors[i], minors[i + 1]
         if np.min(np.abs(m1)) <= floor:
@@ -209,7 +238,7 @@ def _continued_path(
         else:
             i, depth = i + 1, 0
 
-    return taus, np.asarray(minors), path
+    return np.asarray(taus), np.asarray(minors), points[-1]
 
 
 def kappa_factor(g: np.ndarray, unit: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -222,9 +251,9 @@ def kappa_factor(g: np.ndarray, unit: np.ndarray, alpha: np.ndarray) -> np.ndarr
 
 
 def _factors_from_path(
-    taus: list[float],
+    taus: np.ndarray,
     minors: np.ndarray,
-    path: _CrownPath,
+    g_end: np.ndarray,
     t_label: float,
 ) -> IwasawaFactors:
     # continued logs of the minors: real part from the endpoint modulus,
@@ -235,7 +264,8 @@ def _factors_from_path(
     prev = np.concatenate(([0.0 + 0.0j], logs[:-1]))
     H = 0.5 * (logs - prev)
 
-    g_end = path.group_points(np.array([1.0]))[0]
+    # S by matmul, not the batch's einsum Gram behind the minors: the two
+    # differ in the last bits, which would move eta and kappa
     s_end = g_end.T @ g_end
     unit, _ = sym_ldl(s_end)
     return IwasawaFactors(
@@ -252,8 +282,11 @@ def continue_factors(x: PElement, k, z_target: complex) -> IwasawaFactors:
     """Branch-continued factors of exp(-i z x) k along the segment 0 -> z.
 
     General-z driver behind decompose_path; also used by the holomorphy
-    probes, which perturb the path parameter off the real axis.
+    probes, which perturb the path parameter off the real axis.  A
+    non-finite z is rejected before any path point is built.
     """
+    if not np.isfinite(z_target):
+        raise ValueError(f"path time t must be finite, got z = {z_target}")
     K = _check_k_matrix(k)
     if z_target == 0:
         return IwasawaFactors(
@@ -264,9 +297,9 @@ def continue_factors(x: PElement, k, z_target: complex) -> IwasawaFactors:
             steps_used=1,
             min_minor_magnitude=1.0,
         )
-    taus, minors, path = _continued_path(x, K, z_target)
+    taus, minors, g_end = _continued_path(x, K, z_target)
     label = z_target.real if z_target.imag == 0.0 else abs(z_target)
-    return _factors_from_path(taus, minors, path, label)
+    return _factors_from_path(taus, minors, g_end, label)
 
 
 def decompose_path(x: PElement, k, t_target: float) -> IwasawaFactors:

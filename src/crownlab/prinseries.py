@@ -266,7 +266,10 @@ def sl2_iwasawa_closed(x_scale: float, theta: float, t: float) -> Sl2Components:
 
 def _strip_gap(t: float, x_scale: float) -> float:
     """1 - |t| x_scale / (pi/2), the relative distance of i t from the crown
-    boundary, where |w| reaches 0 at theta = pi/4; ValueError if it is <= 0."""
+    boundary, where |w| reaches 0 at theta = pi/4; ValueError if it is <= 0
+    or t is not finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got t = {t!r}")
     gap = 1.0 - abs(t) * (x_scale / (0.5 * math.pi))
     if gap <= 0.0:
         raise ValueError(f"t = {t!r} is on or past the crown boundary |t| x_scale >= pi/2")
@@ -276,13 +279,17 @@ def _strip_gap(t: float, x_scale: float) -> float:
 def _quad_nodes(quad_points: int, z: complex, x_scale: float) -> np.ndarray:
     """The trapezoid nodes theta_k = pi k / P on K/M for an orbit at time z.
 
-    Rejects fewer than MIN_QUAD_POINTS nodes, and imaginary z on or past the
-    crown boundary, before building any node.  For z = i t the strip
-    half-width is of order the gap and the error decays like exp(-2 P delta),
-    so P grows to QUAD_STRIP_FACTOR / gap (at most MAX_QUAD_POINTS).
+    Rejects fewer than MIN_QUAD_POINTS nodes, a non-finite z, and imaginary z
+    on or past the crown boundary, before building any node.  For z = i t
+    the strip half-width is of order the gap and the error decays like
+    exp(-2 P delta), so P grows to QUAD_STRIP_FACTOR / gap (at most
+    MAX_QUAD_POINTS).
     """
     if quad_points < MIN_QUAD_POINTS:
         raise ValueError(f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
+    # 1j * nan has a NaN real part, so a NaN t would skip the strip test
+    if not np.isfinite(z):
+        raise ValueError(f"t must be finite, got time z = {z!r}")
     pts = quad_points
     if z.real == 0.0:
         grown = int(math.ceil(QUAD_STRIP_FACTOR / _strip_gap(z.imag, x_scale)))

@@ -61,6 +61,13 @@ class TestDecompose:
         code2, _, _ = run(capsys, "decompose", "--matrix", "[[1,0],[0,1]]", "--x-diag", "1,-1")
         assert code2 == 1
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_usage_error(self, capsys, t):
+        code, out, err = run(capsys, "decompose", "--x-diag", "1,-1", "--t", t)
+        assert code == 1
+        assert out == ""
+        assert f"t must be finite, got z = ({t}+0j)" in err
+
     def test_bad_matrix_is_usage_error(self, capsys):
         code, _, err = run(capsys, "decompose", "--matrix", "not json")
         assert code == 1
@@ -100,6 +107,12 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--t-grid", "", "--n", "2")
         assert code == 1
         assert "t_grid" in err
+
+    def test_non_finite_grid_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--t-grid", "0.5,nan", "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert "t_grid must be finite, got t = nan" in err
 
     def test_dyadic_grid_spec(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "2", "--seed", "1",

@@ -21,6 +21,7 @@ from crownlab.growth import (
     _pattern_search,
     _scan_certificate,
 )
+from crownlab.iwasawa import domain_test
 from crownlab.liegroup import (
     PElement,
     boundary_direction,
@@ -106,6 +107,16 @@ class TestSweep:
             sweep_components(X2, [0.5, 0.4], 8, 8, seed=0)
         with pytest.raises(ValueError, match="pi/2"):
             sweep_components(PElement(np.diag([0.1, -0.1])), [0.5], 8, 8, seed=0)
+
+    def test_non_finite_time_is_rejected_before_any_draw(self, monkeypatch):
+        # NaN passes the range and order checks, and an SVD of NaN entries
+        # fails to converge, so the grid needs its own finiteness test
+        def no_draw(*args):
+            raise AssertionError("Haar block drawn for a non-finite t")
+
+        monkeypatch.setattr(growth, "haar_so", no_draw)
+        with pytest.raises(ValueError, match="t = nan"):
+            sweep_components(X2, [0.5, math.nan], 8, 8, seed=0)
 
     def test_n4_runs_without_torus_grid(self, rng):
         x = boundary_direction(random_p_element(4, rng))
@@ -367,7 +378,53 @@ class TestScaleRelation:
         assert n_kappa <= kappa_cert.exp_g + kappa_cert.exp_second * n_alpha + 0.1
 
 
+def corpus_one_at_a_time(n, size, seed):
+    """Reference corpus: one candidate drawn and domain-tested at a time."""
+    rng = np.random.default_rng([seed, n, size])
+    out = []
+    attempts = 0
+    while len(out) < size and attempts < 50 * size:
+        attempts += 1
+        g = growth._corpus_candidate(n, rng)
+        if domain_test(g)[0]:
+            out.append(g)
+    return out
+
+
 class TestCrownCorpus:
+    # A floor of 0.2 relative to ||S|| rejects about a third of the
+    # candidates, so blocks after the first are exercised; at the default
+    # floor no candidate of these corpora is rejected.
+    @pytest.mark.parametrize("floor_rel", [None, 0.2], ids=["default_floor", "resampling"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_match_one_at_a_time(self, n, floor_rel, monkeypatch):
+        if floor_rel is not None:
+            monkeypatch.setattr(
+                config,
+                "TOLERANCES",
+                dataclasses.replace(config.TOLERANCES, minor_floor_rel=floor_rel),
+            )
+        blocked = crown_corpus(n, 200, seed=11)
+        reference = corpus_one_at_a_time(n, 200, seed=11)
+        assert len(blocked) == len(reference) == 200
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(blocked, reference))
+
+    def test_stalls_after_fifty_candidates_per_member(self, monkeypatch):
+        monkeypatch.setattr(
+            config, "TOLERANCES", dataclasses.replace(config.TOLERANCES, minor_floor_rel=10.0)
+        )
+        drawn = []
+        candidate = growth._corpus_candidate
+
+        def counted(n, rng):
+            drawn.append(n)
+            return candidate(n, rng)
+
+        monkeypatch.setattr(growth, "_corpus_candidate", counted)
+        with pytest.raises(RuntimeError, match="stalled at 0/4"):
+            crown_corpus(2, 4, seed=3)
+        assert len(drawn) == 200
+
     def test_deterministic_and_in_domain(self):
         a = crown_corpus(2, 25, seed=6)
         b = crown_corpus(2, 25, seed=6)

@@ -23,12 +23,34 @@ from crownlab.liegroup import (
     random_p_element,
     random_sl,
 )
-from crownlab.numkernel import group_exp
+from crownlab.numkernel import group_exp, path_minor_floor
 from crownlab.prinseries import sl2_iwasawa_closed
 
 PI = math.pi
 X2 = PElement(np.diag([PI / 4, -PI / 4]))
 X3 = PElement(np.diag([PI / 4, 0.0, -PI / 4]))
+
+
+# Paths whose continuation refines the initial grid, with their point count
+# and smallest minor seen (TestRefinementGrid pins both).
+REFINEMENT_PINS = [
+    (X2, rot2(PI / 4), 1.0 - 2.0**-20, 45, 1.4980281132781492e-06),
+    (
+        X3,
+        givens(3, 0, 2, PI / 4) @ givens(3, 0, 1, 0.3),
+        1.0 - 2.0**-30,
+        55,
+        1.4629181213373193e-09,
+    ),
+    (
+        X3,
+        givens(3, 0, 2, PI / 4 + 1e-3) @ givens(3, 0, 1, 0.2),
+        1.0 - 2.0**-20,
+        38,
+        0.001999999227686921,
+    ),
+]
+PIN_IDS = ["sl2_corner", "sl3_corner", "sl3_near_corner"]
 
 
 def crown_point(x: PElement, k: np.ndarray, t: float) -> np.ndarray:
@@ -234,6 +256,25 @@ class TestDecomposePath:
         with pytest.raises(ValueError):
             decompose_path(X2, np.eye(2), -0.5)
 
+    @pytest.mark.parametrize(
+        "route, z",
+        [
+            ("decompose_path", math.nan),
+            ("decompose_path", math.inf),
+            ("continue_factors", complex(0.5, math.nan)),
+            ("continue_factors", complex(0.0, -math.inf)),
+        ],
+    )
+    def test_rejects_non_finite_time_before_any_point(self, route, z, monkeypatch):
+        # NaN passes every guard of the continuation, so it must not get there
+        def no_path(*args):
+            raise AssertionError("path built for a non-finite time")
+
+        monkeypatch.setattr(iwasawa, "_CrownPath", no_path)
+        call = decompose_path if route == "decompose_path" else continue_factors
+        with pytest.raises(ValueError, match="t must be finite"):
+            call(X2, rot2(0.3), z)
+
     def test_rejects_non_orthogonal_k(self):
         with pytest.raises(ValueError, match="orthogonal"):
             decompose_path(X2, [[1.0, 0.5], [0.0, 1.0]], 0.5)
@@ -244,27 +285,7 @@ class TestRefinementGrid:
     minor seen.  The minors near a corner lose relative accuracy to
     cancellation, so their pin is looser than the point count's."""
 
-    @pytest.mark.parametrize(
-        "x, k, t, points, min_minor",
-        [
-            (X2, rot2(PI / 4), 1.0 - 2.0**-20, 45, 1.4980281132781492e-06),
-            (
-                X3,
-                givens(3, 0, 2, PI / 4) @ givens(3, 0, 1, 0.3),
-                1.0 - 2.0**-30,
-                55,
-                1.4629181213373193e-09,
-            ),
-            (
-                X3,
-                givens(3, 0, 2, PI / 4 + 1e-3) @ givens(3, 0, 1, 0.2),
-                1.0 - 2.0**-20,
-                38,
-                0.001999999227686921,
-            ),
-        ],
-        ids=["sl2_corner", "sl3_corner", "sl3_near_corner"],
-    )
+    @pytest.mark.parametrize("x, k, t, points, min_minor", REFINEMENT_PINS, ids=PIN_IDS)
     def test_pinned_grid(self, x, k, t, points, min_minor):
         f = decompose_path(x, k, t)
         assert f.steps_used == points
@@ -285,6 +306,169 @@ class TestRefinementGrid:
         assert np.max(np.abs(f.H - [-7.0, 7.0])) < 1e-12
         monkeypatch.setattr(iwasawa, "MAX_REFINEMENT_DEPTH", 40)
         assert continue_factors(x, np.eye(2), complex(0.0, -7.0)).steps_used == 9
+
+
+def sequential_path(x, k, z_target):
+    """Reference continuation: one left-to-right pass that tests every
+    interval of the uniform grid in turn, bisecting in place.  Returns the
+    tau grid and the minors, or raises as ``iwasawa._continued_path`` must."""
+    path = iwasawa._CrownPath(x, k, z_target)
+    taus = list(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))
+    minors = list(path.minors_at(np.asarray(taus)))
+    floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
+
+    def t_of(tau):
+        return tau * abs(z_target)
+
+    def exit_error(lo, hi, m_hi):
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            m_mid = path.minors_at(np.array([mid]))[0]
+            if np.min(np.abs(m_mid)) > floor:
+                lo = mid
+            else:
+                hi, m_hi = mid, m_mid
+        idx = int(np.argmin(np.abs(m_hi)))
+        return DomainExitError(
+            last_good_t=t_of(lo),
+            t_fail=t_of(hi),
+            minor_index=idx + 1,
+            magnitude=float(np.abs(m_hi)[idx]),
+        )
+
+    i = depth = 0
+    while i + 1 < len(taus):
+        m0, m1 = minors[i], minors[i + 1]
+        if np.min(np.abs(m1)) <= floor:
+            raise exit_error(taus[i], taus[i + 1], m1)
+        jumps = np.abs(np.angle(m1 / m0))
+        arg_bad = bool(np.any(jumps > iwasawa.MAX_ARG_JUMP))
+        guard_failed = arg_bad or bool(
+            np.any(np.abs(m1) * iwasawa.MAGNITUDE_DROP_GUARD < np.abs(m0))
+        )
+        mid = 0.5 * (taus[i] + taus[i + 1])
+        if guard_failed and depth < iwasawa.MAX_REFINEMENT_DEPTH and taus[i] < mid < taus[i + 1]:
+            taus.insert(i + 1, mid)
+            minors.insert(i + 1, path.minors_at(np.array([mid]))[0])
+            depth += 1
+        elif arg_bad:
+            idx = int(np.argmax(jumps))
+            raise BranchAmbiguityError(
+                t_lo=t_of(taus[i]),
+                t_hi=t_of(taus[i + 1]),
+                minor_index=idx + 1,
+                arg_jump=float(jumps[idx]),
+            )
+        else:
+            i, depth = i + 1, 0
+    return taus, np.asarray(minors)
+
+
+def initial_grid_flags(x, k, z_target):
+    """Per interval of the uniform grid, whether one of the three interval
+    tests (floor, argument jump, 10x drop) fails there, tested one at a time."""
+    path = iwasawa._CrownPath(x, k, z_target)
+    minors = path.minors_at(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))
+    floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
+    return [
+        bool(
+            np.min(np.abs(m1)) <= floor
+            or np.any(np.abs(np.angle(m1 / m0)) > iwasawa.MAX_ARG_JUMP)
+            or np.any(np.abs(m1) * iwasawa.MAGNITUDE_DROP_GUARD < np.abs(m0))
+        )
+        for m0, m1 in zip(minors, minors[1:])
+    ]
+
+
+def continuation_outcome(route, x, k, z_target):
+    """The point count and the bytes of taus and minors, or the error type
+    and payload."""
+    try:
+        taus, minors = route(x, np.asarray(k, dtype=float), complex(z_target))[:2]
+    except (DomainExitError, BranchAmbiguityError) as exc:
+        return type(exc), vars(exc)
+    return len(taus), np.asarray(taus).tobytes(), np.asarray(minors).tobytes()
+
+
+class TestContinuationOracle:
+    """The array pass over the initial grid plus the resumed bisection must
+    reproduce the sequential pass bit for bit: the same taus, minors, error
+    types and error payloads."""
+
+    def assert_matches(self, x, k, z_target):
+        got = continuation_outcome(iwasawa._continued_path, x, k, z_target)
+        assert got == continuation_outcome(sequential_path, x, k, z_target)
+        return got
+
+    def test_corpus_like_paths(self):
+        rng = np.random.default_rng(20261018)
+        refined = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            x = boundary_direction(random_p_element(n, rng))
+            k = haar_so(n, rng)
+            t = 1.0 - 2.0 ** -rng.uniform(1.0, 30.0)
+            points, *_ = self.assert_matches(x, k, t)
+            refined += points > iwasawa.INITIAL_STEPS + 1
+            # the endpoint comes from the grid's batch; the separate
+            # evaluation at tau = 1 gives the same bits
+            _, _, g_end = iwasawa._continued_path(x, k, complex(t))
+            single = iwasawa._CrownPath(x, k, complex(t)).group_points(np.array([1.0]))[0]
+            assert g_end.tobytes() == single.tobytes()
+        assert refined >= 1
+
+    @pytest.mark.parametrize("x, k, t, points, min_minor", REFINEMENT_PINS, ids=PIN_IDS)
+    def test_refinement_pins(self, x, k, t, points, min_minor):
+        assert self.assert_matches(x, k, t)[0] == points
+
+    def test_depth_capped_real_flow(self, monkeypatch):
+        monkeypatch.setattr(iwasawa, "INITIAL_STEPS", 1)
+        monkeypatch.setattr(iwasawa, "MAX_REFINEMENT_DEPTH", 2)
+        points, *_ = self.assert_matches(PElement(np.diag([1.0, -1.0])), np.eye(2), -7j)
+        assert points == 8
+
+    @pytest.mark.parametrize("t", [1.0, 1.0 - 1e-14])
+    def test_corner_exit(self, t):
+        kind, payload = self.assert_matches(X2, rot2(PI / 4), t)
+        assert kind is DomainExitError
+        assert payload["last_good_t"] < payload["t_fail"]
+
+    def test_floor_crossing_without_a_guard_failure(self, monkeypatch):
+        # On the real flow exp(-7x) the first minor e^{-14 tau} falls by
+        # e^{-14/32} per interval, which fails neither guard; a floor of
+        # e^{-6.5} is crossed at tau = 6.5/14 all the same
+        monkeypatch.setattr(
+            config,
+            "TOLERANCES",
+            dataclasses.replace(config.TOLERANCES, minor_floor_rel=math.exp(-20.5)),
+        )
+        kind, payload = self.assert_matches(PElement(np.diag([1.0, -1.0])), np.eye(2), -7j)
+        assert kind is DomainExitError
+        assert payload["t_fail"] == pytest.approx(6.5 / 2.0, rel=1e-12)
+
+    def test_branch_guard(self, monkeypatch):
+        monkeypatch.setattr(iwasawa, "INITIAL_STEPS", 1)
+        monkeypatch.setattr(iwasawa, "MAX_REFINEMENT_DEPTH", 0)
+        monkeypatch.setattr(iwasawa, "MAX_ARG_JUMP", 0.05)
+        kind, _ = self.assert_matches(X2, rot2(1.1), 0.9)
+        assert kind is BranchAmbiguityError
+
+    def test_clean_intervals_around_two_flagged_regions(self):
+        # past the crown (z = 3.2) the first minor cos(phi) - i sin(phi)
+        # cos(2 theta) swings its argument by ~pi near phi = pi/2 and 3 pi/2,
+        # so the grid has clean intervals, a flagged run, clean intervals and
+        # a second flagged run
+        k = rot2(PI / 4 + 0.02)
+        flags = initial_grid_flags(X2, k, 3.2)
+        first = flags.index(True)
+        assert first > 0
+        assert not all(flags[first:])
+        second = flags.index(True, flags.index(False, first))
+        assert second > first + 1
+        points, *_ = self.assert_matches(X2, k, 3.2)
+        assert points > iwasawa.INITIAL_STEPS + 1
 
 
 class TestHRange:

@@ -505,6 +505,30 @@ def test_crown_boundary_time_is_rejected_before_any_node(entry, x_scale, t, monk
         CROWN_TIME_ENTRY_POINTS[entry](x_scale, t)
 
 
+NON_FINITE_TIME_ENTRY_POINTS = {
+    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, P_AXIS, XS, t, 256),
+    "real_time_norm_sq": lambda t: real_time_norm_sq(V_MIX, P_AXIS, XS, t, 256),
+    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, P_AXIS, XS, t, 256),
+    "boundary_pairing": lambda t: boundary_pairing(
+        V_MIX, smooth_test_vector(), P_AXIS, [0.5, 0.6, t], 256
+    ),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_TIME_ENTRY_POINTS))
+def test_non_finite_time_is_rejected_before_any_node(entry, t, monkeypatch):
+    # i * nan has a NaN real part and i * inf is nan + inf i, so neither
+    # reaches the strip test, and the march cannot turn NaN or inf into a
+    # step count
+    def no_orbit(*args):
+        raise AssertionError("orbit evaluated for a non-finite time")
+
+    monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
+    with pytest.raises(ValueError, match="t must be finite"):
+        NON_FINITE_TIME_ENTRY_POINTS[entry](t)
+
+
 class TestGrowthExponent:
     def test_synthetic_power_law_recovery(self):
         ts = [1 - 2.0**-j for j in range(4, 13)]
