@@ -301,7 +301,7 @@ def acceptance_10_principal_series() -> CheckResult:
     norm0 = prinseries.extended_norm_sq(v_mix, p_axis, math.pi / 2, 0.0, 256)
     norm0_gap = abs(norm0 - v_mix.norm_sq)
 
-    p_off = prinseries.SeriesParams(s=2.8 + 0.3j, rho_shift=True)
+    p_off = prinseries.SeriesParams(s=2.8 + 0.3j)
     rng = np.random.default_rng([SEED, 10])
     worst_law = 0.0
     for _ in range(10):

@@ -340,6 +340,9 @@ def cmd_fit(args) -> int:
         if len(parts) != 2:
             raise UsageError("--window must be 'lo,hi'")
         window = (float(parts[0]), float(parts[1]))
+        # a NaN bound fails every comparison of the window filter
+        if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
+            raise UsageError(f"--window must be finite with lo < hi, got {args.window!r}")
     try:
         rows = _read_table(args.input)
         ts = [row["t"] for row in rows]

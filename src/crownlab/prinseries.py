@@ -9,26 +9,36 @@ flow.  The K_C, A_C, N_C data of g(z) is in closed form:
     e^{i zeta} = (a + i c) / alpha1       (zeta continued from theta)
     nu        = (a b + c d) / (a^2 + c^2) = sin(2 theta) sinh(2 z x1) / (a^2+c^2)
 
-On the crown path with t x_scale < pi/2 both continued branches are the
-principal ones: along the segment Re(a^2 + c^2) = cos(2 tau t x1) > 0 and
-Re((a + i c) e^{-i theta}) >= cos(tau t x1) - sin(tau t x1) > 0, so neither
-quantity winds around 0 and one endpoint evaluation gives the data.  Real
-z and longer segments continue the arguments by a march in tau, whose
-every step evaluates the one endpoint formula, ``_endpoint``.
+The continued arguments have a closed form too.  On the crown path, with
+alpha = t x_scale, c = cos(2 theta) and psi = tau alpha / 2,
+
+    w = a^2 + c^2  = cos(tau alpha) - i c sin(tau alpha),
+    u e^{-i theta} = cos psi - i e^{-2 i theta} sin psi          (u = a + i c).
+
+w runs round an ellipse and meets each axis exactly when e^{-i sgn(c) tau
+alpha} does, so it stays in that point's quadrant; u e^{-i theta} meets the
+real axis exactly at psi in pi Z, so it stays in the half-plane of
+e^{-i sgn(c) psi}.  So each continued argument is the branch of the
+principal one nearest -sgn(c) alpha (for w) or -sgn(c) alpha / 2 (for
+u e^{-i theta}), and no march in tau is needed; on a principal segment,
+|alpha| < pi/2, that branch is the principal one.  On the real flow w > 0
+and Re(u e^{-i theta}) > 0, so the principal values are the continued ones.
+Complex z off both axes is rejected.  The floor test is closed-form as well
+(``_first_crossing``), and a DomainExitError names the exact first crossing.
 
 The orbit needs no argument of u at all.  Since zeta = -i (log u - H1) and
 alpha1^2 = e^{2 H1} = w = a^2 + c^2 on every branch, e^{2 i zeta} = u^2 / w
 exactly, whatever the continuation; for even m, e^{i m zeta} is the power
 q^{m/2} of the branch-free point q = u^2 / w = (a + i c) / (a - i c).  So a
-K-finite orbit value is e^{(shift - s) H1} sum_m c_m q^{m/2}, and only the
+K-finite orbit value is e^{(1 - s) H1} sum_m c_m q^{m/2}, and only the
 prefactor reads the continued argument of w.
 
 The character on A is sigma(exp H) = e^{s H1} in the coordinate
-H = diag(H1, -H1); the optional rho-shift multiplies the orbit integrand by
-|alpha1|^2 (rho_a is 1 in the H1 coordinate).  With the shift the action is
-an isometry at real group elements exactly on Re s = 2, without it on
-Re s = 1 (derived from the quadrature identity
+H = diag(H1, -H1), and the rho-shift multiplies the orbit integrand by
+|alpha1|^2 (rho_a is 1 in the H1 coordinate).  The action is an isometry at
+real group elements exactly on Re s = 2 (derived from the quadrature identity
 (1/pi) int dtheta / (A cos^2 + B sin^2) = 1 / sqrt(A B); the tests pin it).
+The unshifted convention (axis Re s = 1) at s - 1 is this one at s.
 
 K-finite vectors are finite Fourier series on K/M, theta in [0, pi) with
 probability measure d theta / pi; M-invariance forces even modes.  Orbit
@@ -43,12 +53,10 @@ Every such grid is symmetric under k -> P - k, that is theta -> pi - theta,
 and for every z cos(pi - theta) = -cos theta and sin(pi - theta) = sin theta
 give
     w(pi - theta) = w(theta),  u(pi - theta) = -v(theta),  v(pi - theta) = -u(theta),
-so q(pi - theta) = 1 / q(theta).  H1 agrees at the two nodes on every route:
-the principal route takes the angle of the same w, and the march continues
-the same w(tau z) at every step.  So ``_grid_orbit`` evaluates the orbit on
+so q(pi - theta) = 1 / q(theta).  H1 agrees at the two nodes, since the
+branch rule reads only w and c.  So ``_grid_orbit`` evaluates the orbit on
 k = 0 ... P // 2 only and gives node P - k the same prefactor times
-sum_m c_m q^{-m/2}; ``_orbit_values`` stays the pointwise route on arbitrary
-angles.
+sum_m c_m q^{-m/2}.
 """
 
 from __future__ import annotations
@@ -70,20 +78,14 @@ MAX_QUAD_POINTS = 4_000_000
 
 @dataclass(frozen=True)
 class SeriesParams:
-    """Principal-series character data: sigma(exp H) = e^{s H1}, plus the
-    rho-shift toggle.  The unitary axis is Re s = 2 with the shift and
-    Re s = 1 without (documented above, not enforced)."""
+    """Principal-series character data: sigma(exp H) = e^{s H1}, rho-shifted;
+    the unitary axis is Re s = 2 (module docstring, not enforced)."""
 
     s: complex
-    rho_shift: bool = True
 
 
-def unitary_axis_re(rho_shift: bool) -> float:
-    return 2.0 if rho_shift else 1.0
-
-
-def unitary_params(im_s: float = 0.0, rho_shift: bool = True) -> SeriesParams:
-    return SeriesParams(s=complex(unitary_axis_re(rho_shift), im_s), rho_shift=rho_shift)
+def unitary_params(im_s: float = 0.0) -> SeriesParams:
+    return SeriesParams(s=complex(2.0, im_s))
 
 
 class ModeVector:
@@ -165,44 +167,9 @@ class Sl2Components:
         return self.kappa() @ a_mat @ eta
 
 
-def _march_steps(x_scale: float, z: complex) -> int:
-    return max(16, int(math.ceil(abs(z) * x_scale / 0.15)) + 1)
-
-
-def _march_arguments(
-    x_scale: float, th: np.ndarray, z: complex, floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Continued arguments of w = a^2 + c^2 and u = a + i c at the end of the
-    segment to z, by nearest-argument steps in tau from 0 to 1, each step
-    evaluating w and u by ``_endpoint``.
-
-    Raises DomainExitError at the first step where min |w| <= floor.
-    """
-    taus = np.linspace(0.0, 1.0, _march_steps(x_scale, z))
-    w_prev, u_prev, _, _ = _endpoint(x_scale, th, taus[0] * complex(z))
-    arg_w = np.zeros_like(th)
-    arg_u = th.copy()
-    for j in range(1, taus.size):
-        w_cur, u_cur, _, _ = _endpoint(x_scale, th, taus[j] * complex(z))
-        mags = np.abs(w_cur)
-        i_min = int(np.argmin(mags))
-        if mags[i_min] <= floor:
-            raise DomainExitError(
-                last_good_t=float(taus[j - 1] * abs(z)),
-                t_fail=float(taus[j] * abs(z)),
-                minor_index=1,
-                magnitude=float(mags[i_min]),
-            )
-        arg_w += np.angle(w_cur / w_prev)
-        arg_u += np.angle(u_cur / u_prev)
-        w_prev, u_prev = w_cur, u_cur
-    return arg_w, arg_u
-
-
 def _endpoint(x_scale: float, th: np.ndarray, z: complex):
     """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v) and sinh(2 z x1)
-    at the end of the segment to z: the one formula for them, which the
-    march evaluates at every step."""
+    at the end of the segment to z: the one formula for them."""
     x1 = 0.5 * x_scale
     ep = np.exp(complex(z) * x1)
     em = 1.0 / ep
@@ -212,27 +179,69 @@ def _endpoint(x_scale: float, th: np.ndarray, z: complex):
     return w, a + ic, a - ic, sinh2
 
 
-def _continued_endpoint(x_scale: float, th: np.ndarray, z: complex):
-    """(H1, w, u, v, sinh2, marched) at z: ``_endpoint``'s data, H1 = log alpha1
-    continued from 0 at z = 0, and the march's (arg w, arg u), or None where
-    the principal arguments are the continued ones.
+def _nearest_branch(principal: np.ndarray, target) -> np.ndarray:
+    """The branch of each principal argument nearest its target: the continued
+    argument wherever that stays within pi of the target (module docstring)."""
+    return principal + 2.0 * math.pi * np.round((target - principal) / (2.0 * math.pi))
 
-    That is a principal segment (z = i t, t x_scale < pi/2) whose endpoint |w|
-    clears the floor: |w|^2 = 1 - sin^2(tau t x_scale) sin^2(2 theta) falls in
-    tau, so the endpoint's floor test covers the segment.  Real z, longer
-    segments and an endpoint below the floor take the march, which reports
-    where the floor was crossed.
+
+def _first_crossing(c: np.ndarray, z: complex, floor: float) -> float:
+    """The least phase y = tau |z| x_scale at which some node's |w| reaches the
+    floor along tau z, tau >= 0, with c = cos(2 theta); inf if none.
+
+    For z = i t, |w|^2 = cos^2 y + c^2 sin^2 y >= c^2 first reaches floor^2
+    at tan y = sqrt((1 - floor^2) / (floor^2 - c^2)) if |c| <= floor.  For
+    real z, w = A e^y + B e^{-y} with A, B = (1 -+ c) / 2 (swapped for z < 0)
+    is convex with minimum |sin 2 theta| = 2 sqrt(A B), and equals the floor
+    at e^y = (floor -+ sqrt(floor^2 - 4 A B)) / (2 A); it reaches the floor
+    for y >= 0 iff the larger root is >= 1, at the smaller one or at y = 0.
     """
+    if z.real == 0.0:
+        hit = c[np.abs(c) <= floor]
+        sin_part = math.sqrt(max(1.0 - floor * floor, 0.0))
+        phases = np.arctan2(sin_part, np.sqrt(floor * floor - hit * hit))
+    else:
+        a, b = (1.0 - c) / 2.0, (1.0 + c) / 2.0
+        if z.real < 0.0:
+            a, b = b, a
+        disc = floor * floor - (1.0 - c) * (1.0 + c)
+        root = floor + np.sqrt(np.maximum(disc, 0.0))
+        # the smaller root is 2 B / root, the larger root / (2 A)
+        ahead = (disc >= 0.0) & (root >= 2.0 * a)
+        phases = np.log(np.maximum(2.0 * b[ahead] / root[ahead], 1.0))
+    return float(np.min(phases, initial=math.inf))
+
+
+def _continued_endpoint(x_scale: float, th: np.ndarray, z: complex):
+    """(H1, w, u, v, sinh2) at z: ``_endpoint``'s data and H1 = log alpha1
+    continued from 0 at z = 0.
+
+    The argument of w is the branch nearest -sgn(c) t x_scale (0 on the real
+    flow): w stays in the quadrant of e^{-i sgn(c) tau t x_scale}, so that
+    branch is the continued one (module docstring).  On a principal segment
+    (z = i t, |t| x_scale < pi/2) it is the principal branch, and |w| falls
+    in tau, so the endpoint's floor test covers the segment; elsewhere the
+    floor test is ``_first_crossing``.  A DomainExitError reports the first
+    crossing as both last_good_t and t_fail, with |w| = floor there.
+    """
+    if not np.isfinite(z) or (z.real != 0.0 and z.imag != 0.0):
+        raise ValueError(f"time z must be finite and real or imaginary, got z = {z!r}")
     floor = path_minor_floor(z, 0.5 * x_scale)
     w, u, v, sinh2 = _endpoint(x_scale, th, z)
     mag_w = np.abs(w)
-    if z.real == 0.0 and abs(z) * x_scale < 0.5 * math.pi and mag_w.min() > floor:
-        marched, arg_w = None, np.angle(w)
+    span = abs(z) * x_scale
+    principal = z.real == 0.0 and span < 0.5 * math.pi
+    if principal and mag_w.min() > floor:
+        arg_w = np.angle(w)
     else:
-        marched = _march_arguments(x_scale, th, z, floor)
-        arg_w = marched[0]
+        c = np.cos(2.0 * th)
+        first = _first_crossing(c, z, floor)
+        if principal or first <= span:
+            t_fail = min(first, span) / x_scale
+            raise DomainExitError(last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floor)
+        arg_w = _nearest_branch(np.angle(w), -np.sign(c) * z.imag * x_scale)
     h1 = 0.5 * (np.log(mag_w) + 1j * arg_w)
-    return h1, w, u, v, sinh2, marched
+    return h1, w, u, v, sinh2
 
 
 def _closed_components(x_scale: float, theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +251,7 @@ def _closed_components(x_scale: float, theta, z: complex) -> tuple[np.ndarray, n
     all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    h1, _, u, v, _, _ = _continued_endpoint(x_scale, th, z)
+    h1, _, u, v, _ = _continued_endpoint(x_scale, th, z)
     return h1, u / v
 
 
@@ -250,15 +259,18 @@ def sl2_iwasawa_closed(x_scale: float, theta: float, t: float) -> Sl2Components:
     """Closed-form complexified Iwasawa data of exp(-i t x) k_theta.
 
     x = diag(x_scale/2, -x_scale/2), so rho(x) = x_scale; raises
-    DomainExitError when a^2 + c^2 falls below the floor along the path.
-    zeta = -i (log u - H1) continues the argument of u by the route H1
-    takes: its principal value on a principal segment, else the same march.
+    DomainExitError when a^2 + c^2 falls to the floor along the path.
+    zeta = -i (log u - H1) takes the argument of u e^{-i theta} on the branch
+    nearest -sgn(c) t x_scale / 2, which is the continued one: that point
+    stays in the half-plane of e^{-i sgn(c) tau t x_scale / 2} (module
+    docstring).  On a principal segment it is the principal branch.
     """
     if not 0.0 < x_scale <= 0.5 * math.pi:
         raise ValueError(f"x_scale must lie in (0, pi/2], got {x_scale}")
     th = np.array([float(theta)])
-    h1, w, u, _, sinh2, marched = _continued_endpoint(x_scale, th, 1j * t)
-    arg_u = marched[1] if marched else th + np.angle(u * (np.cos(th) - 1j * np.sin(th)))
+    h1, w, u, _, sinh2 = _continued_endpoint(x_scale, th, 1j * t)
+    target = -np.sign(np.cos(2.0 * th)) * 0.5 * t * x_scale
+    arg_u = th + _nearest_branch(np.angle(u * (np.cos(th) - 1j * np.sin(th))), target)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     nu = np.sin(2.0 * th) * sinh2 / w
     return Sl2Components(alpha1=complex(np.exp(h1[0])), zeta=complex(zeta[0]), nu=complex(nu[0]))
@@ -297,32 +309,9 @@ def _quad_nodes(quad_points: int, z: complex, x_scale: float) -> np.ndarray:
     return math.pi * np.arange(pts) / pts
 
 
-def _orbit_values(
-    v: ModeVector,
-    p: SeriesParams,
-    x_scale: float,
-    z: complex,
-    thetas: np.ndarray,
-) -> np.ndarray:
-    """(pi_sigma(exp(z x)) v)(k_theta) at each of the given angles, which may
-    be arbitrary: the pointwise route, with no use of the grid's symmetry.
-
-    The action evaluates the Iwasawa data of exp(-z x) k_theta (the family
-    g(z) itself, since exp(z x)^{-1} = exp(-z x)); with the rho-shift the
-    factor is e^{(1 - s) H1}, without it e^{-s H1}, and the modes are summed
-    at q = e^{2 i zeta} (module docstring).
-    """
-    h1, q = _closed_components(x_scale, thetas, z)
-    # the mode sum runs before the prefactor exists, so that the two and the
-    # sum's work arrays are never all alive on the largest grids
-    modes = v.evaluate(q)
-    return _orbit_prefactor(p, h1) * modes
-
-
 def _orbit_prefactor(p: SeriesParams, h1: np.ndarray) -> np.ndarray:
-    """e^{(shift - s) H1}, with shift 1 under the rho-shift and 0 without."""
-    shift = 1.0 if p.rho_shift else 0.0
-    return np.exp((shift - p.s) * h1)
+    """e^{(1 - s) H1}: the character e^{-s H1} times the rho-shift e^{H1}."""
+    return np.exp((1.0 - p.s) * h1)
 
 
 def _grid_orbit(
@@ -344,7 +333,7 @@ def _grid_orbit(
     vals = np.empty(pts, dtype=complex)
     vals[:half] = v.evaluate(q)
     vals[half:] = ModeVector({-m: c for m, c in v.modes.items()}).evaluate(q[mirror])
-    del q  # as in _orbit_values: q and the prefactor are never alive together
+    del q  # q and the prefactor are never alive together on the largest grids
     pre = _orbit_prefactor(p, h1)
     vals[:half] *= pre
     vals[half:] *= pre[mirror]
@@ -370,9 +359,9 @@ def extended_norm_sq(
 ) -> float:
     """||e^{i t dpi(x)} v||^2 by trapezoid quadrature over K/M.
 
-    Integrand per the orbit formula: |e^{-s H1}|^2 |sum c_m e^{i m zeta}|^2,
-    times |alpha1|^2 under the rho-shift, with H1 branch-continued along the
-    path.  The mode sum is the Laurent polynomial sum c_m q^{m/2} at
+    Integrand per the orbit formula: |e^{(1 - s) H1}|^2 |sum c_m e^{i m zeta}|^2
+    (the rho-shift is the factor |alpha1|^2), with H1 branch-continued along
+    the path.  The mode sum is the Laurent polynomial sum c_m q^{m/2} at
     q = u^2 / w = e^{2 i zeta}, which is branch-free because every mode is
     even, so zeta's continuation never enters.
     """
@@ -395,7 +384,7 @@ def _real_cocycle(g: np.ndarray, angles: np.ndarray, p: SeriesParams):
     """One application of the real-group action: factor and new angles.
 
     For each angle, the Iwasawa data of g^{-1} k_angle gives the multiplier
-    e^{(shift - s) H1} and the moved point atan2(c, a).
+    e^{(1 - s) H1} and the moved point atan2(c, a).
     """
     a0, b0, c0, d0 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
     # inverse of a det-1 matrix
@@ -405,8 +394,7 @@ def _real_cocycle(g: np.ndarray, angles: np.ndarray, p: SeriesParams):
     c = ic * ca + id_ * sa
     r = a * a + c * c
     h1 = 0.5 * np.log(r)
-    shift = 1.0 if p.rho_shift else 0.0
-    factor = np.exp((shift - p.s) * h1)
+    factor = np.exp((1.0 - p.s) * h1)
     return factor, np.arctan2(c, a)
 
 
@@ -424,6 +412,8 @@ def action_norm_sq(
     angles = thetas.copy()
     for g in gs:
         gm = np.asarray(g, dtype=float)
+        if gm.shape != (2, 2) or not np.all(np.isfinite(gm)):
+            raise ValueError(f"group element must be a finite 2x2 matrix, got {g!r}")
         det = gm[0, 0] * gm[1, 1] - gm[0, 1] * gm[1, 0]
         if abs(det - 1.0) > config.TOLERANCES.determinant:
             raise ValueError(f"group element must have det 1, got {det!r}")
@@ -506,10 +496,10 @@ def boundary_pairing(
     verdict (differences decreasing, final one below FINAL_DIFF_TOL).
     Convergence requires the orbit's slow-growth order to stay below the
     test vector's smoothness margin: keep v low-mode.  Near the singular
-    angles the squared orbit behaves like |w|^(axis - 1 - Re s - max|m|),
-    with axis = ``unitary_axis_re(p.rho_shift)``; integrated across a width
-    of order 1 - t, the orbit norm grows like (1-t)^(-N) with
-    N = (max|m| + Re s - axis) / 2, which is max|m|/2 on the unitary axis.
+    angles the squared orbit behaves like |w|^(1 - Re s - max|m|);
+    integrated across a width of order 1 - t, the orbit norm grows like
+    (1-t)^(-N) with N = (max|m| + Re s - 2) / 2, which is max|m|/2 on the
+    unitary axis Re s = 2.
     """
     ms, cs = w_smooth.arrays()
     if ms.size:

@@ -211,6 +211,17 @@ class TestFit:
         code, _, _ = run(capsys, "fit", "--component", "beta", "--input", "x")
         assert code == 1
 
+    @pytest.mark.parametrize("window", ["nan,0.99", "0.5,nan", "inf,1", "0.99,0.5"])
+    def test_bad_window_is_usage_error(self, capsys, tmp_path, window):
+        # a NaN bound fails every comparison of the window filter, which
+        # then reported "got 0 usable points" as a domain error
+        table = tmp_path / "sweep.csv"
+        table.write_text(self.synthetic_csv())
+        code, out, err = run(capsys, "fit", "--input", str(table), "--component", "alpha",
+                             "--window", window)
+        assert code == 1 and out == ""
+        assert "usage error" in err and repr(window) in err
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, capsys, tmp_path):

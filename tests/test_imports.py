@@ -1,17 +1,22 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses,
+and the package defines no private function or class that it never uses.
 
 Standard-library ``ast`` only: a name bound by an import must appear as a
 ``Name`` node somewhere in the same file.  The package ``__init__`` is left
-out, since re-exporting imported names is its purpose.
+out, since re-exporting imported names is its purpose.  A module-level
+private function or class of the package must be referred to, as a name or
+an attribute, somewhere in the package outside its own definition; code
+that only the tests call belongs in the tests.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "crownlab").glob("*.py"))
 SOURCES = sorted(
     [
-        *(p for p in (ROOT / "src" / "crownlab").glob("*.py") if p.name != "__init__.py"),
+        *(p for p in PACKAGE if p.name != "__init__.py"),
         *(ROOT / "tests").glob("*.py"),
     ]
 )
@@ -43,3 +48,49 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+
+def references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every ``Name`` and ``Attribute`` node."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+    return refs
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """``file:name`` of each module-level private function or class that no
+    source refers to outside its own definition."""
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    refs = {file: references(tree) for file, tree in trees.items()}
+    found = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and not (other == file and line in own)
+                for other, found_refs in refs.items()
+                for name, line in found_refs
+            ):
+                found.append(f"{file}:{node.name}")
+    return found
+
+
+def test_finds_an_unreferenced_private():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _dead():\n    return _dead()\n\n\nclass _Box:\n    pass\n",
+        "b.py": "import a\n\na._used()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py:_dead", "a.py:_Box"]
+
+
+def test_every_private_is_used_in_the_package():
+    assert unreferenced_privates({p.name: p.read_text() for p in PACKAGE}) == []

@@ -8,7 +8,7 @@ from crownlab import prinseries
 from crownlab.errors import DomainExitError
 from crownlab.growth import fit_power_law
 from crownlab.iwasawa import decompose_path
-from crownlab.liegroup import PElement, random_sl
+from crownlab.liegroup import PElement, givens, random_sl
 from crownlab.numkernel import path_minor_floor
 from crownlab.prinseries import (
     ModeVector,
@@ -21,7 +21,6 @@ from crownlab.prinseries import (
     real_time_norm_sq,
     sl2_iwasawa_closed,
     smooth_test_vector,
-    unitary_axis_re,
     unitary_params,
 )
 
@@ -30,7 +29,7 @@ XS = PI / 2
 V_MIX = ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
 V_ASYM = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25})
 P_AXIS = unitary_params(0.4)
-P_OFF = SeriesParams(s=2.8 + 0.3j, rho_shift=True)
+P_OFF = SeriesParams(s=2.8 + 0.3j)
 
 
 def flow(tau, x_scale=XS):
@@ -38,10 +37,47 @@ def flow(tau, x_scale=XS):
     return np.diag([math.exp(h), math.exp(-h)])
 
 
+def march_steps(x_scale: float, z: complex) -> int:
+    return max(16, int(math.ceil(abs(z) * x_scale / 0.15)) + 1)
+
+
+def march_arguments(
+    x_scale: float, th: np.ndarray, z: complex, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Continued arguments of w = a^2 + c^2 and u = a + i c at the end of the
+    segment to z, by nearest-argument steps in tau from 0 to 1, each step
+    evaluating w and u by ``_endpoint``.
+
+    Raises DomainExitError at the first step where min |w| <= floor.
+
+    The oracle for the closed-form branch rule: it continues the same
+    endpoint formula by steps, and its floor test sees only the steps.
+    """
+    taus = np.linspace(0.0, 1.0, march_steps(x_scale, z))
+    w_prev, u_prev, _, _ = prinseries._endpoint(x_scale, th, taus[0] * complex(z))
+    arg_w = np.zeros_like(th)
+    arg_u = th.copy()
+    for j in range(1, taus.size):
+        w_cur, u_cur, _, _ = prinseries._endpoint(x_scale, th, taus[j] * complex(z))
+        mags = np.abs(w_cur)
+        i_min = int(np.argmin(mags))
+        if mags[i_min] <= floor:
+            raise DomainExitError(
+                last_good_t=float(taus[j - 1] * abs(z)),
+                t_fail=float(taus[j] * abs(z)),
+                minor_index=1,
+                magnitude=float(mags[i_min]),
+            )
+        arg_w += np.angle(w_cur / w_prev)
+        arg_u += np.angle(u_cur / u_prev)
+        w_prev, u_prev = w_cur, u_cur
+    return arg_w, arg_u
+
+
 def march_components(x_scale, theta, z):
     """(H1, q) with the argument of w continued by the march."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    arg_w, _ = prinseries._march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
+    arg_w, _ = march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
     # endpoint values in the library's arithmetic: near the corner |w| is
     # small, and w's rounding then moves log |w| well past 1e-14
     w, u, v, _ = prinseries._endpoint(x_scale, th, z)
@@ -56,7 +92,7 @@ def sl2_components(x_scale, theta, t):
 def march_sl2(x_scale, theta, t):
     """sl2_iwasawa_closed's (alpha1, zeta, nu) with both arguments continued by the march."""
     th, z = np.array([float(theta)]), 1j * t
-    arg_w, arg_u = prinseries._march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
+    arg_w, arg_u = march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
     w, u, _, sinh2 = prinseries._endpoint(x_scale, th, z)
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
@@ -71,12 +107,19 @@ def outcome(route, *args):
         return (exc.last_good_t, exc.t_fail, exc.minor_index, exc.magnitude)
 
 
-def assert_same_outcome(closed, march):
-    if isinstance(march[0], float):
-        assert closed == march
+def exited(result):
+    return isinstance(result[0], float)
+
+
+def assert_same_outcome(closed, march, rel=1e-14):
+    """The same values, or both routes exit: the closed form at the exact
+    first crossing, which the march detects at a step on or after it."""
+    if exited(march):
+        assert exited(closed) and closed[0] == closed[1] <= march[1]
         return
+    assert not exited(closed)
     for a, b in zip(closed, march):
-        assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
+        assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
 
 
 def assert_routes_agree(x_scale, theta, z):
@@ -84,6 +127,25 @@ def assert_routes_agree(x_scale, theta, z):
         outcome(prinseries._closed_components, x_scale, theta, z),
         outcome(march_components, x_scale, theta, z),
     )
+
+
+def assert_first_crossing(x_scale, thetas, z, t_fail):
+    """min |w| over the nodes stays above the floor on 256 points of the
+    segment before path time t_fail and reaches the floor at t_fail."""
+    floor = path_minor_floor(z, 0.5 * x_scale)
+    th, unit = np.atleast_1d(np.asarray(thetas, dtype=float)), z / abs(z)
+    for t in np.linspace(0.0, t_fail, 257)[:-1]:
+        assert np.abs(prinseries._endpoint(x_scale, th, t * unit)[0]).min() > floor
+    at = np.abs(prinseries._endpoint(x_scale, th, t_fail * unit)[0]).min()
+    assert at <= 1.01 * floor and (t_fail == 0.0 or at >= 0.99 * floor)
+
+
+def orbit_values(v, p, x_scale, z, thetas):
+    """(pi_sigma(exp(z x)) v)(k_theta) at arbitrary angles, node by node with
+    no use of the grid's symmetry: the prefactor e^{(1 - s) H1} times the
+    mode sum at q = e^{2 i zeta}."""
+    h1, q = prinseries._closed_components(x_scale, thetas, z)
+    return prinseries._orbit_prefactor(p, h1) * v.evaluate(q)
 
 
 def dense_pairing(v, w_smooth, p, t_grid, quad_points, x_scale=XS):
@@ -151,48 +213,69 @@ class TestClosedForm:
             ) @ rot2(theta)
             assert np.linalg.norm(c.reconstruct() - g) < 1e-10
 
-    def test_corner_exit_keeps_march_payload(self):
+    def test_corner_exit_reports_the_exact_crossing(self):
         # at theta = pi/4 |w| = cos(t pi/2) crosses the floor near 1 - t = 3e-13;
-        # below it the endpoint test fails over to the march, which reports
-        # where along the segment the floor was crossed
+        # the endpoint test triggers and the exit names the crossing itself
+        z = 1j * (1.0 - 1e-14)
         with pytest.raises(DomainExitError) as closed:
-            sl2_iwasawa_closed(XS, PI / 4, 1.0 - 1e-14)
-        march = outcome(march_components, XS, [PI / 4], 1j * (1.0 - 1e-14))
+            sl2_iwasawa_closed(XS, PI / 4, z.imag)
         exc = closed.value
-        assert (exc.last_good_t, exc.t_fail, exc.minor_index, exc.magnitude) == march
+        assert exc.last_good_t == exc.t_fail and exc.minor_index == 1
+        assert exc.magnitude == path_minor_floor(z, 0.5 * XS)
+        assert_first_crossing(XS, [PI / 4], z, exc.t_fail)
+        march = outcome(march_components, XS, [PI / 4], z)
+        assert_same_outcome((exc.last_good_t, exc.t_fail), march)
         for gap in np.geomspace(1e-12, 1e-14, 17):
             assert_routes_agree(XS, [PI / 4, 0.3], 1j * (1.0 - gap))
 
-    def test_long_segments_and_real_time_take_the_march(self, monkeypatch):
-        calls = []
-        march = prinseries._march_arguments
-        monkeypatch.setattr(
-            prinseries, "_march_arguments", lambda *a: calls.append(a[2]) or march(*a)
-        )
-        thetas = [0.1, 0.3, 2.0]
-        prinseries._closed_components(XS, thetas, 0.9j)
-        prinseries._closed_components(0.5, thetas, 3.0j)
-        assert calls == []
-        prinseries._closed_components(XS, thetas, 1.0j)
-        prinseries._closed_components(0.5, thetas, 3.2j)
-        prinseries._closed_components(XS, thetas, complex(0.9))
-        assert calls == [1.0j, 3.2j, complex(0.9)]
+    def test_endpoint_test_decides_a_principal_segment(self, monkeypatch):
+        # a principal segment exits exactly where the endpoint's |w| is at or
+        # below the floor, whatever the closed-form crossing says; the
+        # reported crossing is then at most the segment's end
+        monkeypatch.setattr(prinseries, "_first_crossing", lambda *args: math.inf)
+        with pytest.raises(DomainExitError) as exc:
+            prinseries._closed_components(XS, [PI / 4, 0.3], 1j * (1.0 - 1e-14))
+        assert exc.value.t_fail == pytest.approx(1.0 - 1e-14, rel=1e-15, abs=0.0)
 
-    def test_sl2_marches_once_on_a_long_segment(self, monkeypatch):
-        calls = []
-        march = prinseries._march_arguments
-        monkeypatch.setattr(
-            prinseries, "_march_arguments", lambda *a: calls.append(a[2]) or march(*a)
-        )
+    def test_every_route_evaluates_the_endpoint_once(self, monkeypatch):
+        # principal and long segments, real time and the SL(2) data: no
+        # route steps along the segment
+        calls = {"endpoint": 0, "continued": 0}
+        endpoint, continued = prinseries._endpoint, prinseries._continued_endpoint
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(prinseries, "_endpoint", counted("endpoint", endpoint))
+        monkeypatch.setattr(prinseries, "_continued_endpoint", counted("continued", continued))
+        thetas = [0.1, 0.3, 2.0]
+        for x_scale, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j), (XS, complex(0.9))):
+            prinseries._closed_components(x_scale, thetas, z)
         sl2_iwasawa_closed(0.5, 0.4, 14.0)
-        assert calls == [14.0j]
+        real_time_norm_sq(V_MIX, P_OFF, XS, 0.7, 1024)
+        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99], 1024)
+        assert calls == {"endpoint": 10, "continued": 10}
+
+    @pytest.mark.parametrize("z", [0.3 + 0.4j, complex(math.inf), 1j * math.nan])
+    def test_rejects_complex_or_non_finite_time(self, z):
+        with pytest.raises(ValueError, match="finite and real or imaginary"):
+            prinseries._closed_components(XS, [0.1, 0.3], z)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_sl2_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            sl2_iwasawa_closed(XS, 0.1, t)
 
     def test_march_steps_through_endpoint(self, monkeypatch):
-        # a conjugating endpoint must negate the march's increments: the
+        # a conjugating endpoint must negate the oracle's increments: the
         # march has no formula for w or u of its own
         th, z = np.array([0.1, 0.4, 1.0, 2.0]), 7.0j
         floor = path_minor_floor(z, 0.25)
-        arg_w, arg_u = prinseries._march_arguments(0.5, th, z, floor)
+        arg_w, arg_u = march_arguments(0.5, th, z, floor)
         endpoint, zs = prinseries._endpoint, []
 
         def conjugated(x_scale, th_, z_):
@@ -200,8 +283,8 @@ class TestClosedForm:
             return tuple(np.conj(a) for a in endpoint(x_scale, th_, z_))
 
         monkeypatch.setattr(prinseries, "_endpoint", conjugated)
-        conj_w, conj_u = prinseries._march_arguments(0.5, th, z, floor)
-        assert zs == list(np.linspace(0.0, 1.0, prinseries._march_steps(0.5, z)) * z)
+        conj_w, conj_u = march_arguments(0.5, th, z, floor)
+        assert zs == list(np.linspace(0.0, 1.0, march_steps(0.5, z)) * z)
         assert np.allclose(conj_w, -arg_w, rtol=0.0, atol=1e-13)
         assert np.allclose(conj_u - th, th - arg_u, rtol=0.0, atol=1e-13)
 
@@ -212,6 +295,48 @@ class TestClosedForm:
             for theta in (0.1, 0.4, 1.0, 2.0, 2.8):
                 closed = outcome(sl2_components, x_scale, theta, t)
                 assert_same_outcome(closed, outcome(march_sl2, x_scale, theta, t))
+
+    def test_closed_form_matches_march_on_long_segments_and_real_time(self):
+        # seeded segments with |z| x_scale up to 40, some nodes near the
+        # corners pi/4 and 3 pi/4: where the march exits the closed form
+        # exits no later; where only the closed form exits the march stepped
+        # over the crossing; elsewhere the values agree
+        rng = np.random.default_rng(20261019)
+        tally = {"values": 0, "both_exit": 0, "closed_only": 0}
+        for i in range(240):
+            x_scale = XS if i % 2 else rng.uniform(0.05, XS)
+            phase = rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * PI, 40.0)
+            z = complex(phase / x_scale) if i % 3 == 0 else 1j * phase / x_scale
+            thetas = rng.uniform(0.0, PI, 8)
+            if i % 4 == 0:
+                thetas[0] = rng.choice([PI / 4, 3 * PI / 4]) + 10.0 ** rng.uniform(-16.0, -11.0)
+            closed = outcome(prinseries._closed_components, x_scale, thetas, z)
+            march = outcome(march_components, x_scale, thetas, z)
+            if exited(closed) and not exited(march):
+                tally["closed_only"] += 1
+                assert_first_crossing(x_scale, thetas, z, closed[1])
+                continue
+            tally["both_exit" if exited(march) else "values"] += 1
+            assert_same_outcome(closed, march, rel=1e-13)
+            if z.real == 0.0 and not exited(closed):
+                for theta in thetas[:2]:
+                    assert_same_outcome(
+                        outcome(sl2_components, x_scale, theta, z.imag),
+                        outcome(march_sl2, x_scale, theta, z.imag),
+                        rel=1e-13,
+                    )
+        assert min(tally.values()) >= 10, tally
+
+    def test_long_segment_exit_matches_decompose_path(self):
+        # theta = pi/4 + 1e-14 at x_scale = 1 passes the corner at t = pi/2,
+        # between two of the march's steps
+        theta = PI / 4 + 1e-14
+        with pytest.raises(DomainExitError) as closed:
+            sl2_iwasawa_closed(1.0, theta, 2.5)
+        with pytest.raises(DomainExitError) as path:
+            decompose_path(PElement(np.diag([0.5, -0.5])), givens(2, 0, 1, theta), 2.5)
+        assert abs(closed.value.t_fail - path.value.t_fail) <= 1e-9
+        assert not exited(outcome(march_sl2, 1.0, theta, 2.5))
 
     def test_principal_route_matches_march_on_criterion_grids(self):
         # criterion 11's pairings at quad 1024; criteria 10/11's fits at 512,
@@ -276,7 +401,7 @@ class TestClosedForm:
 
 class TestOrbitValues:
     def test_orbit_values_match_mpmath_oracle(self):
-        # 50-digit orbit e^{(shift - s) H1} sum c_m e^{i m zeta} from the
+        # 50-digit orbit e^{(1 - s) H1} sum c_m e^{i m zeta} from the
         # principal-branch H1 and zeta (exact on this segment).  The error is
         # measured against the sum of the terms' magnitudes, so that
         # cancellation inside the sum is not charged to the kernel; the
@@ -284,7 +409,7 @@ class TestOrbitValues:
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
-        params = (P_AXIS, P_OFF, SeriesParams(s=2.8 + 0.3j, rho_shift=False))
+        params = (P_AXIS, P_OFF, SeriesParams(s=1.8 + 0.3j))
         rng = np.random.default_rng(8)
         for i in range(200):
             x_scale = XS if i % 2 else rng.uniform(0.05, XS)
@@ -305,12 +430,12 @@ class TestOrbitValues:
                 terms = [mpmath.mpc(c) * mpmath.exp(1j * m * zeta) for m, c in v.modes.items()]
                 refs = []
                 for p in params:
-                    factor = mpmath.exp((int(p.rho_shift) - mpmath.mpc(p.s)) * h1)
+                    factor = mpmath.exp((1 - mpmath.mpc(p.s)) * h1)
                     refs.append((complex(factor * sum(terms)),
                                  float(abs(factor) * sum(abs(x) for x in terms))))
                 bound = 16 * eps / min(1.0, float(abs(w)))
             for p, (want, scale) in zip(params, refs):
-                got = prinseries._orbit_values(v, p, x_scale, 1j * t, np.array([theta]))[0]
+                got = orbit_values(v, p, x_scale, 1j * t, np.array([theta]))[0]
                 assert abs(got - want) <= bound * scale
 
 
@@ -326,24 +451,33 @@ def grid_orbit_oracle(mpmath, v, params, x_scale, z, node):
     terms = [mpmath.mpc(c) * q ** (m // 2) for m, c in v.modes.items()]
     refs = []
     for p in params:
-        factor = mpmath.exp((int(p.rho_shift) - mpmath.mpc(p.s)) * mpmath.log(w) / 2)
+        factor = mpmath.exp((1 - mpmath.mpc(p.s)) * mpmath.log(w) / 2)
         refs.append((complex(factor * sum(terms)), float(abs(factor) * sum(abs(x) for x in terms))))
     return refs, float(abs(w))
 
 
 class TestGridOrbit:
-    # (x_scale, z): the principal route near the corner, and two march routes
-    ROUTES = [(XS, 1j * (1.0 - 2.0**-8)), (XS, complex(1.1)), (1.0, 2.5j)]
+    # (x_scale, z, P): the principal route near the corner, real time, and a
+    # long segment, whose P is not divisible by 4 so that no node sits on the
+    # corner pi/4 the segment passes
+    ROUTES = [
+        pytest.param(x_scale, z, pts, id=f"{route}-{pts}")
+        for route, x_scale, z, long_pts in (
+            ("principal", XS, 1j * (1.0 - 2.0**-8), 1024),
+            ("real_time", XS, complex(1.1), 1024),
+            ("long_segment", 1.0, 2.5j, 1026),
+        )
+        for pts in (long_pts, 1001)
+    ]
 
-    @pytest.mark.parametrize("pts", [1024, 1001])
-    @pytest.mark.parametrize("x_scale, z", ROUTES, ids=["principal", "real_time", "long_segment"])
-    def test_mirrored_values_match_mpmath_at_the_mirrored_node(self, pts, x_scale, z):
+    @pytest.mark.parametrize("x_scale, z, pts", ROUTES)
+    def test_mirrored_values_match_mpmath_at_the_mirrored_node(self, x_scale, z, pts):
         # node P - k is evaluated at exactly pi - theta_k, not at its own
         # rounded angle; both halves are held to the pointwise oracle bound
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
-        params = (P_AXIS, SeriesParams(s=2.8 + 0.3j, rho_shift=False))
+        params = (P_AXIS, SeriesParams(s=1.8 + 0.3j))
         thetas = PI * np.arange(pts) / pts
         got = [prinseries._grid_orbit(v, p, x_scale, z, thetas) for p in params]
         rng = np.random.default_rng(pts)
@@ -383,13 +517,27 @@ class TestGridOrbit:
 
     @pytest.mark.parametrize("pts", [1024, 1000])
     @pytest.mark.parametrize("z", [1.0j, 1j * (1.0 - 1e-14)])
-    def test_exit_keeps_the_march_payload(self, pts, z):
-        # fl(pi/4) is a node; the march crosses the floor there, and the
-        # reflected grid reports the exit the march reports on the full grid
+    def test_exit_reports_the_full_grid_crossing(self, pts, z):
+        # a node at or next to pi/4 crosses the floor; the reflected grid
+        # reports the crossing the full grid reports, which the march also
+        # detects, at a step on or after it
         thetas = PI * np.arange(pts) / pts
         half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, XS, z, thetas)
-        full = outcome(march_components, XS, thetas, z)
-        assert isinstance(full[0], float) and half == full
+        full = outcome(prinseries._closed_components, XS, thetas, z)
+        assert exited(full) and half == full
+        assert_same_outcome(full, outcome(march_components, XS, thetas, z))
+        assert_first_crossing(XS, thetas, z, full[1])
+
+    def test_long_segment_grid_exits_at_the_corner_node(self):
+        # node 256 of 1,024 is fl(pi/4), where |c| = 6.1e-17 is far below the
+        # floor; the segment to 2.5 i passes the corner at t = pi/2, which
+        # the march steps over
+        thetas = PI * np.arange(1024) / 1024
+        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, 1.0, 2.5j, thetas)
+        assert exited(half) and not exited(outcome(march_components, 1.0, thetas, 2.5j))
+        with pytest.raises(DomainExitError) as path:
+            decompose_path(PElement(np.diag([0.5, -0.5])), givens(2, 0, 1, thetas[256]), 2.5)
+        assert abs(half[1] - path.value.t_fail) <= 1e-9
 
 
 class TestExtendedNorm:
@@ -430,15 +578,16 @@ class TestExtendedNorm:
 class TestUnitaryAxis:
     @pytest.mark.parametrize("shift,re_s", [(True, 2.0), (False, 1.0)])
     def test_isometry_on_axis(self, shift, re_s, rng):
-        assert unitary_axis_re(shift) == re_s
-        p = SeriesParams(s=complex(re_s, 0.7), rho_shift=shift)
+        # the unshifted convention's axis Re s = 1 is Re s = 2 here
+        p = SeriesParams(s=complex(re_s if shift else re_s + 1.0, 0.7))
+        assert p == unitary_params(0.7)
         for _ in range(10):
             g = random_sl(2, rng)
             nsq = action_norm_sq(V_MIX, p, [g], 4096)
             assert abs(nsq - V_MIX.norm_sq) < 1e-8
 
     def test_off_axis_is_not_isometric(self, rng):
-        p = SeriesParams(s=2.5 + 0.7j, rho_shift=True)
+        p = SeriesParams(s=2.5 + 0.7j)
         g = flow(1.0)
         assert abs(action_norm_sq(V_MIX, p, [g], 4096) - V_MIX.norm_sq) > 1e-3
 
@@ -460,6 +609,17 @@ class TestGroupLaw:
     def test_action_validates_determinant(self):
         with pytest.raises(ValueError, match="det"):
             action_norm_sq(V_MIX, P_OFF, [2.0 * np.eye(2)], 256)
+
+    @pytest.mark.parametrize(
+        "g",
+        [np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.full((2, 2), np.nan),
+         np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(4)],
+        ids=["3x3", "2x3", "nan", "inf", "flat"],
+    )
+    def test_action_needs_a_finite_2x2_matrix(self, g):
+        # the det test reads only the leading 2x2 block, and NaN passes it
+        with pytest.raises(ValueError, match="finite 2x2"):
+            action_norm_sq(V_MIX, P_OFF, [np.eye(2), g], 256)
 
 
 QUADRATURE_ENTRY_POINTS = {
@@ -557,10 +717,10 @@ class TestGrowthExponent:
 
     @pytest.mark.parametrize("m,re_s", [(2, 1.0), (2, 1.5), (4, 1.0)])
     def test_exponent_law_without_rho_shift(self, m, re_s):
-        # without the shift the character contributes |w|^(-Re s), so the
-        # axis moves to 1 and N = (max|m| + Re s - 1) / 2
+        # the unshifted convention's s is s + 1 here: its character
+        # contributes |w|^(-Re s), so its axis is 1 and N = (max|m| + Re s - 1) / 2
         ts = [1 - 2.0**-j for j in range(4, 13)]
-        p = SeriesParams(s=complex(re_s, 0.4), rho_shift=False)
+        p = SeriesParams(s=complex(re_s + 1.0, 0.4))
         fit = growth_exponent(ModeVector({m: 1.0, -m: 1.0}), p, ts, 512)
         assert fit.n_hat == pytest.approx((m + re_s - 1.0) / 2.0, abs=0.01)
 
