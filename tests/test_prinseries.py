@@ -237,9 +237,8 @@ class TestClosedForm:
             prinseries._closed_components(XS, [PI / 4, 0.3], 1j * (1.0 - 1e-14))
         assert exc.value.t_fail == pytest.approx(1.0 - 1e-14, rel=1e-15, abs=0.0)
 
-    def test_every_route_evaluates_the_endpoint_once(self, monkeypatch):
-        # principal and long segments, real time and the SL(2) data: no
-        # route steps along the segment
+    @staticmethod
+    def count_endpoint_calls(monkeypatch):
         calls = {"endpoint": 0, "continued": 0}
         endpoint, continued = prinseries._endpoint, prinseries._continued_endpoint
 
@@ -252,13 +251,23 @@ class TestClosedForm:
 
         monkeypatch.setattr(prinseries, "_endpoint", counted("endpoint", endpoint))
         monkeypatch.setattr(prinseries, "_continued_endpoint", counted("continued", continued))
+        return calls
+
+    def test_every_route_evaluates_the_endpoint_once(self, monkeypatch):
+        # principal and long segments and real time: no route steps along
+        # the segment
+        calls = self.count_endpoint_calls(monkeypatch)
         thetas = [0.1, 0.3, 2.0]
         for x_scale, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j), (XS, complex(0.9))):
             prinseries._closed_components(x_scale, thetas, z)
-        sl2_iwasawa_closed(0.5, 0.4, 14.0)
         real_time_norm_sq(V_MIX, P_OFF, XS, 0.7, 1024)
         boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99], 1024)
-        assert calls == {"endpoint": 10, "continued": 10}
+        assert calls == {"endpoint": 9, "continued": 9}
+
+    def test_sl2_evaluates_the_endpoint_once_on_a_long_segment(self, monkeypatch):
+        calls = self.count_endpoint_calls(monkeypatch)
+        sl2_iwasawa_closed(0.5, 0.4, 14.0)
+        assert calls == {"endpoint": 1, "continued": 1}
 
     @pytest.mark.parametrize("z", [0.3 + 0.4j, complex(math.inf), 1j * math.nan])
     def test_rejects_complex_or_non_finite_time(self, z):
