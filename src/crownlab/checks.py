@@ -71,7 +71,7 @@ def acceptance_02_sl2_dual_oracle() -> CheckResult:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         t = rng.uniform(0.0, 0.999)
         f = iwasawa.decompose_path(x, liegroup.givens(2, 0, 1, theta), t)
-        c = prinseries.sl2_iwasawa_closed(math.pi / 2, theta, t)
+        c = prinseries.sl2_iwasawa_closed(theta, t)
         worst = max(
             worst,
             abs(np.exp(f.H[0]) - c.alpha1),
@@ -298,7 +298,7 @@ def acceptance_10_principal_series() -> CheckResult:
     fit_mix = prinseries.growth_exponent(v_mix, p_axis, t_grid, 512)
     fit_pm2 = prinseries.growth_exponent(v_pm2, p_axis, t_grid, 512)
 
-    norm0 = prinseries.extended_norm_sq(v_mix, p_axis, math.pi / 2, 0.0, 256)
+    norm0 = prinseries.extended_norm_sq(v_mix, p_axis, 0.0, 256)
     norm0_gap = abs(norm0 - v_mix.norm_sq)
 
     p_off = prinseries.SeriesParams(s=2.8 + 0.3j)
@@ -314,7 +314,7 @@ def acceptance_10_principal_series() -> CheckResult:
         x1 = math.pi / 4
         g1 = np.diag([math.exp(tau1 * x1), math.exp(-tau1 * x1)])
         g2 = np.diag([math.exp(tau2 * x1), math.exp(-tau2 * x1)])
-        a = prinseries.real_time_norm_sq(v_mix, p_off, math.pi / 2, tau1 + tau2, 8192)
+        a = prinseries.real_time_norm_sq(v_mix, p_off, tau1 + tau2, 8192)
         b = prinseries.action_norm_sq(v_mix, p_off, [g1, g2], 8192)
         worst_law = max(worst_law, abs(a - b) / max(1.0, abs(b)))
 
@@ -359,12 +359,8 @@ def acceptance_11_distributional_limit() -> CheckResult:
     ratio_ok = all(0.4 < r < 0.6 for r in ratios[2:])
 
     fit_grid = [1.0 - 2.0**-j for j in range(4, 13)]
-    norms = [
-        math.sqrt(prinseries.extended_norm_sq(v, p, math.pi / 2, t, 512)) for t in fit_grid
-    ]
-    dnorms = [
-        prinseries.orbit_derivative_norm(v, p, math.pi / 2, t, 512) for t in fit_grid
-    ]
+    norms = [math.sqrt(prinseries.extended_norm_sq(v, p, t, 512)) for t in fit_grid]
+    dnorms = [prinseries.orbit_derivative_norm(v, p, t, 512) for t in fit_grid]
     bump = (
         growth.fit_power_law(fit_grid, dnorms).n_hat
         - growth.fit_power_law(fit_grid, norms).n_hat
@@ -449,10 +445,7 @@ def prinseries_tables(quad_points: int = 1024) -> dict:
     v = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     w = prinseries.smooth_test_vector()
     t_grid = [1.0 - 2.0**-j for j in range(4, 15)]
-    norms = [
-        math.sqrt(prinseries.extended_norm_sq(v, p, math.pi / 2, t, quad_points))
-        for t in t_grid
-    ]
+    norms = [math.sqrt(prinseries.extended_norm_sq(v, p, t, quad_points)) for t in t_grid]
     rep = prinseries.boundary_pairing(v, w, p, t_grid, quad_points)
     orbit = [{"t": t, "norm": nv} for t, nv in zip(t_grid, norms)]
     pairing = [

@@ -1,14 +1,25 @@
 """Command-line frontend.
 
-Subcommands: decompose (KAN factors of a matrix or of a crown-path point),
-sweep (sup-over-K component scales along a boundary path), check (named
-verification suites), fit (power-law fit of a sweep table).
+Each subcommand takes only the flags it reads, and every one takes --out
+and --config:
 
-Reproducibility contract: no environment variables, explicit flags only, a
-flat key = value config file that flags override, and floating point
-serialized with 17 significant digits so identical seeds give byte-identical
-output.  Exit codes: 0 success, 1 usage or configuration error, 2
-mathematical domain failure (and, for check, any failed verification).
+    decompose  --seed --format --matrix --x-diag --theta --t
+               KAN factors of a matrix or of a crown-path point
+    sweep      --n --seed --t-grid --haar --torus --format --x-diag
+               sup-over-K component scales along a boundary path
+    check      --suite --quad
+               a named verification suite
+    fit        --input --component --window
+               power-law fit of a sweep table
+
+Reproducibility contract: no environment variables, explicit flags only,
+and floating point serialized with 17 significant digits so identical seeds
+give byte-identical output.  A config file holds flat key = value lines
+for the subcommand's own flags (t_grid = dyadic:8 for --t-grid dyadic:8).
+Its lines are read as flags placed ahead of the command line's, so one
+argparse pass checks both and the command line's flags win.  Exit codes: 0
+success, 1 usage or configuration error, 2 mathematical domain failure
+(and, for check, any failed verification).
 """
 
 from __future__ import annotations
@@ -17,11 +28,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import checks, growth, iwasawa, liegroup
+from . import checks, config, growth, iwasawa, liegroup
 from .errors import CrownLabError
 from .numkernel import group_exp
 from .prinseries import MIN_QUAD_POINTS
@@ -37,8 +47,24 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse that raises UsageError, and reads a subcommand's --config
+    file as flags ahead of the command line's (``load_config_file``)."""
+
     def error(self, message):  # argparse's default exit code is 2; we want 1
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if "--config" in self._option_string_actions:  # a subcommand
+            path = None
+            for arg, value in zip(args, [*args[1:], None]):
+                if arg == "--config":
+                    path = value
+                elif arg.startswith("--config="):
+                    path = arg.partition("=")[2]
+            if path is not None:
+                args = [*load_config_file(path, self), *args]
+        return super().parse_known_args(args, namespace)
 
 
 def fmt_float(x: float) -> str:
@@ -71,54 +97,10 @@ def emit_json(obj) -> str:
     return json.dumps(obj)
 
 
-@dataclass
-class RunConfig:
-    n: int = 2
-    seed: int = 0
-    t_grid: str = "dyadic:12"
-    haar: int = 512  # build_config lowers it to 128 for n > 3 unless set
-    torus: int = 64
-    quad: int = 1024
-    format: str = "csv"
-    out: str = "-"
-
-    def validate(self):
-        if self.n < 2:
-            raise UsageError(f"config field 'n' must be >= 2, got {self.n}")
-        if self.haar < 0:
-            raise UsageError(f"config field 'haar' must be >= 0, got {self.haar}")
-        if self.torus < 0:
-            raise UsageError(f"config field 'torus' must be >= 0, got {self.torus}")
-        if self.quad < MIN_QUAD_POINTS:
-            raise UsageError(
-                f"config field 'quad' must be >= {MIN_QUAD_POINTS}, got {self.quad}"
-            )
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"config field 'format' must be csv or json, got {self.format!r}")
-        self.parse_t_grid()
-
-    def parse_t_grid(self) -> list[float]:
-        spec = self.t_grid.strip()
-        if spec.startswith("dyadic:"):
-            try:
-                depth = int(spec.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"config field 't_grid': bad dyadic depth in {spec!r}")
-            if depth < 1:
-                raise UsageError("config field 't_grid': dyadic depth must be >= 1")
-            return [1.0 - 2.0**-j for j in range(1, depth + 1)]
-        try:
-            vals = [float(v) for v in spec.split(",") if v.strip()]
-        except ValueError:
-            raise UsageError(f"config field 't_grid': cannot parse {spec!r}")
-        if not vals:
-            raise UsageError("config field 't_grid' is empty")
-        return vals
-
-
-def load_config_file(path: str) -> dict:
-    known = {f.name for f in fields(RunConfig)}
-    out = {}
+def load_config_file(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """A config file's key = value lines as flags --key=value of ``parser``;
+    a key the subcommand takes no flag for is a usage error at path:line."""
+    flags = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -128,36 +110,80 @@ def load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                out[key] = value
+                flag = "--" + key.replace("_", "-")
+                action = parser._option_string_actions.get(flag)
+                if action is None or action.dest in ("help", "config"):
+                    raise UsageError(
+                        f"{path}:{lineno}: unknown config key {key!r} for {parser.prog}"
+                    )
+                flags.append(f"{flag}={value}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    return out
+    return flags
 
 
-def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    file_values = load_config_file(args.config) if args.config else {}
-    for key, value in file_values.items():
-        current = getattr(cfg, key)
-        setattr(cfg, key, type(current)(value) if not isinstance(current, str) else value)
-    for key in ("n", "seed", "t_grid", "haar", "torus", "quad", "format", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _t_grid(spec: str) -> list[float]:
+    """argparse type: comma-separated t values, or dyadic:J for 1 - 2^-j, j = 1..J."""
+    spec = spec.strip()
+    if spec.startswith("dyadic:"):
+        try:
+            depth = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad dyadic depth in t_grid {spec!r}")
+        if depth < 1:
+            raise argparse.ArgumentTypeError("t_grid's dyadic depth must be >= 1")
+        return [1.0 - 2.0**-j for j in range(1, depth + 1)]
     try:
-        cfg.n = int(cfg.n)
-        cfg.seed = int(cfg.seed)
-        cfg.haar = int(cfg.haar)
-        cfg.torus = int(cfg.torus)
-        cfg.quad = int(cfg.quad)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad integer config value: {exc}")
-    if getattr(args, "haar", None) is None and "haar" not in file_values:
-        cfg.haar = 512 if cfg.n <= 3 else 128
-    cfg.validate()
-    return cfg
+        vals = [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse t_grid {spec!r}")
+    if not vals:
+        raise argparse.ArgumentTypeError("t_grid is empty")
+    return vals
+
+
+def _x_diag(text: str) -> liegroup.PElement:
+    """argparse type: diagonal entries of a direction, made traceless and
+    rescaled onto the crown boundary."""
+    try:
+        entries = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}")
+    if len(entries) < 2 or not all(math.isfinite(v) for v in entries):
+        raise argparse.ArgumentTypeError(f"needs at least two finite entries, got {text!r}")
+    arr = np.array(entries)
+    arr -= arr.mean()
+    # zero relative to the largest entry, since the direction is rescaled
+    if np.max(np.abs(arr)) <= config.TOLERANCES.symmetry * np.max(np.abs(entries)):
+        raise argparse.ArgumentTypeError(f"{text!r} is zero after removing the trace")
+    return liegroup.boundary_direction(liegroup.PElement(np.diag(arr)))
+
+
+def _window(text: str) -> tuple[float, float]:
+    """argparse type: a fit window 'lo,hi' with finite lo < hi."""
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'lo,hi', got {text!r}")
+    # a NaN bound fails every comparison of the window filter
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"must be finite with lo < hi, got {text!r}")
+    return lo, hi
 
 
 def _write_output(text: str, out: str):
@@ -174,22 +200,6 @@ def _write_output(text: str, out: str):
 
 def _complex_matrix_json(m: np.ndarray) -> list:
     return [[complex(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _parse_x_diag(text: str, n: int | None = None) -> liegroup.PElement:
-    try:
-        entries = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"--x-diag: cannot parse {text!r}")
-    if len(entries) < 2:
-        raise UsageError("--x-diag needs at least two entries")
-    if n is not None and len(entries) != n:
-        raise UsageError(f"--x-diag has {len(entries)} entries, expected n={n}")
-    arr = np.array(entries)
-    arr -= arr.mean()
-    if np.allclose(arr, 0.0):
-        raise UsageError("--x-diag is zero after removing the trace")
-    return liegroup.boundary_direction(liegroup.PElement(np.diag(arr)))
 
 
 def _factors_payload(f: iwasawa.IwasawaFactors, reference: np.ndarray) -> dict:
@@ -228,7 +238,6 @@ def _fmt_c(z: complex) -> str:
 
 
 def cmd_decompose(args) -> int:
-    cfg = build_config(args)
     if (args.matrix is None) == (args.x_diag is None):
         raise UsageError("decompose needs exactly one of --matrix or --x-diag")
     if args.matrix is not None:
@@ -240,20 +249,19 @@ def cmd_decompose(args) -> int:
         factors = iwasawa.decompose_real(g)
         payload = _factors_payload(factors, g.astype(complex))
     else:
-        x = _parse_x_diag(args.x_diag)
-        t = args.t if args.t is not None else 0.5
+        x, t = args.x_diag, args.t
         if args.theta is not None:
             if x.n != 2:
                 raise UsageError("--theta only makes sense for n = 2")
             k = liegroup.givens(2, 0, 1, args.theta)
         else:
-            k = liegroup.haar_so(x.n, [cfg.seed, 0])
+            k = liegroup.haar_so(x.n, [args.seed, 0])
         factors = iwasawa.decompose_path(x, k, t)
         payload = _factors_payload(factors, group_exp(x.matrix, -1j * t) @ k)
-    if cfg.format == "json":
-        _write_output(emit_json(payload), cfg.out)
+    if args.format == "json":
+        _write_output(emit_json(payload), args.out)
     else:
-        _print_factors_text(payload, cfg.out)
+        _print_factors_text(payload, args.out)
     return 0
 
 
@@ -266,23 +274,22 @@ def sweep_table(samples: list[growth.GrowthSample], fmt: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = build_config(args)
-    t_grid = cfg.parse_t_grid()
-    if args.x_diag is not None:
-        x = _parse_x_diag(args.x_diag, cfg.n)
-    else:
-        base = np.linspace(1.0, -1.0, cfg.n)
+    x = args.x_diag
+    if x is None:
+        base = np.linspace(1.0, -1.0, args.n)
         base -= base.mean()
         x = liegroup.boundary_direction(liegroup.PElement(np.diag(base)))
+    elif x.n != args.n:
+        raise UsageError(f"--x-diag has {x.n} entries, expected n={args.n}")
+    haar = args.haar if args.haar is not None else (512 if args.n <= 3 else 128)
     samples = growth.sweep_components(
-        x, t_grid, n_haar=cfg.haar, torus_grid=cfg.torus, seed=cfg.seed
+        x, args.t_grid, n_haar=haar, torus_grid=args.torus, seed=args.seed
     )
-    _write_output(sweep_table(samples, cfg.format), cfg.out)
+    _write_output(sweep_table(samples, args.format), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    cfg = build_config(args)
     try:
         results = checks.run_suite(args.suite)
     except KeyError as exc:
@@ -294,8 +301,8 @@ def cmd_check(args) -> int:
         "checks": [r.as_dict() for r in results],
     }
     if args.suite == "prinseries":
-        payload["tables"] = checks.prinseries_tables(cfg.quad)
-    _write_output(emit_json(payload), cfg.out)
+        payload["tables"] = checks.prinseries_tables(args.quad)
+    _write_output(emit_json(payload), args.out)
     return 0 if payload["failed"] == 0 else DOMAIN_ERROR
 
 
@@ -331,23 +338,11 @@ def _read_table(path: str) -> list[dict]:
 
 
 def cmd_fit(args) -> int:
-    cfg = build_config(args)
-    if args.component not in ("kappa", "alpha", "eta"):
-        raise UsageError(f"--component must be kappa, alpha or eta, got {args.component!r}")
-    window = None
-    if args.window:
-        parts = args.window.split(",")
-        if len(parts) != 2:
-            raise UsageError("--window must be 'lo,hi'")
-        window = (float(parts[0]), float(parts[1]))
-        # a NaN bound fails every comparison of the window filter
-        if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
-            raise UsageError(f"--window must be finite with lo < hi, got {args.window!r}")
     try:
         rows = _read_table(args.input)
         ts = [row["t"] for row in rows]
         vals = [row[f"sup_{args.component}"] for row in rows]
-        fit = growth.fit_power_law(ts, vals, window)
+        fit = growth.fit_power_law(ts, vals, args.window)
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"fit failed: {exc}\n")
         return DOMAIN_ERROR
@@ -358,53 +353,58 @@ def cmd_fit(args) -> int:
         "r_squared": fit.r_squared,
         "t_window": list(fit.t_window),
     }
-    _write_output(emit_json(payload), cfg.out)
+    _write_output(emit_json(payload), args.out)
     return 0
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="crownlab", description=__doc__)
+    parser = _Parser(prog="crownlab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--n", type=int, default=None, help="matrix size n")
-        p.add_argument("--seed", type=int, default=None, help="64-bit reproducibility seed")
-        p.add_argument("--t-grid", dest="t_grid", default=None,
-                       help="comma-separated t values or dyadic:J for 1 - 2^-j, j = 1..J")
-        p.add_argument("--haar", type=int, default=None,
-                       help="Haar samples per t (default 512, or 128 for n >= 4)")
-        p.add_argument("--torus", type=int, default=None, help="torus grid points per angle")
-        p.add_argument("--quad", type=int, default=None, help="quadrature points")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None, help="output path, - for stdout")
-        p.add_argument("--config", default=None, help="flat key = value config file")
+    def command(name, func, help_):
+        # no abbreviations: the --config scan sees the flag spelled out
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        p.add_argument("--out", default="-", help="output path, - for stdout")
+        p.add_argument("--config", default=None,
+                       help="flat key = value file of this command's flags; flags override it")
+        p.set_defaults(func=func)
+        return p
 
-    p_dec = sub.add_parser("decompose", help="KAN factors of a matrix or crown-path point")
-    add_common(p_dec)
-    p_dec.add_argument("--matrix", default=None, help="real SL(n,R) matrix as JSON rows")
-    p_dec.add_argument("--x-diag", dest="x_diag", default=None,
+    def x_diag(p):
+        p.add_argument("--x-diag", dest="x_diag", type=_x_diag, default=None,
                        help="diagonal direction entries, normalized onto the crown boundary")
+
+    p_dec = command("decompose", cmd_decompose, "KAN factors of a matrix or crown-path point")
+    p_dec.add_argument("--seed", type=int, default=0, help="64-bit seed of the Haar k")
+    p_dec.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="json, or csv for text lines")
+    p_dec.add_argument("--matrix", default=None, help="real SL(n,R) matrix as JSON rows")
+    x_diag(p_dec)
     p_dec.add_argument("--theta", type=float, default=None, help="SO(2) rotation angle")
-    p_dec.add_argument("--t", type=float, default=None, help="path parameter in [0, 1]")
-    p_dec.set_defaults(func=cmd_decompose)
+    p_dec.add_argument("--t", type=float, default=0.5, help="path parameter in [0, 1]")
 
-    p_sweep = sub.add_parser("sweep", help="sup-over-K component scales along a boundary path")
-    add_common(p_sweep)
-    p_sweep.add_argument("--x-diag", dest="x_diag", default=None,
-                         help="diagonal direction entries, normalized onto the crown boundary")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep = command("sweep", cmd_sweep, "sup-over-K component scales along a boundary path")
+    p_sweep.add_argument("--n", type=_int_at_least(2), default=2, help="matrix size n")
+    p_sweep.add_argument("--seed", type=int, default=0, help="64-bit reproducibility seed")
+    p_sweep.add_argument("--t-grid", dest="t_grid", type=_t_grid, default="dyadic:12",
+                         help="comma-separated t values or dyadic:J for 1 - 2^-j, j = 1..J")
+    p_sweep.add_argument("--haar", type=_int_at_least(0), default=None,
+                         help="Haar samples per t (default 512, or 128 for n >= 4)")
+    p_sweep.add_argument("--torus", type=_int_at_least(0), default=64,
+                         help="torus grid points per angle")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    x_diag(p_sweep)
 
-    p_check = sub.add_parser("check", help="run a named verification suite")
-    add_common(p_check)
+    p_check = command("check", cmd_check, "run a named verification suite")
     p_check.add_argument("--suite", required=True, help="identities, bounds or prinseries")
-    p_check.set_defaults(func=cmd_check)
+    p_check.add_argument("--quad", type=_int_at_least(MIN_QUAD_POINTS), default=1024,
+                         help="quadrature points of the prinseries tables")
 
-    p_fit = sub.add_parser("fit", help="power-law fit of a sweep table")
-    add_common(p_fit)
+    p_fit = command("fit", cmd_fit, "power-law fit of a sweep table")
     p_fit.add_argument("--input", default="-", help="table path (CSV or JSON), - for stdin")
-    p_fit.add_argument("--component", required=True, help="kappa, alpha or eta")
-    p_fit.add_argument("--window", default=None, help="fit window as 'lo,hi'")
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.add_argument("--component", required=True, choices=("kappa", "alpha", "eta"))
+    p_fit.add_argument("--window", type=_window, default=None, help="fit window as 'lo,hi'")
     return parser
 
 

@@ -225,8 +225,13 @@ def sweep_components(
         raise ValueError(f"x must satisfy rho(x) = pi/2, got rho={rho(x)!r}")
 
     n = x.n
-    w, q = hermitian_eigensystem(x.matrix)
     torus = torus_samples(n, torus_grid).astype(complex)
+    if len(torus) + n_haar == 0:
+        raise ValueError(
+            f"n_haar = {n_haar} with no torus (torus_grid = {torus_grid}, n = {n}) "
+            "leaves no samples"
+        )
+    w, q = hermitian_eigensystem(x.matrix)
     labels = [f"torus:{i}" for i in range(len(torus))] + [f"haar:{j}" for j in range(n_haar)]
     carry: dict[str, np.ndarray] = {}
     results = []
@@ -346,13 +351,21 @@ def _pattern_search(
 
 
 def fit_power_law(ts, values, t_window: tuple[float, float] | None = None) -> BlowupFit:
-    """Least-squares slope of log(values) against -log(1 - t) on a window."""
+    """Least-squares slope of log(values) against -log(1 - t) on a window.
+
+    Every t in the window must be finite and below 1; values that are not
+    finite and positive are left out.
+    """
     t_arr = np.asarray(list(ts), dtype=float)
     v_arr = np.asarray(list(values), dtype=float)
     if t_window is not None:
         mask = (t_arr >= t_window[0]) & (t_arr <= t_window[1])
     else:
         mask = np.ones(t_arr.shape, dtype=bool)
+    # -log(1 - t) is finite only for finite t < 1
+    bad = t_arr[mask & ~(np.isfinite(t_arr) & (t_arr < 1.0))]
+    if bad.size:
+        raise ValueError(f"t must be finite and below 1, got t = {float(bad[0])!r}")
     mask &= np.isfinite(v_arr) & (v_arr > 0.0)
     t_used, v_used = t_arr[mask], v_arr[mask]
     if t_used.size < 4:

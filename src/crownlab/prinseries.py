@@ -1,8 +1,9 @@
 """SL(2,R) spherical principal-series bench.
 
 The group element family is g(z) = exp(-z x) k_theta with x = diag(x1, -x1),
-x1 = x_scale / 2, so z = i t sits on the crown path and real z on the real
-flow.  The K_C, A_C, N_C data of g(z) is in closed form:
+x1 = pi/4 (``X1``), the boundary direction: rho(x) = pi/2, so z = i t sits
+on the crown path, which meets the crown boundary at |t| = 1, and real z on
+the real flow.  The K_C, A_C, N_C data of g(z) is in closed form:
 
     a^2 + c^2 = cosh(2 z x1) - sinh(2 z x1) cos(2 theta)
     alpha1    = sqrt(a^2 + c^2)           (branch continued from +1 at z = 0)
@@ -10,7 +11,7 @@ flow.  The K_C, A_C, N_C data of g(z) is in closed form:
     nu        = (a b + c d) / (a^2 + c^2) = sin(2 theta) sinh(2 z x1) / (a^2+c^2)
 
 The continued arguments have a closed form too.  On the crown path, with
-alpha = t x_scale, c = cos(2 theta) and psi = tau alpha / 2,
+alpha = t pi/2, c = cos(2 theta) and psi = tau alpha / 2,
 
     w = a^2 + c^2  = cos(tau alpha) - i c sin(tau alpha),
     u e^{-i theta} = cos psi - i e^{-2 i theta} sin psi          (u = a + i c).
@@ -21,7 +22,7 @@ real axis exactly at psi in pi Z, so it stays in the half-plane of
 e^{-i sgn(c) psi}.  So each continued argument is the branch of the
 principal one nearest -sgn(c) alpha (for w) or -sgn(c) alpha / 2 (for
 u e^{-i theta}), and no march in tau is needed; on a principal segment,
-|alpha| < pi/2, that branch is the principal one.  On the real flow w > 0
+|t| < 1, that branch is the principal one.  On the real flow w > 0
 and Re(u e^{-i theta}) > 0, so the principal values are the continued ones.
 Complex z off both axes is rejected.  The floor test is closed-form as well
 (``_first_crossing``), and a DomainExitError names the exact first crossing.
@@ -46,7 +47,7 @@ norms and boundary pairings are uniform trapezoid quadratures, spectrally
 accurate for t < 1, with the point count grown like 1/(1 - t) to track the
 shrinking analyticity strip of the integrand.  ``_quad_nodes`` builds every
 node grid, and first rejects imaginary time on or past the crown boundary
-|t| x_scale >= pi/2, where |w| reaches 0 at theta = pi/4.  On that grid the
+|t| >= 1, where |w| reaches 0 at theta = pi/4.  On that grid the
 pairing with a finite Fourier series is a sum of DFT bins of the orbit values.
 
 Every such grid is symmetric under k -> P - k, that is theta -> pi - theta,
@@ -74,6 +75,10 @@ from .numkernel import path_minor_floor
 MIN_QUAD_POINTS = 64
 QUAD_STRIP_FACTOR = 32.0
 MAX_QUAD_POINTS = 4_000_000
+
+# x = diag(X1, -X1), the boundary direction: rho(x) = 2 X1 = pi/2, and the
+# phase of the time i t is t pi/2
+X1 = 0.25 * math.pi
 
 
 @dataclass(frozen=True)
@@ -167,11 +172,10 @@ class Sl2Components:
         return self.kappa() @ a_mat @ eta
 
 
-def _endpoint(x_scale: float, th: np.ndarray, z: complex):
+def _endpoint(th: np.ndarray, z: complex):
     """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v) and sinh(2 z x1)
     at the end of the segment to z: the one formula for them."""
-    x1 = 0.5 * x_scale
-    ep = np.exp(complex(z) * x1)
+    ep = np.exp(complex(z) * X1)
     em = 1.0 / ep
     cosh2, sinh2 = 0.5 * (ep * ep + em * em), 0.5 * (ep * ep - em * em)
     w = cosh2 - sinh2 * np.cos(2.0 * th)
@@ -186,7 +190,7 @@ def _nearest_branch(principal: np.ndarray, target) -> np.ndarray:
 
 
 def _first_crossing(c: np.ndarray, z: complex, floor: float) -> float:
-    """The least phase y = tau |z| x_scale at which some node's |w| reaches the
+    """The least phase y = tau |z| pi/2 at which some node's |w| reaches the
     floor along tau z, tau >= 0, with c = cos(2 theta); inf if none.
 
     For z = i t, |w|^2 = cos^2 y + c^2 sin^2 y >= c^2 first reaches floor^2
@@ -212,24 +216,24 @@ def _first_crossing(c: np.ndarray, z: complex, floor: float) -> float:
     return float(np.min(phases, initial=math.inf))
 
 
-def _continued_endpoint(x_scale: float, th: np.ndarray, z: complex):
+def _continued_endpoint(th: np.ndarray, z: complex):
     """(H1, w, u, v, sinh2) at z: ``_endpoint``'s data and H1 = log alpha1
     continued from 0 at z = 0.
 
-    The argument of w is the branch nearest -sgn(c) t x_scale (0 on the real
-    flow): w stays in the quadrant of e^{-i sgn(c) tau t x_scale}, so that
+    The argument of w is the branch nearest -sgn(c) t pi/2 (0 on the real
+    flow): w stays in the quadrant of e^{-i sgn(c) tau t pi/2}, so that
     branch is the continued one (module docstring).  On a principal segment
-    (z = i t, |t| x_scale < pi/2) it is the principal branch, and |w| falls
+    (z = i t, |t| < 1) it is the principal branch, and |w| falls
     in tau, so the endpoint's floor test covers the segment; elsewhere the
     floor test is ``_first_crossing``.  A DomainExitError reports the first
     crossing as both last_good_t and t_fail, with |w| = floor there.
     """
     if not np.isfinite(z) or (z.real != 0.0 and z.imag != 0.0):
         raise ValueError(f"time z must be finite and real or imaginary, got z = {z!r}")
-    floor = path_minor_floor(z, 0.5 * x_scale)
-    w, u, v, sinh2 = _endpoint(x_scale, th, z)
+    floor = path_minor_floor(z, X1)
+    w, u, v, sinh2 = _endpoint(th, z)
     mag_w = np.abs(w)
-    span = abs(z) * x_scale
+    span = abs(z) * (2.0 * X1)
     principal = z.real == 0.0 and span < 0.5 * math.pi
     if principal and mag_w.min() > floor:
         arg_w = np.angle(w)
@@ -237,58 +241,55 @@ def _continued_endpoint(x_scale: float, th: np.ndarray, z: complex):
         c = np.cos(2.0 * th)
         first = _first_crossing(c, z, floor)
         if principal or first <= span:
-            t_fail = min(first, span) / x_scale
+            t_fail = min(first, span) / (2.0 * X1)
             raise DomainExitError(last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floor)
-        arg_w = _nearest_branch(np.angle(w), -np.sign(c) * z.imag * x_scale)
+        arg_w = _nearest_branch(np.angle(w), -np.sign(c) * z.imag * (2.0 * X1))
     h1 = 0.5 * (np.log(mag_w) + 1j * arg_w)
     return h1, w, u, v, sinh2
 
 
-def _closed_components(x_scale: float, theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def _closed_components(theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta} over a theta grid.
 
     H1 takes the route of ``_continued_endpoint``.  q needs no argument at
     all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    h1, _, u, v, _ = _continued_endpoint(x_scale, th, z)
+    h1, _, u, v, _ = _continued_endpoint(th, z)
     return h1, u / v
 
 
-def sl2_iwasawa_closed(x_scale: float, theta: float, t: float) -> Sl2Components:
+def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
     """Closed-form complexified Iwasawa data of exp(-i t x) k_theta.
 
-    x = diag(x_scale/2, -x_scale/2), so rho(x) = x_scale; raises
-    DomainExitError when a^2 + c^2 falls to the floor along the path.
-    zeta = -i (log u - H1) takes the argument of u e^{-i theta} on the branch
-    nearest -sgn(c) t x_scale / 2, which is the continued one: that point
-    stays in the half-plane of e^{-i sgn(c) tau t x_scale / 2} (module
-    docstring).  On a principal segment it is the principal branch.
+    x = diag(pi/4, -pi/4), so rho(x) = pi/2; raises DomainExitError when
+    a^2 + c^2 falls to the floor along the path.  zeta = -i (log u - H1)
+    takes the argument of u e^{-i theta} on the branch nearest
+    -sgn(c) t pi/4, which is the continued one: that point stays in the
+    half-plane of e^{-i sgn(c) tau t pi/4} (module docstring).  On a
+    principal segment it is the principal branch.
     """
-    if not 0.0 < x_scale <= 0.5 * math.pi:
-        raise ValueError(f"x_scale must lie in (0, pi/2], got {x_scale}")
     th = np.array([float(theta)])
-    h1, w, u, _, sinh2 = _continued_endpoint(x_scale, th, 1j * t)
-    target = -np.sign(np.cos(2.0 * th)) * 0.5 * t * x_scale
+    h1, w, u, _, sinh2 = _continued_endpoint(th, 1j * t)
+    target = -np.sign(np.cos(2.0 * th)) * t * X1
     arg_u = th + _nearest_branch(np.angle(u * (np.cos(th) - 1j * np.sin(th))), target)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     nu = np.sin(2.0 * th) * sinh2 / w
     return Sl2Components(alpha1=complex(np.exp(h1[0])), zeta=complex(zeta[0]), nu=complex(nu[0]))
 
 
-def _strip_gap(t: float, x_scale: float) -> float:
-    """1 - |t| x_scale / (pi/2), the relative distance of i t from the crown
-    boundary, where |w| reaches 0 at theta = pi/4; ValueError if it is <= 0
-    or t is not finite."""
+def _strip_gap(t: float) -> float:
+    """1 - |t|, the distance of i t from the crown boundary, where |w|
+    reaches 0 at theta = pi/4; ValueError if it is <= 0 or t is not finite."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got t = {t!r}")
-    gap = 1.0 - abs(t) * (x_scale / (0.5 * math.pi))
+    gap = 1.0 - abs(t)
     if gap <= 0.0:
-        raise ValueError(f"t = {t!r} is on or past the crown boundary |t| x_scale >= pi/2")
+        raise ValueError(f"t = {t!r} is on or past the crown boundary |t| >= 1")
     return gap
 
 
-def _quad_nodes(quad_points: int, z: complex, x_scale: float) -> np.ndarray:
+def _quad_nodes(quad_points: int, z: complex) -> np.ndarray:
     """The trapezoid nodes theta_k = pi k / P on K/M for an orbit at time z.
 
     Rejects fewer than MIN_QUAD_POINTS nodes, a non-finite z, and imaginary z
@@ -304,7 +305,7 @@ def _quad_nodes(quad_points: int, z: complex, x_scale: float) -> np.ndarray:
         raise ValueError(f"t must be finite, got time z = {z!r}")
     pts = quad_points
     if z.real == 0.0:
-        grown = int(math.ceil(QUAD_STRIP_FACTOR / _strip_gap(z.imag, x_scale)))
+        grown = int(math.ceil(QUAD_STRIP_FACTOR / _strip_gap(z.imag)))
         pts = min(MAX_QUAD_POINTS, max(quad_points, grown))
     return math.pi * np.arange(pts) / pts
 
@@ -314,9 +315,7 @@ def _orbit_prefactor(p: SeriesParams, h1: np.ndarray) -> np.ndarray:
     return np.exp((1.0 - p.s) * h1)
 
 
-def _grid_orbit(
-    v: ModeVector, p: SeriesParams, x_scale: float, z: complex, thetas: np.ndarray
-) -> np.ndarray:
+def _grid_orbit(v: ModeVector, p: SeriesParams, z: complex, thetas: np.ndarray) -> np.ndarray:
     """The orbit on a ``_quad_nodes`` grid theta_k = pi k / P (P even or odd),
     evaluated on k = 0 ... P // 2 and reflected onto the rest.
 
@@ -326,7 +325,7 @@ def _grid_orbit(
     sum_m c_m q^{-m/2}: the modes of v reflected, m -> -m, summed at q.
     """
     pts = thetas.size
-    h1, q = _closed_components(x_scale, thetas[: pts // 2 + 1], z)
+    h1, q = _closed_components(thetas[: pts // 2 + 1], z)
     half = h1.size
     # vals[half:] holds nodes P - k for k = (P - 1) // 2 down to 1
     mirror = slice((pts - 1) // 2, 0, -1)
@@ -340,23 +339,15 @@ def _grid_orbit(
     return vals
 
 
-def _orbit_norm_sq(
-    v: ModeVector, p: SeriesParams, x_scale: float, z: complex, quad_points: int
-) -> float:
+def _orbit_norm_sq(v: ModeVector, p: SeriesParams, z: complex, quad_points: int) -> float:
     """||pi_sigma(exp(z x)) v||^2 by trapezoid quadrature over K/M, for z = i t
     on the crown path or real z on the real flow."""
-    thetas = _quad_nodes(quad_points, z, x_scale)
-    vals = _grid_orbit(v, p, x_scale, z, thetas)
+    thetas = _quad_nodes(quad_points, z)
+    vals = _grid_orbit(v, p, z, thetas)
     return float(np.mean(np.abs(vals) ** 2))
 
 
-def extended_norm_sq(
-    v: ModeVector,
-    p: SeriesParams,
-    x_scale: float,
-    t: float,
-    quad_points: int,
-) -> float:
+def extended_norm_sq(v: ModeVector, p: SeriesParams, t: float, quad_points: int) -> float:
     """||e^{i t dpi(x)} v||^2 by trapezoid quadrature over K/M.
 
     Integrand per the orbit formula: |e^{(1 - s) H1}|^2 |sum c_m e^{i m zeta}|^2
@@ -365,19 +356,13 @@ def extended_norm_sq(
     q = u^2 / w = e^{2 i zeta}, which is branch-free because every mode is
     even, so zeta's continuation never enters.
     """
-    return _orbit_norm_sq(v, p, x_scale, 1j * float(t), quad_points)
+    return _orbit_norm_sq(v, p, 1j * float(t), quad_points)
 
 
-def real_time_norm_sq(
-    v: ModeVector,
-    p: SeriesParams,
-    x_scale: float,
-    tau: float,
-    quad_points: int,
-) -> float:
+def real_time_norm_sq(v: ModeVector, p: SeriesParams, tau: float, quad_points: int) -> float:
     """||pi_sigma(exp(tau x)) v||^2 at real time, same code path as the
     holomorphic formula (oracle partner: action_norm_sq)."""
-    return _orbit_norm_sq(v, p, x_scale, complex(tau), quad_points)
+    return _orbit_norm_sq(v, p, complex(tau), quad_points)
 
 
 def _real_cocycle(g: np.ndarray, angles: np.ndarray, p: SeriesParams):
@@ -407,7 +392,7 @@ def action_norm_sq(
     Iwasawa decomposition of 2x2 matrices, never the holomorphic formula.
     """
     # real group elements: no strip, the requested count
-    thetas = _quad_nodes(quad_points, 0j, 0.0)
+    thetas = _quad_nodes(quad_points, 0j)
     total = np.ones_like(thetas, dtype=complex)
     angles = thetas.copy()
     for g in gs:
@@ -428,31 +413,23 @@ def action_norm_sq(
 FD_SCALE = 1e-2
 
 
-def orbit_derivative_norm(
-    v: ModeVector, p: SeriesParams, x_scale: float, t: float, quad_points: int
-) -> float:
+def orbit_derivative_norm(v: ModeVector, p: SeriesParams, t: float, quad_points: int) -> float:
     """L2 norm of the centered finite-difference t-derivative of the orbit.
 
-    The step is FD_SCALE times the distance (pi/2) / x_scale - |t| from the
-    crown boundary, so both stencil points stay inside the domain of
-    holomorphy on either side of t = 0; the node grid is the one for the
-    stencil point nearer the boundary.
+    The step is FD_SCALE times the distance 1 - |t| from the crown boundary,
+    so both stencil points stay inside the domain of holomorphy on either
+    side of t = 0; the node grid is the one for the stencil point nearer the
+    boundary.
     """
-    h = FD_SCALE * _strip_gap(t, x_scale) * (0.5 * math.pi / x_scale)
-    thetas = _quad_nodes(quad_points, 1j * (abs(t) + h), x_scale)
-    hi = _grid_orbit(v, p, x_scale, 1j * (t + h), thetas)
-    lo = _grid_orbit(v, p, x_scale, 1j * (t - h), thetas)
+    h = FD_SCALE * _strip_gap(t)
+    thetas = _quad_nodes(quad_points, 1j * (abs(t) + h))
+    hi = _grid_orbit(v, p, 1j * (t + h), thetas)
+    lo = _grid_orbit(v, p, 1j * (t - h), thetas)
     quot = (hi - lo) / (2.0 * h)
     return math.sqrt(float(np.mean(np.abs(quot) ** 2)))
 
 
-def growth_exponent(
-    v: ModeVector,
-    p: SeriesParams,
-    t_grid,
-    quad_points: int,
-    x_scale: float = 0.5 * math.pi,
-) -> BlowupFit:
+def growth_exponent(v: ModeVector, p: SeriesParams, t_grid, quad_points: int) -> BlowupFit:
     """Fit of log ||e^{i t dpi(x)} v|| against -log(1 - t) over the grid."""
     ts = [float(t) for t in t_grid]
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
@@ -461,7 +438,7 @@ def growth_exponent(
         raise ValueError("t_grid must lie in [0.5, 1)")
     if v.norm_sq == 0.0:
         raise ValueError("cannot fit the growth of the zero vector")
-    norms = [math.sqrt(extended_norm_sq(v, p, x_scale, t, quad_points)) for t in ts]
+    norms = [math.sqrt(extended_norm_sq(v, p, t, quad_points)) for t in ts]
     return fit_power_law(ts, norms)
 
 
@@ -487,7 +464,6 @@ def boundary_pairing(
     p: SeriesParams,
     t_grid,
     quad_points: int,
-    x_scale: float = 0.5 * math.pi,
 ) -> PairingReport:
     """Pairings of the continued orbit against a fixed smooth test vector.
 
@@ -514,7 +490,7 @@ def boundary_pairing(
     if len(ts) < 3 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
     for t in ts:
-        _strip_gap(t, x_scale)
+        _strip_gap(t)
     # e^{-i m theta_k} = e^{-2 pi i (m/2) k / P} on theta_k = pi k / P, so the
     # trapezoid sum of conj(w) * orbit is sum_m conj(c_m) fft(orbit)[m/2 mod P] / P,
     # aliasing included
@@ -522,8 +498,8 @@ def boundary_pairing(
     values = []
     for t in ts:
         z = 1j * t
-        thetas = _quad_nodes(quad_points, z, x_scale)
-        spectrum = np.fft.fft(_grid_orbit(v, p, x_scale, z, thetas))
+        thetas = _quad_nodes(quad_points, z)
+        spectrum = np.fft.fft(_grid_orbit(v, p, z, thetas))
         values.append(complex(np.conj(cs) @ spectrum[half_modes % thetas.size]) / thetas.size)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))

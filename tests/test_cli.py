@@ -1,5 +1,9 @@
+import argparse
+import ast
+import inspect
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -73,6 +77,20 @@ class TestDecompose:
         assert code == 1
         assert "matrix" in err
 
+    def test_small_direction_is_not_zero(self, capsys):
+        # zero is judged relative to the largest entry: the direction is
+        # rescaled onto the crown boundary anyway
+        code, out, _ = run(capsys, "decompose", "--x-diag", "1e-9,-1e-9", "--theta", "0.3",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reconstruction_residual"] < 1e-9
+        code, out, err = run(capsys, "decompose", "--x-diag", "1,1")
+        assert code == 1 and out == ""
+        assert "zero after removing the trace" in err
+        code, out, err = run(capsys, "decompose", "--x-diag", "nan,1")
+        assert code == 1 and out == ""
+        assert "needs at least two finite entries" in err
+
 
 class TestSweep:
     ARGS = ("sweep", "--n", "2", "--seed", "11", "--t-grid", "0.5,0.75,0.9",
@@ -120,6 +138,13 @@ class TestSweep:
         assert code == 0
         ts = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
         assert ts == [0.5, 0.75, 0.875]
+
+    @pytest.mark.parametrize("argv", [("--haar", "0", "--torus", "0"), ("--n", "4", "--haar", "0")])
+    def test_no_samples_is_usage_error(self, capsys, argv):
+        # no Haar draw and no torus grid (none exists for n >= 4)
+        code, out, err = run(capsys, "sweep", "--t-grid", "0.5", *argv)
+        assert code == 1 and out == ""
+        assert "n_haar = 0 with no torus" in err
 
     def test_haar_default_drops_for_large_n(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "4", "--seed", "1",
@@ -207,6 +232,15 @@ class TestFit:
         assert code == 2
         assert "list of row objects" in err
 
+    @pytest.mark.parametrize("t", ["1.0", "nan"])
+    def test_time_outside_the_fit_range_is_exit_2(self, capsys, tmp_path, t):
+        # -log(1 - t) has no finite value there; the fit returned null
+        table = tmp_path / "sweep.csv"
+        table.write_text(self.synthetic_csv() + f"\n{t},1,2.0,1,10,0\n")
+        code, out, err = run(capsys, "fit", "--input", str(table), "--component", "alpha")
+        assert code == 2 and out == ""
+        assert f"got t = {t}" in err
+
     def test_bad_component_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "fit", "--component", "beta", "--input", "x")
         assert code == 1
@@ -230,46 +264,132 @@ class TestConfigFile:
         code, out_file_only, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         assert len(out_file_only.strip().splitlines()) == 3
-        code, out_override, _ = run(capsys, "sweep", "--config", str(cfg), "--t-grid", "0.5")
-        assert code == 0
-        assert len(out_override.strip().splitlines()) == 2
+        # a flag wins wherever it stands on the command line
+        flag, config = ("--t-grid", "0.5"), ("--config", str(cfg))
+        for argv in (config + flag, flag + config):
+            code, out_override, _ = run(capsys, "sweep", *argv)
+            assert code == 0
+            assert len(out_override.strip().splitlines()) == 2
+        code, out_flags, _ = run(capsys, "sweep", "--n", "2", "--seed", "9", "--t-grid",
+                                 "0.5,0.75", "--haar", "4", "--torus", "8")
+        assert out_flags == out_file_only
 
-    def test_file_read_once_and_haar_default_per_n(self, tmp_path, monkeypatch):
+    def test_file_read_once_and_haar_default_per_n(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 4\nt_grid = 0.5\n")
+        cfg.write_text("quad = 128\n")
         reads = []
         original = cli.load_config_file
-        monkeypatch.setattr(cli, "load_config_file", lambda path: reads.append(path) or original(path))
-        parser = cli.build_parser()
-        assert cli.build_config(parser.parse_args(["sweep", "--config", str(cfg)])).haar == 128
-        assert reads == [str(cfg)]
-        assert cli.build_config(parser.parse_args(["sweep", "--n", "3"])).haar == 512
+        monkeypatch.setattr(
+            cli, "load_config_file", lambda path, p: reads.append(path) or original(path, p)
+        )
+        args = cli.build_parser().parse_args(["check", "--suite", "bounds", "--config", str(cfg)])
+        assert args.quad == 128 and reads == [str(cfg)]
+        haar = []
+        monkeypatch.setattr(
+            growth, "sweep_components", lambda *a, n_haar, **kw: haar.append(n_haar) or []
+        )
+        cfg.write_text("n = 4\nt_grid = 0.5\n")
+        run(capsys, "sweep", "--config", str(cfg))
+        run(capsys, "sweep", "--n", "3")
         cfg.write_text("n = 4\nhaar = 64\n")
-        assert cli.build_config(parser.parse_args(["sweep", "--config", str(cfg)])).haar == 64
-        flags = ["sweep", "--config", str(cfg), "--haar", "32"]
-        assert cli.build_config(parser.parse_args(flags)).haar == 32
+        run(capsys, "sweep", "--config", str(cfg))
+        run(capsys, "sweep", "--config", str(cfg), "--haar", "32")
+        assert haar == [128, 512, 64, 32]
 
     def test_unknown_key_is_usage_error(self, capsys, tmp_path):
+        # wibble is no flag; quad is a flag of check, not of sweep
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("wibble = 3\n")
-        code, _, err = run(capsys, "sweep", "--config", str(cfg))
-        assert code == 1
-        assert "wibble" in err
+        for text, line, key in (("wibble = 3\n", 1, "wibble"), ("n = 2\nquad = 128\n", 2, "quad")):
+            cfg.write_text(text)
+            code, _, err = run(capsys, "sweep", "--config", str(cfg))
+            assert code == 1
+            assert f"{cfg}:{line}: unknown config key {key!r}" in err
 
     @pytest.mark.parametrize("quad", [MIN_QUAD_POINTS - 1, MIN_QUAD_POINTS])
-    def test_quad_minimum_follows_prinseries(self, capsys, quad):
+    def test_quad_minimum_follows_prinseries(self, capsys, monkeypatch, tmp_path, quad):
         assert MIN_QUAD_POINTS == 64
-        code, _, err = run(capsys, "sweep", "--n", "2", "--t-grid", "0.5", "--haar", "2",
-                           "--torus", "0", "--quad", str(quad))
-        if quad < MIN_QUAD_POINTS:
-            assert code == 1
-            assert f"config field 'quad' must be >= {MIN_QUAD_POINTS}, got {quad}" in err
-        else:
-            assert code == 0
+        ok = checks.CheckResult(name="stub", passed=True, measured=0.0, threshold=1.0)
+        monkeypatch.setitem(checks.SUITES, "prinseries", [lambda: ok])
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(f"suite = prinseries\nquad = {quad}\n")
+        for argv in (("--suite", "prinseries", "--quad", str(quad)), ("--config", str(cfg))):
+            code, out, err = run(capsys, "check", *argv)
+            if quad < MIN_QUAD_POINTS:
+                assert code == 1
+                assert f"argument --quad: must be >= {MIN_QUAD_POINTS}, got {quad}" in err
+            else:
+                assert code == 0
+                assert len(json.loads(out)["tables"]["orbit"]) == 11
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--config", "/nonexistent.cfg")
         assert code == 1
+
+
+def subcommands() -> dict:
+    (action,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def options(parser) -> set[str]:
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def unread_options(parser) -> list[str]:
+    """dest of each option of a subcommand that its command function never
+    reads as args.<dest>; --config is read by the parse itself."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("func"))))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    return sorted(options(parser) - read - {"config"})
+
+
+class TestCommandOptions:
+    def test_each_subcommand_takes_only_its_flags(self):
+        common = {"out", "config"}
+        assert {name: options(p) - common for name, p in subcommands().items()} == {
+            "decompose": {"seed", "format", "matrix", "x_diag", "theta", "t"},
+            "sweep": {"n", "seed", "t_grid", "haar", "torus", "format", "x_diag"},
+            "check": {"suite", "quad"},
+            "fit": {"input", "component", "window"},
+        }
+        assert all(common <= options(p) for p in subcommands().values())
+
+    def test_every_option_is_read_by_its_command(self):
+        assert {name: unread_options(p) for name, p in subcommands().items()} == {
+            name: [] for name in ("decompose", "sweep", "check", "fit")
+        }
+
+    def test_finds_an_unread_option(self):
+        def cmd_stub(args):
+            return args.used
+
+        parser = cli._Parser(prog="stub")
+        parser.add_argument("--used")
+        parser.add_argument("--unused")
+        parser.set_defaults(func=cmd_stub)
+        assert unread_options(parser) == ["unused"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "--x-diag", "1,-1", "--t", "0.5", "--quad", "10"),
+            ("check", "--suite", "identities", "--format", "csv"),
+            ("check", "--suite", "identities", "--seed", "5"),
+            ("sweep", "--quad", "1024"),
+            ("sweep", "--conf", "run.cfg"),
+        ],
+    )
+    def test_a_flag_the_command_does_not_take_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestJsonEmitter:

@@ -36,7 +36,7 @@ def inside_by_route() -> dict[str, bool]:
     for name, route, error in (
         ("sym_ldl", lambda: sym_ldl(g.T @ g), NearSingularMinorError),
         ("decompose_path", lambda: decompose_path(X2, k, T), DomainExitError),
-        ("sl2_iwasawa_closed", lambda: sl2_iwasawa_closed(PI / 2, THETA, T), DomainExitError),
+        ("sl2_iwasawa_closed", lambda: sl2_iwasawa_closed(THETA, T), DomainExitError),
     ):
         try:
             route()

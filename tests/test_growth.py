@@ -118,6 +118,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="t = nan"):
             sweep_components(X2, [0.5, math.nan], 8, 8, seed=0)
 
+    def test_no_samples_is_rejected_before_any_work(self, rng, monkeypatch):
+        # with no Haar draw and no torus grid (none exists for n >= 4) the
+        # sup had no sample, and numpy's argmax raised on the empty batch
+        def no_work(*args):
+            raise AssertionError("eigensystem computed for a sweep with no samples")
+
+        monkeypatch.setattr(growth, "hermitian_eigensystem", no_work)
+        x4 = boundary_direction(random_p_element(4, rng))
+        for x, torus in ((X2, 0), (x4, 64)):
+            message = rf"n_haar = 0 with no torus \(torus_grid = {torus}, n = {x.n}\)"
+            with pytest.raises(ValueError, match=message):
+                sweep_components(x, [0.5], n_haar=0, torus_grid=torus, seed=0)
+
     def test_n4_runs_without_torus_grid(self, rng):
         x = boundary_direction(random_p_element(4, rng))
         s = sweep_components(x, [0.5, 0.9], n_haar=16, torus_grid=0, seed=8)[1]
@@ -280,6 +293,16 @@ class TestFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="4"):
             fit_power_law([0.5, 0.6, 0.7], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite_and_below_one(self, bad):
+        # -log(1 - t) has no finite value there; the slope came out NaN
+        ts = [0.5, 0.6, 0.7, 0.8, bad]
+        with pytest.raises(ValueError, match=rf"got t = {bad!r}"):
+            fit_power_law(ts, [1.0, 2.0, 3.0, 4.0, 5.0])
+        # a t outside the window is not read
+        fit = fit_power_law(ts, [1.0, 2.0, 3.0, 4.0, 5.0], (0.5, 0.8))
+        assert fit.t_window == (0.5, 0.8)
 
     def test_component_validation(self):
         with pytest.raises(ValueError, match="component"):

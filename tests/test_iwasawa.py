@@ -185,7 +185,7 @@ class TestDecomposePath:
             theta = rng.uniform(0, 2 * PI)
             t = rng.uniform(0, 0.999)
             f = decompose_path(X2, rot2(theta), t)
-            c = sl2_iwasawa_closed(PI / 2, theta, t)
+            c = sl2_iwasawa_closed(theta, t)
             assert abs(np.exp(f.H[0]) - c.alpha1) < 1e-8
             assert abs(f.eta[0, 1] - c.nu) < 1e-8
             assert np.max(np.abs(f.kappa - c.kappa())) < 1e-8

@@ -26,24 +26,28 @@ from crownlab.prinseries import (
 
 PI = math.pi
 XS = PI / 2
+X1 = prinseries.X1
 V_MIX = ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
 V_ASYM = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25})
 P_AXIS = unitary_params(0.4)
 P_OFF = SeriesParams(s=2.8 + 0.3j)
 
 
-def flow(tau, x_scale=XS):
-    h = tau * x_scale / 2
-    return np.diag([math.exp(h), math.exp(-h)])
+def scaled(t, x_scale):
+    """The time whose phase t pi/2 is t x_scale: a segment of the direction
+    diag(x_scale, -x_scale) / 2 as a segment of the bench's x."""
+    return t * x_scale / XS
 
 
-def march_steps(x_scale: float, z: complex) -> int:
-    return max(16, int(math.ceil(abs(z) * x_scale / 0.15)) + 1)
+def flow(tau):
+    return np.diag([math.exp(tau * X1), math.exp(-tau * X1)])
 
 
-def march_arguments(
-    x_scale: float, th: np.ndarray, z: complex, floor: float
-) -> tuple[np.ndarray, np.ndarray]:
+def march_steps(z: complex) -> int:
+    return max(16, int(math.ceil(abs(z) * XS / 0.15)) + 1)
+
+
+def march_arguments(th: np.ndarray, z: complex, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Continued arguments of w = a^2 + c^2 and u = a + i c at the end of the
     segment to z, by nearest-argument steps in tau from 0 to 1, each step
     evaluating w and u by ``_endpoint``.
@@ -53,12 +57,12 @@ def march_arguments(
     The oracle for the closed-form branch rule: it continues the same
     endpoint formula by steps, and its floor test sees only the steps.
     """
-    taus = np.linspace(0.0, 1.0, march_steps(x_scale, z))
-    w_prev, u_prev, _, _ = prinseries._endpoint(x_scale, th, taus[0] * complex(z))
+    taus = np.linspace(0.0, 1.0, march_steps(z))
+    w_prev, u_prev, _, _ = prinseries._endpoint(th, taus[0] * complex(z))
     arg_w = np.zeros_like(th)
     arg_u = th.copy()
     for j in range(1, taus.size):
-        w_cur, u_cur, _, _ = prinseries._endpoint(x_scale, th, taus[j] * complex(z))
+        w_cur, u_cur, _, _ = prinseries._endpoint(th, taus[j] * complex(z))
         mags = np.abs(w_cur)
         i_min = int(np.argmin(mags))
         if mags[i_min] <= floor:
@@ -74,26 +78,26 @@ def march_arguments(
     return arg_w, arg_u
 
 
-def march_components(x_scale, theta, z):
+def march_components(theta, z):
     """(H1, q) with the argument of w continued by the march."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    arg_w, _ = march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
+    arg_w, _ = march_arguments(th, z, path_minor_floor(z, X1))
     # endpoint values in the library's arithmetic: near the corner |w| is
     # small, and w's rounding then moves log |w| well past 1e-14
-    w, u, v, _ = prinseries._endpoint(x_scale, th, z)
+    w, u, v, _ = prinseries._endpoint(th, z)
     return 0.5 * (np.log(np.abs(w)) + 1j * arg_w), u / v
 
 
-def sl2_components(x_scale, theta, t):
-    c = sl2_iwasawa_closed(x_scale, theta, t)
+def sl2_components(theta, t):
+    c = sl2_iwasawa_closed(theta, t)
     return c.alpha1, c.zeta, c.nu
 
 
-def march_sl2(x_scale, theta, t):
+def march_sl2(theta, t):
     """sl2_iwasawa_closed's (alpha1, zeta, nu) with both arguments continued by the march."""
     th, z = np.array([float(theta)]), 1j * t
-    arg_w, arg_u = march_arguments(x_scale, th, z, path_minor_floor(z, 0.5 * x_scale))
-    w, u, _, sinh2 = prinseries._endpoint(x_scale, th, z)
+    arg_w, arg_u = march_arguments(th, z, path_minor_floor(z, X1))
+    w, u, _, sinh2 = prinseries._endpoint(th, z)
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     return complex(np.exp(h1[0])), complex(zeta[0]), complex((np.sin(2 * th) * sinh2 / w)[0])
@@ -122,33 +126,32 @@ def assert_same_outcome(closed, march, rel=1e-14):
         assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
 
 
-def assert_routes_agree(x_scale, theta, z):
+def assert_routes_agree(theta, z):
     assert_same_outcome(
-        outcome(prinseries._closed_components, x_scale, theta, z),
-        outcome(march_components, x_scale, theta, z),
+        outcome(prinseries._closed_components, theta, z), outcome(march_components, theta, z)
     )
 
 
-def assert_first_crossing(x_scale, thetas, z, t_fail):
+def assert_first_crossing(thetas, z, t_fail):
     """min |w| over the nodes stays above the floor on 256 points of the
     segment before path time t_fail and reaches the floor at t_fail."""
-    floor = path_minor_floor(z, 0.5 * x_scale)
+    floor = path_minor_floor(z, X1)
     th, unit = np.atleast_1d(np.asarray(thetas, dtype=float)), z / abs(z)
     for t in np.linspace(0.0, t_fail, 257)[:-1]:
-        assert np.abs(prinseries._endpoint(x_scale, th, t * unit)[0]).min() > floor
-    at = np.abs(prinseries._endpoint(x_scale, th, t_fail * unit)[0]).min()
+        assert np.abs(prinseries._endpoint(th, t * unit)[0]).min() > floor
+    at = np.abs(prinseries._endpoint(th, t_fail * unit)[0]).min()
     assert at <= 1.01 * floor and (t_fail == 0.0 or at >= 0.99 * floor)
 
 
-def orbit_values(v, p, x_scale, z, thetas):
+def orbit_values(v, p, z, thetas):
     """(pi_sigma(exp(z x)) v)(k_theta) at arbitrary angles, node by node with
     no use of the grid's symmetry: the prefactor e^{(1 - s) H1} times the
     mode sum at q = e^{2 i zeta}."""
-    h1, q = prinseries._closed_components(x_scale, thetas, z)
+    h1, q = prinseries._closed_components(thetas, z)
     return prinseries._orbit_prefactor(p, h1) * v.evaluate(q)
 
 
-def dense_pairing(v, w_smooth, p, t_grid, quad_points, x_scale=XS):
+def dense_pairing(v, w_smooth, p, t_grid, quad_points):
     """The trapezoid pairing summed over a (nodes x modes) matrix of w's modes,
     each a fresh exp, in chunks of nodes so the matrix stays small.  The orbit
     values are the library's grid values: the subject is the DFT-bin sum."""
@@ -156,9 +159,9 @@ def dense_pairing(v, w_smooth, p, t_grid, quad_points, x_scale=XS):
     values = []
     for t in t_grid:
         z = 1j * t
-        thetas = prinseries._quad_nodes(quad_points, z, x_scale)
+        thetas = prinseries._quad_nodes(quad_points, z)
         pts = thetas.size
-        orbit = prinseries._grid_orbit(v, p, x_scale, z, thetas)
+        orbit = prinseries._grid_orbit(v, p, z, thetas)
         total = 0.0
         for k in range(0, pts, 65536):
             w_vals = np.exp(1j * np.multiply.outer(thetas[k : k + 65536], ms)) @ cs
@@ -183,34 +186,28 @@ class TestModeVector:
 
 class TestClosedForm:
     def test_zero_time(self):
-        c = sl2_iwasawa_closed(XS, 0.7, 0.0)
+        c = sl2_iwasawa_closed(0.7, 0.0)
         assert c.alpha1 == pytest.approx(1.0)
         assert c.zeta == pytest.approx(0.7)
         assert c.nu == pytest.approx(0.0)
 
     def test_axis_angle_keeps_unit_modulus(self):
         for t in (0.3, 0.8, 0.999):
-            c = sl2_iwasawa_closed(XS, 0.0, t)
+            c = sl2_iwasawa_closed(0.0, t)
             w = math.cos(t * PI / 2) - 1j * math.sin(t * PI / 2)
             assert abs(c.alpha1**2 - w) < 1e-13
             assert abs(abs(c.alpha1) - 1.0) < 1e-13
 
     def test_corner_domain_exit(self):
         with pytest.raises(DomainExitError):
-            sl2_iwasawa_closed(XS, PI / 4, 1.0)
-
-    def test_x_scale_validation(self):
-        with pytest.raises(ValueError):
-            sl2_iwasawa_closed(2.0, 0.1, 0.5)
+            sl2_iwasawa_closed(PI / 4, 1.0)
 
     def test_reconstruction(self, rng):
         for _ in range(20):
             xs = rng.uniform(0.1, XS)
-            theta, t = rng.uniform(0, 2 * PI), rng.uniform(0, 0.99)
-            c = sl2_iwasawa_closed(xs, theta, t)
-            g = np.diag(
-                [np.exp(-1j * t * xs / 2), np.exp(1j * t * xs / 2)]
-            ) @ rot2(theta)
+            theta, t = rng.uniform(0, 2 * PI), scaled(rng.uniform(0, 0.99), xs)
+            c = sl2_iwasawa_closed(theta, t)
+            g = np.diag([np.exp(-1j * t * X1), np.exp(1j * t * X1)]) @ rot2(theta)
             assert np.linalg.norm(c.reconstruct() - g) < 1e-10
 
     def test_corner_exit_reports_the_exact_crossing(self):
@@ -218,15 +215,15 @@ class TestClosedForm:
         # the endpoint test triggers and the exit names the crossing itself
         z = 1j * (1.0 - 1e-14)
         with pytest.raises(DomainExitError) as closed:
-            sl2_iwasawa_closed(XS, PI / 4, z.imag)
+            sl2_iwasawa_closed(PI / 4, z.imag)
         exc = closed.value
         assert exc.last_good_t == exc.t_fail and exc.minor_index == 1
-        assert exc.magnitude == path_minor_floor(z, 0.5 * XS)
-        assert_first_crossing(XS, [PI / 4], z, exc.t_fail)
-        march = outcome(march_components, XS, [PI / 4], z)
+        assert exc.magnitude == path_minor_floor(z, X1)
+        assert_first_crossing([PI / 4], z, exc.t_fail)
+        march = outcome(march_components, [PI / 4], z)
         assert_same_outcome((exc.last_good_t, exc.t_fail), march)
         for gap in np.geomspace(1e-12, 1e-14, 17):
-            assert_routes_agree(XS, [PI / 4, 0.3], 1j * (1.0 - gap))
+            assert_routes_agree([PI / 4, 0.3], 1j * (1.0 - gap))
 
     def test_endpoint_test_decides_a_principal_segment(self, monkeypatch):
         # a principal segment exits exactly where the endpoint's |w| is at or
@@ -234,7 +231,7 @@ class TestClosedForm:
         # reported crossing is then at most the segment's end
         monkeypatch.setattr(prinseries, "_first_crossing", lambda *args: math.inf)
         with pytest.raises(DomainExitError) as exc:
-            prinseries._closed_components(XS, [PI / 4, 0.3], 1j * (1.0 - 1e-14))
+            prinseries._closed_components([PI / 4, 0.3], 1j * (1.0 - 1e-14))
         assert exc.value.t_fail == pytest.approx(1.0 - 1e-14, rel=1e-15, abs=0.0)
 
     @staticmethod
@@ -259,93 +256,93 @@ class TestClosedForm:
         calls = self.count_endpoint_calls(monkeypatch)
         thetas = [0.1, 0.3, 2.0]
         for x_scale, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j), (XS, complex(0.9))):
-            prinseries._closed_components(x_scale, thetas, z)
-        real_time_norm_sq(V_MIX, P_OFF, XS, 0.7, 1024)
+            prinseries._closed_components(thetas, scaled(z, x_scale))
+        real_time_norm_sq(V_MIX, P_OFF, 0.7, 1024)
         boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99], 1024)
         assert calls == {"endpoint": 9, "continued": 9}
 
     def test_sl2_evaluates_the_endpoint_once_on_a_long_segment(self, monkeypatch):
         calls = self.count_endpoint_calls(monkeypatch)
-        sl2_iwasawa_closed(0.5, 0.4, 14.0)
+        sl2_iwasawa_closed(0.4, scaled(14.0, 0.5))
         assert calls == {"endpoint": 1, "continued": 1}
 
     @pytest.mark.parametrize("z", [0.3 + 0.4j, complex(math.inf), 1j * math.nan])
     def test_rejects_complex_or_non_finite_time(self, z):
         with pytest.raises(ValueError, match="finite and real or imaginary"):
-            prinseries._closed_components(XS, [0.1, 0.3], z)
+            prinseries._closed_components([0.1, 0.3], z)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_sl2_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match="finite"):
-            sl2_iwasawa_closed(XS, 0.1, t)
+            sl2_iwasawa_closed(0.1, t)
 
     def test_march_steps_through_endpoint(self, monkeypatch):
         # a conjugating endpoint must negate the oracle's increments: the
         # march has no formula for w or u of its own
-        th, z = np.array([0.1, 0.4, 1.0, 2.0]), 7.0j
-        floor = path_minor_floor(z, 0.25)
-        arg_w, arg_u = march_arguments(0.5, th, z, floor)
+        th, z = np.array([0.1, 0.4, 1.0, 2.0]), scaled(7.0j, 0.5)
+        floor = path_minor_floor(z, X1)
+        arg_w, arg_u = march_arguments(th, z, floor)
         endpoint, zs = prinseries._endpoint, []
 
-        def conjugated(x_scale, th_, z_):
+        def conjugated(th_, z_):
             zs.append(z_)
-            return tuple(np.conj(a) for a in endpoint(x_scale, th_, z_))
+            return tuple(np.conj(a) for a in endpoint(th_, z_))
 
         monkeypatch.setattr(prinseries, "_endpoint", conjugated)
-        conj_w, conj_u = march_arguments(0.5, th, z, floor)
-        assert zs == list(np.linspace(0.0, 1.0, march_steps(0.5, z)) * z)
+        conj_w, conj_u = march_arguments(th, z, floor)
+        assert zs == list(np.linspace(0.0, 1.0, march_steps(z)) * z)
         assert np.allclose(conj_w, -arg_w, rtol=0.0, atol=1e-13)
         assert np.allclose(conj_u - th, th - arg_u, rtol=0.0, atol=1e-13)
 
     def test_sl2_continues_zeta_by_the_march_on_long_segments(self):
-        # past t x_scale = 2 pi the argument of u winds, and its principal
+        # past t pi/2 = 2 pi the argument of u winds, and its principal
         # value is 2 pi off the continued one
         for x_scale, t in ((0.5, 3.2), (0.5, 14.0), (1.0, 7.0)):
+            t = scaled(t, x_scale)
             for theta in (0.1, 0.4, 1.0, 2.0, 2.8):
-                closed = outcome(sl2_components, x_scale, theta, t)
-                assert_same_outcome(closed, outcome(march_sl2, x_scale, theta, t))
+                closed = outcome(sl2_components, theta, t)
+                assert_same_outcome(closed, outcome(march_sl2, theta, t))
 
     def test_closed_form_matches_march_on_long_segments_and_real_time(self):
-        # seeded segments with |z| x_scale up to 40, some nodes near the
+        # seeded segments with phase |z| pi/2 up to 40, some nodes near the
         # corners pi/4 and 3 pi/4: where the march exits the closed form
         # exits no later; where only the closed form exits the march stepped
         # over the crossing; elsewhere the values agree
         rng = np.random.default_rng(20261019)
         tally = {"values": 0, "both_exit": 0, "closed_only": 0}
         for i in range(240):
-            x_scale = XS if i % 2 else rng.uniform(0.05, XS)
             phase = rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * PI, 40.0)
-            z = complex(phase / x_scale) if i % 3 == 0 else 1j * phase / x_scale
+            z = complex(phase / XS) if i % 3 == 0 else 1j * phase / XS
             thetas = rng.uniform(0.0, PI, 8)
             if i % 4 == 0:
                 thetas[0] = rng.choice([PI / 4, 3 * PI / 4]) + 10.0 ** rng.uniform(-16.0, -11.0)
-            closed = outcome(prinseries._closed_components, x_scale, thetas, z)
-            march = outcome(march_components, x_scale, thetas, z)
+            closed = outcome(prinseries._closed_components, thetas, z)
+            march = outcome(march_components, thetas, z)
             if exited(closed) and not exited(march):
                 tally["closed_only"] += 1
-                assert_first_crossing(x_scale, thetas, z, closed[1])
+                assert_first_crossing(thetas, z, closed[1])
                 continue
             tally["both_exit" if exited(march) else "values"] += 1
             assert_same_outcome(closed, march, rel=1e-13)
             if z.real == 0.0 and not exited(closed):
                 for theta in thetas[:2]:
                     assert_same_outcome(
-                        outcome(sl2_components, x_scale, theta, z.imag),
-                        outcome(march_sl2, x_scale, theta, z.imag),
+                        outcome(sl2_components, theta, z.imag),
+                        outcome(march_sl2, theta, z.imag),
                         rel=1e-13,
                     )
         assert min(tally.values()) >= 10, tally
 
     def test_long_segment_exit_matches_decompose_path(self):
-        # theta = pi/4 + 1e-14 at x_scale = 1 passes the corner at t = pi/2,
-        # between two of the march's steps
-        theta = PI / 4 + 1e-14
+        # theta = pi/4 + 1e-14 passes the corner at t = 1, between two of the
+        # march's steps
+        theta, t = PI / 4 + 1e-14, scaled(2.5, 1.0)
         with pytest.raises(DomainExitError) as closed:
-            sl2_iwasawa_closed(1.0, theta, 2.5)
+            sl2_iwasawa_closed(theta, t)
         with pytest.raises(DomainExitError) as path:
-            decompose_path(PElement(np.diag([0.5, -0.5])), givens(2, 0, 1, theta), 2.5)
+            decompose_path(PElement(np.diag([X1, -X1])), givens(2, 0, 1, theta), t)
         assert abs(closed.value.t_fail - path.value.t_fail) <= 1e-9
-        assert not exited(outcome(march_sl2, 1.0, theta, 2.5))
+        assert not exited(outcome(march_sl2, theta, t))
 
     def test_principal_route_matches_march_on_criterion_grids(self):
         # criterion 11's pairings at quad 1024; criteria 10/11's fits at 512,
@@ -356,18 +353,16 @@ class TestClosedForm:
             h = 1e-2 * (1.0 - t)
             grid += [(512, t - h), (512, t), (512, t + h)]
         for quad, t in grid:
-            assert_routes_agree(XS, prinseries._quad_nodes(quad, 1j * t, XS), 1j * t)
+            assert_routes_agree(prinseries._quad_nodes(quad, 1j * t), 1j * t)
 
     def test_principal_route_matches_march_on_seeded_draws(self):
         rng = np.random.default_rng(20261018)
         for i in range(200):
             x_scale = XS if i % 2 else rng.uniform(0.05, XS)
             theta = rng.uniform(0.0, 2 * PI)
-            t = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
-            assert_routes_agree(x_scale, [theta], 1j * t)
-            assert_same_outcome(
-                outcome(sl2_components, x_scale, theta, t), outcome(march_sl2, x_scale, theta, t)
-            )
+            t = scaled(1.0 - 10.0 ** rng.uniform(-12.0, 0.0), x_scale)
+            assert_routes_agree([theta], 1j * t)
+            assert_same_outcome(outcome(sl2_components, theta, t), outcome(march_sl2, theta, t))
 
     def test_both_routes_match_mpmath_oracle(self):
         # 50-digit principal-branch formulas (exact on this segment); w is the
@@ -378,9 +373,9 @@ class TestClosedForm:
         for i in range(60):
             x_scale = XS if i % 2 else rng.uniform(0.05, XS)
             theta = rng.uniform(0.0, 2 * PI)
-            t = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0)
+            t = scaled(1.0 - 10.0 ** rng.uniform(-9.0, 0.0), x_scale)
             with mpmath.workdps(50):
-                x1, th, z = mpmath.mpf(x_scale) / 2, mpmath.mpf(theta), mpmath.mpc(0, t)
+                x1, th, z = mpmath.mpf(X1), mpmath.mpf(theta), mpmath.mpc(0, t)
                 w = mpmath.cosh(2 * z * x1) - mpmath.sinh(2 * z * x1) * mpmath.cos(2 * th)
                 u = mpmath.exp(-z * x1) * mpmath.cos(th) + 1j * mpmath.exp(z * x1) * mpmath.sin(th)
                 h1 = mpmath.log(w) / 2
@@ -391,17 +386,17 @@ class TestClosedForm:
                 ref_sl2 = [complex(v) for v in (mpmath.exp(h1), zeta, nu)]
                 bound = 16 * eps / min(1.0, float(abs(w)))
             for route in (prinseries._closed_components, march_components):
-                for got, want in zip(route(x_scale, [theta], 1j * t), ref_h1_q):
+                for got, want in zip(route([theta], 1j * t), ref_h1_q):
                     assert abs(complex(got[0]) - want) <= bound * max(1.0, abs(want))
             for route in (sl2_components, march_sl2):
-                for got, want in zip(route(x_scale, theta, t), ref_sl2):
+                for got, want in zip(route(theta, t), ref_sl2):
                     assert abs(got - want) <= bound * max(1.0, abs(want))
 
     def test_consistent_with_decompose_path(self, rng):
         x = PElement(np.diag([PI / 4, -PI / 4]))
         for _ in range(15):
             theta, t = rng.uniform(0, 2 * PI), rng.uniform(0, 0.995)
-            c = sl2_iwasawa_closed(XS, theta, t)
+            c = sl2_iwasawa_closed(theta, t)
             f = decompose_path(x, rot2(theta), t)
             assert abs(np.exp(f.H[0]) - c.alpha1) < 1e-10
             assert abs(f.eta[0, 1] - c.nu) < 1e-10
@@ -429,9 +424,9 @@ class TestOrbitValues:
                 theta = corner + gap
             else:
                 theta = rng.uniform(0.0, 2 * PI)
-            t = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0)
+            t = scaled(1.0 - 10.0 ** rng.uniform(-9.0, 0.0), x_scale)
             with mpmath.workdps(50):
-                x1, th, z = mpmath.mpf(x_scale) / 2, mpmath.mpf(theta), mpmath.mpc(0, t)
+                x1, th, z = mpmath.mpf(X1), mpmath.mpf(theta), mpmath.mpc(0, t)
                 w = mpmath.cosh(2 * z * x1) - mpmath.sinh(2 * z * x1) * mpmath.cos(2 * th)
                 u = mpmath.exp(-z * x1) * mpmath.cos(th) + 1j * mpmath.exp(z * x1) * mpmath.sin(th)
                 h1 = mpmath.log(w) / 2
@@ -444,16 +439,16 @@ class TestOrbitValues:
                                  float(abs(factor) * sum(abs(x) for x in terms))))
                 bound = 16 * eps / min(1.0, float(abs(w)))
             for p, (want, scale) in zip(params, refs):
-                got = orbit_values(v, p, x_scale, 1j * t, np.array([theta]))[0]
+                got = orbit_values(v, p, 1j * t, np.array([theta]))[0]
                 assert abs(got - want) <= bound * scale
 
 
-def grid_orbit_oracle(mpmath, v, params, x_scale, z, node):
+def grid_orbit_oracle(mpmath, v, params, z, node):
     """50-digit orbit at one node (an mpf angle), one (value, scale) per
     parameter set; scale is |prefactor| sum |c_m q^{m/2}|.  The principal log
     of w is its continued log on every segment used here (real time, or
-    t x_scale < pi, where w crosses no negative real axis)."""
-    x1, z = mpmath.mpf(x_scale) / 2, mpmath.mpc(z)
+    t < 2, where w crosses no negative real axis)."""
+    x1, z = mpmath.mpf(X1), mpmath.mpc(z)
     w = mpmath.cosh(2 * z * x1) - mpmath.sinh(2 * z * x1) * mpmath.cos(2 * node)
     u = mpmath.exp(-z * x1) * mpmath.cos(node) + 1j * mpmath.exp(z * x1) * mpmath.sin(node)
     q = u * u / w
@@ -466,11 +461,11 @@ def grid_orbit_oracle(mpmath, v, params, x_scale, z, node):
 
 
 class TestGridOrbit:
-    # (x_scale, z, P): the principal route near the corner, real time, and a
-    # long segment, whose P is not divisible by 4 so that no node sits on the
+    # (z, P): the principal route near the corner, real time, and a long
+    # segment, whose P is not divisible by 4 so that no node sits on the
     # corner pi/4 the segment passes
     ROUTES = [
-        pytest.param(x_scale, z, pts, id=f"{route}-{pts}")
+        pytest.param(scaled(z, x_scale), pts, id=f"{route}-{pts}")
         for route, x_scale, z, long_pts in (
             ("principal", XS, 1j * (1.0 - 2.0**-8), 1024),
             ("real_time", XS, complex(1.1), 1024),
@@ -479,8 +474,8 @@ class TestGridOrbit:
         for pts in (long_pts, 1001)
     ]
 
-    @pytest.mark.parametrize("x_scale, z, pts", ROUTES)
-    def test_mirrored_values_match_mpmath_at_the_mirrored_node(self, x_scale, z, pts):
+    @pytest.mark.parametrize("z, pts", ROUTES)
+    def test_mirrored_values_match_mpmath_at_the_mirrored_node(self, z, pts):
         # node P - k is evaluated at exactly pi - theta_k, not at its own
         # rounded angle; both halves are held to the pointwise oracle bound
         mpmath = pytest.importorskip("mpmath")
@@ -488,7 +483,7 @@ class TestGridOrbit:
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
         params = (P_AXIS, SeriesParams(s=1.8 + 0.3j))
         thetas = PI * np.arange(pts) / pts
-        got = [prinseries._grid_orbit(v, p, x_scale, z, thetas) for p in params]
+        got = [prinseries._grid_orbit(v, p, z, thetas) for p in params]
         rng = np.random.default_rng(pts)
         near_corner = int(round(0.75 * pts))  # q -> infinity at 3 pi / 4
         picks = {0, 1, pts // 2, pts // 2 + 1, pts - 1, near_corner - 1, near_corner, near_corner + 1}
@@ -499,7 +494,7 @@ class TestGridOrbit:
                     node = mpmath.mpf(thetas[k])
                 else:
                     node = mpmath.pi - mpmath.mpf(thetas[pts - k])
-                refs, mag_w = grid_orbit_oracle(mpmath, v, params, x_scale, z, node)
+                refs, mag_w = grid_orbit_oracle(mpmath, v, params, z, node)
             bound = 16 * eps / min(1.0, mag_w)
             for vals, (want, scale) in zip(got, refs):
                 assert abs(vals[k] - want) <= bound * scale
@@ -512,16 +507,16 @@ class TestGridOrbit:
             prinseries, "_quad_nodes", lambda *a: grids.append(quad_nodes(*a).size) or quad_nodes(*a)
         )
         monkeypatch.setattr(
-            prinseries, "_closed_components", lambda *a: nodes.append(np.size(a[1])) or closed(*a)
+            prinseries, "_closed_components", lambda *a: nodes.append(np.size(a[0])) or closed(*a)
         )
-        extended_norm_sq(V_MIX, P_AXIS, XS, 0.9, quad)  # P = quad
-        real_time_norm_sq(V_MIX, P_OFF, XS, 0.7, quad)
+        extended_norm_sq(V_MIX, P_AXIS, 0.9, quad)  # P = quad
+        real_time_norm_sq(V_MIX, P_OFF, 0.7, quad)
         boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99], quad)
         assert nodes == [g // 2 + 1 for g in grids]
         # one grid, built for the stencil point nearer the boundary, serves both
         grids.clear()
         nodes.clear()
-        orbit_derivative_norm(V_MIX, P_AXIS, XS, 0.9, quad)
+        orbit_derivative_norm(V_MIX, P_AXIS, 0.9, quad)
         assert len(grids) == 1 and nodes == [grids[0] // 2 + 1] * 2
 
     @pytest.mark.parametrize("pts", [1024, 1000])
@@ -531,56 +526,56 @@ class TestGridOrbit:
         # reports the crossing the full grid reports, which the march also
         # detects, at a step on or after it
         thetas = PI * np.arange(pts) / pts
-        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, XS, z, thetas)
-        full = outcome(prinseries._closed_components, XS, thetas, z)
+        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, z, thetas)
+        full = outcome(prinseries._closed_components, thetas, z)
         assert exited(full) and half == full
-        assert_same_outcome(full, outcome(march_components, XS, thetas, z))
-        assert_first_crossing(XS, thetas, z, full[1])
+        assert_same_outcome(full, outcome(march_components, thetas, z))
+        assert_first_crossing(thetas, z, full[1])
 
     def test_long_segment_grid_exits_at_the_corner_node(self):
         # node 256 of 1,024 is fl(pi/4), where |c| = 6.1e-17 is far below the
-        # floor; the segment to 2.5 i passes the corner at t = pi/2, which
-        # the march steps over
-        thetas = PI * np.arange(1024) / 1024
-        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, 1.0, 2.5j, thetas)
-        assert exited(half) and not exited(outcome(march_components, 1.0, thetas, 2.5j))
+        # floor; the segment to 2.5 i at x_scale = 1 passes the corner at
+        # t = 1, which the march steps over
+        thetas, t = PI * np.arange(1024) / 1024, scaled(2.5, 1.0)
+        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, 1j * t, thetas)
+        assert exited(half) and not exited(outcome(march_components, thetas, 1j * t))
         with pytest.raises(DomainExitError) as path:
-            decompose_path(PElement(np.diag([0.5, -0.5])), givens(2, 0, 1, thetas[256]), 2.5)
+            decompose_path(PElement(np.diag([X1, -X1])), givens(2, 0, 1, thetas[256]), t)
         assert abs(half[1] - path.value.t_fail) <= 1e-9
 
 
 class TestExtendedNorm:
     def test_zero_time_is_mode_norm(self):
-        assert extended_norm_sq(V_MIX, P_AXIS, XS, 0.0, 256) == pytest.approx(
+        assert extended_norm_sq(V_MIX, P_AXIS, 0.0, 256) == pytest.approx(
             V_MIX.norm_sq, abs=1e-12
         )
 
     def test_quadrature_self_consistency(self):
         for t in (0.5, 0.9, 0.99):
-            a = extended_norm_sq(V_MIX, P_AXIS, XS, t, 4096)
-            b = extended_norm_sq(V_MIX, P_AXIS, XS, t, 8192)
+            a = extended_norm_sq(V_MIX, P_AXIS, t, 4096)
+            b = extended_norm_sq(V_MIX, P_AXIS, t, 8192)
             assert abs(a - b) < 1e-10
             # off-axis values grow to ~1e5 where the absolute floor is
             # summation noise; doubling must still agree in relative terms
-            a = extended_norm_sq(V_MIX, P_OFF, XS, t, 4096)
-            b = extended_norm_sq(V_MIX, P_OFF, XS, t, 8192)
+            a = extended_norm_sq(V_MIX, P_OFF, t, 4096)
+            b = extended_norm_sq(V_MIX, P_OFF, t, 8192)
             assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
     def test_rejects_few_points(self):
         with pytest.raises(ValueError):
-            extended_norm_sq(V_MIX, P_AXIS, XS, 0.5, 32)
+            extended_norm_sq(V_MIX, P_AXIS, 0.5, 32)
 
     def test_real_time_two_code_paths(self, rng):
         for _ in range(8):
             tau = rng.uniform(0.0, 1.5)
-            a = real_time_norm_sq(V_MIX, P_OFF, XS, tau, 8192)
+            a = real_time_norm_sq(V_MIX, P_OFF, tau, 8192)
             b = action_norm_sq(V_MIX, P_OFF, [flow(tau)], 8192)
             assert abs(a - b) < 1e-9 * max(1.0, abs(b))
 
     def test_monotone_on_sampled_grid(self):
         spherical = ModeVector({0: 1.0})
         for v in (spherical, V_MIX):
-            vals = [extended_norm_sq(v, P_AXIS, XS, t, 512) for t in (0.5, 0.7, 0.9, 0.97)]
+            vals = [extended_norm_sq(v, P_AXIS, t, 512) for t in (0.5, 0.7, 0.9, 0.97)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -604,7 +599,7 @@ class TestUnitaryAxis:
 class TestGroupLaw:
     def test_real_time_composition(self):
         for tau1, tau2 in ((0.4, 0.7), (0.2, 1.1)):
-            a = real_time_norm_sq(V_MIX, P_OFF, XS, tau1 + tau2, 8192)
+            a = real_time_norm_sq(V_MIX, P_OFF, tau1 + tau2, 8192)
             b = action_norm_sq(V_MIX, P_OFF, [flow(tau1), flow(tau2)], 8192)
             assert abs(a - b) < 1e-8 * max(1.0, b)
 
@@ -632,11 +627,11 @@ class TestGroupLaw:
 
 
 QUADRATURE_ENTRY_POINTS = {
-    "extended_norm_sq": lambda q: extended_norm_sq(V_MIX, P_AXIS, XS, 0.5, q),
-    "real_time_norm_sq": lambda q: real_time_norm_sq(V_MIX, P_AXIS, XS, 0.5, q),
+    "extended_norm_sq": lambda q: extended_norm_sq(V_MIX, P_AXIS, 0.5, q),
+    "real_time_norm_sq": lambda q: real_time_norm_sq(V_MIX, P_AXIS, 0.5, q),
     "growth_exponent": lambda q: growth_exponent(V_MIX, P_AXIS, [0.5, 0.6, 0.7, 0.8], q),
     "action_norm_sq": lambda q: action_norm_sq(V_MIX, P_AXIS, [np.eye(2)], q),
-    "orbit_derivative_norm": lambda q: orbit_derivative_norm(V_MIX, P_AXIS, XS, 0.5, q),
+    "orbit_derivative_norm": lambda q: orbit_derivative_norm(V_MIX, P_AXIS, 0.5, q),
     "boundary_pairing": lambda q: boundary_pairing(
         V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.75], q
     ),
@@ -653,10 +648,10 @@ def test_quadrature_entry_points_validate_quad_points(entry):
 
 
 CROWN_TIME_ENTRY_POINTS = {
-    "extended_norm_sq": lambda xs, t: extended_norm_sq(V_MIX, P_AXIS, xs, t, 1024),
-    "orbit_derivative_norm": lambda xs, t: orbit_derivative_norm(V_MIX, P_AXIS, xs, t, 1024),
-    "boundary_pairing": lambda xs, t: boundary_pairing(
-        V_MIX, smooth_test_vector(), P_AXIS, [t - 0.2, t - 0.1, t], 1024, xs
+    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, P_AXIS, t, 1024),
+    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, P_AXIS, t, 1024),
+    "boundary_pairing": lambda t: boundary_pairing(
+        V_MIX, smooth_test_vector(), P_AXIS, [t - 0.2, t - 0.1, t], 1024
     ),
 }
 
@@ -664,20 +659,20 @@ CROWN_TIME_ENTRY_POINTS = {
 @pytest.mark.parametrize("x_scale, t", [(XS, 1.0), (PI / 4, 2.0)])
 @pytest.mark.parametrize("entry", sorted(CROWN_TIME_ENTRY_POINTS))
 def test_crown_boundary_time_is_rejected_before_any_node(entry, x_scale, t, monkeypatch):
-    # |t| x_scale = pi/2 puts the corner angle's |w| at 0; the grid would grow
-    # to MAX_QUAD_POINTS nodes and march into a DomainExitError
+    # |t| = 1 puts the corner angle's |w| at 0; the grid would grow to
+    # MAX_QUAD_POINTS nodes and march into a DomainExitError
     def no_orbit(*args):
         raise AssertionError("orbit evaluated for a crown-boundary time")
 
     monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
     with pytest.raises(ValueError, match="crown boundary"):
-        CROWN_TIME_ENTRY_POINTS[entry](x_scale, t)
+        CROWN_TIME_ENTRY_POINTS[entry](scaled(t, x_scale))
 
 
 NON_FINITE_TIME_ENTRY_POINTS = {
-    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, P_AXIS, XS, t, 256),
-    "real_time_norm_sq": lambda t: real_time_norm_sq(V_MIX, P_AXIS, XS, t, 256),
-    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, P_AXIS, XS, t, 256),
+    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, P_AXIS, t, 256),
+    "real_time_norm_sq": lambda t: real_time_norm_sq(V_MIX, P_AXIS, t, 256),
+    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, P_AXIS, t, 256),
     "boundary_pairing": lambda t: boundary_pairing(
         V_MIX, smooth_test_vector(), P_AXIS, [0.5, 0.6, t], 256
     ),
@@ -796,15 +791,15 @@ class TestBoundaryPairing:
 
     @pytest.mark.parametrize("x_scale, t_far, t_near", [(PI / 4, 1.99, 1.999), (XS, -0.99, -0.999)])
     def test_derivative_grows_toward_the_crown_boundary(self, x_scale, t_far, t_near):
-        # the difference step scales with the distance to |t| = (pi/2) / x_scale,
-        # so the stencil t -+ h stays inside the strip on both sides of t = 0
-        far = orbit_derivative_norm(V_MIX, P_AXIS, x_scale, t_far, 1024)
-        near = orbit_derivative_norm(V_MIX, P_AXIS, x_scale, t_near, 1024)
+        # the difference step scales with the distance to |t| = 1, so the
+        # stencil t -+ h stays inside the strip on both sides of t = 0
+        far = orbit_derivative_norm(V_MIX, P_AXIS, scaled(t_far, x_scale), 1024)
+        near = orbit_derivative_norm(V_MIX, P_AXIS, scaled(t_near, x_scale), 1024)
         assert near > far
 
     def test_derivative_bump(self):
         ts = [1 - 2.0**-j for j in range(4, 12)]
-        norms = [math.sqrt(extended_norm_sq(V_MIX, P_AXIS, XS, t, 256)) for t in ts]
-        dnorms = [orbit_derivative_norm(V_MIX, P_AXIS, XS, t, 256) for t in ts]
+        norms = [math.sqrt(extended_norm_sq(V_MIX, P_AXIS, t, 256)) for t in ts]
+        dnorms = [orbit_derivative_norm(V_MIX, P_AXIS, t, 256) for t in ts]
         bump = fit_power_law(ts, dnorms).n_hat - fit_power_law(ts, norms).n_hat
         assert bump == pytest.approx(1.0, abs=0.1)
