@@ -306,6 +306,12 @@ def cmd_check(args) -> int:
     return 0 if payload["failed"] == 0 else DOMAIN_ERROR
 
 
+def _json_cell(key: str, value):
+    if key.startswith("sup_"):
+        return math.inf if value is None else float(value)
+    return float(value) if key == "t" else value
+
+
 def _read_table(path: str) -> list[dict]:
     if path in ("-", ""):
         text = sys.stdin.read()
@@ -319,11 +325,9 @@ def _read_table(path: str) -> list[dict]:
         rows = json.loads(text)
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
             raise ValueError("JSON table must be a list of row objects")
-        # emit_json writes a +inf sup (every sample left the domain) as null
-        return [
-            {k: math.inf if v is None and k.startswith("sup_") else v for k, v in row.items()}
-            for row in rows
-        ]
+        # the t and sup cells are numbers, as in a CSV table; emit_json
+        # writes a +inf sup (every sample left the domain) as null
+        return [{k: _json_cell(k, v) for k, v in row.items()} for row in rows]
     lines = text.splitlines()
     header = [h.strip() for h in lines[0].split(",")]
     rows = []
@@ -338,12 +342,19 @@ def _read_table(path: str) -> list[dict]:
 
 
 def cmd_fit(args) -> int:
+    # a table that cannot be read is a usage error; only the fit's own
+    # failures (too few points, t >= 1) are domain failures
     try:
         rows = _read_table(args.input)
         ts = [row["t"] for row in rows]
         vals = [row[f"sup_{args.component}"] for row in rows]
+    except KeyError as exc:
+        raise UsageError(f"input table has no column {exc}") from None
+    except (ValueError, TypeError, OSError) as exc:
+        raise UsageError(f"cannot read input table: {exc}") from None
+    try:
         fit = growth.fit_power_law(ts, vals, args.window)
-    except (ValueError, KeyError, OSError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"fit failed: {exc}\n")
         return DOMAIN_ERROR
     payload = {

@@ -218,19 +218,45 @@ class TestFit:
         assert code == 2
         assert "fit failed" in err
 
-    def test_empty_table_is_exit_2(self, capsys, tmp_path):
+    def test_empty_table_is_exit_1(self, capsys, tmp_path):
         table = tmp_path / "empty.csv"
         table.write_text("")
-        code, _, _ = run(capsys, "fit", "--input", str(table), "--component", "alpha")
-        assert code == 2
+        code, out, err = run(capsys, "fit", "--input", str(table), "--component", "alpha")
+        assert code == 1 and out == ""
+        assert "usage error" in err and "empty input table" in err
 
     @pytest.mark.parametrize("text", ['{"t": 0.5}', "[[0.5, 2.0]]", '[{"t": 0.5}, 3]'])
     def test_json_table_must_hold_row_objects(self, capsys, tmp_path, text):
         table = tmp_path / "rows.json"
         table.write_text(text)
         code, _, err = run(capsys, "fit", "--input", str(table), "--component", "alpha")
-        assert code == 2
-        assert "list of row objects" in err
+        assert code == 1
+        assert "usage error" in err and "list of row objects" in err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("cell.csv", "t,sup_alpha\n0.5,abc\n", "could not convert"),
+            ("cell.json", '[{"t": 0.5, "sup_alpha": "abc"}]', "could not convert"),
+            ("list.json", '[{"t": 0.5, "sup_alpha": [2.0]}]', "not 'list'"),
+            ("truncated.json", '[{"t": 0.5', "Expecting"),
+            ("column.csv", "t,sup_kappa\n0.5,2.0\n", "no column 'sup_alpha'"),
+            ("ragged.csv", "t,sup_alpha\n0.5\n", "row has 1 fields"),
+        ],
+    )
+    def test_unreadable_table_is_usage_error(self, capsys, tmp_path, name, text, message):
+        # the fit's own failures are exit 2; a table it cannot read is exit 1
+        table = tmp_path / name
+        table.write_text(text)
+        code, out, err = run(capsys, "fit", "--input", str(table), "--component", "alpha")
+        assert code == 1 and out == ""
+        assert "usage error" in err and message in err
+
+    def test_missing_input_file_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run(capsys, "fit", "--input", str(missing), "--component", "alpha")
+        assert code == 1 and out == ""
+        assert "usage error" in err and str(missing) in err
 
     @pytest.mark.parametrize("t", ["1.0", "nan"])
     def test_time_outside_the_fit_range_is_exit_2(self, capsys, tmp_path, t):

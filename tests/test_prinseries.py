@@ -1,10 +1,13 @@
 import math
+import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import rot2
-from crownlab import prinseries
+from crownlab import config, prinseries
 from crownlab.errors import DomainExitError
 from crownlab.growth import fit_power_law
 from crownlab.iwasawa import decompose_path
@@ -151,6 +154,31 @@ def orbit_values(v, p, z, thetas):
     return prinseries._orbit_prefactor(p, h1) * v.evaluate(q)
 
 
+def one_shot_grid_orbit(v, p, z, thetas):
+    """The orbit on a ``_quad_nodes`` grid in one pass over the half grid,
+    k = 0 ... P // 2, reflected onto nodes P - k: the unblocked route, whose
+    bytes and exits the blocked ``_grid_orbit`` must reproduce."""
+    pts = thetas.size
+    h1, q = prinseries._closed_components(thetas[: pts // 2 + 1], z)
+    half = h1.size
+    # vals[half:] holds nodes P - k for k = (P - 1) // 2 down to 1
+    mirror = slice((pts - 1) // 2, 0, -1)
+    vals = np.empty(pts, dtype=complex)
+    vals[:half] = v.evaluate(q)
+    vals[half:] = ModeVector({-m: c for m, c in v.modes.items()}).evaluate(q[mirror])
+    pre = prinseries._orbit_prefactor(p, h1)
+    vals[:half] *= pre
+    vals[half:] *= pre[mirror]
+    return vals
+
+
+def same_bytes(a, b):
+    """Both outcomes exit with the same payload, or their values agree bit for bit."""
+    if exited(a) or exited(b):
+        return a == b
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def dense_pairing(v, w_smooth, p, t_grid, quad_points):
     """The trapezoid pairing summed over a (nodes x modes) matrix of w's modes,
     each a fresh exp, in chunks of nodes so the matrix stays small.  The orbit
@@ -235,36 +263,43 @@ class TestClosedForm:
         assert exc.value.t_fail == pytest.approx(1.0 - 1e-14, rel=1e-15, abs=0.0)
 
     @staticmethod
-    def count_endpoint_calls(monkeypatch):
-        calls = {"endpoint": 0, "continued": 0}
+    def count_endpoint_nodes(monkeypatch):
+        """Nodes per time z that reach ``_endpoint`` and ``_continued_endpoint``."""
+        nodes = {"endpoint": Counter(), "continued": Counter()}
         endpoint, continued = prinseries._endpoint, prinseries._continued_endpoint
 
         def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+            def wrapper(th, z):
+                nodes[name][z] += np.size(th)
+                return fn(th, z)
 
             return wrapper
 
         monkeypatch.setattr(prinseries, "_endpoint", counted("endpoint", endpoint))
         monkeypatch.setattr(prinseries, "_continued_endpoint", counted("continued", continued))
-        return calls
+        return nodes
 
     def test_every_route_evaluates_the_endpoint_once(self, monkeypatch):
         # principal and long segments and real time: no route steps along
-        # the segment
-        calls = self.count_endpoint_calls(monkeypatch)
+        # the segment, and each node of a blocked grid is evaluated once;
+        # t = 0.999 grows the pairing grid to 32,000 nodes, several blocks
+        nodes = self.count_endpoint_nodes(monkeypatch)
         thetas = [0.1, 0.3, 2.0]
-        for x_scale, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j), (XS, complex(0.9))):
-            prinseries._closed_components(thetas, scaled(z, x_scale))
+        times = [scaled(z, x) for x, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j))]
+        for z in [*times, complex(0.9)]:
+            prinseries._closed_components(thetas, z)
         real_time_norm_sq(V_MIX, P_OFF, 0.7, 1024)
-        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99], 1024)
-        assert calls == {"endpoint": 9, "continued": 9}
+        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.999], 1024)
+        assert 32_000 // 2 + 1 > prinseries.GRID_BLOCK
+        want = {z: 3 for z in times} | {complex(0.9): 3, complex(0.7): 513, 0j: 513, 0.5j: 513}
+        want[0.999j] = 32_000 // 2 + 1
+        assert nodes == {"endpoint": want, "continued": want}
 
     def test_sl2_evaluates_the_endpoint_once_on_a_long_segment(self, monkeypatch):
-        calls = self.count_endpoint_calls(monkeypatch)
-        sl2_iwasawa_closed(0.4, scaled(14.0, 0.5))
-        assert calls == {"endpoint": 1, "continued": 1}
+        nodes = self.count_endpoint_nodes(monkeypatch)
+        z = 1j * scaled(14.0, 0.5)
+        sl2_iwasawa_closed(0.4, z.imag)
+        assert nodes == {"endpoint": {z: 1}, "continued": {z: 1}}
 
     @pytest.mark.parametrize("z", [0.3 + 0.4j, complex(math.inf), 1j * math.nan])
     def test_rejects_complex_or_non_finite_time(self, z):
@@ -501,23 +536,96 @@ class TestGridOrbit:
 
     @pytest.mark.parametrize("quad", [1024, 1001])
     def test_half_the_nodes_reach_the_components(self, quad, monkeypatch):
-        grids, nodes = [], []
+        # one grid per time, and nodes per time z: a grid of several blocks
+        # reaches the components in one call per block (t = 0.999 grows the
+        # grid to 32,000 nodes)
+        grids, nodes = [], Counter()
         quad_nodes, closed = prinseries._quad_nodes, prinseries._closed_components
-        monkeypatch.setattr(
-            prinseries, "_quad_nodes", lambda *a: grids.append(quad_nodes(*a).size) or quad_nodes(*a)
-        )
-        monkeypatch.setattr(
-            prinseries, "_closed_components", lambda *a: nodes.append(np.size(a[0])) or closed(*a)
-        )
+
+        def counted_grid(quad_points, z):
+            thetas = quad_nodes(quad_points, z)
+            grids.append((z, thetas.size))
+            return thetas
+
+        def counted_components(theta, z):
+            nodes[z] += np.size(theta)
+            return closed(theta, z)
+
+        monkeypatch.setattr(prinseries, "_quad_nodes", counted_grid)
+        monkeypatch.setattr(prinseries, "_closed_components", counted_components)
         extended_norm_sq(V_MIX, P_AXIS, 0.9, quad)  # P = quad
+        extended_norm_sq(V_MIX, P_AXIS, 0.999, quad)
         real_time_norm_sq(V_MIX, P_OFF, 0.7, quad)
-        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99], quad)
-        assert nodes == [g // 2 + 1 for g in grids]
+        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99, 0.9995], quad)
+        assert [z for z, _ in grids] == [0.9j, 0.999j, 0.7, 0j, 0.5j, 0.99j, 0.9995j]
+        assert dict(grids)[0.999j] // 2 + 1 > prinseries.GRID_BLOCK
+        assert nodes == {z: size // 2 + 1 for z, size in grids}
         # one grid, built for the stencil point nearer the boundary, serves both
         grids.clear()
         nodes.clear()
-        orbit_derivative_norm(V_MIX, P_AXIS, 0.9, quad)
-        assert len(grids) == 1 and nodes == [grids[0] // 2 + 1] * 2
+        orbit_derivative_norm(V_MIX, P_AXIS, 0.999, quad)
+        h = prinseries.FD_SCALE * (1.0 - 0.999)
+        assert len(grids) == 1 and grids[0][0] == 1j * (0.999 + h)
+        size = grids[0][1]
+        assert nodes == {1j * (0.999 + h): size // 2 + 1, 1j * (0.999 - h): size // 2 + 1}
+
+    B = prinseries.GRID_BLOCK
+    # P and what its half grid k = 0 ... P // 2 makes of the blocks
+    BLOCK_GRIDS = {
+        "one_block_less_one_node": 2 * B - 4,
+        "one_block": 2 * B - 2,
+        "one_block_plus_one_node": 2 * B,
+        # odd P: node k = B, alone in the second block, is mirrored to P - B,
+        # so the mirrored nodes straddle the block edge
+        "odd_mirror_straddles_edge": 2 * B + 1,
+        "several_blocks": 6 * B + 10,
+        "several_blocks_odd": 5 * B + 3,
+    }
+    BLOCK_TIMES = {
+        "principal": 1j * (1.0 - 2.0**-8),
+        "real_time": complex(1.1),
+        "negative_real_time": complex(-0.7),
+        "long_segment": scaled(2.5j, 1.0),
+    }
+
+    @pytest.mark.parametrize("route", sorted(BLOCK_TIMES))
+    @pytest.mark.parametrize("grid", sorted(BLOCK_GRIDS))
+    def test_blocked_orbit_matches_the_one_shot_oracle(self, grid, route):
+        pts, z = self.BLOCK_GRIDS[grid], self.BLOCK_TIMES[route]
+        thetas = PI * np.arange(pts) / pts
+        v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
+        for p in (P_AXIS, P_OFF):
+            blocked = outcome(prinseries._grid_orbit, v, p, z, thetas)
+            assert same_bytes(blocked, outcome(one_shot_grid_orbit, v, p, z, thetas))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8])
+    def test_every_block_layout_matches_the_one_shot_oracle(self, block, monkeypatch):
+        # tiny blocks put block edges, single-node blocks and mirror edges
+        # at every position of small grids, exits included (1.0 i and
+        # 1 - 1e-14 i cross the floor at the node pi/4 when 4 divides P)
+        monkeypatch.setattr(prinseries, "GRID_BLOCK", block)
+        for pts in range(64, 84):
+            thetas = PI * np.arange(pts) / pts
+            for z in [*self.BLOCK_TIMES.values(), 1.0j, 1j * (1.0 - 1e-14)]:
+                blocked = outcome(prinseries._grid_orbit, V_ASYM, P_OFF, z, thetas)
+                assert same_bytes(blocked, outcome(one_shot_grid_orbit, V_ASYM, P_OFF, z, thetas))
+
+    def test_exit_names_a_crossing_in_a_later_block(self):
+        # at real time -tau with floor 1/2, nodes within about pi/12 of pi/2
+        # reach the floor, the later the farther from pi/2: the first block
+        # that exits holds none of the earliest crossing, at node P/2 in the
+        # last block, which the oracle reports
+        tau = math.log(0.5 / config.TOLERANCES.minor_floor_rel) / (2.0 * X1)
+        z, pts = complex(-tau), 16 * prinseries.GRID_BLOCK
+        thetas = PI * np.arange(pts) / pts
+        oracle = outcome(one_shot_grid_orbit, V_MIX, P_AXIS, z, thetas)
+        assert exited(oracle) and outcome(prinseries._grid_orbit, V_MIX, P_AXIS, z, thetas) == oracle
+        assert oracle[1] == pytest.approx(math.log(2.0) / (2.0 * X1), rel=1e-12)
+        starts = range(0, pts // 2 + 1, prinseries.GRID_BLOCK)
+        blocks = [thetas[k : k + prinseries.GRID_BLOCK] for k in starts]
+        first = next(b for b in blocks if exited(outcome(prinseries._closed_components, b, z)))
+        assert outcome(prinseries._closed_components, first, z)[1] > oracle[1]
+        assert first[-1] < thetas[pts // 2]
 
     @pytest.mark.parametrize("pts", [1024, 1000])
     @pytest.mark.parametrize("z", [1.0j, 1j * (1.0 - 1e-14)])
@@ -645,6 +753,56 @@ def test_quadrature_entry_points_validate_quad_points(entry):
         with pytest.raises(ValueError, match="quad_points must be >= 64"):
             call(quad_points)
     call(64)
+
+
+@pytest.mark.parametrize("quad_points", [128.5, 128.0, np.float64(256.0), "128", None])
+@pytest.mark.parametrize("entry", sorted(QUADRATURE_ENTRY_POINTS))
+def test_quadrature_entry_points_need_an_integer_count(entry, quad_points):
+    # a float count built a grid whose spacing is not pi / P: the isometry
+    # at real time 0 returned 1.24612 for a vector of norm^2 1.25
+    message = f"quad_points must be an integer, got {quad_points!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QUADRATURE_ENTRY_POINTS[entry](quad_points)
+
+
+@pytest.mark.parametrize("entry", sorted(QUADRATURE_ENTRY_POINTS))
+def test_quadrature_entry_points_take_numpy_integers(entry):
+    want = QUADRATURE_ENTRY_POINTS[entry](128)
+    for quad_points in (np.int64(128), np.int32(128), np.uint16(128)):
+        got = QUADRATURE_ENTRY_POINTS[entry](quad_points)
+        assert got == want
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the blocked orbit, the in-place FFT and one |vals|^2 temporary keep the
+# peak near the output array plus the node grid, 1.5 x 16 B per node; the
+# one-shot pipeline peaked at 4.5x (pairing) and 4.0x (norm)
+PEAK_BYTES_PER_NODE = 2.5 * 16
+
+
+@pytest.mark.parametrize("j", [12, 13, 14])
+def test_pairing_peak_memory_stays_within_budget(j):
+    t = 1.0 - 2.0**-j
+    pts = prinseries._quad_nodes(1024, 1j * t).size
+    w = smooth_test_vector()
+    peak = traced_peak(lambda: boundary_pairing(V_MIX, w, P_AXIS, [0.5, 0.75, t], 1024))
+    assert peak <= PEAK_BYTES_PER_NODE * pts
+
+
+def test_norm_peak_memory_stays_within_budget():
+    t = 1.0 - 2.0**-14
+    pts = prinseries._quad_nodes(1024, 1j * t).size
+    peak = traced_peak(lambda: extended_norm_sq(V_MIX, P_AXIS, t, 1024))
+    assert peak <= PEAK_BYTES_PER_NODE * pts
 
 
 CROWN_TIME_ENTRY_POINTS = {
