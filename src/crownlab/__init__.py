@@ -48,7 +48,6 @@ from .numkernel import group_exp, principal_minors, singular_values, sym_eig, sy
 from .prinseries import (
     ModeVector,
     PairingReport,
-    SeriesParams,
     Sl2Components,
     boundary_pairing,
     extended_norm_sq,

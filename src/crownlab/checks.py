@@ -291,31 +291,31 @@ def acceptance_09_scale_relations() -> CheckResult:
 
 def acceptance_10_principal_series() -> CheckResult:
     """Spherical + (m = +-2) orbit fits, t = 0 norm, real-time group law."""
-    p_axis = prinseries.unitary_params(0.4)
+    s_axis = prinseries.unitary_params(0.4)
     v_mix = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     v_pm2 = prinseries.ModeVector({2: 1.0 / math.sqrt(2), -2: 1.0 / math.sqrt(2)})
     t_grid = [1.0 - 2.0**-j for j in range(4, 13)]
-    fit_mix = prinseries.growth_exponent(v_mix, p_axis, t_grid, 512)
-    fit_pm2 = prinseries.growth_exponent(v_pm2, p_axis, t_grid, 512)
+    fit_mix = prinseries.growth_exponent(v_mix, s_axis, t_grid, 512)
+    fit_pm2 = prinseries.growth_exponent(v_pm2, s_axis, t_grid, 512)
 
-    norm0 = prinseries.extended_norm_sq(v_mix, p_axis, 0.0, 256)
+    norm0 = prinseries.extended_norm_sq(v_mix, s_axis, 0.0, 256)
     norm0_gap = abs(norm0 - v_mix.norm_sq)
 
-    p_off = prinseries.SeriesParams(s=2.8 + 0.3j)
+    s_off = 2.8 + 0.3j
     rng = np.random.default_rng([SEED, 10])
     worst_law = 0.0
     for _ in range(10):
         g1 = liegroup.random_sl(2, rng)
         g2 = liegroup.random_sl(2, rng)
-        a = prinseries.action_norm_sq(v_mix, p_off, [g1, g2], 8192)
-        b = prinseries.action_norm_sq(v_mix, p_off, [g1 @ g2], 8192)
+        a = prinseries.action_norm_sq(v_mix, s_off, [g1, g2], 8192)
+        b = prinseries.action_norm_sq(v_mix, s_off, [g1 @ g2], 8192)
         worst_law = max(worst_law, abs(a - b) / max(1.0, abs(b)))
     for tau1, tau2 in ((0.4, 0.7), (0.9, 0.35)):
         x1 = math.pi / 4
         g1 = np.diag([math.exp(tau1 * x1), math.exp(-tau1 * x1)])
         g2 = np.diag([math.exp(tau2 * x1), math.exp(-tau2 * x1)])
-        a = prinseries.real_time_norm_sq(v_mix, p_off, tau1 + tau2, 8192)
-        b = prinseries.action_norm_sq(v_mix, p_off, [g1, g2], 8192)
+        a = prinseries.real_time_norm_sq(v_mix, s_off, tau1 + tau2, 8192)
+        b = prinseries.action_norm_sq(v_mix, s_off, [g1, g2], 8192)
         worst_law = max(worst_law, abs(a - b) / max(1.0, abs(b)))
 
     passed = (
@@ -347,20 +347,20 @@ def acceptance_11_distributional_limit() -> CheckResult:
     asserted on the unit-norm pairing.
     """
     probe_scale = 0.01
-    p = prinseries.unitary_params(0.4)
+    s = prinseries.unitary_params(0.4)
     v = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     w_unit = prinseries.smooth_test_vector()
     w_probe = prinseries.ModeVector({m: probe_scale * c for m, c in w_unit.modes.items()})
     t_grid = [1.0 - 2.0**-j for j in range(4, 15)]
 
-    rep = prinseries.boundary_pairing(v, w_probe, p, t_grid, 1024)
-    rep_unit = prinseries.boundary_pairing(v, w_unit, p, t_grid, 1024)
+    rep = prinseries.boundary_pairing(v, w_probe, s, t_grid, 1024)
+    rep_unit = prinseries.boundary_pairing(v, w_unit, s, t_grid, 1024)
     ratios = [b / a for a, b in zip(rep_unit.diffs, rep_unit.diffs[1:])]
     ratio_ok = all(0.4 < r < 0.6 for r in ratios[2:])
 
     fit_grid = [1.0 - 2.0**-j for j in range(4, 13)]
-    norms = [math.sqrt(prinseries.extended_norm_sq(v, p, t, 512)) for t in fit_grid]
-    dnorms = [prinseries.orbit_derivative_norm(v, p, t, 512) for t in fit_grid]
+    norms = [math.sqrt(prinseries.extended_norm_sq(v, s, t, 512)) for t in fit_grid]
+    dnorms = [prinseries.orbit_derivative_norm(v, s, t, 512) for t in fit_grid]
     bump = (
         growth.fit_power_law(fit_grid, dnorms).n_hat
         - growth.fit_power_law(fit_grid, norms).n_hat
@@ -439,14 +439,14 @@ def run_suite(name: str) -> list[CheckResult]:
     return [fn() for fn in SUITES[name]]
 
 
-def prinseries_tables(quad_points: int = 1024) -> dict:
+def prinseries_tables(quad_points: int) -> dict:
     """Orbit-norm and boundary-pairing tables for the bench configuration."""
-    p = prinseries.unitary_params(0.4)
+    s = prinseries.unitary_params(0.4)
     v = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     w = prinseries.smooth_test_vector()
     t_grid = [1.0 - 2.0**-j for j in range(4, 15)]
-    norms = [math.sqrt(prinseries.extended_norm_sq(v, p, t, quad_points)) for t in t_grid]
-    rep = prinseries.boundary_pairing(v, w, p, t_grid, quad_points)
+    norms = [math.sqrt(prinseries.extended_norm_sq(v, s, t, quad_points)) for t in t_grid]
+    rep = prinseries.boundary_pairing(v, w, s, t_grid, quad_points)
     orbit = [{"t": t, "norm": nv} for t, nv in zip(t_grid, norms)]
     pairing = [
         {"t": t, "re": val.real, "im": val.imag} for t, val in zip(rep.ts, rep.values)

@@ -18,7 +18,8 @@ give byte-identical output.  A config file holds flat key = value lines
 for the subcommand's own flags (t_grid = dyadic:8 for --t-grid dyadic:8).
 Its lines are read as flags placed ahead of the command line's, so one
 argparse pass checks both and the command line's flags win.  Exit codes: 0
-success, 1 usage or configuration error, 2 mathematical domain failure
+success, 1 usage or configuration error, or stdout closed before the output
+was written (``... | head``, no traceback), 2 mathematical domain failure
 (and, for check, any failed verification).
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -187,15 +189,12 @@ def _window(text: str) -> tuple[float, float]:
 
 
 def _write_output(text: str, out: str):
+    text = text if text.endswith("\n") else text + "\n"
     if out in ("-", ""):
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _complex_matrix_json(m: np.ndarray) -> list:
@@ -290,6 +289,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # only the prinseries tables read --quad; elsewhere it would be ignored
+    if args.quad is not None and args.suite != "prinseries":
+        raise UsageError(f"--quad applies only to --suite prinseries, not {args.suite!r}")
     try:
         results = checks.run_suite(args.suite)
     except KeyError as exc:
@@ -301,7 +303,7 @@ def cmd_check(args) -> int:
         "checks": [r.as_dict() for r in results],
     }
     if args.suite == "prinseries":
-        payload["tables"] = checks.prinseries_tables(args.quad)
+        payload["tables"] = checks.prinseries_tables(1024 if args.quad is None else args.quad)
     _write_output(emit_json(payload), args.out)
     return 0 if payload["failed"] == 0 else DOMAIN_ERROR
 
@@ -409,8 +411,8 @@ def build_parser() -> _Parser:
 
     p_check = command("check", cmd_check, "run a named verification suite")
     p_check.add_argument("--suite", required=True, help="identities, bounds or prinseries")
-    p_check.add_argument("--quad", type=_int_at_least(MIN_QUAD_POINTS), default=1024,
-                         help="quadrature points of the prinseries tables")
+    p_check.add_argument("--quad", type=_int_at_least(MIN_QUAD_POINTS), default=None,
+                         help="quadrature points of the prinseries tables (default 1024)")
 
     p_fit = command("fit", cmd_fit, "power-law fit of a sweep table")
     p_fit.add_argument("--input", default="-", help="table path (CSV or JSON), - for stdin")
@@ -423,7 +425,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' recipe: stdout to devnull, so the exit-time flush
+        # cannot raise again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR

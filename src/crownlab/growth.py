@@ -12,8 +12,8 @@ whose first m rows do not depend on n_haar, so more samples only add rows.
 The search refinement is not yet monotone: its starts (the best grid
 sample, the previous t's winner) move with n_haar and most searches end on
 their eval budget, not at a local maximum, so at n = 3 a refined sup can
-drop when samples are added (47 of 648 comparisons on six seeded
-directions, n_haar 32 to 256, the worst by 3.0%).
+drop when samples are added (39 of 648 comparisons on six seeded
+directions, n_haar 32 to 256, the worst by 2.2%).
 
 Component scales only need moduli, so the sweep uses a direct pivot-free
 LDL of g^T g per sample with principal square roots; branch-coherent

@@ -25,7 +25,8 @@ u e^{-i theta}), and no march in tau is needed; on a principal segment,
 |t| < 1, that branch is the principal one.  On the real flow w > 0
 and Re(u e^{-i theta}) > 0, so the principal values are the continued ones.
 Complex z off both axes is rejected.  The floor test is closed-form as well
-(``_first_crossing``), and a DomainExitError names the exact first crossing.
+(``_first_crossing``): it decides every exit, on every segment, and a
+DomainExitError names the exact first crossing.
 
 The orbit needs no argument of u at all.  Since zeta = -i (log u - H1) and
 alpha1^2 = e^{2 H1} = w = a^2 + c^2 on every branch, e^{2 i zeta} = u^2 / w
@@ -45,10 +46,11 @@ K-finite vectors are finite Fourier series on K/M, theta in [0, pi) with
 probability measure d theta / pi; M-invariance forces even modes.  Orbit
 norms and boundary pairings are uniform trapezoid quadratures, spectrally
 accurate for t < 1, with the point count grown like 1/(1 - t) to track the
-shrinking analyticity strip of the integrand.  ``_quad_nodes`` builds every
-node grid, and first rejects imaginary time on or past the crown boundary
-|t| >= 1, where |w| reaches 0 at theta = pi/4.  On that grid the
-pairing with a finite Fourier series is a sum of DFT bins of the orbit values.
+shrinking analyticity strip of the integrand.  ``_quad_nodes`` gives every
+quadrature its node count P, and first rejects imaginary time on or past the
+crown boundary |t| >= 1, where |w| reaches 0 at theta = pi/4; each route
+forms the nodes theta_k = pi k / P it reads.  On that grid the pairing with
+a finite Fourier series is a sum of DFT bins of the orbit values.
 
 Every such grid is symmetric under k -> P - k, that is theta -> pi - theta,
 and for every z cos(pi - theta) = -cos theta and sin(pi - theta) = sin theta
@@ -59,18 +61,17 @@ branch rule reads only w and c.  So ``_grid_orbit`` evaluates the orbit on
 k = 0 ... P // 2 only and gives node P - k the same prefactor times
 sum_m c_m q^{-m/2}.
 
-``_grid_orbit`` takes that half grid in blocks of GRID_BLOCK nodes: each
-block's components, prefactor and two mode sums are written straight into
-one preallocated array of P values, so the working set beyond that array
-and the node grid is a few blocks, and the values are bit-identical to one
-pass over the half grid.  ``boundary_pairing`` transforms the array in
-place.  The floor test is a minimum over nodes (of |w| on a principal
-segment, of the crossing phase elsewhere), so some block exits exactly when
-the whole half grid does.  The first crossing is a minimum too, and it can
-lie in a later block than the first block to exit: at negative real time the
-crossings near theta = pi/2 come earlier the nearer they are.  So on an
-exit ``_grid_orbit`` raises the half grid's DomainExitError, not the
-block's.
+``_grid_orbit`` takes that half grid in blocks of GRID_BLOCK nodes, forming
+each block's nodes pi k / P itself (the bits of the whole grid's slice): its
+components, prefactor and two mode sums are written straight into one
+preallocated array of P values, so the working set beyond that array is a
+few blocks, and the values are bit-identical to one pass over the half grid.
+``boundary_pairing`` transforms the array in place.  The floor test is a
+minimum of crossing phases over nodes, so some block exits exactly when the
+whole half grid does.  The first crossing is a minimum too, and it can lie
+in a later block than the first block to exit: at negative real time the
+crossings near theta = pi/2 come earlier the nearer they are.  So on an exit
+``_grid_orbit`` raises the half grid's DomainExitError, not the block's.
 """
 
 from __future__ import annotations
@@ -98,16 +99,10 @@ GRID_BLOCK = 4096
 X1 = 0.25 * math.pi
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """Principal-series character data: sigma(exp H) = e^{s H1}, rho-shifted;
-    the unitary axis is Re s = 2 (module docstring, not enforced)."""
-
-    s: complex
-
-
-def unitary_params(im_s: float = 0.0) -> SeriesParams:
-    return SeriesParams(s=complex(2.0, im_s))
+def unitary_params(im_s: float = 0.0) -> complex:
+    """s = 2 + i im_s, on the unitary axis of the rho-shifted character
+    sigma(exp H) = e^{s H1}; entry points take any complex s."""
+    return complex(2.0, im_s)
 
 
 class ModeVector:
@@ -190,14 +185,15 @@ class Sl2Components:
 
 
 def _endpoint(th: np.ndarray, z: complex):
-    """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v) and sinh(2 z x1)
-    at the end of the segment to z: the one formula for them."""
+    """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v), sinh(2 z x1)
+    and cos(2 theta) at the end of the segment to z: the one formula for them."""
     ep = np.exp(complex(z) * X1)
     em = 1.0 / ep
     cosh2, sinh2 = 0.5 * (ep * ep + em * em), 0.5 * (ep * ep - em * em)
-    w = cosh2 - sinh2 * np.cos(2.0 * th)
+    cos2 = np.cos(2.0 * th)
+    w = cosh2 - sinh2 * cos2
     a, ic = em * np.cos(th), 1j * ep * np.sin(th)
-    return w, a + ic, a - ic, sinh2
+    return w, a + ic, a - ic, sinh2, cos2
 
 
 def _nearest_branch(principal: np.ndarray, target) -> np.ndarray:
@@ -234,35 +230,30 @@ def _first_crossing(c: np.ndarray, z: complex, floor: float) -> float:
 
 
 def _continued_endpoint(th: np.ndarray, z: complex):
-    """(H1, w, u, v, sinh2) at z: ``_endpoint``'s data and H1 = log alpha1
+    """(H1, w, u, v, sinh2, c) at z: ``_endpoint``'s data and H1 = log alpha1
     continued from 0 at z = 0.
 
     The argument of w is the branch nearest -sgn(c) t pi/2 (0 on the real
     flow): w stays in the quadrant of e^{-i sgn(c) tau t pi/2}, so that
-    branch is the continued one (module docstring).  On a principal segment
-    (z = i t, |t| < 1) it is the principal branch, and |w| falls
-    in tau, so the endpoint's floor test covers the segment; elsewhere the
-    floor test is ``_first_crossing``.  A DomainExitError reports the first
-    crossing as both last_good_t and t_fail, with |w| = floor there.
+    branch is the continued one (module docstring); on a principal segment
+    (z = i t, |t| < 1) it is the principal branch.  Every exit is decided by
+    ``_first_crossing``, and a DomainExitError reports the first crossing as
+    both last_good_t and t_fail, with |w| = floor there.
     """
     if not np.isfinite(z) or (z.real != 0.0 and z.imag != 0.0):
         raise ValueError(f"time z must be finite and real or imaginary, got z = {z!r}")
     floor = path_minor_floor(z, X1)
-    w, u, v, sinh2 = _endpoint(th, z)
-    mag_w = np.abs(w)
+    w, u, v, sinh2, c = _endpoint(th, z)
     span = abs(z) * (2.0 * X1)
-    principal = z.real == 0.0 and span < 0.5 * math.pi
-    if principal and mag_w.min() > floor:
-        arg_w = np.angle(w)
-    else:
-        c = np.cos(2.0 * th)
-        first = _first_crossing(c, z, floor)
-        if principal or first <= span:
-            t_fail = min(first, span) / (2.0 * X1)
-            raise DomainExitError(last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floor)
-        arg_w = _nearest_branch(np.angle(w), -np.sign(c) * z.imag * (2.0 * X1))
-    h1 = 0.5 * (np.log(mag_w) + 1j * arg_w)
-    return h1, w, u, v, sinh2
+    first = _first_crossing(c, z, floor)
+    if first <= span:
+        t_fail = first / (2.0 * X1)
+        raise DomainExitError(last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floor)
+    arg_w = np.angle(w)
+    if span >= 0.5 * math.pi:  # below, the nearest branch is the principal one
+        arg_w = _nearest_branch(arg_w, -np.sign(c) * z.imag * (2.0 * X1))
+    h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
+    return h1, w, u, v, sinh2, c
 
 
 def _closed_components(theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +263,7 @@ def _closed_components(theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
     all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    h1, _, u, v, _ = _continued_endpoint(th, z)
+    h1, _, u, v, _, _ = _continued_endpoint(th, z)
     return h1, u / v
 
 
@@ -287,8 +278,8 @@ def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
     principal segment it is the principal branch.
     """
     th = np.array([float(theta)])
-    h1, w, u, _, sinh2 = _continued_endpoint(th, 1j * t)
-    target = -np.sign(np.cos(2.0 * th)) * t * X1
+    h1, w, u, _, sinh2, c = _continued_endpoint(th, 1j * t)
+    target = -np.sign(c) * t * X1
     arg_u = th + _nearest_branch(np.angle(u * (np.cos(th) - 1j * np.sin(th))), target)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     nu = np.sin(2.0 * th) * sinh2 / w
@@ -306,12 +297,13 @@ def _strip_gap(t: float) -> float:
     return gap
 
 
-def _quad_nodes(quad_points: int, z: complex) -> np.ndarray:
-    """The trapezoid nodes theta_k = pi k / P on K/M for an orbit at time z.
+def _quad_nodes(quad_points: int, z: complex) -> int:
+    """The number P of trapezoid nodes theta_k = pi k / P on K/M for an
+    orbit at time z.
 
     Rejects a count that is not an integer or is below MIN_QUAD_POINTS, a
     non-finite z, and imaginary z on or past the crown boundary, before
-    building any node.  For z = i t the strip half-width is of order the gap
+    any node is built.  For z = i t the strip half-width is of order the gap
     and the error decays like exp(-2 P delta), so P grows to
     QUAD_STRIP_FACTOR / gap (at most MAX_QUAD_POINTS).
     """
@@ -327,30 +319,29 @@ def _quad_nodes(quad_points: int, z: complex) -> np.ndarray:
     if z.real == 0.0:
         grown = int(math.ceil(QUAD_STRIP_FACTOR / _strip_gap(z.imag)))
         pts = min(MAX_QUAD_POINTS, max(pts, grown))
-    return math.pi * np.arange(pts) / pts
+    return pts
 
 
-def _orbit_prefactor(p: SeriesParams, h1: np.ndarray) -> np.ndarray:
+def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
     """e^{(1 - s) H1}: the character e^{-s H1} times the rho-shift e^{H1}."""
-    return np.exp((1.0 - p.s) * h1)
+    return np.exp((1.0 - s) * h1)
 
 
-def _grid_orbit(v: ModeVector, p: SeriesParams, z: complex, thetas: np.ndarray) -> np.ndarray:
-    """The orbit on a ``_quad_nodes`` grid theta_k = pi k / P (P even or odd),
-    evaluated on k = 0 ... P // 2 and reflected onto the rest.
+def _grid_orbit(v: ModeVector, s: complex, z: complex, pts: int) -> np.ndarray:
+    """The orbit on the grid theta_k = pi k / P of ``_quad_nodes``' P = pts
+    (P even or odd), evaluated on k = 0 ... P // 2 and reflected onto the rest.
 
     Node P - k is pi - theta_k, where w is the same, u and v trade places
     with a sign, q becomes 1/q and H1 (continued along the same w) agrees
     (module docstring).  So its value is the same prefactor times
     sum_m c_m q^{-m/2}: the modes of v reflected, m -> -m, summed at q.
 
-    The half grid is taken in blocks of GRID_BLOCK nodes, each written
-    straight into the one output array, so no temporary is longer than a
-    block.  A block exits only where the whole half grid exits, and the
-    DomainExitError names the half grid's first crossing, which may lie in
-    a later block.
+    The half grid is taken in blocks of GRID_BLOCK nodes, each forming its
+    own nodes and written straight into the one output array, so no
+    temporary is longer than a block.  A block exits only where the whole
+    half grid exits, and the DomainExitError names the half grid's first
+    crossing, which may lie in a later block.
     """
-    pts = thetas.size
     half = pts // 2 + 1
     # nodes k = 1 ... (P - 1) // 2 have a mirror node P - k
     mirrored = (pts + 1) // 2
@@ -359,12 +350,13 @@ def _grid_orbit(v: ModeVector, p: SeriesParams, z: complex, thetas: np.ndarray) 
     for start in range(0, half, GRID_BLOCK):
         stop = min(start + GRID_BLOCK, half)
         try:
-            h1, q = _closed_components(thetas[start:stop], z)
+            # pi k / P on a slice has the bits of the whole grid's slice
+            h1, q = _closed_components(math.pi * np.arange(start, stop) / pts, z)
         except DomainExitError:
             # the half grid exits too; raise its error, not the block's
-            _continued_endpoint(thetas[:half], z)
+            _continued_endpoint(math.pi * np.arange(half) / pts, z)
             raise
-        pre = _orbit_prefactor(p, h1)
+        pre = _orbit_prefactor(s, h1)
         # products out of place: numpy's in-place complex product of a
         # one-element slice can round differently from its array loop
         vals[start:stop] = v.evaluate(q) * pre
@@ -378,17 +370,16 @@ def _grid_orbit(v: ModeVector, p: SeriesParams, z: complex, thetas: np.ndarray) 
     return vals
 
 
-def _orbit_norm_sq(v: ModeVector, p: SeriesParams, z: complex, quad_points: int) -> float:
+def _orbit_norm_sq(v: ModeVector, s: complex, z: complex, quad_points: int) -> float:
     """||pi_sigma(exp(z x)) v||^2 by trapezoid quadrature over K/M, for z = i t
     on the crown path or real z on the real flow."""
-    thetas = _quad_nodes(quad_points, z)
     # |vals|^2 with one temporary; mags *= mags has the bits of mags ** 2
-    mags = np.abs(_grid_orbit(v, p, z, thetas))
+    mags = np.abs(_grid_orbit(v, s, z, _quad_nodes(quad_points, z)))
     mags *= mags
     return float(np.mean(mags))
 
 
-def extended_norm_sq(v: ModeVector, p: SeriesParams, t: float, quad_points: int) -> float:
+def extended_norm_sq(v: ModeVector, s: complex, t: float, quad_points: int) -> float:
     """||e^{i t dpi(x)} v||^2 by trapezoid quadrature over K/M.
 
     Integrand per the orbit formula: |e^{(1 - s) H1}|^2 |sum c_m e^{i m zeta}|^2
@@ -397,16 +388,16 @@ def extended_norm_sq(v: ModeVector, p: SeriesParams, t: float, quad_points: int)
     q = u^2 / w = e^{2 i zeta}, which is branch-free because every mode is
     even, so zeta's continuation never enters.
     """
-    return _orbit_norm_sq(v, p, 1j * float(t), quad_points)
+    return _orbit_norm_sq(v, s, 1j * float(t), quad_points)
 
 
-def real_time_norm_sq(v: ModeVector, p: SeriesParams, tau: float, quad_points: int) -> float:
+def real_time_norm_sq(v: ModeVector, s: complex, tau: float, quad_points: int) -> float:
     """||pi_sigma(exp(tau x)) v||^2 at real time, same code path as the
     holomorphic formula (oracle partner: action_norm_sq)."""
-    return _orbit_norm_sq(v, p, complex(tau), quad_points)
+    return _orbit_norm_sq(v, s, complex(tau), quad_points)
 
 
-def _real_cocycle(g: np.ndarray, angles: np.ndarray, p: SeriesParams):
+def _real_cocycle(g: np.ndarray, angles: np.ndarray, s: complex):
     """One application of the real-group action: factor and new angles.
 
     For each angle, the Iwasawa data of g^{-1} k_angle gives the multiplier
@@ -420,22 +411,20 @@ def _real_cocycle(g: np.ndarray, angles: np.ndarray, p: SeriesParams):
     c = ic * ca + id_ * sa
     r = a * a + c * c
     h1 = 0.5 * np.log(r)
-    factor = np.exp((1.0 - p.s) * h1)
+    factor = np.exp((1.0 - s) * h1)
     return factor, np.arctan2(c, a)
 
 
-def action_norm_sq(
-    v: ModeVector, p: SeriesParams, gs, quad_points: int
-) -> float:
+def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
     """||pi_sigma(g_1) ... pi_sigma(g_r) v||^2 via iterated real cocycles.
 
     Independent second code path for real-time checks: uses only the real
     Iwasawa decomposition of 2x2 matrices, never the holomorphic formula.
     """
     # real group elements: no strip, the requested count
-    thetas = _quad_nodes(quad_points, 0j)
-    total = np.ones_like(thetas, dtype=complex)
-    angles = thetas.copy()
+    pts = _quad_nodes(quad_points, 0j)
+    angles = math.pi * np.arange(pts) / pts
+    total = np.ones(pts, dtype=complex)
     for g in gs:
         gm = np.asarray(g, dtype=float)
         if gm.shape != (2, 2) or not np.all(np.isfinite(gm)):
@@ -443,7 +432,7 @@ def action_norm_sq(
         det = gm[0, 0] * gm[1, 1] - gm[0, 1] * gm[1, 0]
         if abs(det - 1.0) > config.TOLERANCES.determinant:
             raise ValueError(f"group element must have det 1, got {det!r}")
-        factor, angles = _real_cocycle(gm, angles, p)
+        factor, angles = _real_cocycle(gm, angles, s)
         total = total * factor
     vals = total * v.evaluate(np.exp(2j * angles))
     return float(np.mean(np.abs(vals) ** 2))
@@ -454,7 +443,7 @@ def action_norm_sq(
 FD_SCALE = 1e-2
 
 
-def orbit_derivative_norm(v: ModeVector, p: SeriesParams, t: float, quad_points: int) -> float:
+def orbit_derivative_norm(v: ModeVector, s: complex, t: float, quad_points: int) -> float:
     """L2 norm of the centered finite-difference t-derivative of the orbit.
 
     The step is FD_SCALE times the distance 1 - |t| from the crown boundary,
@@ -463,14 +452,14 @@ def orbit_derivative_norm(v: ModeVector, p: SeriesParams, t: float, quad_points:
     boundary.
     """
     h = FD_SCALE * _strip_gap(t)
-    thetas = _quad_nodes(quad_points, 1j * (abs(t) + h))
-    hi = _grid_orbit(v, p, 1j * (t + h), thetas)
-    lo = _grid_orbit(v, p, 1j * (t - h), thetas)
+    pts = _quad_nodes(quad_points, 1j * (abs(t) + h))
+    hi = _grid_orbit(v, s, 1j * (t + h), pts)
+    lo = _grid_orbit(v, s, 1j * (t - h), pts)
     quot = (hi - lo) / (2.0 * h)
     return math.sqrt(float(np.mean(np.abs(quot) ** 2)))
 
 
-def growth_exponent(v: ModeVector, p: SeriesParams, t_grid, quad_points: int) -> BlowupFit:
+def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> BlowupFit:
     """Fit of log ||e^{i t dpi(x)} v|| against -log(1 - t) over the grid."""
     ts = [float(t) for t in t_grid]
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
@@ -479,7 +468,7 @@ def growth_exponent(v: ModeVector, p: SeriesParams, t_grid, quad_points: int) ->
         raise ValueError("t_grid must lie in [0.5, 1)")
     if v.norm_sq == 0.0:
         raise ValueError("cannot fit the growth of the zero vector")
-    norms = [math.sqrt(extended_norm_sq(v, p, t, quad_points)) for t in ts]
+    norms = [math.sqrt(extended_norm_sq(v, s, t, quad_points)) for t in ts]
     return fit_power_law(ts, norms)
 
 
@@ -502,7 +491,7 @@ class PairingReport:
 def boundary_pairing(
     v: ModeVector,
     w_smooth: ModeVector,
-    p: SeriesParams,
+    s: complex,
     t_grid,
     quad_points: int,
 ) -> PairingReport:
@@ -539,10 +528,10 @@ def boundary_pairing(
     values = []
     for t in ts:
         z = 1j * t
-        thetas = _quad_nodes(quad_points, z)
-        orbit = _grid_orbit(v, p, z, thetas)
+        pts = _quad_nodes(quad_points, z)
+        orbit = _grid_orbit(v, s, z, pts)
         spectrum = np.fft.fft(orbit, out=orbit)
-        values.append(complex(np.conj(cs) @ spectrum[half_modes % thetas.size]) / thetas.size)
+        values.append(complex(np.conj(cs) @ spectrum[half_modes % pts]) / pts)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     final = diffs[-1]

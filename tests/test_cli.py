@@ -3,6 +3,10 @@ import ast
 import inspect
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -182,6 +186,55 @@ class TestCheck:
         assert payload["passed"] == 1 and payload["failed"] == 1
         assert payload["checks"][1]["measured"] == 2.0
 
+    @pytest.mark.parametrize("suite", ["identities", "bounds", "stub_pass", "nonsense"])
+    def test_quad_outside_prinseries_is_usage_error(self, capsys, monkeypatch, tmp_path, suite):
+        # no other suite reads --quad, so it is not silently ignored
+        def no_suite(name):
+            raise AssertionError(f"suite {name} ran")
+
+        monkeypatch.setattr(checks, "run_suite", no_suite)
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(f"suite = {suite}\nquad = 128\n")
+        for argv in (("--suite", suite, "--quad", "128"), ("--config", str(cfg))):
+            code, out, err = run(capsys, "check", *argv)
+            assert code == 1 and out == ""
+            assert f"--quad applies only to --suite prinseries, not {suite!r}" in err
+
+    def test_prinseries_quad_defaults_to_1024(self, capsys, monkeypatch):
+        ok = checks.CheckResult(name="stub", passed=True, measured=0.0, threshold=1.0)
+        monkeypatch.setitem(checks.SUITES, "prinseries", [lambda: ok])
+        quads = []
+        monkeypatch.setattr(checks, "prinseries_tables", lambda quad: quads.append(quad) or {})
+        assert run(capsys, "check", "--suite", "prinseries")[0] == 0
+        assert run(capsys, "check", "--suite", "prinseries", "--quad", "128")[0] == 0
+        assert quads == [1024, 128]
+
+
+class TestClosedStdout:
+    # a 40 x 40 identity's JSON (66 kB) is written while the command runs;
+    # the text lines of a 2 x 2 matrix stay buffered until the final flush
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--format", "json", "--matrix", json.dumps(np.eye(40).tolist())),
+            ("--matrix", "[[1,0],[1,1]]"),
+        ],
+        ids=["during_the_command", "at_the_final_flush"],
+    )
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crownlab.cli", "decompose", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # the reader is gone before the CLI writes, as with `| head -c 0`
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
 
 class TestFit:
     def synthetic_csv(self):
@@ -308,7 +361,9 @@ class TestConfigFile:
         monkeypatch.setattr(
             cli, "load_config_file", lambda path, p: reads.append(path) or original(path, p)
         )
-        args = cli.build_parser().parse_args(["check", "--suite", "bounds", "--config", str(cfg)])
+        args = cli.build_parser().parse_args(
+            ["check", "--suite", "prinseries", "--config", str(cfg)]
+        )
         assert args.quad == 128 and reads == [str(cfg)]
         haar = []
         monkeypatch.setattr(

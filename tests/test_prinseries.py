@@ -15,7 +15,6 @@ from crownlab.liegroup import PElement, givens, random_sl
 from crownlab.numkernel import path_minor_floor
 from crownlab.prinseries import (
     ModeVector,
-    SeriesParams,
     action_norm_sq,
     boundary_pairing,
     extended_norm_sq,
@@ -32,8 +31,8 @@ XS = PI / 2
 X1 = prinseries.X1
 V_MIX = ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
 V_ASYM = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25})
-P_AXIS = unitary_params(0.4)
-P_OFF = SeriesParams(s=2.8 + 0.3j)
+S_AXIS = unitary_params(0.4)
+S_OFF = 2.8 + 0.3j
 
 
 def scaled(t, x_scale):
@@ -61,11 +60,11 @@ def march_arguments(th: np.ndarray, z: complex, floor: float) -> tuple[np.ndarra
     endpoint formula by steps, and its floor test sees only the steps.
     """
     taus = np.linspace(0.0, 1.0, march_steps(z))
-    w_prev, u_prev, _, _ = prinseries._endpoint(th, taus[0] * complex(z))
+    w_prev, u_prev, *_ = prinseries._endpoint(th, taus[0] * complex(z))
     arg_w = np.zeros_like(th)
     arg_u = th.copy()
     for j in range(1, taus.size):
-        w_cur, u_cur, _, _ = prinseries._endpoint(th, taus[j] * complex(z))
+        w_cur, u_cur, *_ = prinseries._endpoint(th, taus[j] * complex(z))
         mags = np.abs(w_cur)
         i_min = int(np.argmin(mags))
         if mags[i_min] <= floor:
@@ -87,7 +86,7 @@ def march_components(theta, z):
     arg_w, _ = march_arguments(th, z, path_minor_floor(z, X1))
     # endpoint values in the library's arithmetic: near the corner |w| is
     # small, and w's rounding then moves log |w| well past 1e-14
-    w, u, v, _ = prinseries._endpoint(th, z)
+    w, u, v, *_ = prinseries._endpoint(th, z)
     return 0.5 * (np.log(np.abs(w)) + 1j * arg_w), u / v
 
 
@@ -100,7 +99,7 @@ def march_sl2(theta, t):
     """sl2_iwasawa_closed's (alpha1, zeta, nu) with both arguments continued by the march."""
     th, z = np.array([float(theta)]), 1j * t
     arg_w, arg_u = march_arguments(th, z, path_minor_floor(z, X1))
-    w, u, _, sinh2 = prinseries._endpoint(th, z)
+    w, u, _, sinh2, _ = prinseries._endpoint(th, z)
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     return complex(np.exp(h1[0])), complex(zeta[0]), complex((np.sin(2 * th) * sinh2 / w)[0])
@@ -146,27 +145,26 @@ def assert_first_crossing(thetas, z, t_fail):
     assert at <= 1.01 * floor and (t_fail == 0.0 or at >= 0.99 * floor)
 
 
-def orbit_values(v, p, z, thetas):
+def orbit_values(v, s, z, thetas):
     """(pi_sigma(exp(z x)) v)(k_theta) at arbitrary angles, node by node with
     no use of the grid's symmetry: the prefactor e^{(1 - s) H1} times the
     mode sum at q = e^{2 i zeta}."""
     h1, q = prinseries._closed_components(thetas, z)
-    return prinseries._orbit_prefactor(p, h1) * v.evaluate(q)
+    return prinseries._orbit_prefactor(s, h1) * v.evaluate(q)
 
 
-def one_shot_grid_orbit(v, p, z, thetas):
-    """The orbit on a ``_quad_nodes`` grid in one pass over the half grid,
-    k = 0 ... P // 2, reflected onto nodes P - k: the unblocked route, whose
-    bytes and exits the blocked ``_grid_orbit`` must reproduce."""
-    pts = thetas.size
-    h1, q = prinseries._closed_components(thetas[: pts // 2 + 1], z)
+def one_shot_grid_orbit(v, s, z, pts):
+    """The orbit on the grid theta_k = pi k / P, P = pts, in one pass over the
+    half grid k = 0 ... P // 2, reflected onto nodes P - k: the unblocked
+    route, whose bytes and exits the blocked ``_grid_orbit`` must reproduce."""
+    h1, q = prinseries._closed_components(PI * np.arange(pts // 2 + 1) / pts, z)
     half = h1.size
     # vals[half:] holds nodes P - k for k = (P - 1) // 2 down to 1
     mirror = slice((pts - 1) // 2, 0, -1)
     vals = np.empty(pts, dtype=complex)
     vals[:half] = v.evaluate(q)
     vals[half:] = ModeVector({-m: c for m, c in v.modes.items()}).evaluate(q[mirror])
-    pre = prinseries._orbit_prefactor(p, h1)
+    pre = prinseries._orbit_prefactor(s, h1)
     vals[:half] *= pre
     vals[half:] *= pre[mirror]
     return vals
@@ -179,7 +177,7 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def dense_pairing(v, w_smooth, p, t_grid, quad_points):
+def dense_pairing(v, w_smooth, s, t_grid, quad_points):
     """The trapezoid pairing summed over a (nodes x modes) matrix of w's modes,
     each a fresh exp, in chunks of nodes so the matrix stays small.  The orbit
     values are the library's grid values: the subject is the DFT-bin sum."""
@@ -187,9 +185,9 @@ def dense_pairing(v, w_smooth, p, t_grid, quad_points):
     values = []
     for t in t_grid:
         z = 1j * t
-        thetas = prinseries._quad_nodes(quad_points, z)
-        pts = thetas.size
-        orbit = prinseries._grid_orbit(v, p, z, thetas)
+        pts = prinseries._quad_nodes(quad_points, z)
+        thetas = PI * np.arange(pts) / pts
+        orbit = prinseries._grid_orbit(v, s, z, pts)
         total = 0.0
         for k in range(0, pts, 65536):
             w_vals = np.exp(1j * np.multiply.outer(thetas[k : k + 65536], ms)) @ cs
@@ -239,8 +237,8 @@ class TestClosedForm:
             assert np.linalg.norm(c.reconstruct() - g) < 1e-10
 
     def test_corner_exit_reports_the_exact_crossing(self):
-        # at theta = pi/4 |w| = cos(t pi/2) crosses the floor near 1 - t = 3e-13;
-        # the endpoint test triggers and the exit names the crossing itself
+        # at theta = pi/4 |w| = cos(t pi/2) crosses the floor near 1 - t = 3e-13,
+        # and the exit names the crossing itself
         z = 1j * (1.0 - 1e-14)
         with pytest.raises(DomainExitError) as closed:
             sl2_iwasawa_closed(PI / 4, z.imag)
@@ -253,14 +251,28 @@ class TestClosedForm:
         for gap in np.geomspace(1e-12, 1e-14, 17):
             assert_routes_agree([PI / 4, 0.3], 1j * (1.0 - gap))
 
-    def test_endpoint_test_decides_a_principal_segment(self, monkeypatch):
-        # a principal segment exits exactly where the endpoint's |w| is at or
-        # below the floor, whatever the closed-form crossing says; the
-        # reported crossing is then at most the segment's end
-        monkeypatch.setattr(prinseries, "_first_crossing", lambda *args: math.inf)
-        with pytest.raises(DomainExitError) as exc:
-            prinseries._closed_components([PI / 4, 0.3], 1j * (1.0 - 1e-14))
-        assert exc.value.t_fail == pytest.approx(1.0 - 1e-14, rel=1e-15, abs=0.0)
+    # near-corner principal segments, drawn (seed 272) with theta near pi/4
+    # and the endpoint |w| within a factor 1.5 of the floor, on which the
+    # rounded endpoint |w|, within 5e-4 of the floor, and the exact crossing
+    # at the segment's end disagree
+    @pytest.mark.parametrize(
+        "theta, t, exits",
+        [(0.7853981633973449, 0.9999999999997236, True),
+         (0.7853981633972109, 0.9999999999999507, False)],
+        ids=["endpoint_above_floor_crossing_inside", "endpoint_below_floor_crossing_past_end"],
+    )
+    def test_exact_crossing_decides_a_principal_segment(self, theta, t, exits):
+        z = 1j * t
+        floor = path_minor_floor(z, X1)
+        w, *_, c = prinseries._endpoint(np.array([theta]), z)
+        first = prinseries._first_crossing(c, z, floor)
+        assert (abs(w[0]) > floor) == exits
+        assert (first <= t * (2.0 * X1)) == exits
+        for got in (outcome(prinseries._closed_components, [theta], z),
+                    outcome(sl2_components, theta, t)):
+            assert exited(got) == exits
+            if exits:
+                assert got[0] == got[1] == first / (2.0 * X1) and got[3] == floor
 
     @staticmethod
     def count_endpoint_nodes(monkeypatch):
@@ -288,8 +300,8 @@ class TestClosedForm:
         times = [scaled(z, x) for x, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j))]
         for z in [*times, complex(0.9)]:
             prinseries._closed_components(thetas, z)
-        real_time_norm_sq(V_MIX, P_OFF, 0.7, 1024)
-        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.999], 1024)
+        real_time_norm_sq(V_MIX, S_OFF, 0.7, 1024)
+        boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.999], 1024)
         assert 32_000 // 2 + 1 > prinseries.GRID_BLOCK
         want = {z: 3 for z in times} | {complex(0.9): 3, complex(0.7): 513, 0j: 513, 0.5j: 513}
         want[0.999j] = 32_000 // 2 + 1
@@ -388,7 +400,8 @@ class TestClosedForm:
             h = 1e-2 * (1.0 - t)
             grid += [(512, t - h), (512, t), (512, t + h)]
         for quad, t in grid:
-            assert_routes_agree(prinseries._quad_nodes(quad, 1j * t), 1j * t)
+            pts = prinseries._quad_nodes(quad, 1j * t)
+            assert_routes_agree(PI * np.arange(pts) / pts, 1j * t)
 
     def test_principal_route_matches_march_on_seeded_draws(self):
         rng = np.random.default_rng(20261018)
@@ -448,7 +461,7 @@ class TestOrbitValues:
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
-        params = (P_AXIS, P_OFF, SeriesParams(s=1.8 + 0.3j))
+        params = (S_AXIS, S_OFF, 1.8 + 0.3j)
         rng = np.random.default_rng(8)
         for i in range(200):
             x_scale = XS if i % 2 else rng.uniform(0.05, XS)
@@ -469,7 +482,7 @@ class TestOrbitValues:
                 terms = [mpmath.mpc(c) * mpmath.exp(1j * m * zeta) for m, c in v.modes.items()]
                 refs = []
                 for p in params:
-                    factor = mpmath.exp((1 - mpmath.mpc(p.s)) * h1)
+                    factor = mpmath.exp((1 - mpmath.mpc(p)) * h1)
                     refs.append((complex(factor * sum(terms)),
                                  float(abs(factor) * sum(abs(x) for x in terms))))
                 bound = 16 * eps / min(1.0, float(abs(w)))
@@ -490,7 +503,7 @@ def grid_orbit_oracle(mpmath, v, params, z, node):
     terms = [mpmath.mpc(c) * q ** (m // 2) for m, c in v.modes.items()]
     refs = []
     for p in params:
-        factor = mpmath.exp((1 - mpmath.mpc(p.s)) * mpmath.log(w) / 2)
+        factor = mpmath.exp((1 - mpmath.mpc(p)) * mpmath.log(w) / 2)
         refs.append((complex(factor * sum(terms)), float(abs(factor) * sum(abs(x) for x in terms))))
     return refs, float(abs(w))
 
@@ -516,9 +529,9 @@ class TestGridOrbit:
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
-        params = (P_AXIS, SeriesParams(s=1.8 + 0.3j))
+        params = (S_AXIS, 1.8 + 0.3j)
         thetas = PI * np.arange(pts) / pts
-        got = [prinseries._grid_orbit(v, p, z, thetas) for p in params]
+        got = [prinseries._grid_orbit(v, p, z, pts) for p in params]
         rng = np.random.default_rng(pts)
         near_corner = int(round(0.75 * pts))  # q -> infinity at 3 pi / 4
         picks = {0, 1, pts // 2, pts // 2 + 1, pts - 1, near_corner - 1, near_corner, near_corner + 1}
@@ -543,9 +556,9 @@ class TestGridOrbit:
         quad_nodes, closed = prinseries._quad_nodes, prinseries._closed_components
 
         def counted_grid(quad_points, z):
-            thetas = quad_nodes(quad_points, z)
-            grids.append((z, thetas.size))
-            return thetas
+            pts = quad_nodes(quad_points, z)
+            grids.append((z, pts))
+            return pts
 
         def counted_components(theta, z):
             nodes[z] += np.size(theta)
@@ -553,17 +566,17 @@ class TestGridOrbit:
 
         monkeypatch.setattr(prinseries, "_quad_nodes", counted_grid)
         monkeypatch.setattr(prinseries, "_closed_components", counted_components)
-        extended_norm_sq(V_MIX, P_AXIS, 0.9, quad)  # P = quad
-        extended_norm_sq(V_MIX, P_AXIS, 0.999, quad)
-        real_time_norm_sq(V_MIX, P_OFF, 0.7, quad)
-        boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.99, 0.9995], quad)
+        extended_norm_sq(V_MIX, S_AXIS, 0.9, quad)  # P = quad
+        extended_norm_sq(V_MIX, S_AXIS, 0.999, quad)
+        real_time_norm_sq(V_MIX, S_OFF, 0.7, quad)
+        boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.99, 0.9995], quad)
         assert [z for z, _ in grids] == [0.9j, 0.999j, 0.7, 0j, 0.5j, 0.99j, 0.9995j]
         assert dict(grids)[0.999j] // 2 + 1 > prinseries.GRID_BLOCK
         assert nodes == {z: size // 2 + 1 for z, size in grids}
         # one grid, built for the stencil point nearer the boundary, serves both
         grids.clear()
         nodes.clear()
-        orbit_derivative_norm(V_MIX, P_AXIS, 0.999, quad)
+        orbit_derivative_norm(V_MIX, S_AXIS, 0.999, quad)
         h = prinseries.FD_SCALE * (1.0 - 0.999)
         assert len(grids) == 1 and grids[0][0] == 1j * (0.999 + h)
         size = grids[0][1]
@@ -592,11 +605,10 @@ class TestGridOrbit:
     @pytest.mark.parametrize("grid", sorted(BLOCK_GRIDS))
     def test_blocked_orbit_matches_the_one_shot_oracle(self, grid, route):
         pts, z = self.BLOCK_GRIDS[grid], self.BLOCK_TIMES[route]
-        thetas = PI * np.arange(pts) / pts
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
-        for p in (P_AXIS, P_OFF):
-            blocked = outcome(prinseries._grid_orbit, v, p, z, thetas)
-            assert same_bytes(blocked, outcome(one_shot_grid_orbit, v, p, z, thetas))
+        for p in (S_AXIS, S_OFF):
+            blocked = outcome(prinseries._grid_orbit, v, p, z, pts)
+            assert same_bytes(blocked, outcome(one_shot_grid_orbit, v, p, z, pts))
 
     @pytest.mark.parametrize("block", [1, 2, 3, 8])
     def test_every_block_layout_matches_the_one_shot_oracle(self, block, monkeypatch):
@@ -605,10 +617,9 @@ class TestGridOrbit:
         # 1 - 1e-14 i cross the floor at the node pi/4 when 4 divides P)
         monkeypatch.setattr(prinseries, "GRID_BLOCK", block)
         for pts in range(64, 84):
-            thetas = PI * np.arange(pts) / pts
             for z in [*self.BLOCK_TIMES.values(), 1.0j, 1j * (1.0 - 1e-14)]:
-                blocked = outcome(prinseries._grid_orbit, V_ASYM, P_OFF, z, thetas)
-                assert same_bytes(blocked, outcome(one_shot_grid_orbit, V_ASYM, P_OFF, z, thetas))
+                blocked = outcome(prinseries._grid_orbit, V_ASYM, S_OFF, z, pts)
+                assert same_bytes(blocked, outcome(one_shot_grid_orbit, V_ASYM, S_OFF, z, pts))
 
     def test_exit_names_a_crossing_in_a_later_block(self):
         # at real time -tau with floor 1/2, nodes within about pi/12 of pi/2
@@ -618,8 +629,8 @@ class TestGridOrbit:
         tau = math.log(0.5 / config.TOLERANCES.minor_floor_rel) / (2.0 * X1)
         z, pts = complex(-tau), 16 * prinseries.GRID_BLOCK
         thetas = PI * np.arange(pts) / pts
-        oracle = outcome(one_shot_grid_orbit, V_MIX, P_AXIS, z, thetas)
-        assert exited(oracle) and outcome(prinseries._grid_orbit, V_MIX, P_AXIS, z, thetas) == oracle
+        oracle = outcome(one_shot_grid_orbit, V_MIX, S_AXIS, z, pts)
+        assert exited(oracle) and outcome(prinseries._grid_orbit, V_MIX, S_AXIS, z, pts) == oracle
         assert oracle[1] == pytest.approx(math.log(2.0) / (2.0 * X1), rel=1e-12)
         starts = range(0, pts // 2 + 1, prinseries.GRID_BLOCK)
         blocks = [thetas[k : k + prinseries.GRID_BLOCK] for k in starts]
@@ -634,7 +645,7 @@ class TestGridOrbit:
         # reports the crossing the full grid reports, which the march also
         # detects, at a step on or after it
         thetas = PI * np.arange(pts) / pts
-        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, z, thetas)
+        half = outcome(prinseries._grid_orbit, V_MIX, S_AXIS, z, pts)
         full = outcome(prinseries._closed_components, thetas, z)
         assert exited(full) and half == full
         assert_same_outcome(full, outcome(march_components, thetas, z))
@@ -645,7 +656,7 @@ class TestGridOrbit:
         # floor; the segment to 2.5 i at x_scale = 1 passes the corner at
         # t = 1, which the march steps over
         thetas, t = PI * np.arange(1024) / 1024, scaled(2.5, 1.0)
-        half = outcome(prinseries._grid_orbit, V_MIX, P_AXIS, 1j * t, thetas)
+        half = outcome(prinseries._grid_orbit, V_MIX, S_AXIS, 1j * t, 1024)
         assert exited(half) and not exited(outcome(march_components, thetas, 1j * t))
         with pytest.raises(DomainExitError) as path:
             decompose_path(PElement(np.diag([X1, -X1])), givens(2, 0, 1, thetas[256]), t)
@@ -654,36 +665,36 @@ class TestGridOrbit:
 
 class TestExtendedNorm:
     def test_zero_time_is_mode_norm(self):
-        assert extended_norm_sq(V_MIX, P_AXIS, 0.0, 256) == pytest.approx(
+        assert extended_norm_sq(V_MIX, S_AXIS, 0.0, 256) == pytest.approx(
             V_MIX.norm_sq, abs=1e-12
         )
 
     def test_quadrature_self_consistency(self):
         for t in (0.5, 0.9, 0.99):
-            a = extended_norm_sq(V_MIX, P_AXIS, t, 4096)
-            b = extended_norm_sq(V_MIX, P_AXIS, t, 8192)
+            a = extended_norm_sq(V_MIX, S_AXIS, t, 4096)
+            b = extended_norm_sq(V_MIX, S_AXIS, t, 8192)
             assert abs(a - b) < 1e-10
             # off-axis values grow to ~1e5 where the absolute floor is
             # summation noise; doubling must still agree in relative terms
-            a = extended_norm_sq(V_MIX, P_OFF, t, 4096)
-            b = extended_norm_sq(V_MIX, P_OFF, t, 8192)
+            a = extended_norm_sq(V_MIX, S_OFF, t, 4096)
+            b = extended_norm_sq(V_MIX, S_OFF, t, 8192)
             assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
     def test_rejects_few_points(self):
         with pytest.raises(ValueError):
-            extended_norm_sq(V_MIX, P_AXIS, 0.5, 32)
+            extended_norm_sq(V_MIX, S_AXIS, 0.5, 32)
 
     def test_real_time_two_code_paths(self, rng):
         for _ in range(8):
             tau = rng.uniform(0.0, 1.5)
-            a = real_time_norm_sq(V_MIX, P_OFF, tau, 8192)
-            b = action_norm_sq(V_MIX, P_OFF, [flow(tau)], 8192)
+            a = real_time_norm_sq(V_MIX, S_OFF, tau, 8192)
+            b = action_norm_sq(V_MIX, S_OFF, [flow(tau)], 8192)
             assert abs(a - b) < 1e-9 * max(1.0, abs(b))
 
     def test_monotone_on_sampled_grid(self):
         spherical = ModeVector({0: 1.0})
         for v in (spherical, V_MIX):
-            vals = [extended_norm_sq(v, P_AXIS, t, 512) for t in (0.5, 0.7, 0.9, 0.97)]
+            vals = [extended_norm_sq(v, S_AXIS, t, 512) for t in (0.5, 0.7, 0.9, 0.97)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -691,7 +702,7 @@ class TestUnitaryAxis:
     @pytest.mark.parametrize("shift,re_s", [(True, 2.0), (False, 1.0)])
     def test_isometry_on_axis(self, shift, re_s, rng):
         # the unshifted convention's axis Re s = 1 is Re s = 2 here
-        p = SeriesParams(s=complex(re_s if shift else re_s + 1.0, 0.7))
+        p = complex(re_s if shift else re_s + 1.0, 0.7)
         assert p == unitary_params(0.7)
         for _ in range(10):
             g = random_sl(2, rng)
@@ -699,7 +710,7 @@ class TestUnitaryAxis:
             assert abs(nsq - V_MIX.norm_sq) < 1e-8
 
     def test_off_axis_is_not_isometric(self, rng):
-        p = SeriesParams(s=2.5 + 0.7j)
+        p = 2.5 + 0.7j
         g = flow(1.0)
         assert abs(action_norm_sq(V_MIX, p, [g], 4096) - V_MIX.norm_sq) > 1e-3
 
@@ -707,20 +718,20 @@ class TestUnitaryAxis:
 class TestGroupLaw:
     def test_real_time_composition(self):
         for tau1, tau2 in ((0.4, 0.7), (0.2, 1.1)):
-            a = real_time_norm_sq(V_MIX, P_OFF, tau1 + tau2, 8192)
-            b = action_norm_sq(V_MIX, P_OFF, [flow(tau1), flow(tau2)], 8192)
+            a = real_time_norm_sq(V_MIX, S_OFF, tau1 + tau2, 8192)
+            b = action_norm_sq(V_MIX, S_OFF, [flow(tau1), flow(tau2)], 8192)
             assert abs(a - b) < 1e-8 * max(1.0, b)
 
     def test_general_composition(self, rng):
         for _ in range(5):
             g1, g2 = random_sl(2, rng), random_sl(2, rng)
-            a = action_norm_sq(V_MIX, P_OFF, [g1, g2], 8192)
-            b = action_norm_sq(V_MIX, P_OFF, [g1 @ g2], 8192)
+            a = action_norm_sq(V_MIX, S_OFF, [g1, g2], 8192)
+            b = action_norm_sq(V_MIX, S_OFF, [g1 @ g2], 8192)
             assert abs(a - b) < 1e-8 * max(1.0, b)
 
     def test_action_validates_determinant(self):
         with pytest.raises(ValueError, match="det"):
-            action_norm_sq(V_MIX, P_OFF, [2.0 * np.eye(2)], 256)
+            action_norm_sq(V_MIX, S_OFF, [2.0 * np.eye(2)], 256)
 
     @pytest.mark.parametrize(
         "g",
@@ -731,17 +742,17 @@ class TestGroupLaw:
     def test_action_needs_a_finite_2x2_matrix(self, g):
         # the det test reads only the leading 2x2 block, and NaN passes it
         with pytest.raises(ValueError, match="finite 2x2"):
-            action_norm_sq(V_MIX, P_OFF, [np.eye(2), g], 256)
+            action_norm_sq(V_MIX, S_OFF, [np.eye(2), g], 256)
 
 
 QUADRATURE_ENTRY_POINTS = {
-    "extended_norm_sq": lambda q: extended_norm_sq(V_MIX, P_AXIS, 0.5, q),
-    "real_time_norm_sq": lambda q: real_time_norm_sq(V_MIX, P_AXIS, 0.5, q),
-    "growth_exponent": lambda q: growth_exponent(V_MIX, P_AXIS, [0.5, 0.6, 0.7, 0.8], q),
-    "action_norm_sq": lambda q: action_norm_sq(V_MIX, P_AXIS, [np.eye(2)], q),
-    "orbit_derivative_norm": lambda q: orbit_derivative_norm(V_MIX, P_AXIS, 0.5, q),
+    "extended_norm_sq": lambda q: extended_norm_sq(V_MIX, S_AXIS, 0.5, q),
+    "real_time_norm_sq": lambda q: real_time_norm_sq(V_MIX, S_AXIS, 0.5, q),
+    "growth_exponent": lambda q: growth_exponent(V_MIX, S_AXIS, [0.5, 0.6, 0.7, 0.8], q),
+    "action_norm_sq": lambda q: action_norm_sq(V_MIX, S_AXIS, [np.eye(2)], q),
+    "orbit_derivative_norm": lambda q: orbit_derivative_norm(V_MIX, S_AXIS, 0.5, q),
     "boundary_pairing": lambda q: boundary_pairing(
-        V_MIX, smooth_test_vector(), P_AXIS, [0.0, 0.5, 0.75], q
+        V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.75], q
     ),
 }
 
@@ -783,33 +794,35 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-# the blocked orbit, the in-place FFT and one |vals|^2 temporary keep the
-# peak near the output array plus the node grid, 1.5 x 16 B per node; the
-# one-shot pipeline peaked at 4.5x (pairing) and 4.0x (norm)
-PEAK_BYTES_PER_NODE = 2.5 * 16
+# the blocked orbit, which forms only its blocks' nodes, the in-place FFT
+# and one |vals|^2 temporary keep the peak near the output array: measured
+# 1.1 to 1.4 x 16 B per node (pairing) and 1.5 (norm, the temporary).  A
+# whole node grid of 0.5 more, held through the quadrature, peaked at 1.9
+# (pairing, j = 12) and 2.0 (norm); the one-shot pipeline at 4.5 and 4.0
+PEAK_BYTES_PER_NODE = 1.75 * 16
 
 
 @pytest.mark.parametrize("j", [12, 13, 14])
 def test_pairing_peak_memory_stays_within_budget(j):
     t = 1.0 - 2.0**-j
-    pts = prinseries._quad_nodes(1024, 1j * t).size
+    pts = prinseries._quad_nodes(1024, 1j * t)
     w = smooth_test_vector()
-    peak = traced_peak(lambda: boundary_pairing(V_MIX, w, P_AXIS, [0.5, 0.75, t], 1024))
+    peak = traced_peak(lambda: boundary_pairing(V_MIX, w, S_AXIS, [0.5, 0.75, t], 1024))
     assert peak <= PEAK_BYTES_PER_NODE * pts
 
 
 def test_norm_peak_memory_stays_within_budget():
     t = 1.0 - 2.0**-14
-    pts = prinseries._quad_nodes(1024, 1j * t).size
-    peak = traced_peak(lambda: extended_norm_sq(V_MIX, P_AXIS, t, 1024))
+    pts = prinseries._quad_nodes(1024, 1j * t)
+    peak = traced_peak(lambda: extended_norm_sq(V_MIX, S_AXIS, t, 1024))
     assert peak <= PEAK_BYTES_PER_NODE * pts
 
 
 CROWN_TIME_ENTRY_POINTS = {
-    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, P_AXIS, t, 1024),
-    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, P_AXIS, t, 1024),
+    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, S_AXIS, t, 1024),
+    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, S_AXIS, t, 1024),
     "boundary_pairing": lambda t: boundary_pairing(
-        V_MIX, smooth_test_vector(), P_AXIS, [t - 0.2, t - 0.1, t], 1024
+        V_MIX, smooth_test_vector(), S_AXIS, [t - 0.2, t - 0.1, t], 1024
     ),
 }
 
@@ -828,11 +841,11 @@ def test_crown_boundary_time_is_rejected_before_any_node(entry, x_scale, t, monk
 
 
 NON_FINITE_TIME_ENTRY_POINTS = {
-    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, P_AXIS, t, 256),
-    "real_time_norm_sq": lambda t: real_time_norm_sq(V_MIX, P_AXIS, t, 256),
-    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, P_AXIS, t, 256),
+    "extended_norm_sq": lambda t: extended_norm_sq(V_MIX, S_AXIS, t, 256),
+    "real_time_norm_sq": lambda t: real_time_norm_sq(V_MIX, S_AXIS, t, 256),
+    "orbit_derivative_norm": lambda t: orbit_derivative_norm(V_MIX, S_AXIS, t, 256),
     "boundary_pairing": lambda t: boundary_pairing(
-        V_MIX, smooth_test_vector(), P_AXIS, [0.5, 0.6, t], 256
+        V_MIX, smooth_test_vector(), S_AXIS, [0.5, 0.6, t], 256
     ),
 }
 
@@ -860,7 +873,7 @@ class TestGrowthExponent:
 
     def test_mode_pair_blowup_is_clean(self):
         ts = [1 - 2.0**-j for j in range(4, 12)]
-        fit = growth_exponent(ModeVector({2: 1.0, -2: 1.0}), P_AXIS, ts, 256)
+        fit = growth_exponent(ModeVector({2: 1.0, -2: 1.0}), S_AXIS, ts, 256)
         assert fit.r_squared > 0.999
         assert fit.n_hat == pytest.approx(1.0, abs=0.05)
 
@@ -874,7 +887,7 @@ class TestGrowthExponent:
         # |w|^(1 - Re s) near the corner; integrated across a width of order
         # 1 - t this gives N = (max|m| + Re s - 2) / 2
         ts = [1 - 2.0**-j for j in range(4, 13)]
-        fit = growth_exponent(ModeVector({m: 1.0, -m: 1.0}), SeriesParams(s=s), ts, 512)
+        fit = growth_exponent(ModeVector({m: 1.0, -m: 1.0}), s, ts, 512)
         assert fit.n_hat == pytest.approx((m + s.real - 2.0) / 2.0, abs=0.01)
 
     @pytest.mark.parametrize("m,re_s", [(2, 1.0), (2, 1.5), (4, 1.0)])
@@ -882,7 +895,7 @@ class TestGrowthExponent:
         # the unshifted convention's s is s + 1 here: its character
         # contributes |w|^(-Re s), so its axis is 1 and N = (max|m| + Re s - 1) / 2
         ts = [1 - 2.0**-j for j in range(4, 13)]
-        p = SeriesParams(s=complex(re_s + 1.0, 0.4))
+        p = complex(re_s + 1.0, 0.4)
         fit = growth_exponent(ModeVector({m: 1.0, -m: 1.0}), p, ts, 512)
         assert fit.n_hat == pytest.approx((m + re_s - 1.0) / 2.0, abs=0.01)
 
@@ -890,29 +903,29 @@ class TestGrowthExponent:
         # sqrt-log truth: small finite exponent, fit quality below a clean
         # power law (measured 0.982 on this grid) but stable
         ts = [1 - 2.0**-j for j in range(4, 13)]
-        fit = growth_exponent(ModeVector({0: 1.0}), P_AXIS, ts, 256)
+        fit = growth_exponent(ModeVector({0: 1.0}), S_AXIS, ts, 256)
         assert math.isfinite(fit.n_hat)
         assert 0.0 < fit.n_hat < 0.3
         assert fit.r_squared > 0.97
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            growth_exponent(ModeVector({}), P_AXIS, [0.5, 0.75, 0.9, 0.95], 256)
+            growth_exponent(ModeVector({}), S_AXIS, [0.5, 0.75, 0.9, 0.95], 256)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            growth_exponent(V_MIX, P_AXIS, [0.2, 0.5, 0.9, 0.95], 256)
+            growth_exponent(V_MIX, S_AXIS, [0.2, 0.5, 0.9, 0.95], 256)
 
 
 class TestBoundaryPairing:
     def test_value_at_zero_time(self):
         v = ModeVector({0: 1.0})
-        rep = boundary_pairing(v, v, P_AXIS, [0.0, 0.5, 0.75], 256)
+        rep = boundary_pairing(v, v, S_AXIS, [0.0, 0.5, 0.75], 256)
         assert rep.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cauchy_structure_at_unit_scale(self):
         ts = [1 - 2.0**-j for j in range(4, 15)]
-        rep = boundary_pairing(V_MIX, smooth_test_vector(), P_AXIS, ts, 1024)
+        rep = boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, ts, 1024)
         assert rep.decreasing
         ratios = [b / a for a, b in zip(rep.diffs, rep.diffs[1:])]
         assert all(0.4 < r < 0.6 for r in ratios[2:])
@@ -921,7 +934,7 @@ class TestBoundaryPairing:
         ts = [1 - 2.0**-j for j in range(4, 15)]
         w = smooth_test_vector()
         w_small = ModeVector({m: 0.01 * c for m, c in w.modes.items()})
-        rep = boundary_pairing(V_MIX, w_small, P_AXIS, ts, 1024)
+        rep = boundary_pairing(V_MIX, w_small, S_AXIS, ts, 1024)
         assert rep.cauchy
         assert rep.final_diff < 1e-6
 
@@ -938,26 +951,26 @@ class TestBoundaryPairing:
         ids=["criterion_11", "quad_1000", "single_mode", "negative_modes"],
     )
     def test_spectral_sum_matches_dense_oracle(self, w, v, quad, t_grid):
-        rep = boundary_pairing(v, w, P_AXIS, t_grid, quad)
-        for got, want in zip(rep.values, dense_pairing(v, w, P_AXIS, t_grid, quad)):
+        rep = boundary_pairing(v, w, S_AXIS, t_grid, quad)
+        for got, want in zip(rep.values, dense_pairing(v, w, S_AXIS, t_grid, quad)):
             assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_rejects_fat_tail_test_vector(self):
         fat = ModeVector({m: 1.0 for m in range(-20, 21, 2)})
         with pytest.raises(ValueError, match="decay"):
-            boundary_pairing(V_MIX, fat, P_AXIS, [0.5, 0.75, 0.9], 256)
+            boundary_pairing(V_MIX, fat, S_AXIS, [0.5, 0.75, 0.9], 256)
 
     @pytest.mark.parametrize("x_scale, t_far, t_near", [(PI / 4, 1.99, 1.999), (XS, -0.99, -0.999)])
     def test_derivative_grows_toward_the_crown_boundary(self, x_scale, t_far, t_near):
         # the difference step scales with the distance to |t| = 1, so the
         # stencil t -+ h stays inside the strip on both sides of t = 0
-        far = orbit_derivative_norm(V_MIX, P_AXIS, scaled(t_far, x_scale), 1024)
-        near = orbit_derivative_norm(V_MIX, P_AXIS, scaled(t_near, x_scale), 1024)
+        far = orbit_derivative_norm(V_MIX, S_AXIS, scaled(t_far, x_scale), 1024)
+        near = orbit_derivative_norm(V_MIX, S_AXIS, scaled(t_near, x_scale), 1024)
         assert near > far
 
     def test_derivative_bump(self):
         ts = [1 - 2.0**-j for j in range(4, 12)]
-        norms = [math.sqrt(extended_norm_sq(V_MIX, P_AXIS, t, 256)) for t in ts]
-        dnorms = [orbit_derivative_norm(V_MIX, P_AXIS, t, 256) for t in ts]
+        norms = [math.sqrt(extended_norm_sq(V_MIX, S_AXIS, t, 256)) for t in ts]
+        dnorms = [orbit_derivative_norm(V_MIX, S_AXIS, t, 256) for t in ts]
         bump = fit_power_law(ts, dnorms).n_hat - fit_power_law(ts, norms).n_hat
         assert bump == pytest.approx(1.0, abs=0.1)
