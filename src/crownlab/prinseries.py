@@ -48,9 +48,9 @@ norms and boundary pairings are uniform trapezoid quadratures, spectrally
 accurate for t < 1, with the point count grown like 1/(1 - t) to track the
 shrinking analyticity strip of the integrand.  ``_quad_nodes`` gives every
 quadrature its node count P, and first rejects imaginary time on or past the
-crown boundary |t| >= 1, where |w| reaches 0 at theta = pi/4; each route
-forms the nodes theta_k = pi k / P it reads.  On that grid the pairing with
-a finite Fourier series is a sum of DFT bins of the orbit values.
+crown boundary |t| >= 1, where |w| reaches 0 at theta = pi/4; ``_nodes``
+forms the nodes theta_k = pi k / P each route reads.  On that grid the
+pairing with a finite Fourier series is a sum of DFT bins of the orbit values.
 
 Every such grid is symmetric under k -> P - k, that is theta -> pi - theta,
 and for every z cos(pi - theta) = -cos theta and sin(pi - theta) = sin theta
@@ -62,7 +62,7 @@ k = 0 ... P // 2 only and gives node P - k the same prefactor times
 sum_m c_m q^{-m/2}.
 
 ``_grid_orbit`` takes that half grid in blocks of GRID_BLOCK nodes, forming
-each block's nodes pi k / P itself (the bits of the whole grid's slice): its
+each block's nodes with ``_nodes`` (the bits of the whole grid's slice): its
 components, prefactor and two mode sums are written straight into one
 preallocated array of P values, so the working set beyond that array is a
 few blocks, and the values are bit-identical to one pass over the half grid.
@@ -249,9 +249,7 @@ def _continued_endpoint(th: np.ndarray, z: complex):
     if first <= span:
         t_fail = first / (2.0 * X1)
         raise DomainExitError(last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floor)
-    arg_w = np.angle(w)
-    if span >= 0.5 * math.pi:  # below, the nearest branch is the principal one
-        arg_w = _nearest_branch(arg_w, -np.sign(c) * z.imag * (2.0 * X1))
+    arg_w = _nearest_branch(np.angle(w), -np.sign(c) * z.imag * (2.0 * X1))
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     return h1, w, u, v, sinh2, c
 
@@ -295,6 +293,11 @@ def _strip_gap(t: float) -> float:
     if gap <= 0.0:
         raise ValueError(f"t = {t!r} is on or past the crown boundary |t| >= 1")
     return gap
+
+
+def _nodes(start: int, stop: int, pts: int) -> np.ndarray:
+    """Nodes theta_k = pi k / P, k = start ... stop - 1: the bits of the full grid's slice."""
+    return math.pi * np.arange(start, stop) / pts
 
 
 def _quad_nodes(quad_points: int, z: complex) -> int:
@@ -350,11 +353,10 @@ def _grid_orbit(v: ModeVector, s: complex, z: complex, pts: int) -> np.ndarray:
     for start in range(0, half, GRID_BLOCK):
         stop = min(start + GRID_BLOCK, half)
         try:
-            # pi k / P on a slice has the bits of the whole grid's slice
-            h1, q = _closed_components(math.pi * np.arange(start, stop) / pts, z)
+            h1, q = _closed_components(_nodes(start, stop, pts), z)
         except DomainExitError:
             # the half grid exits too; raise its error, not the block's
-            _continued_endpoint(math.pi * np.arange(half) / pts, z)
+            _continued_endpoint(_nodes(0, half, pts), z)
             raise
         pre = _orbit_prefactor(s, h1)
         # products out of place: numpy's in-place complex product of a
@@ -423,7 +425,7 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
     """
     # real group elements: no strip, the requested count
     pts = _quad_nodes(quad_points, 0j)
-    angles = math.pi * np.arange(pts) / pts
+    angles = _nodes(0, pts, pts)
     total = np.ones(pts, dtype=complex)
     for g in gs:
         gm = np.asarray(g, dtype=float)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -210,6 +211,15 @@ class TestCheck:
         assert quads == [1024, 128]
 
 
+CLI = (sys.executable, "-m", "crownlab.cli")
+
+
+def cli_env():
+    """The environment of a CLI subprocess, with this package on its path."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 class TestClosedStdout:
     # a 40 x 40 identity's JSON (66 kB) is written while the command runs;
     # the text lines of a 2 x 2 matrix stay buffered until the final flush
@@ -222,11 +232,9 @@ class TestClosedStdout:
         ids=["during_the_command", "at_the_final_flush"],
     )
     def test_closed_stdout_exits_1_without_a_traceback(self, argv):
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "crownlab.cli", "decompose", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            [*CLI, "decompose", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
         )
         # the reader is gone before the CLI writes, as with `| head -c 0`
         proc.stdout.close()
@@ -234,6 +242,29 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+def test_readme_cli_examples_exit_as_documented(tmp_path):
+    # the sh block under the README's "## CLI" heading: each command exits
+    # 0, except the one commented "domain exit", which exits 2; both kinds
+    # must be found, so that a reworded README cannot pass by running nothing
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    runs = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if not command.strip():
+            continue
+        argv = shlex.split(command.replace("/tmp/", f"{tmp_path}/"))
+        assert argv[0] == "crownlab", line
+        code = subprocess.run(
+            [*CLI, *argv[1:]], stdout=subprocess.DEVNULL, env=cli_env(), cwd=tmp_path, timeout=300
+        ).returncode
+        runs.append((command.strip(), 2 if "domain exit" in comment else 0, code))
+    assert {want for _, want, _ in runs} == {0, 2}
+    assert [(command, code) for command, _, code in runs] == [
+        (command, want) for command, want, _ in runs
+    ]
 
 
 class TestFit:
