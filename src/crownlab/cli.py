@@ -412,7 +412,7 @@ def build_parser() -> _Parser:
     p_check = command("check", cmd_check, "run a named verification suite")
     p_check.add_argument("--suite", required=True, help="identities, bounds or prinseries")
     p_check.add_argument("--quad", type=_int_at_least(MIN_QUAD_POINTS), default=None,
-                         help="quadrature points of the prinseries tables (default 1024)")
+                         help="least quadrature node count of the prinseries tables (default 1024)")
 
     p_fit = command("fit", cmd_fit, "power-law fit of a sweep table")
     p_fit.add_argument("--input", default="-", help="table path (CSV or JSON), - for stdin")

@@ -45,7 +45,8 @@ class DomainExitError(CrownLabError, RuntimeError):
 
     ``last_good_t`` is the largest path parameter at which all leading
     minors were still above the floor; ``t_fail`` is where the violation
-    was detected.
+    was detected.  The message prints both times in full (repr), since in
+    the boundary layer they differ from 1 only past the sixth digit.
     """
 
     def __init__(self, last_good_t: float, t_fail: float, minor_index: int, magnitude: float):
@@ -54,13 +55,16 @@ class DomainExitError(CrownLabError, RuntimeError):
         self.minor_index = minor_index
         self.magnitude = magnitude
         super().__init__(
-            f"domain exit near t={t_fail:.6g} (last good t={last_good_t:.6g}, "
+            f"domain exit near t={float(t_fail)!r} (last good t={float(last_good_t)!r}, "
             f"minor {minor_index} at magnitude {magnitude:.3e})"
         )
 
 
 class BranchAmbiguityError(CrownLabError, RuntimeError):
-    """Path refinement hit maximum depth with an argument jump still too large."""
+    """Path refinement hit maximum depth with an argument jump still too large.
+
+    The message prints the interval's ends in full (repr), as DomainExitError does.
+    """
 
     def __init__(self, t_lo: float, t_hi: float, minor_index: int, arg_jump: float):
         self.t_lo = t_lo
@@ -68,7 +72,7 @@ class BranchAmbiguityError(CrownLabError, RuntimeError):
         self.minor_index = minor_index
         self.arg_jump = arg_jump
         super().__init__(
-            f"branch ambiguity on [{t_lo:.6g}, {t_hi:.6g}]: minor {minor_index} "
+            f"branch ambiguity on [{float(t_lo)!r}, {float(t_hi)!r}]: minor {minor_index} "
             f"argument jump {arg_jump:.3f} rad exceeds the guard at max refinement depth"
         )
 

@@ -44,38 +44,22 @@ The unshifted convention (axis Re s = 1) at s - 1 is this one at s.
 
 K-finite vectors are finite Fourier series on K/M, theta in [0, pi) with
 probability measure d theta / pi; M-invariance forces even modes.  Orbit
-norms and boundary pairings are uniform trapezoid quadratures, spectrally
-accurate for t < 1, with the point count grown like 1/(1 - t) to track the
-shrinking analyticity strip of the integrand.  ``_quad_nodes`` gives every
-quadrature its node count P, and first rejects imaginary time on or past the
-crown boundary |t| >= 1, where |w| reaches 0 at theta = pi/4; ``_nodes``
-forms the nodes theta_k = pi k / P each route reads.  On that grid the
-pairing with a finite Fourier series is a sum of DFT bins of the orbit values.
-
-Every such grid is symmetric under k -> P - k, that is theta -> pi - theta,
-and for every z cos(pi - theta) = -cos theta and sin(pi - theta) = sin theta
-give
-    w(pi - theta) = w(theta),  u(pi - theta) = -v(theta),  v(pi - theta) = -u(theta),
-so q(pi - theta) = 1 / q(theta).  H1 agrees at the two nodes, since the
-branch rule reads only w and c.  So ``_grid_orbit`` evaluates the orbit on
-k = 0 ... P // 2 only and gives node P - k the same prefactor times
-sum_m c_m q^{-m/2}.
-
-``_grid_orbit`` takes that half grid in blocks of GRID_BLOCK nodes, forming
-each block's nodes with ``_nodes`` (the bits of the whole grid's slice): its
-components, prefactor and two mode sums are written straight into one
-preallocated array of P values, so the working set beyond that array is a
-few blocks, and the values are bit-identical to one pass over the half grid.
-``boundary_pairing`` transforms the array in place.  The floor test is a
-minimum of crossing phases over nodes, so some block exits exactly when the
-whole half grid does.  The first crossing is a minimum too, and it can lie
-in a later block than the first block to exit: at negative real time the
-crossings near theta = pi/2 come earlier the nearer they are.  So on an exit
-``_grid_orbit`` raises the half grid's DomainExitError, not the block's.
+norms, derivative norms and boundary pairings are sums over one graded rule,
+``_rule``.  For z = i t the integrand is nearly singular at theta_0 = pi/4
+and 3 pi/4, where |w| falls to the gap 1 - |t| over a width of the same
+order; a uniform rule needs O(1 / (1 - |t|)) nodes there.  ``_rule`` breaks
+each quarter of [0, pi], between theta_0 and a multiple of pi/2, at the
+distances X1 GRADE_RATIO^k from theta_0 down to the first one at most the
+gap, splits every level into equal panels until there are at least the
+requested number of nodes, and puts Gauss-Legendre of order PANEL_ORDER on
+every panel: O(log 1 / (1 - |t|)) panels.  It first rejects imaginary time
+on or past the crown boundary |t| >= 1, where |w| reaches 0 at theta = pi/4.
+A pairing with a finite Fourier series evaluates the series at the nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,16 +71,26 @@ from .growth import BlowupFit, fit_power_law
 from .numkernel import path_minor_floor
 
 MIN_QUAD_POINTS = 64
-QUAD_STRIP_FACTOR = 32.0
-MAX_QUAD_POINTS = 4_000_000
-# Half-grid nodes per block of ``_grid_orbit``: a block's temporaries stay
-# in cache.  On a 2-core AVX-512 x86-64 machine 4,096 and 8,192 ran fastest
-# and 16,384 was slower at P = 131,072.
-GRID_BLOCK = 4096
 
 # x = diag(X1, -X1), the boundary direction: rho(x) = 2 X1 = pi/2, and the
 # phase of the time i t is t pi/2
 X1 = 0.25 * math.pi
+
+# ``_rule``'s panels: edges at distances X1 GRADE_RATIO^k from the singular
+# angles, Gauss-Legendre of order PANEL_ORDER on each
+GRADE_RATIO = 0.15
+PANEL_ORDER = 32
+
+
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order PANEL_ORDER on [0, 1].
+
+    Formed on first use, not at import: numpy.polynomial and the eigenvalue
+    solve behind it added about 1.8 MB to the peak RSS of runs that never
+    integrate."""
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    return 0.5 * (1.0 + x), 0.5 * w
 
 
 def unitary_params(im_s: float = 0.0) -> complex:
@@ -295,22 +289,21 @@ def _strip_gap(t: float) -> float:
     return gap
 
 
-def _nodes(start: int, stop: int, pts: int) -> np.ndarray:
-    """Nodes theta_k = pi k / P, k = start ... stop - 1: the bits of the full grid's slice."""
-    return math.pi * np.arange(start, stop) / pts
-
-
-def _quad_nodes(quad_points: int, z: complex) -> int:
-    """The number P of trapezoid nodes theta_k = pi k / P on K/M for an
-    orbit at time z.
+def _rule(quad_points: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes theta and weights of (1/pi) int_0^pi dtheta for an orbit at time z.
 
     Rejects a count that is not an integer or is below MIN_QUAD_POINTS, a
-    non-finite z, and imaginary z on or past the crown boundary, before
-    any node is built.  For z = i t the strip half-width is of order the gap
-    and the error decays like exp(-2 P delta), so P grows to
-    QUAD_STRIP_FACTOR / gap (at most MAX_QUAD_POINTS).
+    non-finite z, and imaginary z on or past the crown boundary, before any
+    node is built.  Each quarter of [0, pi] runs from a singular angle
+    theta_0 in {pi/4, 3 pi/4} to a multiple of pi/2.  For z = i t its panel
+    edges lie at distances X1 GRADE_RATIO^k from theta_0, down to the first
+    one at most the gap 1 - |t|, and then at theta_0 itself; for real z, and
+    for t = 0, a quarter is one panel.  Every level is split into the same
+    number of equal panels, the fewest that give the rule at least
+    quad_points nodes, and each panel carries PANEL_ORDER Gauss-Legendre
+    nodes.  The nodes come in order; past 1 - |t| of about 1e-12 the
+    innermost ones round onto theta_0.
     """
-    # a float count builds a grid whose spacing is not pi / P
     if not isinstance(quad_points, (int, np.integer)):
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}")
     if quad_points < MIN_QUAD_POINTS:
@@ -318,11 +311,22 @@ def _quad_nodes(quad_points: int, z: complex) -> int:
     # 1j * nan has a NaN real part, so a NaN t would skip the strip test
     if not np.isfinite(z):
         raise ValueError(f"t must be finite, got time z = {z!r}")
-    pts = int(quad_points)
+    dist = [X1]
     if z.real == 0.0:
-        grown = int(math.ceil(QUAD_STRIP_FACTOR / _strip_gap(z.imag)))
-        pts = min(MAX_QUAD_POINTS, max(pts, grown))
-    return pts
+        gap = _strip_gap(z.imag)
+        while dist[-1] > gap:
+            dist.append(X1 * GRADE_RATIO ** len(dist))
+    # level edges 0 < X1 r^K <= gap < ... < X1, as offsets from theta_0
+    levels = np.array([0.0, *dist[::-1]])
+    per_level = -(-int(quad_points) // (4 * PANEL_ORDER * (levels.size - 1)))
+    edges = np.linspace(levels[:-1], levels[1:], per_level, endpoint=False).T.ravel()
+    width = np.diff(edges, append=X1)
+    nodes, node_weights = _panel_rule()
+    offsets = (edges[:, None] + width[:, None] * nodes).ravel()
+    weights = (width[:, None] * (node_weights / math.pi)).ravel()
+    # quarters [0, pi/4], [pi/4, pi/2], [pi/2, 3 pi/4], [3 pi/4, pi]
+    theta = [X1 - offsets[::-1], X1 + offsets, 3.0 * X1 - offsets[::-1], 3.0 * X1 + offsets]
+    return np.concatenate(theta), np.concatenate([weights[::-1], weights] * 2)
 
 
 def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
@@ -330,59 +334,22 @@ def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
     return np.exp((1.0 - s) * h1)
 
 
-def _grid_orbit(v: ModeVector, s: complex, z: complex, pts: int) -> np.ndarray:
-    """The orbit on the grid theta_k = pi k / P of ``_quad_nodes``' P = pts
-    (P even or odd), evaluated on k = 0 ... P // 2 and reflected onto the rest.
-
-    Node P - k is pi - theta_k, where w is the same, u and v trade places
-    with a sign, q becomes 1/q and H1 (continued along the same w) agrees
-    (module docstring).  So its value is the same prefactor times
-    sum_m c_m q^{-m/2}: the modes of v reflected, m -> -m, summed at q.
-
-    The half grid is taken in blocks of GRID_BLOCK nodes, each forming its
-    own nodes and written straight into the one output array, so no
-    temporary is longer than a block.  A block exits only where the whole
-    half grid exits, and the DomainExitError names the half grid's first
-    crossing, which may lie in a later block.
-    """
-    half = pts // 2 + 1
-    # nodes k = 1 ... (P - 1) // 2 have a mirror node P - k
-    mirrored = (pts + 1) // 2
-    reflected = ModeVector({-m: c for m, c in v.modes.items()})
-    vals = np.empty(pts, dtype=complex)
-    for start in range(0, half, GRID_BLOCK):
-        stop = min(start + GRID_BLOCK, half)
-        try:
-            h1, q = _closed_components(_nodes(start, stop, pts), z)
-        except DomainExitError:
-            # the half grid exits too; raise its error, not the block's
-            _continued_endpoint(_nodes(0, half, pts), z)
-            raise
-        pre = _orbit_prefactor(s, h1)
-        # products out of place: numpy's in-place complex product of a
-        # one-element slice can round differently from its array loop
-        vals[start:stop] = v.evaluate(q) * pre
-        lo, hi = max(start, 1), min(stop, mirrored)
-        if lo < hi:
-            # nodes P - k for k = hi - 1 down to lo
-            mirror = slice(lo - start, hi - start)
-            vals[pts - hi + 1 : pts - lo + 1] = (
-                reflected.evaluate(q[mirror][::-1]) * pre[mirror][::-1]
-            )
-    return vals
+def _orbit(v: ModeVector, s: complex, z: complex, theta: np.ndarray) -> np.ndarray:
+    """(pi_sigma(exp(z x)) v)(k_theta): the prefactor e^{(1 - s) H1} times
+    the mode sum at q = e^{2 i zeta}."""
+    h1, q = _closed_components(theta, z)
+    return v.evaluate(q) * _orbit_prefactor(s, h1)
 
 
 def _orbit_norm_sq(v: ModeVector, s: complex, z: complex, quad_points: int) -> float:
-    """||pi_sigma(exp(z x)) v||^2 by trapezoid quadrature over K/M, for z = i t
-    on the crown path or real z on the real flow."""
-    # |vals|^2 with one temporary; mags *= mags has the bits of mags ** 2
-    mags = np.abs(_grid_orbit(v, s, z, _quad_nodes(quad_points, z)))
-    mags *= mags
-    return float(np.mean(mags))
+    """||pi_sigma(exp(z x)) v||^2 by ``_rule`` over K/M, for z = i t on the
+    crown path or real z on the real flow."""
+    theta, weights = _rule(quad_points, z)
+    return float(weights @ np.abs(_orbit(v, s, z, theta)) ** 2)
 
 
 def extended_norm_sq(v: ModeVector, s: complex, t: float, quad_points: int) -> float:
-    """||e^{i t dpi(x)} v||^2 by trapezoid quadrature over K/M.
+    """||e^{i t dpi(x)} v||^2 by quadrature over K/M.
 
     Integrand per the orbit formula: |e^{(1 - s) H1}|^2 |sum c_m e^{i m zeta}|^2
     (the rho-shift is the factor |alpha1|^2), with H1 branch-continued along
@@ -423,10 +390,9 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
     Independent second code path for real-time checks: uses only the real
     Iwasawa decomposition of 2x2 matrices, never the holomorphic formula.
     """
-    # real group elements: no strip, the requested count
-    pts = _quad_nodes(quad_points, 0j)
-    angles = _nodes(0, pts, pts)
-    total = np.ones(pts, dtype=complex)
+    # real group elements: the rule of real time
+    angles, weights = _rule(quad_points, 0j)
+    total = np.ones(angles.size, dtype=complex)
     for g in gs:
         gm = np.asarray(g, dtype=float)
         if gm.shape != (2, 2) or not np.all(np.isfinite(gm)):
@@ -437,7 +403,7 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
         factor, angles = _real_cocycle(gm, angles, s)
         total = total * factor
     vals = total * v.evaluate(np.exp(2j * angles))
-    return float(np.mean(np.abs(vals) ** 2))
+    return float(weights @ np.abs(vals) ** 2)
 
 
 # The finite-difference step of orbit_derivative_norm, relative to the
@@ -450,15 +416,13 @@ def orbit_derivative_norm(v: ModeVector, s: complex, t: float, quad_points: int)
 
     The step is FD_SCALE times the distance 1 - |t| from the crown boundary,
     so both stencil points stay inside the domain of holomorphy on either
-    side of t = 0; the node grid is the one for the stencil point nearer the
+    side of t = 0; the rule is the one for the stencil point nearer the
     boundary.
     """
     h = FD_SCALE * _strip_gap(t)
-    pts = _quad_nodes(quad_points, 1j * (abs(t) + h))
-    hi = _grid_orbit(v, s, 1j * (t + h), pts)
-    lo = _grid_orbit(v, s, 1j * (t - h), pts)
-    quot = (hi - lo) / (2.0 * h)
-    return math.sqrt(float(np.mean(np.abs(quot) ** 2)))
+    theta, weights = _rule(quad_points, 1j * (abs(t) + h))
+    quot = (_orbit(v, s, 1j * (t + h), theta) - _orbit(v, s, 1j * (t - h), theta)) / (2.0 * h)
+    return math.sqrt(float(weights @ np.abs(quot) ** 2))
 
 
 def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> BlowupFit:
@@ -523,17 +487,12 @@ def boundary_pairing(
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
     for t in ts:
         _strip_gap(t)
-    # e^{-i m theta_k} = e^{-2 pi i (m/2) k / P} on theta_k = pi k / P, so the
-    # trapezoid sum of conj(w) * orbit is sum_m conj(c_m) fft(orbit)[m/2 mod P] / P,
-    # aliasing included
-    half_modes = ms.astype(np.int64) // 2
     values = []
     for t in ts:
         z = 1j * t
-        pts = _quad_nodes(quad_points, z)
-        orbit = _grid_orbit(v, s, z, pts)
-        spectrum = np.fft.fft(orbit, out=orbit)
-        values.append(complex(np.conj(cs) @ spectrum[half_modes % pts]) / pts)
+        theta, weights = _rule(quad_points, z)
+        probe = weights * np.conj(w_smooth.evaluate(np.exp(2j * theta)))
+        values.append(complex(probe @ _orbit(v, s, z, theta)))
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     final = diffs[-1]

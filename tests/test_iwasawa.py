@@ -504,3 +504,12 @@ class TestHRange:
         off = PElement(np.array([[0.0, 0.3, 0], [0.3, 0, 0], [0, 0, 0]]))
         with pytest.raises(ValueError, match="diagonal"):
             check_H_range(f, off, 0.5)
+
+
+def test_error_messages_print_path_times_in_full():
+    # six significant digits printed 1 - 3e-13 as "t=1"
+    t = 1.0 - 3e-13
+    exit_error = DomainExitError(np.float64(t), t, minor_index=1, magnitude=1e-12)
+    assert f"domain exit near t={t!r} (last good t={t!r}," in str(exit_error)
+    branch_error = BranchAmbiguityError(np.float64(t), 1.0 - 1e-13, minor_index=2, arg_jump=1.0)
+    assert f"branch ambiguity on [{t!r}, {1.0 - 1e-13!r}]" in str(branch_error)

@@ -145,55 +145,79 @@ def assert_first_crossing(thetas, z, t_fail):
     assert at <= 1.01 * floor and (t_fail == 0.0 or at >= 0.99 * floor)
 
 
-def orbit_values(v, s, z, thetas):
-    """(pi_sigma(exp(z x)) v)(k_theta) at arbitrary angles, node by node with
-    no use of the grid's symmetry: the prefactor e^{(1 - s) H1} times the
-    mode sum at q = e^{2 i zeta}."""
-    h1, q = prinseries._closed_components(thetas, z)
-    return prinseries._orbit_prefactor(s, h1) * v.evaluate(q)
+# The oracle: the uniform trapezoid rule every quadrature used before the
+# graded rule.  P = max(quad, 32 / (1 - |t|)) nodes theta_k = pi k / P keep
+# the error, which decays like exp(-2 P delta) with a strip half-width delta
+# of order 1 - |t|, at roundoff; the pairing is a sum of DFT bins.
+TRAPEZOID_STRIP_FACTOR = 32.0
 
 
-def one_shot_grid_orbit(v, s, z, pts):
-    """The orbit on the grid theta_k = pi k / P, P = pts, in one pass over the
-    half grid k = 0 ... P // 2, reflected onto nodes P - k: the unblocked
-    route, whose bytes and exits the blocked ``_grid_orbit`` must reproduce."""
-    h1, q = prinseries._closed_components(prinseries._nodes(0, pts // 2 + 1, pts), z)
-    half = h1.size
-    # vals[half:] holds nodes P - k for k = (P - 1) // 2 down to 1
-    mirror = slice((pts - 1) // 2, 0, -1)
-    vals = np.empty(pts, dtype=complex)
-    vals[:half] = v.evaluate(q)
-    vals[half:] = ModeVector({-m: c for m, c in v.modes.items()}).evaluate(q[mirror])
-    pre = prinseries._orbit_prefactor(s, h1)
-    vals[:half] *= pre
-    vals[half:] *= pre[mirror]
-    return vals
+def trapezoid_nodes(quad, z):
+    pts = quad
+    if z.real == 0.0:
+        pts = max(quad, math.ceil(TRAPEZOID_STRIP_FACTOR / (1.0 - abs(z.imag))))
+    return math.pi * np.arange(pts) / pts
 
 
-def same_bytes(a, b):
-    """Both outcomes exit with the same payload, or their values agree bit for bit."""
-    if exited(a) or exited(b):
-        return a == b
-    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def trapezoid_norm_sq(v, s, z, quad):
+    return float(np.mean(np.abs(prinseries._orbit(v, s, z, trapezoid_nodes(quad, z))) ** 2))
 
 
-def dense_pairing(v, w_smooth, s, t_grid, quad_points):
-    """The trapezoid pairing summed over a (nodes x modes) matrix of w's modes,
-    each a fresh exp, in chunks of nodes so the matrix stays small.  The orbit
-    values are the library's grid values: the subject is the DFT-bin sum."""
+def trapezoid_derivative_norm(v, s, t, quad):
+    h = prinseries.FD_SCALE * (1.0 - abs(t))
+    thetas = trapezoid_nodes(quad, 1j * (abs(t) + h))
+    hi, lo = (prinseries._orbit(v, s, 1j * (t + sign * h), thetas) for sign in (1.0, -1.0))
+    return math.sqrt(float(np.mean(np.abs((hi - lo) / (2.0 * h)) ** 2)))
+
+
+def trapezoid_pairing(v, w_smooth, s, t_grid, quad):
+    """e^{-i m theta_k} = e^{-2 pi i (m/2) k / P} on theta_k = pi k / P, so the
+    trapezoid sum of conj(w) * orbit is sum_m conj(c_m) fft(orbit)[m/2 mod P] / P,
+    aliasing included."""
     ms, cs = w_smooth.arrays()
     values = []
     for t in t_grid:
-        z = 1j * t
-        pts = prinseries._quad_nodes(quad_points, z)
-        thetas = prinseries._nodes(0, pts, pts)
-        orbit = prinseries._grid_orbit(v, s, z, pts)
-        total = 0.0
-        for k in range(0, pts, 65536):
-            w_vals = np.exp(1j * np.multiply.outer(thetas[k : k + 65536], ms)) @ cs
-            total += np.sum(np.conj(w_vals) * orbit[k : k + 65536])
-        values.append(complex(total) / pts)
+        thetas = trapezoid_nodes(quad, 1j * t)
+        spectrum = np.fft.fft(prinseries._orbit(v, s, 1j * t, thetas))
+        bins = spectrum[ms.astype(np.int64) // 2 % thetas.size]
+        values.append(complex(np.conj(cs) @ bins) / thetas.size)
     return values
+
+
+def mpmath_pairing(mpmath, v, w_smooth, s, t):
+    """F(t) = (1/pi) int_0^pi conj(w(theta)) orbit(theta) dtheta to 20 digits,
+    by mpmath's adaptive quadrature broken at pi/2 and at distances
+    (1 - t) 8^k from pi/4.  Both vectors must have c_m = c_{-m}: the
+    integrand is then even about pi/2, and the half [0, pi/2] is doubled."""
+    assert all(v.modes.get(-m) == c for m, c in v.modes.items())
+    assert all(w_smooth.modes.get(-m) == c for m, c in w_smooth.modes.items())
+    with mpmath.workdps(20):
+        x1, z, s = mpmath.pi / 4, mpmath.mpc(0, t), mpmath.mpc(s)
+        ch, sh = mpmath.cosh(2 * z * x1), mpmath.sinh(2 * z * x1)
+        em, ep = mpmath.exp(-z * x1), mpmath.exp(z * x1)
+        v_modes = [(m // 2, mpmath.mpc(c)) for m, c in v.modes.items()]
+        w_modes = [(m // 2, mpmath.conj(mpmath.mpc(c))) for m, c in w_smooth.modes.items()]
+
+        def integrand(th):
+            w = ch - sh * mpmath.cos(2 * th)
+            u = em * mpmath.cos(th) + 1j * ep * mpmath.sin(th)
+            q = u * u / w
+            orbit = mpmath.exp((1 - s) * mpmath.log(w) / 2) * sum(c * q**k for k, c in v_modes)
+            e = mpmath.expj(-2 * th)
+            return sum(c * e**k for k, c in w_modes) * orbit
+
+        dists = [d for d in ((1 - mpmath.mpf(t)) * 8**k for k in range(40)) if d < x1 / 2]
+        breaks = [0, *(x1 - d for d in dists[::-1]), x1, *(x1 + d for d in dists), 2 * x1]
+        return complex(2 * mpmath.quad(integrand, breaks) / mpmath.pi)
+
+
+def trapezoid_action_norm_sq(v, s, gs, quad):
+    angles = trapezoid_nodes(quad, 0j)
+    total = np.ones(angles.size, dtype=complex)
+    for g in gs:
+        factor, angles = prinseries._real_cocycle(np.asarray(g, dtype=float), angles, s)
+        total = total * factor
+    return float(np.mean(np.abs(total * v.evaluate(np.exp(2j * angles))) ** 2))
 
 
 class TestModeVector:
@@ -296,8 +320,8 @@ class TestClosedForm:
 
     def test_every_route_evaluates_the_endpoint_once(self, monkeypatch):
         # principal and long segments and real time: no route steps along
-        # the segment, and each node of a blocked grid is evaluated once;
-        # t = 0.999 grows the pairing grid to 32,000 nodes, several blocks
+        # the segment, and a quadrature evaluates each node of its rule once;
+        # t = 0.999 grades the pairing's rule past the requested count
         nodes = self.count_endpoint_nodes(monkeypatch)
         thetas = [0.1, 0.3, 2.0]
         times = [scaled(z, x) for x, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j))]
@@ -305,9 +329,10 @@ class TestClosedForm:
             prinseries._closed_components(thetas, z)
         real_time_norm_sq(V_MIX, S_OFF, 0.7, 1024)
         boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.999], 1024)
-        assert 32_000 // 2 + 1 > prinseries.GRID_BLOCK
-        want = {z: 3 for z in times} | {complex(0.9): 3, complex(0.7): 513, 0j: 513, 0.5j: 513}
-        want[0.999j] = 32_000 // 2 + 1
+        want = {z: 3 for z in times} | {complex(0.9): 3}
+        for z in (complex(0.7), 0j, 0.5j, 0.999j):
+            want[z] = prinseries._rule(1024, z)[0].size
+        assert want[0j] == 1024 < want[0.999j]
         assert nodes == {"endpoint": want, "continued": want}
 
     def test_sl2_evaluates_the_endpoint_once_on_a_long_segment(self, monkeypatch):
@@ -403,8 +428,7 @@ class TestClosedForm:
             h = 1e-2 * (1.0 - t)
             grid += [(512, t - h), (512, t), (512, t + h)]
         for quad, t in grid:
-            pts = prinseries._quad_nodes(quad, 1j * t)
-            assert_routes_agree(prinseries._nodes(0, pts, pts), 1j * t)
+            assert_routes_agree(prinseries._rule(quad, 1j * t)[0], 1j * t)
 
     def test_principal_route_matches_march_on_seeded_draws(self):
         rng = np.random.default_rng(20261018)
@@ -490,15 +514,15 @@ class TestOrbitValues:
                                  float(abs(factor) * sum(abs(x) for x in terms))))
                 bound = 16 * eps / min(1.0, float(abs(w)))
             for p, (want, scale) in zip(params, refs):
-                got = orbit_values(v, p, 1j * t, np.array([theta]))[0]
+                got = prinseries._orbit(v, p, 1j * t, np.array([theta]))[0]
                 assert abs(got - want) <= bound * scale
 
 
-def grid_orbit_oracle(mpmath, v, params, z, node):
+def node_orbit_oracle(mpmath, v, params, z, node):
     """50-digit orbit at one node (an mpf angle), one (value, scale) per
     parameter set; scale is |prefactor| sum |c_m q^{m/2}|.  The principal log
     of w is its continued log on every segment used here (real time, or
-    t < 2, where w crosses no negative real axis)."""
+    |t| < 1)."""
     x1, z = mpmath.mpf(X1), mpmath.mpc(z)
     w = mpmath.cosh(2 * z * x1) - mpmath.sinh(2 * z * x1) * mpmath.cos(2 * node)
     u = mpmath.exp(-z * x1) * mpmath.cos(node) + 1j * mpmath.exp(z * x1) * mpmath.sin(node)
@@ -511,166 +535,160 @@ def grid_orbit_oracle(mpmath, v, params, z, node):
     return refs, float(abs(w))
 
 
-class TestGridOrbit:
-    # (z, P): the principal route near the corner, real time, and a long
-    # segment, whose P is not divisible by 4 so that no node sits on the
-    # corner pi/4 the segment passes
-    ROUTES = [
-        pytest.param(scaled(z, x_scale), pts, id=f"{route}-{pts}")
-        for route, x_scale, z, long_pts in (
-            ("principal", XS, 1j * (1.0 - 2.0**-8), 1024),
-            ("real_time", XS, complex(1.1), 1024),
-            ("long_segment", 1.0, 2.5j, 1026),
-        )
-        for pts in (long_pts, 1001)
+def level_count(z):
+    """Levels of the graded rule per quarter: 1 + the least k with
+    X1 GRADE_RATIO^k <= 1 - |t| for z = i t, and 1 for real z."""
+    if z.real != 0.0:
+        return 1
+    k = 0
+    while X1 * prinseries.GRADE_RATIO**k > 1.0 - abs(z.imag):
+        k += 1
+    return k + 1
+
+
+RULE_TIMES = {
+    "zero": 0j,
+    "real_time": complex(1.1),
+    "negative_real_time": complex(-0.7),
+    "inside": 0.5j,
+    "criterion_11_end": 1j * (1.0 - 2.0**-14),
+    "negative_deep": -1j * (1.0 - 2.0**-30),
+    "deep": 1j * (1.0 - 2.0**-40),
+}
+
+
+class TestRule:
+    @pytest.mark.parametrize("quad", [64, 256, 1000, 1024, 8193])
+    @pytest.mark.parametrize("route", sorted(RULE_TIMES))
+    def test_weights_sum_to_one_on_at_least_quad_nodes(self, route, quad):
+        # the fewest equal panels per level that reach the requested count
+        z = RULE_TIMES[route]
+        theta, weights = prinseries._rule(quad, z)
+        panel = 4 * prinseries.PANEL_ORDER * level_count(z)
+        assert theta.size >= quad and theta.size % panel == 0 and theta.size - panel < quad
+        assert weights.shape == theta.shape and np.all(weights > 0.0)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        # deep in the boundary layer the innermost nodes round onto pi/4
+        assert np.all(np.diff(theta) >= 0.0) and 0.0 < theta[0] and theta[-1] < PI
+
+    @pytest.mark.parametrize("route", sorted(RULE_TIMES))
+    def test_innermost_panel_is_no_wider_than_the_gap(self, route):
+        # the weights of a panel's PANEL_ORDER nodes sum to its width / pi
+        z = RULE_TIMES[route]
+        gap = 1.0 - abs(z.imag) if z.real == 0.0 else X1
+        order = prinseries.PANEL_ORDER
+        theta, weights = prinseries._rule(1024, z)
+        for corner in (PI / 4, 3 * PI / 4):
+            for side in (theta < corner, theta > corner):
+                nearest = np.argsort(np.abs(theta[side] - corner))[:order]
+                assert PI * weights[side][nearest].sum() <= gap * (1.0 + 1e-12)
+                assert np.abs(theta[side][nearest] - corner).max() < gap
+
+    def test_graded_rule_grows_like_the_log_of_the_gap(self):
+        # the trapezoid needed 32 / (1 - t) nodes: 524,288 at 1 - t = 2^-14
+        sizes = [prinseries._rule(64, 1j * (1.0 - 2.0**-j))[0].size for j in (10, 14, 20, 30, 40)]
+        assert sizes == [640, 768, 1152, 1536, 2048]
+
+    ORBIT_ROUTES = [
+        pytest.param(z, quad, id=f"{route}-{quad}")
+        for route, z in (("principal", 1j * (1.0 - 2.0**-8)), ("real_time", complex(1.1)))
+        for quad in (1024, 1001)
     ]
 
-    @pytest.mark.parametrize("z, pts", ROUTES)
-    def test_mirrored_values_match_mpmath_at_the_mirrored_node(self, z, pts):
-        # node P - k is evaluated at exactly pi - theta_k, not at its own
-        # rounded angle; both halves are held to the pointwise oracle bound
+    @pytest.mark.parametrize("z, quad", ORBIT_ROUTES)
+    def test_orbit_matches_mpmath_at_the_rule_nodes(self, z, quad):
+        # the nodes nearest both singular angles and either end, and random
+        # ones, held to the pointwise oracle bound
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
         params = (S_AXIS, 1.8 + 0.3j)
-        thetas = prinseries._nodes(0, pts, pts)
-        got = [prinseries._grid_orbit(v, p, z, pts) for p in params]
-        rng = np.random.default_rng(pts)
-        near_corner = int(round(0.75 * pts))  # q -> infinity at 3 pi / 4
-        picks = {0, 1, pts // 2, pts // 2 + 1, pts - 1, near_corner - 1, near_corner, near_corner + 1}
-        picks |= set(rng.integers(0, pts, 24).tolist())
+        thetas = prinseries._rule(quad, z)[0]
+        got = [prinseries._orbit(v, p, z, thetas) for p in params]
+        n = thetas.size
+        picks = {0, 1, n - 1, *np.random.default_rng(quad).integers(0, n, 24).tolist()}
+        for corner in (PI / 4, 3 * PI / 4):
+            k = int(np.searchsorted(thetas, corner))
+            picks |= {k - 2, k - 1, k, k + 1}
         for k in sorted(picks):
             with mpmath.workdps(50):
-                if k <= pts // 2:
-                    node = mpmath.mpf(thetas[k])
-                else:
-                    node = mpmath.pi - mpmath.mpf(thetas[pts - k])
-                refs, mag_w = grid_orbit_oracle(mpmath, v, params, z, node)
+                refs, mag_w = node_orbit_oracle(mpmath, v, params, z, mpmath.mpf(thetas[k]))
             bound = 16 * eps / min(1.0, mag_w)
             for vals, (want, scale) in zip(got, refs):
                 assert abs(vals[k] - want) <= bound * scale
 
     @pytest.mark.parametrize("quad", [1024, 1001])
-    def test_half_the_nodes_reach_the_components(self, quad, monkeypatch):
-        # one grid per time, and nodes per time z: a grid of several blocks
-        # reaches the components in one call per block (t = 0.999 grows the
-        # grid to 32,000 nodes)
-        grids, nodes = [], Counter()
-        quad_nodes, closed = prinseries._quad_nodes, prinseries._closed_components
+    def test_every_rule_node_reaches_the_components_once(self, quad, monkeypatch):
+        # one rule per time, and its nodes reach the components in one call
+        rules, nodes = [], Counter()
+        rule, closed = prinseries._rule, prinseries._closed_components
 
-        def counted_grid(quad_points, z):
-            pts = quad_nodes(quad_points, z)
-            grids.append((z, pts))
-            return pts
+        def counted_rule(quad_points, z):
+            theta, weights = rule(quad_points, z)
+            rules.append((z, theta.size))
+            return theta, weights
 
         def counted_components(theta, z):
             nodes[z] += np.size(theta)
             return closed(theta, z)
 
-        monkeypatch.setattr(prinseries, "_quad_nodes", counted_grid)
+        monkeypatch.setattr(prinseries, "_rule", counted_rule)
         monkeypatch.setattr(prinseries, "_closed_components", counted_components)
-        extended_norm_sq(V_MIX, S_AXIS, 0.9, quad)  # P = quad
+        extended_norm_sq(V_MIX, S_AXIS, 0.9, quad)
         extended_norm_sq(V_MIX, S_AXIS, 0.999, quad)
         real_time_norm_sq(V_MIX, S_OFF, 0.7, quad)
         boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.99, 0.9995], quad)
-        assert [z for z, _ in grids] == [0.9j, 0.999j, 0.7, 0j, 0.5j, 0.99j, 0.9995j]
-        assert dict(grids)[0.999j] // 2 + 1 > prinseries.GRID_BLOCK
-        assert nodes == {z: size // 2 + 1 for z, size in grids}
-        # one grid, built for the stencil point nearer the boundary, serves both
-        grids.clear()
+        assert [z for z, _ in rules] == [0.9j, 0.999j, 0.7, 0j, 0.5j, 0.99j, 0.9995j]
+        assert nodes == dict(rules)
+        # one rule, built for the stencil point nearer the boundary, serves both
+        rules.clear()
         nodes.clear()
-        orbit_derivative_norm(V_MIX, S_AXIS, 0.999, quad)
+        orbit_derivative_norm(V_MIX, S_AXIS, -0.999, quad)
         h = prinseries.FD_SCALE * (1.0 - 0.999)
-        assert len(grids) == 1 and grids[0][0] == 1j * (0.999 + h)
-        size = grids[0][1]
-        assert nodes == {1j * (0.999 + h): size // 2 + 1, 1j * (0.999 - h): size // 2 + 1}
+        assert len(rules) == 1 and rules[0][0] == 1j * (0.999 + h)
+        size = rules[0][1]
+        assert nodes == {1j * (-0.999 + h): size, 1j * (-0.999 - h): size}
 
-    B = prinseries.GRID_BLOCK
-    # P and what its half grid k = 0 ... P // 2 makes of the blocks
-    BLOCK_GRIDS = {
-        "one_block_less_one_node": 2 * B - 4,
-        "one_block": 2 * B - 2,
-        "one_block_plus_one_node": 2 * B,
-        # odd P: node k = B, alone in the second block, is mirrored to P - B,
-        # so the mirrored nodes straddle the block edge
-        "odd_mirror_straddles_edge": 2 * B + 1,
-        "several_blocks": 6 * B + 10,
-        "several_blocks_odd": 5 * B + 3,
-    }
-    BLOCK_TIMES = {
-        "principal": 1j * (1.0 - 2.0**-8),
-        "real_time": complex(1.1),
-        "negative_real_time": complex(-0.7),
-        "long_segment": scaled(2.5j, 1.0),
-    }
-
-    @pytest.mark.parametrize("route", sorted(BLOCK_TIMES))
-    @pytest.mark.parametrize("grid", sorted(BLOCK_GRIDS))
-    def test_blocked_orbit_matches_the_one_shot_oracle(self, grid, route):
-        pts, z = self.BLOCK_GRIDS[grid], self.BLOCK_TIMES[route]
-        v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
-        for p in (S_AXIS, S_OFF):
-            blocked = outcome(prinseries._grid_orbit, v, p, z, pts)
-            assert same_bytes(blocked, outcome(one_shot_grid_orbit, v, p, z, pts))
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 8])
-    def test_every_block_layout_matches_the_one_shot_oracle(self, block, monkeypatch):
-        # tiny blocks put block edges, single-node blocks and mirror edges
-        # at every position of small grids, exits included (1.0 i and
-        # 1 - 1e-14 i cross the floor at the node pi/4 when 4 divides P)
-        monkeypatch.setattr(prinseries, "GRID_BLOCK", block)
-        for pts in range(64, 84):
-            for z in [*self.BLOCK_TIMES.values(), 1.0j, 1j * (1.0 - 1e-14)]:
-                blocked = outcome(prinseries._grid_orbit, V_ASYM, S_OFF, z, pts)
-                assert same_bytes(blocked, outcome(one_shot_grid_orbit, V_ASYM, S_OFF, z, pts))
-
-    def test_exit_names_a_crossing_in_a_later_block(self):
+    def test_real_time_exit_names_the_first_crossing_of_the_rule(self):
         # at real time -tau with floor 1/2, nodes within about pi/12 of pi/2
-        # reach the floor, the later the farther from pi/2: the first block
-        # that exits holds none of the earliest crossing, at node P/2 in the
-        # last block, which the oracle reports
+        # reach the floor, the later the farther from pi/2: the quadrature's
+        # exit is the earliest crossing over all of the rule's nodes
         tau = math.log(0.5 / config.TOLERANCES.minor_floor_rel) / (2.0 * X1)
-        z, pts = complex(-tau), 16 * prinseries.GRID_BLOCK
-        thetas = prinseries._nodes(0, pts, pts)
-        oracle = outcome(one_shot_grid_orbit, V_MIX, S_AXIS, z, pts)
-        assert exited(oracle) and outcome(prinseries._grid_orbit, V_MIX, S_AXIS, z, pts) == oracle
-        assert oracle[1] == pytest.approx(math.log(2.0) / (2.0 * X1), rel=1e-12)
-        starts = range(0, pts // 2 + 1, prinseries.GRID_BLOCK)
-        blocks = [thetas[k : k + prinseries.GRID_BLOCK] for k in starts]
-        first = next(b for b in blocks if exited(outcome(prinseries._closed_components, b, z)))
-        assert outcome(prinseries._closed_components, first, z)[1] > oracle[1]
-        assert first[-1] < thetas[pts // 2]
+        z = complex(-tau)
+        thetas = prinseries._rule(1024, z)[0]
+        oracle = outcome(prinseries._closed_components, thetas, z)
+        assert exited(oracle) and outcome(real_time_norm_sq, V_MIX, S_AXIS, -tau, 1024) == oracle
+        assert oracle[1] == pytest.approx(math.log(2.0) / (2.0 * X1), rel=1e-6)
+        assert_first_crossing(thetas, z, oracle[1])
 
-    @pytest.mark.parametrize("pts", [1024, 1000])
-    @pytest.mark.parametrize("z", [1.0j, 1j * (1.0 - 1e-14)])
-    def test_exit_reports_the_full_grid_crossing(self, pts, z):
-        # a node at or next to pi/4 crosses the floor; the reflected grid
-        # reports the crossing the full grid reports, which the march also
-        # detects, at a step on or after it
-        thetas = prinseries._nodes(0, pts, pts)
-        half = outcome(prinseries._grid_orbit, V_MIX, S_AXIS, z, pts)
-        full = outcome(prinseries._closed_components, thetas, z)
-        assert exited(full) and half == full
-        assert_same_outcome(full, outcome(march_components, thetas, z))
-        assert_first_crossing(thetas, z, full[1])
-
-    def test_long_segment_grid_exits_at_the_corner_node(self):
-        # node 256 of 1,024 is fl(pi/4), where |c| = 6.1e-17 is far below the
-        # floor; the segment to 2.5 i at x_scale = 1 passes the corner at
-        # t = 1, which the march steps over
-        thetas, t = prinseries._nodes(0, 1024, 1024), scaled(2.5, 1.0)
-        half = outcome(prinseries._grid_orbit, V_MIX, S_AXIS, 1j * t, 1024)
-        assert exited(half) and not exited(outcome(march_components, thetas, 1j * t))
-        with pytest.raises(DomainExitError) as path:
-            decompose_path(PElement(np.diag([X1, -X1])), givens(2, 0, 1, thetas[256]), t)
-        assert abs(half[1] - path.value.t_fail) <= 1e-9
+    @pytest.mark.parametrize("quad", [1024, 1000])
+    @pytest.mark.parametrize("gap", [1e-13, 1e-14])
+    def test_deep_time_exit_reports_the_rule_crossing(self, gap, quad):
+        # the innermost nodes round onto the corner pi/4, whose |w| crosses
+        # the floor near 1 - t = 3e-13: the quadrature reports the crossing
+        # its rule's nodes report, which the march also detects, at a step on
+        # or after it, and its message shows how far below 1 the crossing is
+        t = 1.0 - gap
+        thetas = prinseries._rule(quad, 1j * t)[0]
+        with pytest.raises(DomainExitError) as exc:
+            extended_norm_sq(V_MIX, S_AXIS, t, quad)
+        got = exc.value
+        full = outcome(prinseries._closed_components, thetas, 1j * t)
+        payload = (got.last_good_t, got.t_fail, got.minor_index, got.magnitude)
+        assert exited(full) and payload == full
+        assert_same_outcome(full, outcome(march_components, thetas, 1j * t))
+        assert_first_crossing(thetas, 1j * t, full[1])
+        assert full[1] < 1.0 and f"domain exit near t={full[1]!r}" in str(got)
 
 
 class TestExtendedNorm:
     def test_zero_time_is_mode_norm(self):
-        assert extended_norm_sq(V_MIX, S_AXIS, 0.0, 256) == pytest.approx(
-            V_MIX.norm_sq, abs=1e-12
-        )
+        # at t = 0 the orbit is the Fourier series itself, a trigonometric
+        # polynomial that the rule integrates to roundoff
+        for v in (V_MIX, V_ASYM, ModeVector({0: 0.3, 10: 0.2 - 0.1j, -14: 0.4j})):
+            for quad in (64, 256, 1024):
+                norm_sq = extended_norm_sq(v, S_AXIS, 0.0, quad)
+                assert abs(norm_sq - v.norm_sq) <= 1e-15 * max(1.0, v.norm_sq)
 
     def test_quadrature_self_consistency(self):
         for t in (0.5, 0.9, 0.99):
@@ -797,28 +815,25 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-# the blocked orbit, which forms only its blocks' nodes, the in-place FFT
-# and one |vals|^2 temporary keep the peak near the output array: measured
-# 1.1 to 1.4 x 16 B per node (pairing) and 1.5 (norm, the temporary).  A
-# whole node grid of 0.5 more, held through the quadrature, peaked at 1.9
-# (pairing, j = 12) and 2.0 (norm); the one-shot pipeline at 4.5 and 4.0
-PEAK_BYTES_PER_NODE = 1.75 * 16
+# the graded rule holds about 1,500 nodes at 1 - t = 2^-14, where the
+# trapezoid held 524,288: a j = 14 pairing peaked at 0.26 MB, against about
+# 9 MB for the trapezoid's in-place FFT route and 14.7 MB allowed to it
+PEAK_BYTES = 1_000_000
 
 
 @pytest.mark.parametrize("j", [12, 13, 14])
 def test_pairing_peak_memory_stays_within_budget(j):
     t = 1.0 - 2.0**-j
-    pts = prinseries._quad_nodes(1024, 1j * t)
     w = smooth_test_vector()
     peak = traced_peak(lambda: boundary_pairing(V_MIX, w, S_AXIS, [0.5, 0.75, t], 1024))
-    assert peak <= PEAK_BYTES_PER_NODE * pts
+    assert peak <= PEAK_BYTES
 
 
-def test_norm_peak_memory_stays_within_budget():
+@pytest.mark.parametrize("norm", [extended_norm_sq, orbit_derivative_norm])
+def test_norm_peak_memory_stays_within_budget(norm):
     t = 1.0 - 2.0**-14
-    pts = prinseries._quad_nodes(1024, 1j * t)
-    peak = traced_peak(lambda: extended_norm_sq(V_MIX, S_AXIS, t, 1024))
-    assert peak <= PEAK_BYTES_PER_NODE * pts
+    peak = traced_peak(lambda: norm(V_MIX, S_AXIS, t, 1024))
+    assert peak <= PEAK_BYTES
 
 
 CROWN_TIME_ENTRY_POINTS = {
@@ -833,8 +848,7 @@ CROWN_TIME_ENTRY_POINTS = {
 @pytest.mark.parametrize("x_scale, t", [(XS, 1.0), (PI / 4, 2.0)])
 @pytest.mark.parametrize("entry", sorted(CROWN_TIME_ENTRY_POINTS))
 def test_crown_boundary_time_is_rejected_before_any_node(entry, x_scale, t, monkeypatch):
-    # |t| = 1 puts the corner angle's |w| at 0; the grid would grow to
-    # MAX_QUAD_POINTS nodes and march into a DomainExitError
+    # |t| = 1 puts the corner angle's |w| at 0, where the orbit has no value
     def no_orbit(*args):
         raise AssertionError("orbit evaluated for a crown-boundary time")
 
@@ -942,21 +956,33 @@ class TestBoundaryPairing:
         assert rep.final_diff < 1e-6
 
     # criterion 11's orbit is even in theta, so its DFT cannot tell bin m/2
-    # from -m/2; the other cases pair an orbit that is not
+    # from -m/2; the other cases pair an orbit that is not.  Near the corner
+    # both rules sit at the rounding floor of w, about 2e-11 at 1 - t = 2^-14
+    # against a 30-digit value, so criterion 11's grid gets that margin
     @pytest.mark.parametrize(
-        "w,v,quad,t_grid",
+        "w,v,quad,t_grid,rel",
         [
-            (smooth_test_vector(), V_MIX, 1024, [1 - 2.0**-j for j in range(4, 15)]),
-            (smooth_test_vector(), V_ASYM, 1000, [0.0, 0.5, 0.75, 0.9]),
-            (ModeVector({4: 0.3 - 0.2j}), V_ASYM, 1024, [0.5, 0.75, 0.9, 0.99]),
-            (ModeVector({-2: 1.0, -4: 0.5j, -10: 1e-5}), V_ASYM, 1000, [0.5, 0.75, 0.9]),
+            (smooth_test_vector(), V_MIX, 1024, [1 - 2.0**-j for j in range(4, 15)], 1e-10),
+            (smooth_test_vector(), V_ASYM, 1000, [0.0, 0.5, 0.75, 0.9], 1e-13),
+            (ModeVector({4: 0.3 - 0.2j}), V_ASYM, 1024, [0.5, 0.75, 0.9, 0.99], 1e-13),
+            (ModeVector({-2: 1.0, -4: 0.5j, -10: 1e-5}), V_ASYM, 1000, [0.5, 0.75, 0.9], 1e-13),
         ],
         ids=["criterion_11", "quad_1000", "single_mode", "negative_modes"],
     )
-    def test_spectral_sum_matches_dense_oracle(self, w, v, quad, t_grid):
+    def test_pairing_matches_the_trapezoid_oracle(self, w, v, quad, t_grid, rel):
         rep = boundary_pairing(v, w, S_AXIS, t_grid, quad)
-        for got, want in zip(rep.values, dense_pairing(v, w, S_AXIS, t_grid, quad)):
-            assert abs(got - want) <= 1e-13 * abs(want)
+        for got, want in zip(rep.values, trapezoid_pairing(v, w, S_AXIS, t_grid, quad)):
+            assert abs(got - want) <= rel * abs(want)
+
+    def test_pairings_match_an_mpmath_value(self):
+        # criterion 11's configuration at 1 - t = 2^-10 and 2^-14: the error
+        # is w's rounding near the corner, not the rule's
+        mpmath = pytest.importorskip("mpmath")
+        w = smooth_test_vector()
+        for j, bound in ((10, 5e-13), (14, 5e-11)):
+            t = 1.0 - 2.0**-j
+            got = boundary_pairing(V_MIX, w, S_AXIS, [0.5, 0.75, t], 1024).values[-1]
+            assert abs(got - mpmath_pairing(mpmath, V_MIX, w, S_AXIS, t)) <= bound
 
     def test_rejects_fat_tail_test_vector(self):
         fat = ModeVector({m: 1.0 for m in range(-20, 21, 2)})
@@ -977,3 +1003,57 @@ class TestBoundaryPairing:
         dnorms = [orbit_derivative_norm(V_MIX, S_AXIS, t, 256) for t in ts]
         bump = fit_power_law(ts, dnorms).n_hat - fit_power_law(ts, norms).n_hat
         assert bump == pytest.approx(1.0, abs=0.1)
+
+
+V_PM2 = ModeVector({2: 1.0 / math.sqrt(2), -2: 1.0 / math.sqrt(2)})
+FIT_GRID = [1.0 - 2.0**-j for j in range(4, 13)]
+
+
+class TestTrapezoidOracle:
+    """The graded rule against the trapezoid on the acceptance criteria's grids."""
+
+    def test_criterion_10_quantities(self, rng):
+        # the fits' norms at quad 512, and the group law's real-time and
+        # action norms at 8,192
+        for v in (V_MIX, V_PM2):
+            for t in FIT_GRID:
+                want = trapezoid_norm_sq(v, S_AXIS, 1j * t, 512)
+                assert abs(extended_norm_sq(v, S_AXIS, t, 512) - want) <= 1e-12 * want
+        for tau in (1.1, 1.25, -0.7):
+            want = trapezoid_norm_sq(V_MIX, S_OFF, complex(tau), 8192)
+            assert abs(real_time_norm_sq(V_MIX, S_OFF, tau, 8192) - want) <= 1e-13 * want
+        for _ in range(5):
+            g1, g2 = random_sl(2, rng), random_sl(2, rng)
+            for gs in ([g1, g2], [g1 @ g2]):
+                want = trapezoid_action_norm_sq(V_MIX, S_OFF, gs, 8192)
+                assert abs(action_norm_sq(V_MIX, S_OFF, gs, 8192) - want) <= 1e-12 * want
+
+    def test_criterion_11_quantities(self):
+        # the derivative bump's derivative norms at quad 512; its norms are
+        # criterion 10's, and its pairings test_pairing_matches_the_trapezoid_oracle's
+        for t in FIT_GRID:
+            want = trapezoid_derivative_norm(V_MIX, S_AXIS, t, 512)
+            assert abs(orbit_derivative_norm(V_MIX, S_AXIS, t, 512) - want) <= 1e-11 * want
+
+
+# Items drawn as the benchmark's pairing workload draws them, at its largest
+# j_max.  On 200 such items (seed 7) the worst ratio lay 0.0935 inside
+# (0.4, 0.6), as did the trapezoid's, and the worst gap to its values was 6.5e-11
+PAIRING_ITEMS = 25
+
+
+@pytest.mark.parametrize("item", range(PAIRING_ITEMS))
+def test_pairing_items_pass_the_workload_rule(item):
+    rng = np.random.default_rng([4101, item])
+    s = unitary_params(float(rng.uniform(-1.0, 1.0)))
+    coeffs = rng.uniform(0.25, 1.0, 2) * np.exp(1j * rng.uniform(0.0, 2.0 * PI, 2))
+    v = ModeVector({0: 1.0, 2: coeffs[0], -2: coeffs[1]})
+    w = smooth_test_vector()
+    t_grid = [1.0 - 2.0**-j for j in range(4, 15)]
+    rep = boundary_pairing(v, w, s, t_grid, 1024)
+    ratios = [b / a for a, b in zip(rep.diffs, rep.diffs[1:])]
+    assert rep.decreasing and all(0.4 < r < 0.6 for r in ratios[2:])
+    fit = growth_exponent(v, s, FIT_GRID, 512)
+    assert math.isfinite(fit.n_hat) and fit.r_squared > 0.99
+    for got, want in zip(rep.values, trapezoid_pairing(v, w, s, t_grid, 1024)):
+        assert abs(got - want) <= 1e-9
