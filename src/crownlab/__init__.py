@@ -2,7 +2,7 @@
 on the crown domain of SL(n,R).
 
 Modules: config (the tolerance record), numkernel (dense complex kernels),
-liegroup (rho, crown membership, Haar sampling and scales), iwasawa (KAN
+liegroup (rho, boundary normalization, Haar sampling and scales), iwasawa (KAN
 factorization and branch-tracked continuation), weights (exterior-power
 weight expansions), growth (sup sweeps and blow-up fits), prinseries
 (SL(2,R) principal-series bench), checks (named verification suites) and
@@ -39,7 +39,6 @@ from .iwasawa import (
 from .liegroup import (
     PElement,
     boundary_direction,
-    crown_contains,
     haar_so,
     rho,
     s_max,

@@ -281,8 +281,11 @@ def cmd_sweep(args) -> int:
     elif x.n != args.n:
         raise UsageError(f"--x-diag has {x.n} entries, expected n={args.n}")
     haar = args.haar if args.haar is not None else (512 if args.n <= 3 else 128)
+    if args.n >= 4 and args.torus:  # no torus grid exists there
+        raise UsageError(f"--torus applies only to n = 2 and 3, not n = {args.n}")
+    torus = args.torus if args.torus is not None else growth.TORUS_GRID.get(args.n, 0)
     samples = growth.sweep_components(
-        x, args.t_grid, n_haar=haar, torus_grid=args.torus, seed=args.seed
+        x, args.t_grid, n_haar=haar, torus_grid=torus, seed=args.seed
     )
     _write_output(sweep_table(samples, args.format), args.out)
     return 0
@@ -404,8 +407,9 @@ def build_parser() -> _Parser:
                          help="comma-separated t values or dyadic:J for 1 - 2^-j, j = 1..J")
     p_sweep.add_argument("--haar", type=_int_at_least(0), default=None,
                          help="Haar samples per t (default 512, or 128 for n >= 4)")
-    p_sweep.add_argument("--torus", type=_int_at_least(0), default=64,
-                         help="torus grid points per angle")
+    p_sweep.add_argument("--torus", type=_int_at_least(0), default=None,
+                         help="torus grid points per angle (default 64 for n = 2, 8 for n = 3; "
+                              "no torus for n >= 4)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     x_diag(p_sweep)
 

@@ -32,6 +32,8 @@ class Tolerances:
                       ``numkernel.path_minor_floor``)
     sv_floor_rel      smallest singular value, relative to the largest,
                       below which a matrix counts as singular
+    boundary_rho      allowed |rho(x) - pi/2| for a sweep direction to count
+                      as on the crown boundary
     """
 
     symmetry: float = 1e-10
@@ -40,6 +42,7 @@ class Tolerances:
     diagonality: float = 1e-12
     minor_floor_rel: float = 1e-13
     sv_floor_rel: float = 1e-13
+    boundary_rho: float = 1e-12
 
 
 TOLERANCES = Tolerances()

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .iwasawa import kappa_factor
 from .liegroup import (
     PElement, boundary_direction, givens, haar_so, random_p_element, random_sl, rho
@@ -42,13 +43,15 @@ from .liegroup import (
 from .numkernel import (
     as_square,
     group_exp,
+    group_exp_batch,
     gram_minors,
     hermitian_eigensystem,
     leading_minors_batch,
     sym_ldl_batch,
 )
 
-BOUNDARY_RHO_TOL = 1e-12
+# Torus grid points per angle, by n: criterion 08's grids and the CLI default.
+TORUS_GRID = {2: 64, 3: 8}
 PATTERN_STEP_FLOOR = 1e-9
 PATTERN_MAX_EVALS = 600
 COMPONENTS = ("kappa", "alpha", "eta")
@@ -221,7 +224,7 @@ def sweep_components(
         raise ValueError("t_grid must be strictly increasing")
     if ts[0] < 0.0 or ts[-1] >= 1.0:
         raise ValueError("t_grid must lie in [0, 1)")
-    if abs(rho(x) - 0.5 * math.pi) > BOUNDARY_RHO_TOL:
+    if abs(rho(x) - 0.5 * math.pi) > config.TOLERANCES.boundary_rho:
         raise ValueError(f"x must satisfy rho(x) = pi/2, got rho={rho(x)!r}")
 
     n = x.n
@@ -232,11 +235,11 @@ def sweep_components(
             "leaves no samples"
         )
     w, q = hermitian_eigensystem(x.matrix)
+    e_mats = group_exp_batch(w, q, -1j * np.asarray(ts))
     labels = [f"torus:{i}" for i in range(len(torus))] + [f"haar:{j}" for j in range(n_haar)]
     carry: dict[str, np.ndarray] = {}
     results = []
-    for t_idx, t in enumerate(ts):
-        e_mat = (q * np.exp(-1j * t * w)) @ q.conj().T
+    for t_idx, (t, e_mat) in enumerate(zip(ts, e_mats)):
         k_stack = np.concatenate([torus, haar_so(n, [seed, t_idx], n_haar)], dtype=complex)
         g_stack = e_mat[np.newaxis] @ k_stack
         batch = component_scales_batch(g_stack)

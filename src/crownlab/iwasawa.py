@@ -14,7 +14,10 @@ The continuation evaluates the path on a uniform grid of INITIAL_STEPS
 intervals as one batch and tests every interval at once for a domain exit,
 an argument jump and a magnitude drop.  Most paths pass and use the grid as
 it is; on the others a sequential pass bisects from the first flagged
-interval on.  The end point g(1) is the last point of the grid's batch.
+interval on, with the same interval test.  Points, Gram matrices and
+minors are those of ``numkernel``, from one eigensystem of x per path; the
+end point g(1) and the S(1) that the endpoint LDL factors are the last of
+the grid's batch.  Every kappa, real or continued, is ``kappa_factor``.
 Non-finite path times are rejected before any point is built, since NaN
 passes every interval test.
 """
@@ -31,7 +34,9 @@ from .liegroup import PElement
 from .numkernel import (
     as_square,
     check_real,
+    gram,
     gram_minors,
+    group_exp_batch,
     hermitian_eigensystem,
     inv_unit_upper,
     leading_minors_batch,
@@ -86,25 +91,20 @@ def decompose_real(g) -> IwasawaFactors:
     """
     G = as_square(g)
     check_real(G)
-    G = G.real.astype(float)
+    G = G.real
     det = float(np.linalg.det(G))
     if abs(det - 1.0) > config.TOLERANCES.determinant:
         raise ValueError(f"input is not in SL(n,R): det={det!r}")
-    s = G.T @ G
-    unit, diag = sym_ldl(s)
+    unit, diag = sym_ldl(gram(G))
     d = diag.real
-    H = 0.5 * np.log(d)
-    alpha = np.sqrt(d)
-    eta = unit.real
-    kappa = (G @ inv_unit_upper(unit).real) / alpha[np.newaxis, :]
-    minors = np.cumprod(d)
+    H = (0.5 * np.log(d)).astype(complex)
     return IwasawaFactors(
-        kappa=kappa,
-        H=H.astype(complex),
-        eta=eta.astype(complex),
+        kappa=kappa_factor(G, unit, np.exp(H)),
+        H=H,
+        eta=unit,
         t=0.0,
         steps_used=0,
-        min_minor_magnitude=float(np.min(np.abs(minors))),
+        min_minor_magnitude=float(np.min(np.abs(np.cumprod(d)))),
     )
 
 
@@ -120,30 +120,28 @@ def domain_test(g) -> tuple[bool, float]:
     return not outside.any(), float(magnitudes.min())
 
 
-class _CrownPath:
-    """Evaluator for tau -> exp(-i * tau * z * x) * k on tau in [0, 1]."""
+def _crown_path(x: PElement, k: np.ndarray, z: complex):
+    """The path tau -> exp(-i tau z x) k as a function of taus (m,), giving the
+    points (m, n, n), their Grams g^T g and those Grams' leading minors (m, n)."""
+    w, q = hermitian_eigensystem(x.matrix)
 
-    def __init__(self, x: PElement, k: np.ndarray, z: complex):
-        w, q = hermitian_eigensystem(x.matrix)
-        self.w = w
-        self.q = q
-        self.k = k.astype(complex)
-        self.z = complex(z)
-        self.n = x.n
+    def evaluate(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g = group_exp_batch(w, q, -1j * z * taus) @ k
+        s = gram(g)
+        return g, s, leading_minors_batch(s)
 
-    def group_points(self, taus: np.ndarray) -> np.ndarray:
-        phases = np.exp((-1j * self.z) * np.outer(taus, self.w))
-        # exp(-i tau z x) = Q diag(phases) Q^T, then right-multiply by k
-        e = np.einsum("ij,tj,kj->tik", self.q, phases, self.q)
-        return e @ self.k
+    return evaluate
 
-    @staticmethod
-    def minors_of(points: np.ndarray) -> np.ndarray:
-        """Leading minors of the bilinear Gram matrices g^T g of a point stack."""
-        return leading_minors_batch(np.einsum("tji,tjk->tik", points, points))
 
-    def minors_at(self, taus: np.ndarray) -> np.ndarray:
-        return self.minors_of(self.group_points(np.atleast_1d(taus)))
+def _interval_test(m0: np.ndarray, m1: np.ndarray, floor: float):
+    """Per interval with end minors m0, m1 (..., n): a domain exit (a minor at
+    or below the floor at its right end), the argument jumps, a jump above
+    MAX_ARG_JUMP, a magnitude drop of more than MAGNITUDE_DROP_GUARD times.
+    NaN fails none of the tests."""
+    jumps = np.abs(np.angle(m1 / m0))
+    exits = np.min(np.abs(m1), axis=-1) <= floor
+    dropped = np.any(np.abs(m1) * MAGNITUDE_DROP_GUARD < np.abs(m0), axis=-1)
+    return exits, jumps, np.any(jumps > MAX_ARG_JUMP, axis=-1), dropped
 
 
 def _check_k_matrix(k) -> np.ndarray:
@@ -160,40 +158,32 @@ def _check_k_matrix(k) -> np.ndarray:
 
 def _continued_path(
     x: PElement, k: np.ndarray, z_target: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refined path 0 = tau_0 < ... < tau_m = 1 with minors at every point.
 
-    Each interval [tau_i, tau_{i+1}] is tested three ways: a minor at or
-    below the floor at its right end is a domain exit, and a minor whose
-    argument jumps more than MAX_ARG_JUMP or whose magnitude drops more than
-    10x fails the guard.  One array pass tests every interval of the initial
-    uniform grid at once; the grid is returned as it is when none is flagged.
-    Otherwise a left-to-right pass resumes at the first flagged interval
-    (every interval before it passed the same three tests): a guard failure
-    is bisected in place, at most MAX_REFINEMENT_DEPTH times in a row, and
-    only a persisting argument jump is fatal.  Returns the tau grid, the
-    (m+1, n) minor array and the group point at tau = 1.
+    Each interval [tau_i, tau_{i+1}] gets the three tests of
+    ``_interval_test``: a floor crossing is a domain exit, an argument jump
+    or a magnitude drop fails the guard.  One array pass tests every
+    interval of the initial uniform grid at once; the grid is returned as it
+    is when none is flagged.  Otherwise a left-to-right pass resumes at the
+    first flagged interval (every interval before it passed): a guard
+    failure is bisected in place, at most MAX_REFINEMENT_DEPTH times in a
+    row, and only a persisting argument jump is fatal.  Returns the tau
+    grid, the (m+1, n) minors, and the point and Gram at tau = 1.
     """
-    path = _CrownPath(x, k, z_target)
+    path = _crown_path(x, k, z_target)
     grid = np.linspace(0.0, 1.0, INITIAL_STEPS + 1)
-    points = path.group_points(grid)
-    grid_minors = _CrownPath.minors_of(points)
+    points, grams, grid_minors = path(grid)
     floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
 
-    # NaN passes each test, as it does in the pass below; callers keep
-    # non-finite times out before any point is built
-    mags = np.abs(grid_minors)
-    flagged = (
-        (np.min(mags[1:], axis=1) <= floor)
-        | np.any(np.abs(np.angle(grid_minors[1:] / grid_minors[:-1])) > MAX_ARG_JUMP, axis=1)
-        | np.any(mags[1:] * MAGNITUDE_DROP_GUARD < mags[:-1], axis=1)
-    )
+    # callers keep non-finite times out before any point is built
+    exits, _, arg_bad, dropped = _interval_test(grid_minors[:-1], grid_minors[1:], floor)
+    flagged = exits | arg_bad | dropped
     if not flagged.any():
-        return grid, grid_minors, points[-1]
+        return grid, grid_minors, points[-1], grams[-1]
     taus, minors = list(grid), list(grid_minors)
 
-    def t_of(tau: float) -> float:
-        return tau * abs(z_target)
+    speed = abs(z_target)  # path time t per unit tau
 
     # locate the first floor violation in (lo, hi], bisecting to float resolution
     def exit_error(lo: float, hi: float, m_hi: np.ndarray) -> DomainExitError:
@@ -201,44 +191,42 @@ def _continued_path(
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            m_mid = path.minors_at(np.array([mid]))[0]
+            m_mid = path(np.array([mid]))[2][0]
             if np.min(np.abs(m_mid)) > floor:
                 lo = mid
             else:
                 hi, m_hi = mid, m_mid
         idx = int(np.argmin(np.abs(m_hi)))
         return DomainExitError(
-            last_good_t=t_of(lo),
-            t_fail=t_of(hi),
+            last_good_t=speed * lo,
+            t_fail=speed * hi,
             minor_index=idx + 1,
             magnitude=float(np.abs(m_hi)[idx]),
         )
 
     i, depth = int(np.argmax(flagged)), 0
     while i + 1 < len(taus):
-        m0, m1 = minors[i], minors[i + 1]
-        if np.min(np.abs(m1)) <= floor:
+        m1 = minors[i + 1]
+        exit_, jumps, arg_bad, dropped = _interval_test(minors[i], m1, floor)
+        if exit_:
             raise exit_error(taus[i], taus[i + 1], m1)
-        jumps = np.abs(np.angle(m1 / m0))
-        arg_bad = bool(np.any(jumps > MAX_ARG_JUMP))
-        guard_failed = arg_bad or bool(np.any(np.abs(m1) * MAGNITUDE_DROP_GUARD < np.abs(m0)))
         mid = 0.5 * (taus[i] + taus[i + 1])
-        if guard_failed and depth < MAX_REFINEMENT_DEPTH and taus[i] < mid < taus[i + 1]:
+        if (arg_bad or dropped) and depth < MAX_REFINEMENT_DEPTH and taus[i] < mid < taus[i + 1]:
             taus.insert(i + 1, mid)
-            minors.insert(i + 1, path.minors_at(np.array([mid]))[0])
+            minors.insert(i + 1, path(np.array([mid]))[2][0])
             depth += 1
         elif arg_bad:
             idx = int(np.argmax(jumps))
             raise BranchAmbiguityError(
-                t_lo=t_of(taus[i]),
-                t_hi=t_of(taus[i + 1]),
+                t_lo=speed * taus[i],
+                t_hi=speed * taus[i + 1],
                 minor_index=idx + 1,
                 arg_jump=float(jumps[idx]),
             )
         else:
             i, depth = i + 1, 0
 
-    return np.asarray(taus), np.asarray(minors), points[-1]
+    return np.asarray(taus), np.asarray(minors), points[-1], grams[-1]
 
 
 def kappa_factor(g: np.ndarray, unit: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -251,10 +239,7 @@ def kappa_factor(g: np.ndarray, unit: np.ndarray, alpha: np.ndarray) -> np.ndarr
 
 
 def _factors_from_path(
-    taus: np.ndarray,
-    minors: np.ndarray,
-    g_end: np.ndarray,
-    t_label: float,
+    taus: np.ndarray, minors: np.ndarray, g_end: np.ndarray, s_end: np.ndarray, t_label: float
 ) -> IwasawaFactors:
     # continued logs of the minors: real part from the endpoint modulus,
     # argument accumulated by nearest-argument increments from Delta_k(0) = 1
@@ -263,10 +248,6 @@ def _factors_from_path(
     logs = np.log(np.abs(minors[-1])) + 1j * args
     prev = np.concatenate(([0.0 + 0.0j], logs[:-1]))
     H = 0.5 * (logs - prev)
-
-    # S by matmul, not the batch's einsum Gram behind the minors: the two
-    # differ in the last bits, which would move eta and kappa
-    s_end = g_end.T @ g_end
     unit, _ = sym_ldl(s_end)
     return IwasawaFactors(
         kappa=kappa_factor(g_end, unit, np.exp(H)),
@@ -297,9 +278,9 @@ def continue_factors(x: PElement, k, z_target: complex) -> IwasawaFactors:
             steps_used=1,
             min_minor_magnitude=1.0,
         )
-    taus, minors, g_end = _continued_path(x, K, z_target)
+    taus, minors, g_end, s_end = _continued_path(x, K, z_target)
     label = z_target.real if z_target.imag == 0.0 else abs(z_target)
-    return _factors_from_path(taus, minors, g_end, label)
+    return _factors_from_path(taus, minors, g_end, s_end, label)
 
 
 def decompose_path(x: PElement, k, t_target: float) -> IwasawaFactors:

@@ -1,7 +1,7 @@
-"""Structure data for sl(n,R): the crown radius rho, crown membership,
-boundary normalization, Givens rotations (``givens``, the one builder of
-plane rotations) and Haar sampling on SO(n), and the maximal scale function
-on matrix groups.
+"""Structure data for sl(n,R): the crown radius rho (x lies in the crown
+parameter set when rho(x) < pi/2), boundary normalization, Givens rotations
+(``givens``, the one builder of plane rotations) and Haar sampling on SO(n),
+and the maximal scale function on matrix groups.
 
 Conventions: the Cartan subspace a is the traceless diagonal matrices, the
 restricted roots are eps_i - eps_j on a-coordinates, and the K-invariant
@@ -49,11 +49,6 @@ def rho(x: PElement) -> float:
     """
     w = x.eigenvalues
     return float(w[-1] - w[0])
-
-
-def crown_contains(x: PElement) -> bool:
-    """Whether x lies in the crown parameter set, i.e. rho(x) < pi/2."""
-    return rho(x) < 0.5 * np.pi
 
 
 def boundary_direction(x_raw: PElement) -> PElement:

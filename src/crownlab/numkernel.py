@@ -6,8 +6,9 @@ symmetric (bilinear, not hermitian) LDL^T without pivoting so the diagonal
 matches leading-minor ratios exactly, inverses of unit upper-triangular
 matrices by back substitution, hermitian eigensystems by LAPACK ``eigh``
 and singular values by LAPACK ``svd``.  The single-matrix entries below
-check their input and are the m = 1 call of these kernels; matrix
-exponentials along real symmetric directions go through the eigensystem.
+check their input and are the m = 1 call of these kernels.  Every crown
+point exp(z x) k is ``group_exp_batch`` times k, from one eigensystem of
+x per path or sweep, and every bilinear Gram matrix g^T g is ``gram``.
 
 The decision when a leading minor counts as zero has its one home here:
 ``minors_outside_floor`` for matrices, batched, and ``path_minor_floor``
@@ -142,10 +143,16 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T.conj())
 
 
+def gram(g: np.ndarray) -> np.ndarray:
+    """Bilinear Gram matrices S = g^T g of a stack (..., n, n) by one ``einsum``,
+    which sums S[i, k] and S[k, i] alike: S == S^T bit for bit (BLAS g.T @ g need not)."""
+    return np.einsum("...ji,...jk->...ik", g, g)
+
+
 def gram_minors(g: np.ndarray, minors_of) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The domain test's one arithmetic for g, a stack (m, n, n) or one matrix.
 
-    Forms the bilinear Gram matrices S = g^T g by one ``einsum``, their
+    Forms the bilinear Gram matrices S = g^T g by ``gram``, their
     leading minors by ``minors_of``, the magnitudes |Delta_k| by ``np.abs``
     and the ``minors_outside_floor`` flags, so every caller deciding domain
     membership sees the same bits for the same g.  ``minors_of`` is
@@ -153,7 +160,7 @@ def gram_minors(g: np.ndarray, minors_of) -> tuple[np.ndarray, np.ndarray, np.nd
     case), the checked entry ``principal_minors``, which runs the same
     determinants.  Returns (S, minors, magnitudes, outside).
     """
-    s = np.einsum("...ji,...jk->...ik", g, g)
+    s = gram(g)
     minors = np.asarray(minors_of(s))
     magnitudes = np.abs(minors)
     outside, _ = minors_outside_floor(s, magnitudes)
@@ -203,13 +210,21 @@ def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_hermitian_part(X))
 
 
+def group_exp_batch(w: np.ndarray, q: np.ndarray, z) -> np.ndarray:
+    """exp(z x) = Q diag(e^{z w}) Q^T from the eigensystem (w, q) of a real
+    symmetric x, one matrix per entry of z (...,) -> (..., n, n).  Each equals
+    the call at its scalar z bit for bit.  Unchecked: (w, q) is library-built."""
+    z = np.asarray(z, dtype=complex)
+    return (q * np.exp(z[..., np.newaxis] * w)[..., np.newaxis, :]) @ q.T
+
+
 def group_exp(x, z: complex) -> np.ndarray:
-    """exp(z*x) for real symmetric x via the eigensystem x = Q diag(w) Q^T."""
+    """exp(z*x) for real symmetric x: the checked m = 1 call of ``group_exp_batch``."""
     X = as_square(x)
     check_real(X)
     check_symmetric(X)
     w, q = np.linalg.eigh(0.5 * (X.real + X.real.T))
-    return (q * np.exp(complex(z) * w)) @ q.T
+    return group_exp_batch(w, q, z)
 
 
 def singular_values(g) -> np.ndarray:

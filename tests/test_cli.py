@@ -154,6 +154,22 @@ class TestSweep:
         assert code == 1 and out == ""
         assert "n_haar = 0 with no torus" in err
 
+    def test_torus_default_per_n(self, capsys, monkeypatch):
+        # criterion 08's grids: 64 angles for n = 2, 8 per angle (512
+        # rotations, not 262,144) for n = 3, and no torus for n >= 4
+        torus = []
+        monkeypatch.setattr(
+            growth, "sweep_components", lambda *a, torus_grid, **kw: torus.append(torus_grid) or []
+        )
+        for argv in (("--n", "2"), ("--n", "3"), ("--n", "4"), ("--n", "3", "--torus", "16")):
+            assert run(capsys, "sweep", *argv)[0] == 0
+        assert torus == [64, 8, 0, 16]
+
+    def test_torus_for_n_above_3_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n", "4", "--torus", "8", "--t-grid", "0.5")
+        assert code == 1 and out == ""
+        assert "--torus applies only to n = 2 and 3, not n = 4" in err
+
     def test_haar_default_drops_for_large_n(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "4", "--seed", "1",
                            "--t-grid", "0.5", "--torus", "0", "--format", "json")

@@ -8,12 +8,13 @@ import math
 import pkgutil
 
 import numpy as np
+import pytest
 
 import crownlab
 from conftest import rot2
 from crownlab import config
 from crownlab.errors import DomainExitError, NearSingularMinorError
-from crownlab.growth import component_scales_batch
+from crownlab.growth import component_scales_batch, sweep_components
 from crownlab.iwasawa import decompose_path, domain_test
 from crownlab.liegroup import PElement
 from crownlab.numkernel import group_exp, sym_ldl
@@ -53,6 +54,16 @@ def test_one_record_moves_every_floor_route(monkeypatch):
     raised = dataclasses.replace(config.TOLERANCES, minor_floor_rel=0.2)
     monkeypatch.setattr(config, "TOLERANCES", raised)
     assert not any(inside_by_route().values())
+
+
+def test_boundary_check_reads_the_record(monkeypatch):
+    # rho = pi/2 - 2e-9 is off the boundary by the default 1e-12, on it by 1e-8
+    near = PElement(np.diag([PI / 4 - 1e-9, -PI / 4 + 1e-9]))
+    with pytest.raises(ValueError, match="rho"):
+        sweep_components(near, [0.5], n_haar=4, torus_grid=0, seed=0)
+    loose = dataclasses.replace(config.TOLERANCES, boundary_rho=1e-8)
+    monkeypatch.setattr(config, "TOLERANCES", loose)
+    assert len(sweep_components(near, [0.5], n_haar=4, torus_grid=0, seed=0)) == 1
 
 
 def _functions(module):

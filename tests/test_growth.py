@@ -118,6 +118,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="t = nan"):
             sweep_components(X2, [0.5, math.nan], 8, 8, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_per_t_exponential_is_group_exp(self, n, rng, monkeypatch):
+        # the sweep's stacked exponential and the checked single call are
+        # one formula, so their bits agree
+        seen = []
+
+        def recording(e_mat, starts, comps, step0):
+            seen.append(e_mat.copy())
+            return _pattern_search(e_mat, starts, comps, step0)
+
+        monkeypatch.setattr(growth, "_pattern_search", recording)
+        x = boundary_direction(random_p_element(n, rng))
+        ts = [0.0, 0.5, 0.9, 1.0 - 2.0**-20]
+        sweep_components(x, ts, n_haar=4, torus_grid=0, seed=1)
+        assert len(seen) == len(ts)
+        for t, e_mat in zip(ts, seen):
+            assert e_mat.tobytes() == group_exp(x.matrix, -1j * t).tobytes()
+
     def test_no_samples_is_rejected_before_any_work(self, rng, monkeypatch):
         # with no Haar draw and no torus grid (none exists for n >= 4) the
         # sup had no sample, and numpy's argmax raised on the empty batch

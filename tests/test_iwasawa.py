@@ -14,6 +14,7 @@ from crownlab.iwasawa import (
     decompose_path,
     decompose_real,
     domain_test,
+    kappa_factor,
 )
 from crownlab.liegroup import (
     PElement,
@@ -23,7 +24,7 @@ from crownlab.liegroup import (
     random_p_element,
     random_sl,
 )
-from crownlab.numkernel import group_exp, path_minor_floor
+from crownlab.numkernel import group_exp, path_minor_floor, sym_ldl
 from crownlab.prinseries import sl2_iwasawa_closed
 
 PI = math.pi
@@ -96,6 +97,36 @@ class TestDecomposeReal:
             assert np.linalg.norm(f.reconstruct().real - g) < 1e-10 * np.linalg.norm(g)
             assert np.linalg.norm(f.kappa.T @ f.kappa - np.eye(n)) < 1e-9
             assert abs(np.sum(f.H)) < 1e-10
+
+    def test_kappa_uses_the_alpha_of_reconstruct(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            g = random_sl(n, rng)
+            f = decompose_real(g)
+            assert f.kappa.tobytes() == kappa_factor(g, f.eta, f.alpha).tobytes()
+            assert np.linalg.norm(f.kappa.T @ f.kappa - np.eye(n)) < 1e-9
+
+
+def test_every_endpoint_gram_is_exactly_symmetric(rng, monkeypatch):
+    # the endpoint LDL of the real and the continued route factors a Gram
+    # equal to its transpose bit for bit, as do the path's grid Grams
+    factored = []
+
+    def recording(s):
+        factored.append(np.array(s))
+        return sym_ldl(s)
+
+    monkeypatch.setattr(iwasawa, "sym_ldl", recording)
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        x = boundary_direction(random_p_element(n, rng))
+        k = haar_so(n, rng)
+        decompose_real(random_sl(n, rng))
+        decompose_path(x, k, float(rng.uniform(0.1, 0.99)))
+        _, grams, _ = iwasawa._crown_path(x, k, 0.9)(np.linspace(0.0, 1.0, 9))
+        assert np.array_equal(grams, np.swapaxes(grams, -1, -2))
+    assert len(factored) == 60
+    assert all(np.array_equal(s, s.T) for s in factored)
 
 
 class TestDomainTest:
@@ -270,7 +301,7 @@ class TestDecomposePath:
         def no_path(*args):
             raise AssertionError("path built for a non-finite time")
 
-        monkeypatch.setattr(iwasawa, "_CrownPath", no_path)
+        monkeypatch.setattr(iwasawa, "_crown_path", no_path)
         call = decompose_path if route == "decompose_path" else continue_factors
         with pytest.raises(ValueError, match="t must be finite"):
             call(X2, rot2(0.3), z)
@@ -312,9 +343,9 @@ def sequential_path(x, k, z_target):
     """Reference continuation: one left-to-right pass that tests every
     interval of the uniform grid in turn, bisecting in place.  Returns the
     tau grid and the minors, or raises as ``iwasawa._continued_path`` must."""
-    path = iwasawa._CrownPath(x, k, z_target)
+    path = iwasawa._crown_path(x, k, z_target)
     taus = list(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))
-    minors = list(path.minors_at(np.asarray(taus)))
+    minors = list(path(np.asarray(taus))[2])
     floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
 
     def t_of(tau):
@@ -325,7 +356,7 @@ def sequential_path(x, k, z_target):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            m_mid = path.minors_at(np.array([mid]))[0]
+            m_mid = path(np.array([mid]))[2][0]
             if np.min(np.abs(m_mid)) > floor:
                 lo = mid
             else:
@@ -351,7 +382,7 @@ def sequential_path(x, k, z_target):
         mid = 0.5 * (taus[i] + taus[i + 1])
         if guard_failed and depth < iwasawa.MAX_REFINEMENT_DEPTH and taus[i] < mid < taus[i + 1]:
             taus.insert(i + 1, mid)
-            minors.insert(i + 1, path.minors_at(np.array([mid]))[0])
+            minors.insert(i + 1, path(np.array([mid]))[2][0])
             depth += 1
         elif arg_bad:
             idx = int(np.argmax(jumps))
@@ -369,8 +400,8 @@ def sequential_path(x, k, z_target):
 def initial_grid_flags(x, k, z_target):
     """Per interval of the uniform grid, whether one of the three interval
     tests (floor, argument jump, 10x drop) fails there, tested one at a time."""
-    path = iwasawa._CrownPath(x, k, z_target)
-    minors = path.minors_at(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))
+    path = iwasawa._crown_path(x, k, z_target)
+    minors = path(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))[2]
     floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
     return [
         bool(
@@ -412,11 +443,12 @@ class TestContinuationOracle:
             t = 1.0 - 2.0 ** -rng.uniform(1.0, 30.0)
             points, *_ = self.assert_matches(x, k, t)
             refined += points > iwasawa.INITIAL_STEPS + 1
-            # the endpoint comes from the grid's batch; the separate
-            # evaluation at tau = 1 gives the same bits
-            _, _, g_end = iwasawa._continued_path(x, k, complex(t))
-            single = iwasawa._CrownPath(x, k, complex(t)).group_points(np.array([1.0]))[0]
-            assert g_end.tobytes() == single.tobytes()
+            # the endpoint and its Gram come from the grid's batch; the
+            # separate evaluation at tau = 1 gives the same bits
+            _, _, g_end, s_end = iwasawa._continued_path(x, k, complex(t))
+            single = iwasawa._crown_path(x, k, complex(t))(np.array([1.0]))
+            assert g_end.tobytes() == single[0][0].tobytes()
+            assert s_end.tobytes() == single[1][0].tobytes()
         assert refined >= 1
 
     @pytest.mark.parametrize("x, k, t, points, min_minor", REFINEMENT_PINS, ids=PIN_IDS)

@@ -7,7 +7,6 @@ from crownlab.errors import SingularInputError, SymmetryError
 from crownlab.liegroup import (
     PElement,
     boundary_direction,
-    crown_contains,
     givens,
     haar_so,
     random_p_element,
@@ -53,13 +52,13 @@ class TestRho:
 
 class TestCrown:
     def test_origin_inside(self):
-        assert crown_contains(PElement(np.zeros((2, 2))))
+        assert rho(PElement(np.zeros((2, 2)))) < PI / 2
 
     def test_boundary_point_excluded(self):
-        assert not crown_contains(PElement(np.diag([PI / 4, -PI / 4])))
+        assert rho(PElement(np.diag([PI / 4, -PI / 4]))) >= PI / 2
 
     def test_interior_point(self):
-        assert crown_contains(PElement(0.9 * np.diag([PI / 4, -PI / 4])))
+        assert rho(PElement(0.9 * np.diag([PI / 4, -PI / 4]))) < PI / 2
 
 
 class TestBoundaryDirection:

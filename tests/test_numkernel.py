@@ -10,7 +10,10 @@ from crownlab import config
 from crownlab.errors import NearSingularMinorError, SymmetryError
 from crownlab.growth import component_scales_batch
 from crownlab.numkernel import (
+    gram,
+    gram_minors,
     group_exp,
+    group_exp_batch,
     hermitian_eigensystem,
     inv_unit_upper,
     leading_minors_batch,
@@ -286,6 +289,29 @@ class TestGroupExp:
     def test_rejects_unsymmetric(self):
         with pytest.raises(SymmetryError):
             group_exp([[0.0, 1.0], [0.0, 0.0]], 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stack_rows_equal_single_calls(self, n, rng):
+        # path grids, sweep grids and single calls are rows of one formula
+        a = rng.standard_normal((n, n))
+        x = a + a.T
+        w, q = hermitian_eigensystem(x)
+        zs = rng.uniform(-2, 2, (3, 4)) + 1j * rng.uniform(-2, 2, (3, 4))
+        stack = group_exp_batch(w, q, zs)
+        assert stack.shape == (3, 4, n, n)
+        for idx in np.ndindex(zs.shape):
+            assert stack[idx].tobytes() == group_exp(x, zs[idx]).tobytes()
+            assert stack[idx].tobytes() == group_exp_batch(w, q, zs[idx]).tobytes()
+
+
+class TestGram:
+    def test_exactly_symmetric(self, rng):
+        g = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
+        s = gram(g)
+        assert np.array_equal(s, np.swapaxes(s, -1, -2))
+        assert np.allclose(s, np.swapaxes(g, -1, -2) @ g)
+        assert gram(g[5]).tobytes() == s[5].tobytes()
+        assert gram_minors(g, leading_minors_batch)[0].tobytes() == s.tobytes()
 
 
 class TestSingularValues:
