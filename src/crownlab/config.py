@@ -1,10 +1,16 @@
 """The one tolerance record.
 
-Every numerical threshold of the library lives in ``TOLERANCES``.  No
-function takes a tolerance argument: each reads ``config.TOLERANCES``
+``TOLERANCES`` holds the thresholds that decide whether an input or a
+result counts as zero, real, symmetric, singular or outside the domain.
+No function takes a tolerance argument: each reads ``config.TOLERANCES``
 through this module when it is called, so rebinding that one name (as the
 tests do with ``monkeypatch.setattr(config, "TOLERANCES", ...)``) moves
 every reader at once and nothing can disagree on what "zero" means.
+Parameters of one algorithm live as constants in its module instead, for
+example ``iwasawa.MAX_ARG_JUMP`` and ``MAGNITUDE_DROP_GUARD`` (path
+refinement), ``growth.PATTERN_STEP_FLOOR`` (the search's step floor), and
+``prinseries.FINAL_DIFF_TOL`` with ``boundary_pairing``'s 1e-12 slack on
+decreasing differences (the Cauchy verdict).
 """
 
 from __future__ import annotations

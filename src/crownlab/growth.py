@@ -21,17 +21,18 @@ continuation is not required here and lives in ``iwasawa.decompose_path``.
 
 Per t, the grid is one ``component_scales_batch`` call, and all pattern
 searches of that t (each component from its best grid sample and from the
-previous t's maximizer) run as one batched ascent: every step stacks the
-probes of all still-active searches into one evaluation.  That evaluation
-shares the Gram/minor/LDL stage with ``component_scales_batch`` and then
-computes, per row, only the column its search climbs, so each search
+previous t's maximizer) run as one batched ascent, its state one array per
+quantity with a row per search: each step evaluates the stacked probes of
+all still-active searches at once and updates their rows by masks.  The
+evaluation shares the Gram/minor/LDL stage with ``component_scales_batch``
+and computes, per row, only the column its search climbs, so each search
 returns bit for bit what it would return run alone on the full scales.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +66,6 @@ class GrowthSample:
     sup_kappa: float
     sup_alpha: float
     sup_eta: float
-    argmax: dict = field(default_factory=dict)
     samples_used: int = 0
     exits: int = 0
 
@@ -227,6 +227,8 @@ def sweep_components(
     if abs(rho(x) - 0.5 * math.pi) > config.TOLERANCES.boundary_rho:
         raise ValueError(f"x must satisfy rho(x) = pi/2, got rho={rho(x)!r}")
 
+    if n_haar < 0 or torus_grid < 0:
+        raise ValueError(f"n_haar = {n_haar} and torus_grid = {torus_grid} must be nonnegative")
     n = x.n
     torus = torus_samples(n, torus_grid).astype(complex)
     if len(torus) + n_haar == 0:
@@ -236,121 +238,92 @@ def sweep_components(
         )
     w, q = hermitian_eigensystem(x.matrix)
     e_mats = group_exp_batch(w, q, -1j * np.asarray(ts))
-    labels = [f"torus:{i}" for i in range(len(torus))] + [f"haar:{j}" for j in range(n_haar)]
+    step0 = math.pi / max(8, torus_grid if len(torus) else 8)
     carry: dict[str, np.ndarray] = {}
     results = []
     for t_idx, (t, e_mat) in enumerate(zip(ts, e_mats)):
         k_stack = np.concatenate([torus, haar_so(n, [seed, t_idx], n_haar)], dtype=complex)
-        g_stack = e_mat[np.newaxis] @ k_stack
-        batch = component_scales_batch(g_stack)
-        exits = int(np.sum(~batch["ok"]))
-        used = len(labels)
+        batch = component_scales_batch(e_mat[np.newaxis] @ k_stack)
+        used, exits = len(k_stack), int(np.sum(~batch["ok"]))
 
-        sups, argmax = {}, {}
-        step0 = math.pi / max(8, torus_grid if len(torus) else 8)
         # refine each component from its best grid sample and, when
         # available, from the previous t's maximizer: the maximizing k moves
         # continuously in t, so warm-starting keeps the estimator on one
         # ridge and the sup sequence smooth enough to fit
-        searches: list[tuple[str, np.ndarray, str]] = []
+        sups, starts, comps = {}, [], []
         for comp in COMPONENTS:
             vals = batch[f"s_{comp}"]
             finite = np.where(np.isfinite(vals), vals, -np.inf)
             best = int(np.argmax(finite))
             sups[comp] = float(finite[best]) if np.isfinite(finite[best]) else np.inf
-            argmax[comp] = labels[best]
-            if not np.isfinite(sups[comp]):
-                continue
-            searches.append((comp, k_stack[best].real, argmax[comp]))
-            if comp in carry:
-                searches.append((comp, carry[comp], f"carry:{comp}"))
+            if np.isfinite(sups[comp]):
+                comp_starts = [k_stack[best].real] + ([carry[comp]] if comp in carry else [])
+                starts += comp_starts
+                comps += [comp] * len(comp_starts)
 
-        found = (
-            _pattern_search(e_mat, [k for _, k, _ in searches], [c for c, _, _ in searches], step0)
-            if searches
-            else []
-        )
-        winners: dict[str, tuple[float, np.ndarray, str]] = {}
-        for (comp, _, start_label), (val, k_fin, n_used, n_exit) in zip(searches, found):
-            used += n_used
-            exits += n_exit
-            if val > winners.get(comp, (-math.inf,))[0]:
-                winners[comp] = (val, k_fin, start_label)
-        for comp, (val, k_fin, start_label) in winners.items():
-            if val > sups[comp]:
-                sups[comp] = val
-                argmax[comp] = f"{start_label}+search"
-            carry[comp] = k_fin
+        if starts:
+            val, k_fin, n_used, n_exit = _pattern_search(e_mat, starts, comps, step0)
+            used += int(n_used.sum())
+            exits += int(n_exit.sum())
+            # per component the first best search wins; its final k is
+            # carried to the next t even when it does not beat the grid
+            for comp in dict.fromkeys(comps):
+                rows = [r for r, c in enumerate(comps) if c == comp]
+                win = rows[int(np.argmax(val[rows]))]
+                sups[comp] = max(sups[comp], float(val[win]))
+                carry[comp] = k_fin[win]
 
-        results.append(
-            GrowthSample(
-                t=t,
-                sup_kappa=sups["kappa"],
-                sup_alpha=sups["alpha"],
-                sup_eta=sups["eta"],
-                argmax=argmax,
-                samples_used=used,
-                exits=exits,
-            )
-        )
+        results.append(GrowthSample(t, *(sups[c] for c in COMPONENTS), used, exits))
     return results
 
 
 def _pattern_search(
     e_mat: np.ndarray, starts: list[np.ndarray], comps: list[str], step0: float
-) -> list[tuple[float, np.ndarray, int, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coordinate-wise ascents over SO(n), one per (start, component), run together.
 
     Each search probes every Givens plane at +-step around its current k,
-    moves to the best probe while it strictly improves, halves its step
-    otherwise, and stops at the step floor or its eval budget.  The sup
-    basins sharpen like 1 - t, so the halving runs to convergence rather
-    than a fixed round count; the estimate stays one-sided (never above
-    the true sup).  Searches keep their own step, budget and position, so
-    each returns exactly what it would alone; the batching only stacks all
-    active searches' probes into one evaluation per step, in which every
-    row computes just its own component (see ``_component_values``).
-    Returns (value, k, evals used, domain exits) per start.
+    moves to the best probe while it strictly improves (the first maximum
+    wins), halves its step otherwise, and stops at the step floor or its
+    eval budget.  The sup basins sharpen like 1 - t, so the halving runs to
+    convergence rather than a fixed round count; the estimate stays
+    one-sided (never above the true sup).  The state is one array per
+    quantity with a row per search: ``val`` (m,), ``k_best`` (m, n, n),
+    ``step``, ``used`` and ``exits``.  Each step takes the searches above the
+    floor and under budget, evaluates all their probes at once (each row
+    computes just its own component, see ``_component_values``) and updates
+    their rows; no row reads another's, so each search returns exactly what
+    it would alone.  Returns the arrays (val, k_best, used, exits).
     """
     n = e_mat.shape[0]
     plane_i, plane_j = (np.array(a)[:, np.newaxis] for a in np.triu_indices(n, 1))
     n_probe = 2 * len(plane_i)
     comp_idx = np.array([COMPONENTS.index(c) for c in comps])
 
-    k_best = list(starts)
-    g0 = e_mat[np.newaxis] @ np.stack([k.astype(complex) for k in k_best])
-    v0, ok0 = _component_values(g0, comp_idx)
-    val = [float(v) for v in v0]
-    used = [1] * len(starts)
-    exits = [int(not o) for o in ok0]
-    step = [step0] * len(starts)
+    k_best = np.stack(starts)
+    val, ok = _component_values(e_mat[np.newaxis] @ k_best.astype(complex), comp_idx)
+    used = np.ones(len(k_best), dtype=int)
+    exits = (~ok).astype(int)
+    step = np.full(len(k_best), step0)
     while True:
-        active = [
-            a for a in range(len(starts))
-            if step[a] > PATTERN_STEP_FLOOR and used[a] < PATTERN_MAX_EVALS
-        ]
-        if not active:
+        active = np.flatnonzero((step > PATTERN_STEP_FLOOR) & (used < PATTERN_MAX_EVALS))
+        if not active.size:
             break
         # probes run search by search, then plane by plane, then +step, -step
-        angles = np.array([(step[a], -step[a]) for a in active])
-        rot = givens(n, plane_i, plane_j, angles[:, np.newaxis, :])
-        k_rep = np.stack([k_best[a] for a in active]).repeat(n_probe, axis=0)
-        probes = rot.reshape(-1, n, n) @ k_rep
+        rot = givens(n, plane_i, plane_j, step[active, np.newaxis, np.newaxis] * [1.0, -1.0])
+        probes = rot.reshape(-1, n, n) @ k_best[active].repeat(n_probe, axis=0)
         p_vals, p_ok = _component_values(
             e_mat[np.newaxis] @ probes.astype(complex), comp_idx[active].repeat(n_probe)
         )
-        p_vals = np.where(np.isfinite(p_vals), p_vals, -math.inf).reshape(len(active), n_probe)
-        p_exits = np.sum(~p_ok.reshape(len(active), n_probe), axis=1)
-        p_best = np.argmax(p_vals, axis=1)
-        for slot, a in enumerate(active):
-            used[a] += n_probe
-            exits[a] += int(p_exits[slot])
-            if p_vals[slot, p_best[slot]] > val[a]:
-                val[a] = float(p_vals[slot, p_best[slot]])
-                k_best[a] = probes[slot * n_probe + p_best[slot]]
-            else:
-                step[a] *= 0.5
-    return list(zip(val, k_best, used, exits))
+        p_vals = np.where(np.isfinite(p_vals), p_vals, -math.inf).reshape(-1, n_probe)
+        used[active] += n_probe
+        exits[active] += np.sum(~p_ok.reshape(-1, n_probe), axis=1)
+        p_best, p_max = np.argmax(p_vals, axis=1), np.max(p_vals, axis=1)
+        up = p_max > val[active]
+        val[active[up]] = p_max[up]
+        k_best[active[up]] = probes.reshape(-1, n_probe, n, n)[up, p_best[up]]
+        step[active[~up]] *= 0.5
+    return val, k_best, used, exits
 
 
 def fit_power_law(ts, values, t_window: tuple[float, float] | None = None) -> BlowupFit:

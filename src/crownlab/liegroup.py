@@ -63,16 +63,19 @@ def givens(n: int, i, j, angle) -> np.ndarray:
     """Givens rotations of R^n: [[c, -s], [s, c]] in the plane (i, j), with
     c = cos(angle) and s = sin(angle), and the identity elsewhere.
 
-    i, j and angle broadcast against each other to a batch shape B, and the
-    result is the stack (*B, n, n); scalar arguments give one matrix (n, n),
-    the m = 1 case.  The trig is one ``math.cos`` and one ``math.sin`` per
-    entry of angle, before broadcasting.
+    The axes i and j must be distinct and lie in 0..n-1.  i, j and angle
+    broadcast against each other to a batch shape B, and the result is the
+    stack (*B, n, n); scalar arguments give one matrix (n, n), the m = 1
+    case.  The trig is one ``math.cos`` and one ``math.sin`` per entry of
+    angle, before broadcasting.
     """
-    angle = np.asarray(angle, dtype=float)
-    vals = np.array([(c, c, -s, s) for c, s in ((math.cos(a), math.sin(a)) for a in angle.flat)])
     i, j = np.asarray(i)[..., np.newaxis], np.asarray(j)[..., np.newaxis]
     if np.any(i == j):
         raise ValueError("a Givens plane needs two distinct axes")
+    if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
+        raise ValueError(f"Givens axes must lie in 0..{n - 1}")
+    angle = np.asarray(angle, dtype=float)
+    vals = np.array([(c, c, -s, s) for c, s in ((math.cos(a), math.sin(a)) for a in angle.flat)])
     shape = np.broadcast_shapes(i.shape[:-1], j.shape[:-1], angle.shape)
     rot = np.empty(shape + (n, n))
     rot[...] = np.eye(n)

@@ -68,7 +68,7 @@ import numpy as np
 from . import config
 from .errors import DomainExitError
 from .growth import BlowupFit, fit_power_law
-from .numkernel import path_minor_floor
+from .numkernel import check_real, path_minor_floor
 
 MIN_QUAD_POINTS = 64
 
@@ -389,14 +389,18 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
 
     Independent second code path for real-time checks: uses only the real
     Iwasawa decomposition of 2x2 matrices, never the holomorphic formula.
+    Each g must be a finite real 2x2 matrix of det 1 (realness by
+    ``numkernel.check_real``).
     """
     # real group elements: the rule of real time
     angles, weights = _rule(quad_points, 0j)
     total = np.ones(angles.size, dtype=complex)
     for g in gs:
-        gm = np.asarray(g, dtype=float)
+        gm = np.asarray(g, dtype=complex)
         if gm.shape != (2, 2) or not np.all(np.isfinite(gm)):
             raise ValueError(f"group element must be a finite 2x2 matrix, got {g!r}")
+        check_real(gm)
+        gm = gm.real
         det = gm[0, 0] * gm[1, 1] - gm[0, 1] * gm[1, 0]
         if abs(det - 1.0) > config.TOLERANCES.determinant:
             raise ValueError(f"group element must have det 1, got {det!r}")
@@ -428,6 +432,10 @@ def orbit_derivative_norm(v: ModeVector, s: complex, t: float, quad_points: int)
 def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> BlowupFit:
     """Fit of log ||e^{i t dpi(x)} v|| against -log(1 - t) over the grid."""
     ts = [float(t) for t in t_grid]
+    # NaN fails every comparison below, so it is rejected first
+    bad = [t for t in ts if not math.isfinite(t)]
+    if bad:
+        raise ValueError(f"t_grid must be finite, got t = {bad[0]!r}")
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be nonempty and strictly increasing")
     if ts[0] < 0.5 or ts[-1] >= 1.0:

@@ -148,6 +148,11 @@ class TestSweep:
             message = rf"n_haar = 0 with no torus \(torus_grid = {torus}, n = {x.n}\)"
             with pytest.raises(ValueError, match=message):
                 sweep_components(x, [0.5], n_haar=0, torus_grid=torus, seed=0)
+        # a negative count would read as "no torus", fail in the Haar draw
+        # after the exponentials, or (for the torus) act silently as 0
+        for x, haar, torus in ((x4, -64, 64), (X2, -1, 8), (X2, 8, -8)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                sweep_components(x, [0.5], n_haar=haar, torus_grid=torus, seed=0)
 
     def test_n4_runs_without_torus_grid(self, rng):
         x = boundary_direction(random_p_element(4, rng))
@@ -155,7 +160,6 @@ class TestSweep:
         assert all(
             v >= 1.0 and math.isfinite(v) for v in (s.sup_kappa, s.sup_alpha, s.sup_eta)
         )
-        assert s.argmax["alpha"].startswith(("haar", "carry"))
 
 
 def torus_loop(n, torus_grid):
@@ -230,9 +234,9 @@ class TestPatternSearch:
 
     def _assert_matches_serial(self, e_mat, starts, comps, step0):
         batched = _pattern_search(e_mat, starts, comps, step0)
-        assert len(batched) == len(starts)
+        assert [len(column) for column in batched] == [len(starts)] * 4
         exits = 0
-        for k0, comp, (val, k_fin, used, n_exit) in zip(starts, comps, batched):
+        for k0, comp, val, k_fin, used, n_exit in zip(starts, comps, *batched):
             ref_val, ref_k, ref_used, ref_exit = serial_pattern_search(e_mat, k0, comp, step0)
             assert (val, used, n_exit) == (ref_val, ref_used, ref_exit)
             assert k_fin.tobytes() == np.ascontiguousarray(ref_k).tobytes()
@@ -254,8 +258,7 @@ class TestPatternSearch:
         starts = self._starts(n, rng)
         comps = [COMPONENTS[i % 3] for i in range(len(starts))]
         monkeypatch.setattr(growth, "PATTERN_MAX_EVALS", budget)
-        batched = _pattern_search(e_mat, starts, comps, PI / 8)
-        used = [u for _, _, u, _ in batched]
+        used = _pattern_search(e_mat, starts, comps, PI / 8)[2]
         assert min(used) < budget <= max(used)
         self._assert_matches_serial(e_mat, starts, comps, PI / 8)
 

@@ -112,6 +112,16 @@ class TestGivens:
         with pytest.raises(ValueError, match="distinct"):
             givens(3, [0, 1], [1, 1], 0.5)
 
+    def test_rejects_a_negative_axis(self):
+        # -1 would index from the end and build the non-rotation [[c, c], [-s, s]]
+        with pytest.raises(ValueError, match=r"0\.\.1"):
+            givens(2, -1, 0, 0.3)
+
+    def test_rejects_an_axis_past_n(self):
+        # axis n would fall through to a bare IndexError from the scatter
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            givens(3, 0, 3, [0.1, 0.2])
+
 
 class TestHaar:
     @pytest.mark.parametrize("n", [2, 3, 5])

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import rot2
 from crownlab import config, prinseries
-from crownlab.errors import DomainExitError
+from crownlab.errors import DomainExitError, SymmetryError
 from crownlab.growth import fit_power_law
 from crownlab.iwasawa import decompose_path
 from crownlab.liegroup import PElement, givens, random_sl
@@ -765,6 +765,11 @@ class TestGroupLaw:
         with pytest.raises(ValueError, match="finite 2x2"):
             action_norm_sq(V_MIX, S_OFF, [np.eye(2), g], 256)
 
+    def test_action_rejects_a_complex_element(self):
+        # det 1, and a float cast would drop 0.3j and give the identity's value
+        with pytest.raises(SymmetryError, match="not real"):
+            action_norm_sq(V_MIX, S_OFF, [np.array([[1.0, 0.3j], [0.0, 1.0]])], 256)
+
 
 QUADRATURE_ENTRY_POINTS = {
     "extended_norm_sq": lambda q: extended_norm_sq(V_MIX, S_AXIS, 0.5, q),
@@ -932,6 +937,15 @@ class TestGrowthExponent:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             growth_exponent(V_MIX, S_AXIS, [0.2, 0.5, 0.9, 0.95], 256)
+
+    def test_non_finite_time_is_rejected_before_any_norm(self, monkeypatch):
+        # NaN passes the order and range checks, which compare it false
+        def no_norm(*args):
+            raise AssertionError("norm computed for a grid with a non-finite t")
+
+        monkeypatch.setattr(prinseries, "extended_norm_sq", no_norm)
+        with pytest.raises(ValueError, match="t = nan"):
+            growth_exponent(V_MIX, S_AXIS, [0.5, math.nan, 0.9, 0.95], 256)
 
 
 class TestBoundaryPairing:
