@@ -47,14 +47,27 @@ probability measure d theta / pi; M-invariance forces even modes.  Orbit
 norms, derivative norms and boundary pairings are sums over one graded rule,
 ``_rule``.  For z = i t the integrand is nearly singular at theta_0 = pi/4
 and 3 pi/4, where |w| falls to the gap 1 - |t| over a width of the same
-order; a uniform rule needs O(1 / (1 - |t|)) nodes there.  ``_rule`` breaks
+order; a uniform rule needs O(1 / (1 - |t|)) nodes there.  The rule breaks
 each quarter of [0, pi], between theta_0 and a multiple of pi/2, at the
 distances X1 GRADE_RATIO^k from theta_0 down to the first one at most the
 gap, splits every level into equal panels until there are at least the
 requested number of nodes, and puts Gauss-Legendre of order PANEL_ORDER on
-every panel: O(log 1 / (1 - |t|)) panels.  It first rejects imaginary time
-on or past the crown boundary |t| >= 1, where |w| reaches 0 at theta = pi/4.
-A pairing with a finite Fourier series evaluates the series at the nodes.
+every panel: O(log 1 / (1 - |t|)) panels.  ``_rule`` first rejects
+imaginary time on or past the crown boundary |t| >= 1, where |w| reaches 0
+at theta = pi/4.
+
+The rule reads t only through its level count, so it is one cached table
+per (quad_points, level count), ``_table``, built on first use.  Every node
+is theta_0 + sigma d for an offset d of the table and sigma = +-1, and the
+orbit is evaluated from the offsets, never from the rounded angle: with
+phi = theta - pi/4, cos 2 theta = -+ sin 2d and cos phi, sin phi are
++-cos d and +-sin d, so the innermost nodes stay apart where theta_0 +
+sigma d would round onto theta_0.  ``_endpoint`` forms u and v from cos phi
+and sin phi, which leaves no cancellation between node terms where u or v
+falls to the gap at the corners.  w and H1 read cos 2 theta only, so the
+continuation runs on its two halves +-sin 2d.  A pairing evaluates the
+test vector from the offsets as well: e^{2 i j theta} = e^{2 i j theta_0}
+e^{2 i sigma j d}, one matrix product of the powers of e^{2 i d} per table.
 """
 
 from __future__ import annotations
@@ -75,6 +88,8 @@ MIN_QUAD_POINTS = 64
 # x = diag(X1, -X1), the boundary direction: rho(x) = 2 X1 = pi/2, and the
 # phase of the time i t is t pi/2
 X1 = 0.25 * math.pi
+# pi/4 - X1, the rounding of X1: sin(fl(pi)) is pi - fl(pi) to within its own rounding
+X1_LO = 0.25 * math.sin(math.pi)
 
 # ``_rule``'s panels: edges at distances X1 GRADE_RATIO^k from the singular
 # angles, Gauss-Legendre of order PANEL_ORDER on each
@@ -178,16 +193,36 @@ class Sl2Components:
         return self.kappa() @ a_mat @ eta
 
 
-def _endpoint(th: np.ndarray, z: complex):
+def _trig(theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos phi, sin phi, cos 2 theta) with phi = theta - pi/4: the node trig
+    that ``_endpoint`` reads, formed from arbitrary angles.  theta - X1 is
+    exact near pi/4, and X1_LO moves phi from fl(pi/4) to pi/4.  A rule's
+    nodes take their trig from its table."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = th - X1 - X1_LO
+    return np.cos(phi), np.sin(phi), np.cos(2.0 * th)
+
+
+def _endpoint(trig, z: complex):
     """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v), sinh(2 z x1)
-    and cos(2 theta) at the end of the segment to z: the one formula for them."""
+    and cos(2 theta) at the end of the segment to z: the one formula for them.
+
+    trig is (cos phi, sin phi, cos 2 theta) with phi = theta - pi/4.  With
+    A, B = (e^{-z x1} +- i e^{z x1}) / sqrt 2,
+
+        u = A cos phi - B sin phi,    v = B cos phi - A sin phi,
+
+    so near the corners, where u (at pi/4) or v (at 3 pi/4) falls to the
+    size of A, no two node terms cancel.  w has the shape of cos 2 theta and
+    u, v the broadcast shape of all three, so a table's w is formed once per
+    value of cos 2 theta."""
+    cos_phi, sin_phi, cos2 = trig
     ep = np.exp(complex(z) * X1)
     em = 1.0 / ep
     cosh2, sinh2 = 0.5 * (ep * ep + em * em), 0.5 * (ep * ep - em * em)
-    cos2 = np.cos(2.0 * th)
     w = cosh2 - sinh2 * cos2
-    a, ic = em * np.cos(th), 1j * ep * np.sin(th)
-    return w, a + ic, a - ic, sinh2, cos2
+    a, b = (em + 1j * ep) / math.sqrt(2.0), (em - 1j * ep) / math.sqrt(2.0)
+    return w, a * cos_phi - b * sin_phi, b * cos_phi - a * sin_phi, sinh2, cos2
 
 
 def _nearest_branch(principal: np.ndarray, target) -> np.ndarray:
@@ -223,7 +258,7 @@ def _first_crossing(c: np.ndarray, z: complex, floor: float) -> float:
     return float(np.min(phases, initial=math.inf))
 
 
-def _continued_endpoint(th: np.ndarray, z: complex):
+def _continued_endpoint(trig, z: complex):
     """(H1, w, u, v, sinh2, c) at z: ``_endpoint``'s data and H1 = log alpha1
     continued from 0 at z = 0.
 
@@ -237,7 +272,7 @@ def _continued_endpoint(th: np.ndarray, z: complex):
     if not np.isfinite(z) or (z.real != 0.0 and z.imag != 0.0):
         raise ValueError(f"time z must be finite and real or imaginary, got z = {z!r}")
     floor = path_minor_floor(z, X1)
-    w, u, v, sinh2, c = _endpoint(th, z)
+    w, u, v, sinh2, c = _endpoint(trig, z)
     span = abs(z) * (2.0 * X1)
     first = _first_crossing(c, z, floor)
     if first <= span:
@@ -248,14 +283,15 @@ def _continued_endpoint(th: np.ndarray, z: complex):
     return h1, w, u, v, sinh2, c
 
 
-def _closed_components(theta, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta} over a theta grid.
+def _closed_components(trig, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta}
+    at the nodes whose trig is given (``_endpoint``'s shapes: H1 per value of
+    cos 2 theta, q per node).
 
     H1 takes the route of ``_continued_endpoint``.  q needs no argument at
     all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    h1, _, u, v, _, _ = _continued_endpoint(th, z)
+    h1, _, u, v, _, _ = _continued_endpoint(trig, z)
     return h1, u / v
 
 
@@ -270,9 +306,9 @@ def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
     principal segment it is the principal branch.
     """
     th = np.array([float(theta)])
-    h1, w, u, _, sinh2, c = _continued_endpoint(th, 1j * t)
+    h1, w, u, _, sinh2, c = _continued_endpoint(_trig(th), 1j * t)
     target = -np.sign(c) * t * X1
-    arg_u = th + _nearest_branch(np.angle(u * (np.cos(th) - 1j * np.sin(th))), target)
+    arg_u = th + _nearest_branch(np.angle(u * np.exp(-1j * th)), target)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     nu = np.sin(2.0 * th) * sinh2 / w
     return Sl2Components(alpha1=complex(np.exp(h1[0])), zeta=complex(zeta[0]), nu=complex(nu[0]))
@@ -289,20 +325,76 @@ def _strip_gap(t: float) -> float:
     return gap
 
 
-def _rule(quad_points: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes theta and weights of (1/pi) int_0^pi dtheta for an orbit at time z.
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """One graded rule, built from its offsets d from the singular angles.
+
+    The 4 n nodes are theta_0 + sigma d over the n offsets, laid out as
+    (2, 2, n): the first axis is the sign of cos 2 theta = -+ sin 2d
+    (theta = pi/4 + d and 3 pi/4 - d, then pi/4 - d and 3 pi/4 + d), the
+    second theta_0 = pi/4, 3 pi/4.  ``cos_phi``, ``sin_phi`` and ``cos2``
+    are the node trig that ``_endpoint`` reads, cos phi, sin phi
+    (phi = theta - pi/4) and cos 2 theta, each equal to +-cos d, +-sin d or
+    +-sin 2d; ``cos2`` is broadcast along the second axis.  ``weights`` is
+    the weight of each of an offset's four nodes, and ``theta`` holds the
+    rounded angles, for routes that move them.  Every array is read-only.
+    """
+
+    offsets: np.ndarray
+    weights: np.ndarray
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
+    cos2: np.ndarray
+    theta: np.ndarray
+
+    @property
+    def trig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.cos_phi, self.sin_phi, self.cos2
+
+
+@functools.cache
+def _table(quad_points: int, levels: int) -> _Table:
+    """The graded rule of ``levels`` levels per quarter and at least quad_points nodes.
+
+    Each quarter of [0, pi] runs from a singular angle theta_0 in
+    {pi/4, 3 pi/4} to a multiple of pi/2, with level edges at the offsets
+    X1 GRADE_RATIO^k, k < levels, and 0.  Every level is split into the same
+    number of equal panels, the fewest that give the rule at least
+    quad_points nodes, and each panel carries PANEL_ORDER Gauss-Legendre
+    nodes.  The offsets come in increasing order.
+    """
+    dist = [X1 * GRADE_RATIO**k for k in range(levels)]
+    # level edges 0 < X1 r^(levels - 1) < ... < X1
+    bounds = np.array([0.0, *dist[::-1]])
+    per_level = -(-quad_points // (4 * PANEL_ORDER * levels))
+    edges = np.linspace(bounds[:-1], bounds[1:], per_level, endpoint=False).T.ravel()
+    width = np.diff(edges, append=X1)
+    nodes, node_weights = _panel_rule()
+    d = (edges[:, None] + width[:, None] * nodes).ravel()
+    weights = (width[:, None] * (node_weights / math.pi)).ravel()
+    cos_d, sin_d, sin_2d = np.cos(d), np.sin(d), np.sin(2.0 * d)
+    table = _Table(
+        offsets=d,
+        weights=weights,
+        cos_phi=np.array([[cos_d, sin_d], [cos_d, -sin_d]]),
+        sin_phi=np.array([[sin_d, cos_d], [-sin_d, cos_d]]),
+        cos2=np.stack([-sin_2d, sin_2d])[:, None, :],
+        theta=np.array([[X1 + d, 3.0 * X1 - d], [X1 - d, 3.0 * X1 + d]]),
+    )
+    for array in vars(table).values():
+        array.flags.writeable = False
+    return table
+
+
+def _rule(quad_points: int, z: complex) -> _Table:
+    """The graded rule of (1/pi) int_0^pi dtheta for an orbit at time z.
 
     Rejects a count that is not an integer or is below MIN_QUAD_POINTS, a
     non-finite z, and imaginary z on or past the crown boundary, before any
-    node is built.  Each quarter of [0, pi] runs from a singular angle
-    theta_0 in {pi/4, 3 pi/4} to a multiple of pi/2.  For z = i t its panel
-    edges lie at distances X1 GRADE_RATIO^k from theta_0, down to the first
-    one at most the gap 1 - |t|, and then at theta_0 itself; for real z, and
-    for t = 0, a quarter is one panel.  Every level is split into the same
-    number of equal panels, the fewest that give the rule at least
-    quad_points nodes, and each panel carries PANEL_ORDER Gauss-Legendre
-    nodes.  The nodes come in order; past 1 - |t| of about 1e-12 the
-    innermost ones round onto theta_0.
+    table is looked up.  For z = i t the levels reach down to the first
+    offset X1 GRADE_RATIO^k at most the gap 1 - |t|, and then to theta_0
+    itself; for real z, and for t = 0, a quarter is one level.  The table
+    depends on t only through that level count, at most 21 for a float t.
     """
     if not isinstance(quad_points, (int, np.integer)):
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}")
@@ -311,22 +403,38 @@ def _rule(quad_points: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     # 1j * nan has a NaN real part, so a NaN t would skip the strip test
     if not np.isfinite(z):
         raise ValueError(f"t must be finite, got time z = {z!r}")
-    dist = [X1]
+    levels = 1
     if z.real == 0.0:
         gap = _strip_gap(z.imag)
-        while dist[-1] > gap:
-            dist.append(X1 * GRADE_RATIO ** len(dist))
-    # level edges 0 < X1 r^K <= gap < ... < X1, as offsets from theta_0
-    levels = np.array([0.0, *dist[::-1]])
-    per_level = -(-int(quad_points) // (4 * PANEL_ORDER * (levels.size - 1)))
-    edges = np.linspace(levels[:-1], levels[1:], per_level, endpoint=False).T.ravel()
-    width = np.diff(edges, append=X1)
-    nodes, node_weights = _panel_rule()
-    offsets = (edges[:, None] + width[:, None] * nodes).ravel()
-    weights = (width[:, None] * (node_weights / math.pi)).ravel()
-    # quarters [0, pi/4], [pi/4, pi/2], [pi/2, 3 pi/4], [3 pi/4, pi]
-    theta = [X1 - offsets[::-1], X1 + offsets, 3.0 * X1 - offsets[::-1], 3.0 * X1 + offsets]
-    return np.concatenate(theta), np.concatenate([weights[::-1], weights] * 2)
+        while X1 * GRADE_RATIO ** (levels - 1) > gap:
+            levels += 1
+    return _table(int(quad_points), levels)
+
+
+def _series_at_nodes(vec: ModeVector, table: _Table) -> np.ndarray:
+    """vec's Fourier sum at the table's nodes, from the offsets.
+
+    At theta = theta_0 + sigma d the mode m = 2 j is e^{2 i j theta_0}
+    e^{2 i sigma j d}, where e^{2 i j theta_0} = (+-i)^j exactly: one matrix
+    product of the powers e^{2 i k d}, |k| <= max |j|, with the coefficients
+    rotated and reflected for each of the four quarters.
+    """
+    ms, cs = vec.arrays()
+    js = ms.astype(np.int64) // 2
+    top = int(np.max(np.abs(js)))
+    n = table.offsets.size
+    # rows k = -top .. top: running products of e^{2 i d}, then their conjugates
+    basis = np.empty((2 * top + 1, n), dtype=complex)
+    basis[top] = 1.0
+    np.cumprod(np.broadcast_to(np.exp(2j * table.offsets), (top, n)), axis=0, out=basis[top + 1:])
+    np.conj(basis[:top:-1], out=basis[:top])
+    # e^{2 i j theta_0} by j mod 4, for theta_0 = pi/4 and 3 pi/4
+    rotated = cs * np.array([[1.0, 1j, -1.0, -1j], [1.0, -1j, -1.0, 1j]])[:, js % 4]
+    # blocks (0, 0) and (1, 1) are theta_0 + d, (1, 0) and (0, 1) theta_0 - d
+    coeffs = np.zeros((2, 2, 2 * top + 1), dtype=complex)
+    coeffs[0, 0, top + js] = coeffs[1, 0, top - js] = rotated[0]
+    coeffs[1, 1, top + js] = coeffs[0, 1, top - js] = rotated[1]
+    return (coeffs.reshape(4, -1) @ basis).reshape(table.theta.shape)
 
 
 def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
@@ -334,18 +442,18 @@ def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
     return np.exp((1.0 - s) * h1)
 
 
-def _orbit(v: ModeVector, s: complex, z: complex, theta: np.ndarray) -> np.ndarray:
-    """(pi_sigma(exp(z x)) v)(k_theta): the prefactor e^{(1 - s) H1} times
-    the mode sum at q = e^{2 i zeta}."""
-    h1, q = _closed_components(theta, z)
+def _orbit(v: ModeVector, s: complex, z: complex, trig) -> np.ndarray:
+    """(pi_sigma(exp(z x)) v)(k_theta) at the nodes whose trig is given: the
+    prefactor e^{(1 - s) H1} times the mode sum at q = e^{2 i zeta}."""
+    h1, q = _closed_components(trig, z)
     return v.evaluate(q) * _orbit_prefactor(s, h1)
 
 
 def _orbit_norm_sq(v: ModeVector, s: complex, z: complex, quad_points: int) -> float:
     """||pi_sigma(exp(z x)) v||^2 by ``_rule`` over K/M, for z = i t on the
     crown path or real z on the real flow."""
-    theta, weights = _rule(quad_points, z)
-    return float(weights @ np.abs(_orbit(v, s, z, theta)) ** 2)
+    table = _rule(quad_points, z)
+    return float(np.sum(table.weights * np.abs(_orbit(v, s, z, table.trig)) ** 2))
 
 
 def extended_norm_sq(v: ModeVector, s: complex, t: float, quad_points: int) -> float:
@@ -393,8 +501,9 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
     ``numkernel.check_real``).
     """
     # real group elements: the rule of real time
-    angles, weights = _rule(quad_points, 0j)
-    total = np.ones(angles.size, dtype=complex)
+    table = _rule(quad_points, 0j)
+    angles = table.theta
+    total = np.ones(angles.shape, dtype=complex)
     for g in gs:
         gm = np.asarray(g, dtype=complex)
         if gm.shape != (2, 2) or not np.all(np.isfinite(gm)):
@@ -407,7 +516,7 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
         factor, angles = _real_cocycle(gm, angles, s)
         total = total * factor
     vals = total * v.evaluate(np.exp(2j * angles))
-    return float(weights @ np.abs(vals) ** 2)
+    return float(np.sum(table.weights * np.abs(vals) ** 2))
 
 
 # The finite-difference step of orbit_derivative_norm, relative to the
@@ -424,9 +533,9 @@ def orbit_derivative_norm(v: ModeVector, s: complex, t: float, quad_points: int)
     boundary.
     """
     h = FD_SCALE * _strip_gap(t)
-    theta, weights = _rule(quad_points, 1j * (abs(t) + h))
-    quot = (_orbit(v, s, 1j * (t + h), theta) - _orbit(v, s, 1j * (t - h), theta)) / (2.0 * h)
-    return math.sqrt(float(weights @ np.abs(quot) ** 2))
+    table = _rule(quad_points, 1j * (abs(t) + h))
+    hi, lo = (_orbit(v, s, 1j * (t + sign * h), table.trig) for sign in (1.0, -1.0))
+    return math.sqrt(float(np.sum(table.weights * np.abs((hi - lo) / (2.0 * h)) ** 2)))
 
 
 def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> BlowupFit:
@@ -479,28 +588,30 @@ def boundary_pairing(
     angles the squared orbit behaves like |w|^(1 - Re s - max|m|);
     integrated across a width of order 1 - t, the orbit norm grows like
     (1-t)^(-N) with N = (max|m| + Re s - 2) / 2, which is max|m|/2 on the
-    unitary axis Re s = 2.
+    unitary axis Re s = 2.  The test vector is evaluated once per table.
     """
+    if v.norm_sq == 0.0:
+        raise ValueError("cannot pair the zero vector v")
+    if w_smooth.norm_sq == 0.0:
+        raise ValueError("cannot pair against the zero test vector w_smooth")
     ms, cs = w_smooth.arrays()
-    if ms.size:
-        mags = np.abs(cs)
-        weighted = mags * (1.0 + np.abs(ms)) ** SMOOTH_DECAY
-        head = float(np.max(weighted[np.abs(ms) <= 4])) if np.any(np.abs(ms) <= 4) else float(
-            np.min(weighted)
-        )
-        if np.any(weighted > 10.0 * max(head, 1e-300)):
-            raise ValueError(f"w_smooth must decay at least like |m|^-{SMOOTH_DECAY:g}")
+    weighted = np.abs(cs) * (1.0 + np.abs(ms)) ** SMOOTH_DECAY
+    low = np.abs(ms) <= 4
+    head = float(np.max(weighted[low])) if np.any(low) else float(np.min(weighted))
+    if np.any(weighted > 10.0 * max(head, 1e-300)):
+        raise ValueError(f"w_smooth must decay at least like |m|^-{SMOOTH_DECAY:g}")
     ts = [float(t) for t in t_grid]
     if len(ts) < 3 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
     for t in ts:
         _strip_gap(t)
-    values = []
+    values, probes = [], {}
     for t in ts:
         z = 1j * t
-        theta, weights = _rule(quad_points, z)
-        probe = weights * np.conj(w_smooth.evaluate(np.exp(2j * theta)))
-        values.append(complex(probe @ _orbit(v, s, z, theta)))
+        table = _rule(quad_points, z)
+        if table not in probes:
+            probes[table] = (table.weights * np.conj(_series_at_nodes(w_smooth, table))).ravel()
+        values.append(complex(probes[table] @ _orbit(v, s, z, table.trig).ravel()))
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     final = diffs[-1]

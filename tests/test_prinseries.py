@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -49,10 +53,23 @@ def march_steps(z: complex) -> int:
     return max(16, int(math.ceil(abs(z) * XS / 0.15)) + 1)
 
 
-def march_arguments(th: np.ndarray, z: complex, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Continued arguments of w = a^2 + c^2 and u = a + i c at the end of the
+def node_trig(nodes):
+    """The node trig of a rule's table, or of arbitrary angles."""
+    if isinstance(nodes, prinseries._Table):
+        return nodes.trig
+    return prinseries._trig(nodes)
+
+
+def closed_components(nodes, z):
+    return prinseries._closed_components(node_trig(nodes), z)
+
+
+def march_arguments(trig, z: complex, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """How far the arguments of w = a^2 + c^2 and u = a + i c turn along the
     segment to z, by nearest-argument steps in tau from 0 to 1, each step
-    evaluating w and u by ``_endpoint``.
+    evaluating w and u by ``_endpoint`` at the given node trig.  The
+    continued arguments are these turns plus arg w = 0 and arg u = theta at
+    z = 0.
 
     Raises DomainExitError at the first step where min |w| <= floor.
 
@@ -60,19 +77,17 @@ def march_arguments(th: np.ndarray, z: complex, floor: float) -> tuple[np.ndarra
     endpoint formula by steps, and its floor test sees only the steps.
     """
     taus = np.linspace(0.0, 1.0, march_steps(z))
-    w_prev, u_prev, *_ = prinseries._endpoint(th, taus[0] * complex(z))
-    arg_w = np.zeros_like(th)
-    arg_u = th.copy()
+    w_prev, u_prev, *_ = prinseries._endpoint(trig, taus[0] * complex(z))
+    arg_w, arg_u = np.zeros(w_prev.shape), np.zeros(u_prev.shape)
     for j in range(1, taus.size):
-        w_cur, u_cur, *_ = prinseries._endpoint(th, taus[j] * complex(z))
-        mags = np.abs(w_cur)
-        i_min = int(np.argmin(mags))
-        if mags[i_min] <= floor:
+        w_cur, u_cur, *_ = prinseries._endpoint(trig, taus[j] * complex(z))
+        least = float(np.abs(w_cur).min())
+        if least <= floor:
             raise DomainExitError(
                 last_good_t=float(taus[j - 1] * abs(z)),
                 t_fail=float(taus[j] * abs(z)),
                 minor_index=1,
-                magnitude=float(mags[i_min]),
+                magnitude=least,
             )
         arg_w += np.angle(w_cur / w_prev)
         arg_u += np.angle(u_cur / u_prev)
@@ -80,13 +95,13 @@ def march_arguments(th: np.ndarray, z: complex, floor: float) -> tuple[np.ndarra
     return arg_w, arg_u
 
 
-def march_components(theta, z):
+def march_components(nodes, z):
     """(H1, q) with the argument of w continued by the march."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    arg_w, _ = march_arguments(th, z, path_minor_floor(z, X1))
+    trig = node_trig(nodes)
+    arg_w, _ = march_arguments(trig, z, path_minor_floor(z, X1))
     # endpoint values in the library's arithmetic: near the corner |w| is
     # small, and w's rounding then moves log |w| well past 1e-14
-    w, u, v, *_ = prinseries._endpoint(th, z)
+    w, u, v, *_ = prinseries._endpoint(trig, z)
     return 0.5 * (np.log(np.abs(w)) + 1j * arg_w), u / v
 
 
@@ -98,10 +113,11 @@ def sl2_components(theta, t):
 def march_sl2(theta, t):
     """sl2_iwasawa_closed's (alpha1, zeta, nu) with both arguments continued by the march."""
     th, z = np.array([float(theta)]), 1j * t
-    arg_w, arg_u = march_arguments(th, z, path_minor_floor(z, X1))
-    w, u, _, sinh2, _ = prinseries._endpoint(th, z)
+    trig = prinseries._trig(th)
+    arg_w, turn_u = march_arguments(trig, z, path_minor_floor(z, X1))
+    w, u, _, sinh2, _ = prinseries._endpoint(trig, z)
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
-    zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
+    zeta = -1j * (np.log(np.abs(u)) + 1j * (th + turn_u) - h1)
     return complex(np.exp(h1[0])), complex(zeta[0]), complex((np.sin(2 * th) * sinh2 / w)[0])
 
 
@@ -128,20 +144,18 @@ def assert_same_outcome(closed, march, rel=1e-14):
         assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
 
 
-def assert_routes_agree(theta, z):
-    assert_same_outcome(
-        outcome(prinseries._closed_components, theta, z), outcome(march_components, theta, z)
-    )
+def assert_routes_agree(nodes, z):
+    assert_same_outcome(outcome(closed_components, nodes, z), outcome(march_components, nodes, z))
 
 
-def assert_first_crossing(thetas, z, t_fail):
+def assert_first_crossing(nodes, z, t_fail):
     """min |w| over the nodes stays above the floor on 256 points of the
     segment before path time t_fail and reaches the floor at t_fail."""
     floor = path_minor_floor(z, X1)
-    th, unit = np.atleast_1d(np.asarray(thetas, dtype=float)), z / abs(z)
+    trig, unit = node_trig(nodes), z / abs(z)
     for t in np.linspace(0.0, t_fail, 257)[:-1]:
-        assert np.abs(prinseries._endpoint(th, t * unit)[0]).min() > floor
-    at = np.abs(prinseries._endpoint(th, t_fail * unit)[0]).min()
+        assert np.abs(prinseries._endpoint(trig, t * unit)[0]).min() > floor
+    at = np.abs(prinseries._endpoint(trig, t_fail * unit)[0]).min()
     assert at <= 1.01 * floor and (t_fail == 0.0 or at >= 0.99 * floor)
 
 
@@ -159,14 +173,18 @@ def trapezoid_nodes(quad, z):
     return math.pi * np.arange(pts) / pts
 
 
+def trapezoid_orbit(v, s, z, thetas):
+    return prinseries._orbit(v, s, z, prinseries._trig(thetas))
+
+
 def trapezoid_norm_sq(v, s, z, quad):
-    return float(np.mean(np.abs(prinseries._orbit(v, s, z, trapezoid_nodes(quad, z))) ** 2))
+    return float(np.mean(np.abs(trapezoid_orbit(v, s, z, trapezoid_nodes(quad, z))) ** 2))
 
 
 def trapezoid_derivative_norm(v, s, t, quad):
     h = prinseries.FD_SCALE * (1.0 - abs(t))
     thetas = trapezoid_nodes(quad, 1j * (abs(t) + h))
-    hi, lo = (prinseries._orbit(v, s, 1j * (t + sign * h), thetas) for sign in (1.0, -1.0))
+    hi, lo = (trapezoid_orbit(v, s, 1j * (t + sign * h), thetas) for sign in (1.0, -1.0))
     return math.sqrt(float(np.mean(np.abs((hi - lo) / (2.0 * h)) ** 2)))
 
 
@@ -178,7 +196,7 @@ def trapezoid_pairing(v, w_smooth, s, t_grid, quad):
     values = []
     for t in t_grid:
         thetas = trapezoid_nodes(quad, 1j * t)
-        spectrum = np.fft.fft(prinseries._orbit(v, s, 1j * t, thetas))
+        spectrum = np.fft.fft(trapezoid_orbit(v, s, 1j * t, thetas))
         bins = spectrum[ms.astype(np.int64) // 2 % thetas.size]
         values.append(complex(np.conj(cs) @ bins) / thetas.size)
     return values
@@ -290,10 +308,10 @@ class TestClosedForm:
     def test_exact_crossing_decides_a_principal_segment(self, theta, t):
         z = 1j * t
         floor = path_minor_floor(z, X1)
-        w, *_, c = prinseries._endpoint(np.array([theta]), z)
+        w, *_, c = prinseries._endpoint(prinseries._trig([theta]), z)
         first = prinseries._first_crossing(c, z, floor)
         exits = first <= t * (2.0 * X1)
-        for got in (outcome(prinseries._closed_components, [theta], z),
+        for got in (outcome(closed_components, [theta], z),
                     outcome(sl2_components, theta, t)):
             assert exited(got) == exits
             if exits:
@@ -308,9 +326,9 @@ class TestClosedForm:
         endpoint, continued = prinseries._endpoint, prinseries._continued_endpoint
 
         def counted(name, fn):
-            def wrapper(th, z):
-                nodes[name][z] += np.size(th)
-                return fn(th, z)
+            def wrapper(trig, z):
+                nodes[name][z] += np.broadcast(*trig).size
+                return fn(trig, z)
 
             return wrapper
 
@@ -326,12 +344,12 @@ class TestClosedForm:
         thetas = [0.1, 0.3, 2.0]
         times = [scaled(z, x) for x, z in ((XS, 0.9j), (0.5, 3.0j), (XS, 1.0j), (0.5, 3.2j))]
         for z in [*times, complex(0.9)]:
-            prinseries._closed_components(thetas, z)
+            closed_components(thetas, z)
         real_time_norm_sq(V_MIX, S_OFF, 0.7, 1024)
         boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.999], 1024)
         want = {z: 3 for z in times} | {complex(0.9): 3}
         for z in (complex(0.7), 0j, 0.5j, 0.999j):
-            want[z] = prinseries._rule(1024, z)[0].size
+            want[z] = rule_size(1024, z)
         assert want[0j] == 1024 < want[0.999j]
         assert nodes == {"endpoint": want, "continued": want}
 
@@ -344,7 +362,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("z", [0.3 + 0.4j, complex(math.inf), 1j * math.nan])
     def test_rejects_complex_or_non_finite_time(self, z):
         with pytest.raises(ValueError, match="finite and real or imaginary"):
-            prinseries._closed_components([0.1, 0.3], z)
+            closed_components([0.1, 0.3], z)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_sl2_rejects_non_finite_time(self, t):
@@ -354,20 +372,20 @@ class TestClosedForm:
     def test_march_steps_through_endpoint(self, monkeypatch):
         # a conjugating endpoint must negate the oracle's increments: the
         # march has no formula for w or u of its own
-        th, z = np.array([0.1, 0.4, 1.0, 2.0]), scaled(7.0j, 0.5)
+        trig, z = prinseries._trig([0.1, 0.4, 1.0, 2.0]), scaled(7.0j, 0.5)
         floor = path_minor_floor(z, X1)
-        arg_w, arg_u = march_arguments(th, z, floor)
+        arg_w, arg_u = march_arguments(trig, z, floor)
         endpoint, zs = prinseries._endpoint, []
 
-        def conjugated(th_, z_):
+        def conjugated(trig_, z_):
             zs.append(z_)
-            return tuple(np.conj(a) for a in endpoint(th_, z_))
+            return tuple(np.conj(a) for a in endpoint(trig_, z_))
 
         monkeypatch.setattr(prinseries, "_endpoint", conjugated)
-        conj_w, conj_u = march_arguments(th, z, floor)
+        conj_w, conj_u = march_arguments(trig, z, floor)
         assert zs == list(np.linspace(0.0, 1.0, march_steps(z)) * z)
         assert np.allclose(conj_w, -arg_w, rtol=0.0, atol=1e-13)
-        assert np.allclose(conj_u - th, th - arg_u, rtol=0.0, atol=1e-13)
+        assert np.allclose(conj_u, -arg_u, rtol=0.0, atol=1e-13)
 
     def test_sl2_continues_zeta_by_the_march_on_long_segments(self):
         # past t pi/2 = 2 pi the argument of u winds, and its principal
@@ -391,7 +409,7 @@ class TestClosedForm:
             thetas = rng.uniform(0.0, PI, 8)
             if i % 4 == 0:
                 thetas[0] = rng.choice([PI / 4, 3 * PI / 4]) + 10.0 ** rng.uniform(-16.0, -11.0)
-            closed = outcome(prinseries._closed_components, thetas, z)
+            closed = outcome(closed_components, thetas, z)
             march = outcome(march_components, thetas, z)
             if exited(closed) and not exited(march):
                 tally["closed_only"] += 1
@@ -428,7 +446,7 @@ class TestClosedForm:
             h = 1e-2 * (1.0 - t)
             grid += [(512, t - h), (512, t), (512, t + h)]
         for quad, t in grid:
-            assert_routes_agree(prinseries._rule(quad, 1j * t)[0], 1j * t)
+            assert_routes_agree(prinseries._rule(quad, 1j * t), 1j * t)
 
     def test_principal_route_matches_march_on_seeded_draws(self):
         rng = np.random.default_rng(20261018)
@@ -460,7 +478,7 @@ class TestClosedForm:
                 ref_h1_q = [complex(h1), complex(u * u / w)]
                 ref_sl2 = [complex(v) for v in (mpmath.exp(h1), zeta, nu)]
                 bound = 16 * eps / min(1.0, float(abs(w)))
-            for route in (prinseries._closed_components, march_components):
+            for route in (closed_components, march_components):
                 for got, want in zip(route([theta], 1j * t), ref_h1_q):
                     assert abs(complex(got[0]) - want) <= bound * max(1.0, abs(want))
             for route in (sl2_components, march_sl2):
@@ -514,7 +532,7 @@ class TestOrbitValues:
                                  float(abs(factor) * sum(abs(x) for x in terms))))
                 bound = 16 * eps / min(1.0, float(abs(w)))
             for p, (want, scale) in zip(params, refs):
-                got = prinseries._orbit(v, p, 1j * t, np.array([theta]))[0]
+                got = prinseries._orbit(v, p, 1j * t, prinseries._trig(theta))[0]
                 assert abs(got - want) <= bound * scale
 
 
@@ -546,6 +564,22 @@ def level_count(z):
     return k + 1
 
 
+def rule_size(quad, z):
+    """The node count of the rule at time z: four nodes theta_0 +- d per offset."""
+    return 4 * prinseries._rule(quad, z).offsets.size
+
+
+def exact_node(mpmath, kappa, mu, d):
+    """The angle theta_0 + sigma d of the table's block (kappa, mu) at offset d,
+    with mpmath's pi: theta_0 = pi/4 or 3 pi/4 by mu, sigma = + on the blocks
+    (0, 0) and (1, 1)."""
+    sigma = 1 if kappa == mu else -1
+    return (2 * mu + 1) * mpmath.pi / 4 + sigma * mpmath.mpf(float(d))
+
+
+BLOCKS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 RULE_TIMES = {
     "zero": 0j,
     "real_time": complex(1.1),
@@ -563,59 +597,89 @@ class TestRule:
     def test_weights_sum_to_one_on_at_least_quad_nodes(self, route, quad):
         # the fewest equal panels per level that reach the requested count
         z = RULE_TIMES[route]
-        theta, weights = prinseries._rule(quad, z)
+        table = prinseries._rule(quad, z)
+        d, weights = table.offsets, table.weights
+        size = 4 * d.size
         panel = 4 * prinseries.PANEL_ORDER * level_count(z)
-        assert theta.size >= quad and theta.size % panel == 0 and theta.size - panel < quad
-        assert weights.shape == theta.shape and np.all(weights > 0.0)
-        assert abs(weights.sum() - 1.0) <= 1e-14
-        # deep in the boundary layer the innermost nodes round onto pi/4
-        assert np.all(np.diff(theta) >= 0.0) and 0.0 < theta[0] and theta[-1] < PI
+        assert size >= quad and size % panel == 0 and size - panel < quad
+        assert weights.shape == d.shape and np.all(weights > 0.0)
+        assert abs(4.0 * weights.sum() - 1.0) <= 1e-14
+        # the offsets, and cos 2 theta = +-sin 2d with them, stay distinct down
+        # to 1 - t = 2^-40, where theta_0 + d itself rounds onto theta_0
+        assert 0.0 < d[0] and np.all(np.diff(d) > 0.0) and d[-1] < X1
+        assert np.all(np.diff(table.cos2[1, 0]) > 0.0) and table.cos2[1, 0, 0] > 0.0
+        assert 0.0 < table.theta.min() and table.theta.max() < PI
 
     @pytest.mark.parametrize("route", sorted(RULE_TIMES))
     def test_innermost_panel_is_no_wider_than_the_gap(self, route):
-        # the weights of a panel's PANEL_ORDER nodes sum to its width / pi
+        # the weights of a panel's PANEL_ORDER nodes sum to its width / pi, and
+        # every quarter runs over the same offsets
         z = RULE_TIMES[route]
         gap = 1.0 - abs(z.imag) if z.real == 0.0 else X1
         order = prinseries.PANEL_ORDER
-        theta, weights = prinseries._rule(1024, z)
-        for corner in (PI / 4, 3 * PI / 4):
-            for side in (theta < corner, theta > corner):
-                nearest = np.argsort(np.abs(theta[side] - corner))[:order]
-                assert PI * weights[side][nearest].sum() <= gap * (1.0 + 1e-12)
-                assert np.abs(theta[side][nearest] - corner).max() < gap
+        table = prinseries._rule(1024, z)
+        assert PI * table.weights[:order].sum() <= gap * (1.0 + 1e-12)
+        assert table.offsets[order - 1] < gap
 
     def test_graded_rule_grows_like_the_log_of_the_gap(self):
         # the trapezoid needed 32 / (1 - t) nodes: 524,288 at 1 - t = 2^-14
-        sizes = [prinseries._rule(64, 1j * (1.0 - 2.0**-j))[0].size for j in (10, 14, 20, 30, 40)]
+        sizes = [rule_size(64, 1j * (1.0 - 2.0**-j)) for j in (10, 14, 20, 30, 40)]
         assert sizes == [640, 768, 1152, 1536, 2048]
+
+    def test_node_trig_is_the_trig_of_the_angles(self):
+        # cos 2 theta = -+ sin 2d, and cos phi, sin phi of phi = theta - pi/4
+        # are +-cos d, +-sin d: against the trig of the rounded angles, whose
+        # rounding is up to 2.2e-16 near 3 pi/4
+        table = prinseries._rule(1024, 1j * (1.0 - 2.0**-10))
+        cos_phi, sin_phi, cos2 = table.trig
+        phi = table.theta - PI / 4
+        assert np.abs(cos2 - np.cos(2.0 * table.theta)).max() <= 1e-15
+        assert np.abs(cos_phi - np.cos(phi)).max() <= 1e-15
+        assert np.abs(sin_phi - np.sin(phi)).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "w",
+        [smooth_test_vector(), ModeVector({4: 0.3 - 0.2j}), ModeVector({0: 0.5}),
+         ModeVector({-2: 1.0, -4: 0.5j, -10: 1e-5})],
+        ids=["smooth", "single_mode", "constant", "negative_modes"],
+    )
+    @pytest.mark.parametrize("quad, t", [(1024, 1.0 - 2.0**-14), (1000, 0.5), (64, 0.0)])
+    def test_test_vector_from_offsets_matches_the_mode_sum(self, w, quad, t):
+        # the oracle: the Laurent sum at q = e^{2 i theta} on the rounded angles
+        table = prinseries._rule(quad, 1j * t)
+        got = prinseries._series_at_nodes(w, table)
+        want = w.evaluate(np.exp(2j * table.theta))
+        assert got.shape == table.theta.shape
+        assert np.abs(got - want).max() <= 1e-14 * sum(abs(c) for c in w.modes.values())
 
     ORBIT_ROUTES = [
         pytest.param(z, quad, id=f"{route}-{quad}")
         for route, z in (("principal", 1j * (1.0 - 2.0**-8)), ("real_time", complex(1.1)))
         for quad in (1024, 1001)
-    ]
+    ] + [pytest.param(1j * (1.0 - 2.0**-30), 1024, id="deep-1024")]
 
     @pytest.mark.parametrize("z, quad", ORBIT_ROUTES)
     def test_orbit_matches_mpmath_at_the_rule_nodes(self, z, quad):
-        # the nodes nearest both singular angles and either end, and random
-        # ones, held to the pointwise oracle bound
+        # the nodes theta_0 +- d nearest both singular angles and the multiples
+        # of pi/2, and random ones, against the 50-digit orbit at those exact
+        # angles.  The bound is w's rounding: the worst error measured was
+        # 2.95 eps / min(1, |w|) at 1 - t = 2^-8 and 0.79 of it at 2^-30
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
         params = (S_AXIS, 1.8 + 0.3j)
-        thetas = prinseries._rule(quad, z)[0]
-        got = [prinseries._orbit(v, p, z, thetas) for p in params]
-        n = thetas.size
-        picks = {0, 1, n - 1, *np.random.default_rng(quad).integers(0, n, 24).tolist()}
-        for corner in (PI / 4, 3 * PI / 4):
-            k = int(np.searchsorted(thetas, corner))
-            picks |= {k - 2, k - 1, k, k + 1}
+        table = prinseries._rule(quad, z)
+        got = [prinseries._orbit(v, p, z, table.trig) for p in params]
+        n = table.offsets.size
+        picks = {0, 1, 2, 3, n - 2, n - 1, *np.random.default_rng(quad).integers(0, n, 24).tolist()}
         for k in sorted(picks):
-            with mpmath.workdps(50):
-                refs, mag_w = node_orbit_oracle(mpmath, v, params, z, mpmath.mpf(thetas[k]))
-            bound = 16 * eps / min(1.0, mag_w)
-            for vals, (want, scale) in zip(got, refs):
-                assert abs(vals[k] - want) <= bound * scale
+            for kappa, mu in BLOCKS:
+                with mpmath.workdps(50):
+                    node = exact_node(mpmath, kappa, mu, table.offsets[k])
+                    refs, mag_w = node_orbit_oracle(mpmath, v, params, z, node)
+                bound = 8 * eps / min(1.0, mag_w)
+                for vals, (want, scale) in zip(got, refs):
+                    assert abs(vals[kappa, mu, k] - want) <= bound * scale
 
     @pytest.mark.parametrize("quad", [1024, 1001])
     def test_every_rule_node_reaches_the_components_once(self, quad, monkeypatch):
@@ -624,13 +688,13 @@ class TestRule:
         rule, closed = prinseries._rule, prinseries._closed_components
 
         def counted_rule(quad_points, z):
-            theta, weights = rule(quad_points, z)
-            rules.append((z, theta.size))
-            return theta, weights
+            table = rule(quad_points, z)
+            rules.append((z, 4 * table.offsets.size))
+            return table
 
-        def counted_components(theta, z):
-            nodes[z] += np.size(theta)
-            return closed(theta, z)
+        def counted_components(trig, z):
+            nodes[z] += np.broadcast(*trig).size
+            return closed(trig, z)
 
         monkeypatch.setattr(prinseries, "_rule", counted_rule)
         monkeypatch.setattr(prinseries, "_closed_components", counted_components)
@@ -655,30 +719,96 @@ class TestRule:
         # exit is the earliest crossing over all of the rule's nodes
         tau = math.log(0.5 / config.TOLERANCES.minor_floor_rel) / (2.0 * X1)
         z = complex(-tau)
-        thetas = prinseries._rule(1024, z)[0]
-        oracle = outcome(prinseries._closed_components, thetas, z)
+        table = prinseries._rule(1024, z)
+        oracle = outcome(closed_components, table, z)
         assert exited(oracle) and outcome(real_time_norm_sq, V_MIX, S_AXIS, -tau, 1024) == oracle
         assert oracle[1] == pytest.approx(math.log(2.0) / (2.0 * X1), rel=1e-6)
-        assert_first_crossing(thetas, z, oracle[1])
+        assert_first_crossing(table, z, oracle[1])
 
     @pytest.mark.parametrize("quad", [1024, 1000])
     @pytest.mark.parametrize("gap", [1e-13, 1e-14])
     def test_deep_time_exit_reports_the_rule_crossing(self, gap, quad):
-        # the innermost nodes round onto the corner pi/4, whose |w| crosses
-        # the floor near 1 - t = 3e-13: the quadrature reports the crossing
-        # its rule's nodes report, which the march also detects, at a step on
-        # or after it, and its message shows how far below 1 the crossing is
+        # the corner's |w| crosses the floor near 1 - t = 3e-13, and the
+        # innermost nodes, whose cos 2 theta = -+sin 2d is of the order of
+        # the gap, cross it first: the quadrature reports the crossing its
+        # rule's nodes report, which the march also detects, at a step on or
+        # after it, and its message shows how far below 1 the crossing is
         t = 1.0 - gap
-        thetas = prinseries._rule(quad, 1j * t)[0]
+        table = prinseries._rule(quad, 1j * t)
         with pytest.raises(DomainExitError) as exc:
             extended_norm_sq(V_MIX, S_AXIS, t, quad)
         got = exc.value
-        full = outcome(prinseries._closed_components, thetas, 1j * t)
+        full = outcome(closed_components, table, 1j * t)
         payload = (got.last_good_t, got.t_fail, got.minor_index, got.magnitude)
         assert exited(full) and payload == full
-        assert_same_outcome(full, outcome(march_components, thetas, 1j * t))
-        assert_first_crossing(thetas, 1j * t, full[1])
+        assert_same_outcome(full, outcome(march_components, table, 1j * t))
+        assert_first_crossing(table, 1j * t, full[1])
         assert full[1] < 1.0 and f"domain exit near t={full[1]!r}" in str(got)
+
+
+class TestTable:
+    """The rule depends on t only through its level count: one cached table
+    per (quad_points, level count)."""
+
+    def test_times_with_one_level_count_share_a_table(self):
+        # 1 - t = 2^-12 .. 2^-14 all have six levels, 2^-11 has five; real
+        # time, t = 0 and negative t take the tables of their level counts
+        deep = [prinseries._rule(1024, 1j * (1.0 - 2.0**-j)) for j in (12, 13, 14)]
+        assert deep[0] is deep[1] is deep[2]
+        assert prinseries._rule(1024, 1j * (1.0 - 2.0**-11)) is not deep[0]
+        assert prinseries._rule(1024, -1j * (1.0 - 2.0**-13)) is deep[0]
+        assert prinseries._rule(1024, 0j) is prinseries._rule(1024, complex(1.1))
+        assert prinseries._rule(np.int64(1024), 0.5j) is prinseries._rule(1024, 0.5j)
+        assert prinseries._rule(1000, 0.5j) is not prinseries._rule(1024, 0.5j)
+
+    def test_table_arrays_are_read_only(self):
+        table = prinseries._rule(1024, 0.9j)
+        for name, array in vars(table).items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        assert table.offsets[0] > 0.0
+
+    @pytest.mark.parametrize("quad, levels", [(1024, 6), (512, 3), (8193, 21), (64, 1)])
+    def test_cold_build_equals_the_cached_table(self, quad, levels):
+        cached = prinseries._table(quad, levels)
+        cold = prinseries._table.__wrapped__(quad, levels)
+        assert cold is not cached
+        for name, array in vars(cached).items():
+            other = getattr(cold, name)
+            assert other.shape == array.shape and other.tobytes() == array.tobytes(), name
+
+    def test_level_count_is_at_most_21(self):
+        # the largest float t below 1 has the gap 2^-53
+        assert level_count(1j * (1.0 - 2.0**-53)) == 21
+        assert prinseries._rule(64, 1j * math.nextafter(1.0, 0.0)) is prinseries._table(64, 21)
+
+    def test_pairing_does_not_depend_on_the_tables_built_before(self):
+        w = smooth_test_vector()
+        grid_a = [1.0 - 2.0**-j for j in range(2, 9)]
+        grid_b = [0.3, *(1.0 - 2.0**-j for j in range(5, 15))]
+        prinseries._table.cache_clear()
+        alone = boundary_pairing(V_ASYM, w, S_AXIS, grid_b, 1024).values
+        prinseries._table.cache_clear()
+        boundary_pairing(V_ASYM, w, S_AXIS, grid_a, 1024)
+        after = boundary_pairing(V_ASYM, w, S_AXIS, grid_b, 1024).values
+        assert after == alone
+
+    def test_criterion_11_grid_builds_four_tables(self):
+        # j = 4 .. 14 at quad 1024 have three to six levels
+        prinseries._table.cache_clear()
+        grid = [1.0 - 2.0**-j for j in range(4, 15)]
+        boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, grid, 1024)
+        info = prinseries._table.cache_info()
+        assert info.misses == info.currsize == 4
+        assert sorted({level_count(1j * t) for t in grid}) == [3, 4, 5, 6]
+
+    def test_import_builds_no_table(self):
+        # tables are built by the first quadrature that needs them, not at import
+        src = pathlib.Path(prinseries.__file__).resolve().parents[1]
+        code = "import crownlab; print(crownlab.prinseries._table.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "0", out.stderr
 
 
 class TestExtendedNorm:
@@ -971,8 +1101,8 @@ class TestBoundaryPairing:
 
     # criterion 11's orbit is even in theta, so its DFT cannot tell bin m/2
     # from -m/2; the other cases pair an orbit that is not.  Near the corner
-    # both rules sit at the rounding floor of w, about 2e-11 at 1 - t = 2^-14
-    # against a 30-digit value, so criterion 11's grid gets that margin
+    # the trapezoid's rounded angles leave v's cancellation at 3 pi/4, about
+    # 3e-11 relative at 1 - t = 2^-14, so criterion 11's grid gets that margin
     @pytest.mark.parametrize(
         "w,v,quad,t_grid,rel",
         [
@@ -989,14 +1119,34 @@ class TestBoundaryPairing:
             assert abs(got - want) <= rel * abs(want)
 
     def test_pairings_match_an_mpmath_value(self):
-        # criterion 11's configuration at 1 - t = 2^-10 and 2^-14: the error
-        # is w's rounding near the corner, not the rule's
+        # criterion 11's configuration at 1 - t = 2^-10 and 2^-14.  With u and
+        # v formed from the offsets the errors measured 2.1e-15 and 4.9e-15;
+        # forming them from cos theta and sin theta left 1.6e-13 and 1.4e-11
         mpmath = pytest.importorskip("mpmath")
         w = smooth_test_vector()
-        for j, bound in ((10, 5e-13), (14, 5e-11)):
+        for j, bound in ((10, 5e-14), (14, 5e-14)):
             t = 1.0 - 2.0**-j
             got = boundary_pairing(V_MIX, w, S_AXIS, [0.5, 0.75, t], 1024).values[-1]
             assert abs(got - mpmath_pairing(mpmath, V_MIX, w, S_AXIS, t)) <= bound
+
+    @pytest.mark.parametrize(
+        "which, message",
+        [("v", "cannot pair the zero vector v"),
+         ("w_smooth", "cannot pair against the zero test vector w_smooth")],
+    )
+    @pytest.mark.parametrize(
+        "zero", [ModeVector({}), ModeVector({0: 0.0, 2: 0.0})], ids=["empty", "zeros"]
+    )
+    def test_zero_vector_is_rejected_before_any_rule(self, which, message, zero, monkeypatch):
+        # an all-zero pairing sequence would read as Cauchy
+        def no_work(*args):
+            raise AssertionError("rule or orbit work for a zero vector")
+
+        monkeypatch.setattr(prinseries, "_rule", no_work)
+        monkeypatch.setattr(prinseries, "_closed_components", no_work)
+        vectors = {"v": V_MIX, "w_smooth": smooth_test_vector(), which: zero}
+        with pytest.raises(ValueError, match=message):
+            boundary_pairing(vectors["v"], vectors["w_smooth"], S_AXIS, [0.5, 0.75, 0.9], 256)
 
     def test_rejects_fat_tail_test_vector(self):
         fat = ModeVector({m: 1.0 for m in range(-20, 21, 2)})
