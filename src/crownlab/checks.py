@@ -358,8 +358,8 @@ def acceptance_11_distributional_limit() -> CheckResult:
     ratio_ok = all(0.4 < r < 0.6 for r in ratios[2:])
 
     fit_grid = [1.0 - 2.0**-j for j in range(4, 13)]
-    norms = [math.sqrt(prinseries.extended_norm_sq(v, s, t, 512)) for t in fit_grid]
-    dnorms = [prinseries.orbit_derivative_norm(v, s, t, 512) for t in fit_grid]
+    norms = np.sqrt(prinseries.extended_norm_sq(v, s, fit_grid, 512))
+    dnorms = prinseries.orbit_derivative_norm(v, s, fit_grid, 512)
     bump = (
         growth.fit_power_law(fit_grid, dnorms).n_hat
         - growth.fit_power_law(fit_grid, norms).n_hat
@@ -444,9 +444,9 @@ def prinseries_tables(quad_points: int) -> dict:
     v = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     w = prinseries.smooth_test_vector()
     t_grid = [1.0 - 2.0**-j for j in range(4, 15)]
-    norms = [math.sqrt(prinseries.extended_norm_sq(v, s, t, quad_points)) for t in t_grid]
+    norms = np.sqrt(prinseries.extended_norm_sq(v, s, t_grid, quad_points))
     rep = prinseries.boundary_pairing(v, w, s, t_grid, quad_points)
-    orbit = [{"t": t, "norm": nv} for t, nv in zip(t_grid, norms)]
+    orbit = [{"t": t, "norm": nv} for t, nv in zip(t_grid, norms.tolist())]
     pairing = [
         {"t": t, "re": val.real, "im": val.imag} for t, val in zip(rep.ts, rep.values)
     ]

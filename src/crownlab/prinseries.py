@@ -68,11 +68,23 @@ falls to the gap at the corners.  w and H1 read cos 2 theta only, so the
 continuation runs on its two halves +-sin 2d.  A pairing evaluates the
 test vector from the offsets as well: e^{2 i j theta} = e^{2 i j theta_0}
 e^{2 i sigma j d}, one matrix product of the powers of e^{2 i d} per table.
+Its node values weights * conj(w(theta)) are memoised per (table, the
+vector's modes), ``_probe``.
+
+The orbit is evaluated over an axis of times that share one table: from
+``_endpoint`` to ``_orbit`` every node array has a leading time axis, and a
+single time is the m = 1 case.  Each run of consecutive times of a call
+that share a table is one pass (``_runs``).  Every operation on the nodes
+is elementwise and each time's row is summed on its own, so a row equals
+its m = 1 pass bit for bit.  Every time is checked before any node is
+evaluated, and of the times that exit the domain the first in the grid
+raises, as a loop over the times would.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -195,19 +207,31 @@ class Sl2Components:
 
 def _trig(theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cos phi, sin phi, cos 2 theta) with phi = theta - pi/4: the node trig
-    that ``_endpoint`` reads, formed from arbitrary angles.  theta - X1 is
-    exact near pi/4, and X1_LO moves phi from fl(pi/4) to pi/4.  A rule's
-    nodes take their trig from its table."""
+    that ``_endpoint`` reads, formed from arbitrary angles.  A rule's nodes
+    take their trig from its table.
+
+    phi is reduced against the nearer corner, where u or v falls to the gap.
+    theta - X1 is exact near pi/4, and X1_LO moves it from fl(pi/4) to pi/4.
+    Near 3 pi/4, phi' = ((theta - 2 X1) - X1) - 3 X1_LO = theta - 3 pi/4 has
+    both differences exact, and cos phi = -sin phi', sin phi = cos phi'.
+    """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = th - X1 - X1_LO
-    return np.cos(phi), np.sin(phi), np.cos(2.0 * th)
+    phi3 = (th - 2.0 * X1) - X1 - 3.0 * X1_LO
+    near3 = np.abs(phi3) < np.abs(phi)
+    cos_phi = np.where(near3, -np.sin(phi3), np.cos(phi))
+    sin_phi = np.where(near3, np.cos(phi3), np.sin(phi))
+    return cos_phi, sin_phi, np.cos(2.0 * th)
 
 
-def _endpoint(trig, z: complex):
+def _endpoint(trig, z):
     """w = a^2 + c^2, u = a + i c, v = a - i c (so w = u v), sinh(2 z x1)
-    and cos(2 theta) at the end of the segment to z: the one formula for them.
+    and cos(2 theta) at the ends of the segments to the times z: the one
+    formula for them.
 
-    trig is (cos phi, sin phi, cos 2 theta) with phi = theta - pi/4.  With
+    trig is (cos phi, sin phi, cos 2 theta) with phi = theta - pi/4, and z a
+    1-D array of times; every result but cos 2 theta has a leading axis of
+    one row per time, broadcast against the trig's shape.  With
     A, B = (e^{-z x1} +- i e^{z x1}) / sqrt 2,
 
         u = A cos phi - B sin phi,    v = B cos phi - A sin phi,
@@ -217,12 +241,16 @@ def _endpoint(trig, z: complex):
     u, v the broadcast shape of all three, so a table's w is formed once per
     value of cos 2 theta."""
     cos_phi, sin_phi, cos2 = trig
-    ep = np.exp(complex(z) * X1)
+    z = np.asarray(z, dtype=complex).reshape((-1,) + (1,) * np.ndim(cos2))
+    ep = np.exp(z * X1)
     em = 1.0 / ep
     cosh2, sinh2 = 0.5 * (ep * ep + em * em), 0.5 * (ep * ep - em * em)
     w = cosh2 - sinh2 * cos2
     a, b = (em + 1j * ep) / math.sqrt(2.0), (em - 1j * ep) / math.sqrt(2.0)
-    return w, a * cos_phi - b * sin_phi, b * cos_phi - a * sin_phi, sinh2, cos2
+    u, v = a * cos_phi, b * cos_phi
+    u -= b * sin_phi
+    v -= a * sin_phi
+    return w, u, v, sinh2, cos2
 
 
 def _nearest_branch(principal: np.ndarray, target) -> np.ndarray:
@@ -231,68 +259,85 @@ def _nearest_branch(principal: np.ndarray, target) -> np.ndarray:
     return principal + 2.0 * math.pi * np.round((target - principal) / (2.0 * math.pi))
 
 
-def _first_crossing(c: np.ndarray, z: complex, floor: float) -> float:
-    """The least phase y = tau |z| pi/2 at which some node's |w| reaches the
-    floor along tau z, tau >= 0, with c = cos(2 theta); inf if none.
+def _first_crossing(c: np.ndarray, z: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """For each time of z, the least phase y = tau |z| pi/2 at which some
+    node's |w| reaches its floor along tau z, tau >= 0, with c = cos(2 theta);
+    inf if none.
 
     For z = i t, |w|^2 = cos^2 y + c^2 sin^2 y >= c^2 first reaches floor^2
-    at tan y = sqrt((1 - floor^2) / (floor^2 - c^2)) if |c| <= floor.  For
-    real z, w = A e^y + B e^{-y} with A, B = (1 -+ c) / 2 (swapped for z < 0)
-    is convex with minimum |sin 2 theta| = 2 sqrt(A B), and equals the floor
-    at e^y = (floor -+ sqrt(floor^2 - 4 A B)) / (2 A); it reaches the floor
-    for y >= 0 iff the larger root is >= 1, at the smaller one or at y = 0.
+    at tan y = sqrt((1 - floor^2) / (floor^2 - c^2)) if |c| <= floor, so
+    the smallest |c| of the nodes, read once, clears every imaginary time
+    whose floor is below it.  For real z, w = A e^y + B e^{-y} with
+    A, B = (1 -+ c) / 2 (swapped for z < 0) is convex with minimum
+    |sin 2 theta| = 2 sqrt(A B), and equals the floor at
+    e^y = (floor -+ sqrt(floor^2 - 4 A B)) / (2 A); it reaches the floor for
+    y >= 0 iff the larger root is >= 1, at the smaller one or at y = 0.
     """
-    if z.real == 0.0:
-        hit = c[np.abs(c) <= floor]
-        sin_part = math.sqrt(max(1.0 - floor * floor, 0.0))
-        phases = np.arctan2(sin_part, np.sqrt(floor * floor - hit * hit))
-    else:
-        a, b = (1.0 - c) / 2.0, (1.0 + c) / 2.0
-        if z.real < 0.0:
-            a, b = b, a
-        disc = floor * floor - (1.0 - c) * (1.0 + c)
-        root = floor + np.sqrt(np.maximum(disc, 0.0))
-        # the smaller root is 2 B / root, the larger root / (2 A)
-        ahead = (disc >= 0.0) & (root >= 2.0 * a)
-        phases = np.log(np.maximum(2.0 * b[ahead] / root[ahead], 1.0))
-    return float(np.min(phases, initial=math.inf))
+    first = np.full(z.shape, math.inf)
+    least = np.abs(c).min(initial=math.inf)
+    for k in np.nonzero((z.real != 0.0) | (floors >= least))[0]:
+        zk, floor = z[k], floors[k]
+        if zk.real == 0.0:
+            hit = c[np.abs(c) <= floor]
+            sin_part = math.sqrt(max(1.0 - floor * floor, 0.0))
+            phases = np.arctan2(sin_part, np.sqrt(floor * floor - hit * hit))
+        else:
+            a, b = (1.0 - c) / 2.0, (1.0 + c) / 2.0
+            if zk.real < 0.0:
+                a, b = b, a
+            disc = floor * floor - (1.0 - c) * (1.0 + c)
+            root = floor + np.sqrt(np.maximum(disc, 0.0))
+            # the smaller root is 2 B / root, the larger root / (2 A)
+            ahead = (disc >= 0.0) & (root >= 2.0 * a)
+            phases = np.log(np.maximum(2.0 * b[ahead] / root[ahead], 1.0))
+        first[k] = np.min(phases, initial=math.inf)
+    return first
 
 
-def _continued_endpoint(trig, z: complex):
-    """(H1, w, u, v, sinh2, c) at z: ``_endpoint``'s data and H1 = log alpha1
-    continued from 0 at z = 0.
+def _continued_endpoint(trig, z):
+    """(H1, w, u, v, sinh2, c) at the 1-D array of times z: ``_endpoint``'s
+    data and H1 = log alpha1 continued from 0 at z = 0, one row per time.
 
     The argument of w is the branch nearest -sgn(c) t pi/2 (0 on the real
     flow): w stays in the quadrant of e^{-i sgn(c) tau t pi/2}, so that
     branch is the continued one (module docstring); on a principal segment
     (z = i t, |t| < 1) it is the principal branch.  Every exit is decided by
-    ``_first_crossing``, and a DomainExitError reports the first crossing as
-    both last_good_t and t_fail, with |w| = floor there.
+    ``_first_crossing``, and the first time of z that exits raises a
+    DomainExitError, which reports its first crossing as both last_good_t
+    and t_fail, with |w| = floor there.
     """
-    if not np.isfinite(z) or (z.real != 0.0 and z.imag != 0.0):
-        raise ValueError(f"time z must be finite and real or imaginary, got z = {z!r}")
-    floor = path_minor_floor(z, X1)
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    bad = ~np.isfinite(z) | ((z.real != 0.0) & (z.imag != 0.0))
+    if bad.any():
+        raise ValueError(
+            f"time z must be finite and real or imaginary, got z = {complex(z[bad][0])!r}"
+        )
+    floors = [path_minor_floor(zk, X1) for zk in z.tolist()]
     w, u, v, sinh2, c = _endpoint(trig, z)
-    span = abs(z) * (2.0 * X1)
-    first = _first_crossing(c, z, floor)
-    if first <= span:
-        t_fail = first / (2.0 * X1)
-        raise DomainExitError(last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floor)
-    arg_w = _nearest_branch(np.angle(w), -np.sign(c) * z.imag * (2.0 * X1))
+    first = _first_crossing(c, z, np.array(floors))
+    exits = np.nonzero(first <= np.abs(z) * (2.0 * X1))[0]
+    if exits.size:
+        t_fail = float(first[exits[0]]) / (2.0 * X1)
+        raise DomainExitError(
+            last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floors[exits[0]]
+        )
+    rows = z.imag.reshape((-1,) + (1,) * np.ndim(c))
+    arg_w = _nearest_branch(np.angle(w), -np.sign(c) * rows * (2.0 * X1))
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     return h1, w, u, v, sinh2, c
 
 
-def _closed_components(trig, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def _closed_components(trig, z) -> tuple[np.ndarray, np.ndarray]:
     """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta}
-    at the nodes whose trig is given (``_endpoint``'s shapes: H1 per value of
-    cos 2 theta, q per node).
+    at the nodes whose trig is given, for each time of the 1-D array z
+    (``_endpoint``'s shapes: H1 per value of cos 2 theta, q per node, after
+    the leading time axis).
 
     H1 takes the route of ``_continued_endpoint``.  q needs no argument at
     all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.
     """
     h1, _, u, v, _, _ = _continued_endpoint(trig, z)
-    return h1, u / v
+    return h1, np.divide(u, v, out=u)
 
 
 def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
@@ -306,7 +351,8 @@ def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
     principal segment it is the principal branch.
     """
     th = np.array([float(theta)])
-    h1, w, u, _, sinh2, c = _continued_endpoint(_trig(th), 1j * t)
+    h1, w, u, _, sinh2, c = _continued_endpoint(_trig(th), [1j * t])
+    h1, w, u, sinh2 = h1[0], w[0], u[0], sinh2[0]  # the one time's row
     target = -np.sign(c) * t * X1
     arg_u = th + _nearest_branch(np.angle(u * np.exp(-1j * th)), target)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
@@ -336,8 +382,9 @@ class _Table:
     are the node trig that ``_endpoint`` reads, cos phi, sin phi
     (phi = theta - pi/4) and cos 2 theta, each equal to +-cos d, +-sin d or
     +-sin 2d; ``cos2`` is broadcast along the second axis.  ``weights`` is
-    the weight of each of an offset's four nodes, and ``theta`` holds the
-    rounded angles, for routes that move them.  Every array is read-only.
+    the weight of each of an offset's four nodes.  Every array is read-only.
+    ``theta``, the rounded angles for routes that move them, is formed on
+    demand: no quadrature of the orbit reads it.
     """
 
     offsets: np.ndarray
@@ -345,11 +392,15 @@ class _Table:
     cos_phi: np.ndarray
     sin_phi: np.ndarray
     cos2: np.ndarray
-    theta: np.ndarray
 
     @property
     def trig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.cos_phi, self.sin_phi, self.cos2
+
+    @property
+    def theta(self) -> np.ndarray:
+        d = self.offsets
+        return np.array([[X1 + d, 3.0 * X1 - d], [X1 - d, 3.0 * X1 + d]])
 
 
 @functools.cache
@@ -373,13 +424,14 @@ def _table(quad_points: int, levels: int) -> _Table:
     d = (edges[:, None] + width[:, None] * nodes).ravel()
     weights = (width[:, None] * (node_weights / math.pi)).ravel()
     cos_d, sin_d, sin_2d = np.cos(d), np.sin(d), np.sin(2.0 * d)
+    cos_phi = np.array([[cos_d, sin_d], [cos_d, -sin_d]])
     table = _Table(
         offsets=d,
         weights=weights,
-        cos_phi=np.array([[cos_d, sin_d], [cos_d, -sin_d]]),
-        sin_phi=np.array([[sin_d, cos_d], [-sin_d, cos_d]]),
+        cos_phi=cos_phi,
+        # [[sin d, cos d], [-sin d, cos d]]: cos phi with its two columns swapped
+        sin_phi=cos_phi[:, ::-1],
         cos2=np.stack([-sin_2d, sin_2d])[:, None, :],
-        theta=np.array([[X1 + d, 3.0 * X1 - d], [X1 - d, 3.0 * X1 + d]]),
     )
     for array in vars(table).values():
         array.flags.writeable = False
@@ -434,7 +486,7 @@ def _series_at_nodes(vec: ModeVector, table: _Table) -> np.ndarray:
     coeffs = np.zeros((2, 2, 2 * top + 1), dtype=complex)
     coeffs[0, 0, top + js] = coeffs[1, 0, top - js] = rotated[0]
     coeffs[1, 1, top + js] = coeffs[0, 1, top - js] = rotated[1]
-    return (coeffs.reshape(4, -1) @ basis).reshape(table.theta.shape)
+    return (coeffs.reshape(4, -1) @ basis).reshape(table.cos_phi.shape)
 
 
 def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
@@ -442,22 +494,59 @@ def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
     return np.exp((1.0 - s) * h1)
 
 
-def _orbit(v: ModeVector, s: complex, z: complex, trig) -> np.ndarray:
-    """(pi_sigma(exp(z x)) v)(k_theta) at the nodes whose trig is given: the
-    prefactor e^{(1 - s) H1} times the mode sum at q = e^{2 i zeta}."""
+def _orbit(v: ModeVector, s: complex, z, trig) -> np.ndarray:
+    """(pi_sigma(exp(z x)) v)(k_theta) at the nodes whose trig is given, one
+    row per time of the 1-D array z: the prefactor e^{(1 - s) H1} times the
+    mode sum at q = e^{2 i zeta}."""
     h1, q = _closed_components(trig, z)
-    return v.evaluate(q) * _orbit_prefactor(s, h1)
+    values = v.evaluate(q)
+    values *= _orbit_prefactor(s, h1)
+    return values
 
 
-def _orbit_norm_sq(v: ModeVector, s: complex, z: complex, quad_points: int) -> float:
-    """||pi_sigma(exp(z x)) v||^2 by ``_rule`` over K/M, for z = i t on the
-    crown path or real z on the real flow."""
-    table = _rule(quad_points, z)
-    return float(np.sum(table.weights * np.abs(_orbit(v, s, z, table.trig)) ** 2))
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """The sum over each time's row of nodes: one pairwise sum per row, the
+    same whatever the number of rows."""
+    return values.reshape(values.shape[0], -1).sum(axis=1)
 
 
-def extended_norm_sq(v: ModeVector, s: complex, t: float, quad_points: int) -> float:
-    """||e^{i t dpi(x)} v||^2 by quadrature over K/M.
+def _runs(tables: list) -> list[tuple[_Table, list[int]]]:
+    """(table, indices) for each run of consecutive times that share a table.
+
+    Each run is one orbit pass.  A grid increasing in |t| has one run per
+    table, and taking the runs in grid order keeps the exit that a loop over
+    the times would raise first.
+    """
+    runs = itertools.groupby(range(len(tables)), key=tables.__getitem__)
+    return [(table, list(idx)) for table, idx in runs]
+
+
+def _times(t) -> np.ndarray:
+    """A float t or a 1-D grid of times as a 1-D float array, every time
+    checked by ``_strip_gap`` before any node is evaluated."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1 or ts.size == 0:
+        raise ValueError(f"t must be a float or a nonempty 1-D grid, got shape {ts.shape}")
+    ts = ts.reshape(-1)
+    for tk in ts.tolist():
+        _strip_gap(tk)
+    return ts
+
+
+def _orbit_norms_sq(v: ModeVector, s: complex, z: np.ndarray, quad_points: int) -> np.ndarray:
+    """||pi_sigma(exp(z x)) v||^2 by ``_rule`` over K/M for each time of the
+    1-D array z: i t on the crown path, or real on the real flow."""
+    tables = [_rule(quad_points, zk) for zk in z.tolist()]
+    norms = np.empty(z.size)
+    for table, idx in _runs(tables):
+        norms[idx] = _row_sums(table.weights * np.abs(_orbit(v, s, z[idx], table.trig)) ** 2)
+    return norms
+
+
+def extended_norm_sq(v: ModeVector, s: complex, t, quad_points: int) -> float | np.ndarray:
+    """||e^{i t dpi(x)} v||^2 by quadrature over K/M: a float for a float t,
+    and an array of one value per time for a 1-D grid, each equal bit for
+    bit to the float of that t alone.
 
     Integrand per the orbit formula: |e^{(1 - s) H1}|^2 |sum c_m e^{i m zeta}|^2
     (the rho-shift is the factor |alpha1|^2), with H1 branch-continued along
@@ -465,13 +554,14 @@ def extended_norm_sq(v: ModeVector, s: complex, t: float, quad_points: int) -> f
     q = u^2 / w = e^{2 i zeta}, which is branch-free because every mode is
     even, so zeta's continuation never enters.
     """
-    return _orbit_norm_sq(v, s, 1j * float(t), quad_points)
+    norms = _orbit_norms_sq(v, s, 1j * _times(t), quad_points)
+    return float(norms[0]) if np.ndim(t) == 0 else norms
 
 
 def real_time_norm_sq(v: ModeVector, s: complex, tau: float, quad_points: int) -> float:
     """||pi_sigma(exp(tau x)) v||^2 at real time, same code path as the
     holomorphic formula (oracle partner: action_norm_sq)."""
-    return _orbit_norm_sq(v, s, complex(tau), quad_points)
+    return float(_orbit_norms_sq(v, s, np.array([complex(tau)]), quad_points)[0])
 
 
 def _real_cocycle(g: np.ndarray, angles: np.ndarray, s: complex):
@@ -524,18 +614,28 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
 FD_SCALE = 1e-2
 
 
-def orbit_derivative_norm(v: ModeVector, s: complex, t: float, quad_points: int) -> float:
-    """L2 norm of the centered finite-difference t-derivative of the orbit.
+def orbit_derivative_norm(v: ModeVector, s: complex, t, quad_points: int) -> float | np.ndarray:
+    """L2 norm of the centered finite-difference t-derivative of the orbit:
+    a float for a float t, and one value per time for a 1-D grid, as
+    ``extended_norm_sq`` gives them.
 
     The step is FD_SCALE times the distance 1 - |t| from the crown boundary,
     so both stencil points stay inside the domain of holomorphy on either
     side of t = 0; the rule is the one for the stencil point nearer the
     boundary.
     """
-    h = FD_SCALE * _strip_gap(t)
-    table = _rule(quad_points, 1j * (abs(t) + h))
-    hi, lo = (_orbit(v, s, 1j * (t + sign * h), table.trig) for sign in (1.0, -1.0))
-    return math.sqrt(float(np.sum(table.weights * np.abs((hi - lo) / (2.0 * h)) ** 2)))
+    ts = _times(t)
+    hs = FD_SCALE * (1.0 - np.abs(ts))
+    tables = [_rule(quad_points, 1j * (abs(tk) + hk)) for tk, hk in zip(ts.tolist(), hs.tolist())]
+    norms = np.empty(ts.size)
+    for table, idx in _runs(tables):
+        # each time's stencil points t + h and t - h, in that order
+        z = 1j * (ts[idx][:, None] + np.array([1.0, -1.0]) * hs[idx][:, None]).ravel()
+        vals = _orbit(v, s, z, table.trig)
+        step = (2.0 * hs[idx]).reshape((-1,) + (1,) * (vals.ndim - 1))
+        norms[idx] = _row_sums(table.weights * np.abs((vals[0::2] - vals[1::2]) / step) ** 2)
+    norms = np.sqrt(norms)
+    return float(norms[0]) if np.ndim(t) == 0 else norms
 
 
 def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> BlowupFit:
@@ -551,8 +651,22 @@ def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> Blow
         raise ValueError("t_grid must lie in [0.5, 1)")
     if v.norm_sq == 0.0:
         raise ValueError("cannot fit the growth of the zero vector")
-    norms = [math.sqrt(extended_norm_sq(v, s, t, quad_points)) for t in ts]
-    return fit_power_law(ts, norms)
+    return fit_power_law(ts, np.sqrt(extended_norm_sq(v, s, ts, quad_points)))
+
+
+# The most test vectors ``_probe`` keeps, one per (table, vector).
+PROBE_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=PROBE_MEMO_SIZE)
+def _probe(table: _Table, modes: tuple) -> np.ndarray:
+    """weights * conj(w(theta)) at the table's nodes, for the test vector w
+    whose (m, c_m) pairs are ``modes``: memoised per (table, content), since
+    a pairing run pairs the same test vector on the same few tables again and
+    again.  Read-only."""
+    probe = table.weights * np.conj(_series_at_nodes(ModeVector(dict(modes)), table))
+    probe.flags.writeable = False
+    return probe
 
 
 # The largest final successive difference of a Cauchy pairing sequence.
@@ -588,7 +702,9 @@ def boundary_pairing(
     angles the squared orbit behaves like |w|^(1 - Re s - max|m|);
     integrated across a width of order 1 - t, the orbit norm grows like
     (1-t)^(-N) with N = (max|m| + Re s - 2) / 2, which is max|m|/2 on the
-    unitary axis Re s = 2.  The test vector is evaluated once per table.
+    unitary axis Re s = 2.  Each run of times that share a rule table is
+    one orbit pass, and the test vector's node values are memoised per
+    (table, vector), ``_probe``.
     """
     if v.norm_sq == 0.0:
         raise ValueError("cannot pair the zero vector v")
@@ -603,15 +719,13 @@ def boundary_pairing(
     ts = [float(t) for t in t_grid]
     if len(ts) < 3 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
-    for t in ts:
-        _strip_gap(t)
-    values, probes = [], {}
-    for t in ts:
-        z = 1j * t
-        table = _rule(quad_points, z)
-        if table not in probes:
-            probes[table] = (table.weights * np.conj(_series_at_nodes(w_smooth, table))).ravel()
-        values.append(complex(probes[table] @ _orbit(v, s, z, table.trig).ravel()))
+    z = 1j * _times(ts)
+    tables = [_rule(quad_points, zk) for zk in z.tolist()]
+    modes = tuple(w_smooth.modes.items())
+    values = np.empty(z.size, dtype=complex)
+    for table, idx in _runs(tables):
+        values[idx] = _row_sums(_probe(table, modes) * _orbit(v, s, z[idx], table.trig))
+    values = values.tolist()
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     final = diffs[-1]
