@@ -66,19 +66,22 @@ sigma d would round onto theta_0.  ``_endpoint`` forms u and v from cos phi
 and sin phi, which leaves no cancellation between node terms where u or v
 falls to the gap at the corners.  w and H1 read cos 2 theta only, so the
 continuation runs on its two halves +-sin 2d.  A pairing evaluates the
-test vector from the offsets as well: e^{2 i j theta} = e^{2 i j theta_0}
-e^{2 i sigma j d}, one matrix product of the powers of e^{2 i d} per table.
-Its node values weights * conj(w(theta)) are memoised per (table, the
-vector's modes), ``_probe``.
+test vector from the offsets as well, memoised per (table, modes),
+``_probe``.
 
-The orbit is evaluated over an axis of times that share one table: from
-``_endpoint`` to ``_orbit`` every node array has a leading time axis, and a
-single time is the m = 1 case.  Each run of consecutive times of a call
-that share a table is one pass (``_runs``).  Every operation on the nodes
-is elementwise and each time's row is summed on its own, so a row equals
-its m = 1 pass bit for bit.  Every time is checked before any node is
-evaluated, and of the times that exit the domain the first in the grid
-raises, as a loop over the times would.
+The orbit is evaluated over an axis of times: from ``_endpoint`` to
+``_orbit`` every node array has a leading time axis, and a single time is
+the m = 1 case.  Each run of consecutive times that share a table is one
+pass (``_runs``); every node operation is elementwise and each row is
+summed on its own, so a row equals its m = 1 pass bit for bit.  Every time
+is checked before any node is evaluated, and the first time of the grid
+that exits the domain raises, as a loop over the times would.  H1 and q
+depend on the crown geometry alone, not on s or v, so ``_closed_components``
+keeps a table's per (table, the run's times) once that key comes again: a
+pass at known times forms only e^{(1 - s) H1} and the mode sum.  A norm takes
+|e^{(1 - s) H1}|^2 = e^{2 Re((1 - s) H1)} on H1's half of the nodes.  d/dt
+of the orbit of v is i times the orbit of dpi(x) v (``dpi_x``), so a
+derivative norm is an orbit norm.
 """
 
 from __future__ import annotations
@@ -327,28 +330,43 @@ def _continued_endpoint(trig, z):
     return h1, w, u, v, sinh2, c
 
 
-def _closed_components(trig, z) -> tuple[np.ndarray, np.ndarray]:
+# The most (table, times) keys ``_closed_components`` remembers, by last request.
+NODE_MEMO_SIZE = 16
+_node_memo: dict = {}
+
+
+def _closed_components(nodes, z) -> tuple[np.ndarray, np.ndarray]:
     """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta}
-    at the nodes whose trig is given, for each time of the 1-D array z
-    (``_endpoint``'s shapes: H1 per value of cos 2 theta, q per node, after
-    the leading time axis).
+    at the nodes of a rule's table or of the given trig, for each time of
+    the 1-D array z (``_endpoint``'s shapes: H1 per value of cos 2 theta, q
+    per node, after the leading time axis).
 
     H1 takes the route of ``_continued_endpoint``.  q needs no argument at
-    all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.
+    all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.  A
+    table's data is read-only, and kept from a key's second request on.
     """
-    h1, _, u, v, _, _ = _continued_endpoint(trig, z)
-    return h1, np.divide(u, v, out=u)
+    if not isinstance(nodes, _Table):
+        h1, _, u, v, _, _ = _continued_endpoint(nodes, z)
+        return h1, np.divide(u, v, out=u)
+    key = (nodes, np.asarray(z, dtype=complex).reshape(-1).tobytes())
+    # absent: never requested; (): requested once; else the kept data
+    entry = data = _node_memo.pop(key, None)
+    if not entry:
+        h1, _, u, v, _, _ = _continued_endpoint(nodes.trig, z)
+        data = h1, np.divide(u, v, out=u)
+        h1.flags.writeable = u.flags.writeable = False  # u holds q
+    _node_memo[key] = () if entry is None else data
+    if len(_node_memo) > NODE_MEMO_SIZE:
+        del _node_memo[next(iter(_node_memo))]  # the least recently requested
+    return data
 
 
 def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
     """Closed-form complexified Iwasawa data of exp(-i t x) k_theta.
 
-    x = diag(pi/4, -pi/4), so rho(x) = pi/2; raises DomainExitError when
-    a^2 + c^2 falls to the floor along the path.  zeta = -i (log u - H1)
-    takes the argument of u e^{-i theta} on the branch nearest
-    -sgn(c) t pi/4, which is the continued one: that point stays in the
-    half-plane of e^{-i sgn(c) tau t pi/4} (module docstring).  On a
-    principal segment it is the principal branch.
+    Raises DomainExitError when a^2 + c^2 falls to the floor along the
+    path.  zeta = -i (log u - H1) takes the argument of u e^{-i theta} on
+    the branch nearest -sgn(c) t pi/4, the continued one (module docstring).
     """
     th = np.array([float(theta)])
     h1, w, u, _, sinh2, c = _continued_endpoint(_trig(th), [1j * t])
@@ -383,8 +401,7 @@ class _Table:
     (phi = theta - pi/4) and cos 2 theta, each equal to +-cos d, +-sin d or
     +-sin 2d; ``cos2`` is broadcast along the second axis.  ``weights`` is
     the weight of each of an offset's four nodes.  Every array is read-only.
-    ``theta``, the rounded angles for routes that move them, is formed on
-    demand: no quadrature of the orbit reads it.
+    ``theta``, the rounded angles, is formed on demand.
     """
 
     offsets: np.ndarray
@@ -489,18 +506,13 @@ def _series_at_nodes(vec: ModeVector, table: _Table) -> np.ndarray:
     return (coeffs.reshape(4, -1) @ basis).reshape(table.cos_phi.shape)
 
 
-def _orbit_prefactor(s: complex, h1: np.ndarray) -> np.ndarray:
-    """e^{(1 - s) H1}: the character e^{-s H1} times the rho-shift e^{H1}."""
-    return np.exp((1.0 - s) * h1)
-
-
-def _orbit(v: ModeVector, s: complex, z, trig) -> np.ndarray:
-    """(pi_sigma(exp(z x)) v)(k_theta) at the nodes whose trig is given, one
-    row per time of the 1-D array z: the prefactor e^{(1 - s) H1} times the
-    mode sum at q = e^{2 i zeta}."""
-    h1, q = _closed_components(trig, z)
+def _orbit(v: ModeVector, s: complex, z, nodes) -> np.ndarray:
+    """(pi_sigma(exp(z x)) v)(k_theta) at the nodes of a table or trig, one
+    row per time of the 1-D array z: e^{(1 - s) H1}, the character e^{-s H1}
+    times the rho-shift e^{H1}, times the mode sum at q = e^{2 i zeta}."""
+    h1, q = _closed_components(nodes, z)
     values = v.evaluate(q)
-    values *= _orbit_prefactor(s, h1)
+    values *= np.exp((1.0 - s) * h1)
     return values
 
 
@@ -511,12 +523,9 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _runs(tables: list) -> list[tuple[_Table, list[int]]]:
-    """(table, indices) for each run of consecutive times that share a table.
-
-    Each run is one orbit pass.  A grid increasing in |t| has one run per
-    table, and taking the runs in grid order keeps the exit that a loop over
-    the times would raise first.
-    """
+    """(table, indices) for each run of consecutive times that share a table:
+    one orbit pass each, in grid order, which keeps the exit that a loop over
+    the times would raise first."""
     runs = itertools.groupby(range(len(tables)), key=tables.__getitem__)
     return [(table, list(idx)) for table, idx in runs]
 
@@ -539,21 +548,19 @@ def _orbit_norms_sq(v: ModeVector, s: complex, z: np.ndarray, quad_points: int) 
     tables = [_rule(quad_points, zk) for zk in z.tolist()]
     norms = np.empty(z.size)
     for table, idx in _runs(tables):
-        norms[idx] = _row_sums(table.weights * np.abs(_orbit(v, s, z[idx], table.trig)) ** 2)
+        h1, q = _closed_components(table, z[idx])
+        values = v.evaluate(q)
+        # |e^{(1 - s) H1}|^2 on H1's half of the nodes, times |values|^2
+        scale = table.weights * np.exp(2.0 * ((1.0 - s) * h1).real)
+        norms[idx] = _row_sums(scale * (values.real**2 + values.imag**2))
     return norms
 
 
 def extended_norm_sq(v: ModeVector, s: complex, t, quad_points: int) -> float | np.ndarray:
-    """||e^{i t dpi(x)} v||^2 by quadrature over K/M: a float for a float t,
-    and an array of one value per time for a 1-D grid, each equal bit for
-    bit to the float of that t alone.
-
-    Integrand per the orbit formula: |e^{(1 - s) H1}|^2 |sum c_m e^{i m zeta}|^2
-    (the rho-shift is the factor |alpha1|^2), with H1 branch-continued along
-    the path.  The mode sum is the Laurent polynomial sum c_m q^{m/2} at
-    q = u^2 / w = e^{2 i zeta}, which is branch-free because every mode is
-    even, so zeta's continuation never enters.
-    """
+    """||e^{i t dpi(x)} v||^2, the quadrature over K/M of
+    |e^{(1 - s) H1}|^2 |sum c_m q^{m/2}|^2 (module docstring): a float for a
+    float t, and an array of one value per time for a 1-D grid, each equal
+    bit for bit to the float of that t alone."""
     norms = _orbit_norms_sq(v, s, 1j * _times(t), quad_points)
     return float(norms[0]) if np.ndim(t) == 0 else norms
 
@@ -609,33 +616,27 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
     return float(np.sum(table.weights * np.abs(vals) ** 2))
 
 
-# The finite-difference step of orbit_derivative_norm, relative to the
-# distance of t from the crown boundary.
-FD_SCALE = 1e-2
+def dpi_x(v: ModeVector, s: complex) -> ModeVector:
+    """dpi_sigma(x) v: dpi(x) e_m = (pi/8) [(s - 1 + m) e_{m+2} + (s - 1 - m) e_{m-2}].
+
+    Along z, du/dz = -x1 v and dv/dz = -x1 u, so dq/dz = x1 (q^2 - 1) and
+    dH1/dz = -(x1/2) (q + 1/q): d/dt of the orbit of v at z = i t is, node
+    by node, i times the orbit of dpi(x) v.
+    """
+    out: dict[int, complex] = {}
+    for m, c in v.modes.items():
+        for sign in (1, -1):
+            coeff = (math.pi / 8.0) * (s - 1.0 + sign * m) * c
+            out[m + 2 * sign] = out.get(m + 2 * sign, 0.0) + coeff
+    return ModeVector(out)
 
 
 def orbit_derivative_norm(v: ModeVector, s: complex, t, quad_points: int) -> float | np.ndarray:
-    """L2 norm of the centered finite-difference t-derivative of the orbit:
-    a float for a float t, and one value per time for a 1-D grid, as
-    ``extended_norm_sq`` gives them.
-
-    The step is FD_SCALE times the distance 1 - |t| from the crown boundary,
-    so both stencil points stay inside the domain of holomorphy on either
-    side of t = 0; the rule is the one for the stencil point nearer the
-    boundary.
-    """
-    ts = _times(t)
-    hs = FD_SCALE * (1.0 - np.abs(ts))
-    tables = [_rule(quad_points, 1j * (abs(tk) + hk)) for tk, hk in zip(ts.tolist(), hs.tolist())]
-    norms = np.empty(ts.size)
-    for table, idx in _runs(tables):
-        # each time's stencil points t + h and t - h, in that order
-        z = 1j * (ts[idx][:, None] + np.array([1.0, -1.0]) * hs[idx][:, None]).ravel()
-        vals = _orbit(v, s, z, table.trig)
-        step = (2.0 * hs[idx]).reshape((-1,) + (1,) * (vals.ndim - 1))
-        norms[idx] = _row_sums(table.weights * np.abs((vals[0::2] - vals[1::2]) / step) ** 2)
-    norms = np.sqrt(norms)
-    return float(norms[0]) if np.ndim(t) == 0 else norms
+    """L2 norm of the t-derivative of the orbit, the orbit norm of
+    dpi(x) v (``dpi_x``): a float for a float t, and one value per time for
+    a 1-D grid, as ``extended_norm_sq`` gives them."""
+    norms = np.sqrt(extended_norm_sq(dpi_x(v, s), s, t, quad_points))
+    return float(norms) if np.ndim(t) == 0 else norms
 
 
 def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> BlowupFit:
@@ -660,10 +661,8 @@ PROBE_MEMO_SIZE = 32
 
 @functools.lru_cache(maxsize=PROBE_MEMO_SIZE)
 def _probe(table: _Table, modes: tuple) -> np.ndarray:
-    """weights * conj(w(theta)) at the table's nodes, for the test vector w
-    whose (m, c_m) pairs are ``modes``: memoised per (table, content), since
-    a pairing run pairs the same test vector on the same few tables again and
-    again.  Read-only."""
+    """weights * conj(w(theta)) at the table's nodes, read-only, for the test
+    vector w whose (m, c_m) pairs are ``modes``."""
     probe = table.weights * np.conj(_series_at_nodes(ModeVector(dict(modes)), table))
     probe.flags.writeable = False
     return probe
@@ -702,9 +701,7 @@ def boundary_pairing(
     angles the squared orbit behaves like |w|^(1 - Re s - max|m|);
     integrated across a width of order 1 - t, the orbit norm grows like
     (1-t)^(-N) with N = (max|m| + Re s - 2) / 2, which is max|m|/2 on the
-    unitary axis Re s = 2.  Each run of times that share a rule table is
-    one orbit pass, and the test vector's node values are memoised per
-    (table, vector), ``_probe``.
+    unitary axis Re s = 2.
     """
     if v.norm_sq == 0.0:
         raise ValueError("cannot pair the zero vector v")
@@ -724,7 +721,7 @@ def boundary_pairing(
     modes = tuple(w_smooth.modes.items())
     values = np.empty(z.size, dtype=complex)
     for table, idx in _runs(tables):
-        values[idx] = _row_sums(_probe(table, modes) * _orbit(v, s, z[idx], table.trig))
+        values[idx] = _row_sums(_probe(table, modes) * _orbit(v, s, z[idx], table))
     values = values.tolist()
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))

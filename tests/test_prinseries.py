@@ -205,10 +205,9 @@ def trapezoid_norm_sq(v, s, z, quad):
 
 
 def trapezoid_derivative_norm(v, s, t, quad):
-    h = prinseries.FD_SCALE * (1.0 - abs(t))
-    pts = trapezoid_size(quad, 1j * (abs(t) + h))
-    hi, lo = (trapezoid_orbit(v, s, 1j * (t + sign * h), pts) for sign in (1.0, -1.0))
-    return math.sqrt(float(np.mean(np.abs((hi - lo) / (2.0 * h)) ** 2)))
+    """The trapezoid norm of the orbit of dpi(x) v, which is i times the
+    orbit's t-derivative node by node (``test_centred_difference_converges_like_h_squared``)."""
+    return math.sqrt(trapezoid_norm_sq(prinseries.dpi_x(v, s), s, 1j * t, quad))
 
 
 def trapezoid_pairing(v, w_smooth, s, t_grid, quad):
@@ -349,6 +348,8 @@ class TestClosedForm:
         each call takes an array of times, and every time counts the nodes."""
         nodes = {"endpoint": Counter(), "continued": Counter()}
         endpoint, continued = prinseries._endpoint, prinseries._continued_endpoint
+        # a memo hit reaches neither
+        prinseries._node_memo.clear()
 
         def counted(name, fn):
             def wrapper(trig, z):
@@ -760,11 +761,12 @@ class TestRule:
             rules.append((z, 4 * table.offsets.size))
             return table
 
-        def counted_components(trig, z):
+        def counted_components(table, z):
             for zk in np.ravel(z).tolist():
-                nodes[zk] += np.broadcast(*trig).size
-            return closed(trig, z)
+                nodes[zk] += np.broadcast(*node_trig(table)).size
+            return closed(table, z)
 
+        prinseries._node_memo.clear()
         monkeypatch.setattr(prinseries, "_rule", counted_rule)
         monkeypatch.setattr(prinseries, "_closed_components", counted_components)
         extended_norm_sq(V_MIX, S_AXIS, 0.9, quad)
@@ -773,14 +775,12 @@ class TestRule:
         boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.99, 0.9995], quad)
         assert [z for z, _ in rules] == [0.9j, 0.999j, 0.7, 0j, 0.5j, 0.99j, 0.9995j]
         assert nodes == dict(rules)
-        # one rule, built for the stencil point nearer the boundary, serves both
+        # the derivative is the orbit of dpi(x) v at t itself, on t's rule
         rules.clear()
         nodes.clear()
         orbit_derivative_norm(V_MIX, S_AXIS, -0.999, quad)
-        h = prinseries.FD_SCALE * (1.0 - 0.999)
-        assert len(rules) == 1 and rules[0][0] == 1j * (0.999 + h)
-        size = rules[0][1]
-        assert nodes == {1j * (-0.999 + h): size, 1j * (-0.999 - h): size}
+        assert len(rules) == 1 and rules[0][0] == -0.999j
+        assert nodes == dict(rules)
 
     def test_real_time_exit_names_the_first_crossing_of_the_rule(self):
         # at real time -tau with floor 1/2, nodes within about pi/12 of pi/2
@@ -940,7 +940,7 @@ class TestTimeGrid:
         assert passes == [2, 1, 1]
         passes.clear()
         orbit_derivative_norm(V_MIX, S_AXIS, [0.9, 0.95], 1024)
-        assert passes == [4]
+        assert passes == [2]
 
     def test_pairing_does_not_depend_on_the_other_times(self):
         w = smooth_test_vector()
@@ -1134,6 +1134,97 @@ def test_quadrature_entry_points_take_numpy_integers(entry):
         assert got == want
 
 
+def count_evaluations(monkeypatch):
+    """The number of times in each call that reaches ``_continued_endpoint``."""
+    calls, continued = [], prinseries._continued_endpoint
+
+    def counted(trig, z):
+        calls.append(np.size(z))
+        return continued(trig, z)
+
+    monkeypatch.setattr(prinseries, "_continued_endpoint", counted)
+    return calls
+
+
+class TestNodeMemo:
+    """H1 and q are kept per (table, the run's exact times) from a key's
+    second request on: a hit gives the bits of a miss, and nothing but a
+    table's successful data is kept."""
+
+    @pytest.mark.parametrize("quad", [64, 1024, 8193])
+    def test_a_hit_equals_a_miss(self, quad, monkeypatch):
+        w = smooth_test_vector()
+        calls = {
+            "norm": lambda v, s: extended_norm_sq(v, s, TIME_GRID, quad).tolist(),
+            "derivative": lambda v, s: orbit_derivative_norm(v, s, TIME_GRID, quad).tolist(),
+            "pairing": lambda v, s: boundary_pairing(v, w, s, TIME_GRID, quad).values,
+        }
+        evaluations = count_evaluations(monkeypatch)
+        for name, call in calls.items():
+            prinseries._node_memo.clear()
+            miss = call(V_ASYM, S_AXIS)
+            call(V_MIX, S_OFF)
+            evaluations.clear()
+            call(ModeVector({-4: 0.3, 6: 0.1j}), unitary_params(-0.9))
+            hit = call(V_ASYM, S_AXIS)
+            assert evaluations == [], name
+            assert hit == miss, name
+
+    def test_a_grid_requested_once_keeps_only_its_key(self, monkeypatch):
+        prinseries._node_memo.clear()
+        evaluations = count_evaluations(monkeypatch)
+        for _ in range(3):
+            extended_norm_sq(V_MIX, S_AXIS, [0.9, 0.95], 1024)
+        assert evaluations == [2, 2]
+        prinseries._node_memo.clear()
+        extended_norm_sq(V_MIX, S_AXIS, [0.9, 0.95], 1024)
+        assert list(prinseries._node_memo.values()) == [()]
+
+    def test_memoised_arrays_are_read_only(self):
+        table = prinseries._rule(1024, 0.9j)
+        prinseries._node_memo.clear()
+        for _ in range(3):
+            for array in prinseries._closed_components(table, [0.9j, 0.95j]):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    def test_an_exit_raises_the_same_payload_every_time(self):
+        # 0.5 and 0.9 take a pass each before 1 - 1e-13 exits; the exit's
+        # key is never kept
+        ts = TestTimeGrid.FAILING_GRIDS["later_exit"]
+        prinseries._node_memo.clear()
+        first = raised(lambda: extended_norm_sq(V_MIX, S_AXIS, ts, 1024))
+        assert first[0] == "exit"
+        for _ in range(2):
+            assert raised(lambda: extended_norm_sq(V_MIX, S_AXIS, ts, 1024)) == first
+            assert len(prinseries._node_memo) == 2
+
+    def test_the_bound_holds(self):
+        prinseries._node_memo.clear()
+        for _ in range(2):
+            for k in range(prinseries.NODE_MEMO_SIZE + 5):
+                extended_norm_sq(V_MIX, S_AXIS, 0.01 * k, 64)
+                assert len(prinseries._node_memo) <= prinseries.NODE_MEMO_SIZE
+        assert len(prinseries._node_memo) == prinseries.NODE_MEMO_SIZE
+
+    def test_trig_given_as_arrays_is_never_stored(self):
+        prinseries._node_memo.clear()
+        for _ in range(2):
+            closed_components([0.1, 0.3], 0.9j)
+            sl2_iwasawa_closed(0.4, 0.9)
+            trapezoid_norm_sq(V_MIX, S_AXIS, 0.9j, 256)
+        assert prinseries._node_memo == {}
+
+    @pytest.mark.parametrize("entry", sorted(QUADRATURE_ENTRY_POINTS))
+    def test_a_float_count_is_rejected_after_a_warm_call(self, entry):
+        # 1024.0 == 1024 and both hash alike, but the count is checked
+        # before any table or memo lookup
+        for _ in range(2):
+            QUADRATURE_ENTRY_POINTS[entry](1024)
+        with pytest.raises(ValueError, match="quad_points must be an integer"):
+            QUADRATURE_ENTRY_POINTS[entry](1024.0)
+
+
 def traced_peak(call) -> int:
     """The tracemalloc peak, in bytes, of one call."""
     tracemalloc.start()
@@ -1161,6 +1252,7 @@ def test_pairing_peak_memory_stays_within_budget(j):
     for t in grid:
         prinseries._rule(1024, 1j * t)
     prinseries._probe.cache_clear()
+    prinseries._node_memo.clear()
     peak = traced_peak(lambda: boundary_pairing(V_MIX, w, S_AXIS, grid, 1024))
     assert peak <= PEAK_BYTES
 
@@ -1168,6 +1260,7 @@ def test_pairing_peak_memory_stays_within_budget(j):
 @pytest.mark.parametrize("norm", [extended_norm_sq, orbit_derivative_norm])
 def test_norm_peak_memory_stays_within_budget(norm):
     t = 1.0 - 2.0**-14
+    prinseries._node_memo.clear()
     peak = traced_peak(lambda: norm(V_MIX, S_AXIS, t, 1024))
     assert peak <= PEAK_BYTES
 
@@ -1388,8 +1481,7 @@ class TestBoundaryPairing:
 
     @pytest.mark.parametrize("x_scale, t_far, t_near", [(PI / 4, 1.99, 1.999), (XS, -0.99, -0.999)])
     def test_derivative_grows_toward_the_crown_boundary(self, x_scale, t_far, t_near):
-        # the difference step scales with the distance to |t| = 1, so the
-        # stencil t -+ h stays inside the strip on both sides of t = 0
+        # toward |t| = 1 on either side of t = 0
         far = orbit_derivative_norm(V_MIX, S_AXIS, scaled(t_far, x_scale), 1024)
         near = orbit_derivative_norm(V_MIX, S_AXIS, scaled(t_near, x_scale), 1024)
         assert near > far
@@ -1400,6 +1492,31 @@ class TestBoundaryPairing:
         dnorms = [orbit_derivative_norm(V_MIX, S_AXIS, t, 256) for t in ts]
         bump = fit_power_law(ts, dnorms).n_hat - fit_power_law(ts, norms).n_hat
         assert bump == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("s", [S_AXIS, S_OFF, 1.3 - 0.5j])
+    @pytest.mark.parametrize("t", [0.3, -0.7, 0.99, 1.0 - 2.0**-8])
+    def test_centred_difference_converges_like_h_squared(self, t, s):
+        # the orbit of dpi(x) v is i d/dt of the orbit node by node, so a
+        # centred difference on t's own rule tends to its norm like h^2: the
+        # error falls 100-fold per 10-fold step (measured 100.01 to 100.03,
+        # from 6.8e-5 to 2.2e-4 relative at h = 0.01 (1 - |t|))
+        v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, 4: 0.1j})
+        table = prinseries._rule(1024, 1j * t)
+        want = orbit_derivative_norm(v, s, t, 1024)
+        errors = []
+        for scale in (1e-2, 1e-3):
+            h = scale * (1.0 - abs(t))
+            hi, lo = (prinseries._orbit(v, s, [1j * (t + sign * h)], table.trig)[0]
+                      for sign in (1, -1))
+            got = math.sqrt(float(np.sum(table.weights * np.abs((hi - lo) / (2.0 * h)) ** 2)))
+            errors.append(abs(got - want) / want)
+        assert 1e-5 < errors[0] < 1e-3
+        assert 99.0 < errors[0] / errors[1] < 101.0
+
+    def test_dpi_x_moves_each_mode_two_steps(self):
+        got = prinseries.dpi_x(ModeVector({0: 1.0, 4: 2.0j}), 2.5)
+        k = PI / 8
+        assert got.modes == {-2: k * 1.5, 2: k * 1.5 + k * -2.5 * 2.0j, 6: k * 5.5 * 2.0j}
 
 
 V_PM2 = ModeVector({2: 1.0 / math.sqrt(2), -2: 1.0 / math.sqrt(2)})
