@@ -3,7 +3,7 @@
 Each subcommand takes only the flags it reads, and every one takes --out
 and --config:
 
-    decompose  --seed --format --matrix --x-diag --theta --t
+    decompose  --format, and --matrix or --x-diag --t [--theta | --seed]
                KAN factors of a matrix or of a crown-path point
     sweep      --n --seed --t-grid --haar --torus --format --x-diag
                sup-over-K component scales along a boundary path
@@ -239,7 +239,11 @@ def _fmt_c(z: complex) -> str:
 def cmd_decompose(args) -> int:
     if (args.matrix is None) == (args.x_diag is None):
         raise UsageError("decompose needs exactly one of --matrix or --x-diag")
-    if args.matrix is not None:
+    if args.matrix is not None:  # a flag it does not read would be ignored
+        given = [flag for flag, value in (("--theta", args.theta), ("--t", args.t),
+                                          ("--seed", args.seed)) if value is not None]
+        if given:
+            raise UsageError(f"--matrix takes no {', '.join(given)}")
         try:
             data = json.loads(args.matrix)
             g = np.array(data, dtype=float)
@@ -248,13 +252,15 @@ def cmd_decompose(args) -> int:
         factors = iwasawa.decompose_real(g)
         payload = _factors_payload(factors, g.astype(complex))
     else:
-        x, t = args.x_diag, args.t
+        x, t = args.x_diag, 0.5 if args.t is None else args.t
         if args.theta is not None:
+            if args.seed is not None:
+                raise UsageError("--seed draws the Haar k, which --theta replaces")
             if x.n != 2:
                 raise UsageError("--theta only makes sense for n = 2")
             k = liegroup.givens(2, 0, 1, args.theta)
         else:
-            k = liegroup.haar_so(x.n, [args.seed, 0])
+            k = liegroup.haar_so(x.n, [0 if args.seed is None else args.seed, 0])
         factors = iwasawa.decompose_path(x, k, t)
         payload = _factors_payload(factors, group_exp(x.matrix, -1j * t) @ k)
     if args.format == "json":
@@ -392,13 +398,15 @@ def build_parser() -> _Parser:
                        help="diagonal direction entries, normalized onto the crown boundary")
 
     p_dec = command("decompose", cmd_decompose, "KAN factors of a matrix or crown-path point")
-    p_dec.add_argument("--seed", type=int, default=0, help="64-bit seed of the Haar k")
+    p_dec.add_argument("--seed", type=int, default=None,
+                       help="64-bit seed of the Haar k (default 0)")
     p_dec.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="json, or csv for text lines")
     p_dec.add_argument("--matrix", default=None, help="real SL(n,R) matrix as JSON rows")
     x_diag(p_dec)
     p_dec.add_argument("--theta", type=float, default=None, help="SO(2) rotation angle")
-    p_dec.add_argument("--t", type=float, default=0.5, help="path parameter in [0, 1]")
+    p_dec.add_argument("--t", type=float, default=None,
+                       help="path parameter in [0, 1] (default 0.5)")
 
     p_sweep = command("sweep", cmd_sweep, "sup-over-K component scales along a boundary path")
     p_sweep.add_argument("--n", type=_int_at_least(2), default=2, help="matrix size n")

@@ -43,6 +43,7 @@ from .liegroup import (
 )
 from .numkernel import (
     as_square,
+    frobenius_norm,
     group_exp,
     group_exp_batch,
     gram_minors,
@@ -111,34 +112,35 @@ def _ldl_stage(g_stack: np.ndarray):
     Returns (minors, min_minor, ok, unit, diag).
     """
     s, minors, magnitudes, outside = gram_minors(g_stack, leading_minors_batch)
-    min_minor = np.min(magnitudes, axis=1)
     ok = ~outside.any(axis=1)
-    n = g_stack.shape[-1]
-    s_safe = np.where(ok[:, None, None], s, np.eye(n, dtype=complex))
-    unit, diag = sym_ldl_batch(s_safe)
-    return minors, min_minor, ok, unit, diag
+    if not ok.all():
+        s = np.where(ok[:, None, None], s, np.eye(g_stack.shape[-1], dtype=complex))
+    unit, diag = sym_ldl_batch(s)
+    return minors, magnitudes.min(axis=1), ok, unit, diag
 
 
 def _alpha_ratio(diag: np.ndarray) -> np.ndarray:
     abs_alpha = np.sqrt(np.abs(diag))
-    return np.max(abs_alpha, axis=1) / np.min(abs_alpha, axis=1)
+    return abs_alpha.max(axis=1) / abs_alpha.min(axis=1)
 
 
 def component_scales_batch(g_stack: np.ndarray) -> dict[str, np.ndarray]:
     """Component scales for a stack of domain elements (m, n, n).
 
     Elements with a leading minor of g^T g at or below the floor are
-    flagged not-ok; their component entries are +inf.
+    flagged not-ok; their component entries are +inf.  One SVD call
+    serves the g, kappa and eta stacks.
     """
     minors, min_minor, ok, unit, diag = _ldl_stage(g_stack)
-    alpha = np.sqrt(diag.astype(complex))
+    kappa = kappa_factor(g_stack, unit, np.sqrt(diag.astype(complex)))
+    s_g, s_kappa, s_eta = _sv_ratio(np.concatenate([g_stack, kappa, unit])).reshape(3, -1)
     out = {
-        "s_g": _sv_ratio(g_stack),
-        "s_kappa": np.where(ok, _sv_ratio(kappa_factor(g_stack, unit, alpha)), np.inf),
+        "s_g": s_g,
+        "s_kappa": np.where(ok, s_kappa, np.inf),
         "s_alpha": np.where(ok, _alpha_ratio(diag), np.inf),
-        "s_eta": np.where(ok, _sv_ratio(unit), np.inf),
-        "eta_norm": np.where(ok, np.linalg.norm(unit, axis=(1, 2)), np.inf),
-        "g_norm": np.linalg.norm(g_stack, axis=(1, 2)),
+        "s_eta": np.where(ok, s_eta, np.inf),
+        "eta_norm": np.where(ok, frobenius_norm(unit), np.inf),
+        "g_norm": frobenius_norm(g_stack),
         "log_minor_product": np.log(
             np.abs(minors), out=np.full(minors.shape, -np.inf), where=ok[:, None]
         ).sum(axis=1),
@@ -170,8 +172,7 @@ def _component_values(g_stack: np.ndarray, comp_idx: np.ndarray) -> tuple[np.nda
 
 def component_scales(g) -> ComponentScales:
     """Component scales of a single domain element."""
-    stack = np.asarray(g, dtype=complex)[np.newaxis]
-    b = component_scales_batch(stack)
+    b = component_scales_batch(as_square(g)[np.newaxis])
     return ComponentScales(
         s_g=float(b["s_g"][0]),
         s_kappa=float(b["s_kappa"][0]),

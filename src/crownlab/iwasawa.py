@@ -104,7 +104,7 @@ def decompose_real(g) -> IwasawaFactors:
         eta=unit,
         t=0.0,
         steps_used=0,
-        min_minor_magnitude=float(np.min(np.abs(np.cumprod(d)))),
+        min_minor_magnitude=float(np.abs(np.cumprod(d)).min()),
     )
 
 
@@ -139,16 +139,17 @@ def _interval_test(m0: np.ndarray, m1: np.ndarray, floor: float):
     MAX_ARG_JUMP, a magnitude drop of more than MAGNITUDE_DROP_GUARD times.
     NaN fails none of the tests."""
     jumps = np.abs(np.angle(m1 / m0))
-    exits = np.min(np.abs(m1), axis=-1) <= floor
-    dropped = np.any(np.abs(m1) * MAGNITUDE_DROP_GUARD < np.abs(m0), axis=-1)
-    return exits, jumps, np.any(jumps > MAX_ARG_JUMP, axis=-1), dropped
+    abs1 = np.abs(m1)
+    exits = abs1.min(axis=-1) <= floor
+    dropped = (abs1 * MAGNITUDE_DROP_GUARD < np.abs(m0)).any(axis=-1)
+    return exits, jumps, (jumps > MAX_ARG_JUMP).any(axis=-1), dropped
 
 
 def _check_k_matrix(k) -> np.ndarray:
     K = as_square(k)
     check_real(K)
     K = K.real
-    gap = float(np.max(np.abs(K.T @ K - np.eye(K.shape[0]))))
+    gap = float(np.abs(K.T @ K - np.eye(K.shape[0])).max())
     if gap > config.TOLERANCES.orthogonality:
         raise ValueError(f"k is not orthogonal: ||k^T k - 1|| = {gap:.3e}")
     if np.linalg.det(K) < 0.0:
@@ -244,7 +245,7 @@ def _factors_from_path(
     # continued logs of the minors: real part from the endpoint modulus,
     # argument accumulated by nearest-argument increments from Delta_k(0) = 1
     ratios = minors[1:] / minors[:-1]
-    args = np.sum(np.angle(ratios), axis=0) + np.angle(minors[0])
+    args = np.angle(ratios).sum(axis=0) + np.angle(minors[0])
     logs = np.log(np.abs(minors[-1])) + 1j * args
     prev = np.concatenate(([0.0 + 0.0j], logs[:-1]))
     H = 0.5 * (logs - prev)
@@ -255,7 +256,7 @@ def _factors_from_path(
         eta=unit,
         t=t_label,
         steps_used=len(taus),
-        min_minor_magnitude=float(np.min(np.abs(minors))),
+        min_minor_magnitude=float(np.abs(minors).min()),
     )
 
 

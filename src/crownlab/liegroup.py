@@ -28,8 +28,8 @@ class PElement:
         check_real(m)
         check_symmetric(m)
         m = 0.5 * (m.real + m.real.T)
-        scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-        tr = float(np.trace(m))
+        scale = max(1.0, float(np.abs(m).max()))
+        tr = float(m.trace())
         if abs(tr) > config.TOLERANCES.symmetry * scale * m.shape[0]:
             raise ValueError(f"matrix is not traceless: trace={tr:.3e}")
         self.matrix = m

@@ -15,6 +15,11 @@ The decision when a leading minor counts as zero has its one home here:
 for whole crown paths, both reading ``config.TOLERANCES`` at call time.
 ``gram_minors`` feeds the pointwise rule from g itself, with one Gram and
 magnitude arithmetic for the domain test and the component scales.
+
+Per-call paths (the m = 1 case) reduce by array methods, ``x.max()`` and
+not ``np.max(x)``: on 2x2 to 8x8 arrays numpy's wrappers cost more than the
+ufunc reduce both run, bit for bit.  Each formula is written once, here:
+``frobenius_norm`` is the sum ``np.linalg.norm`` runs.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from .errors import NearSingularMinorError, SymmetryError
 
 
 def as_square(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix."""
+    """Coerce to a finite, nonempty square complex matrix."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -42,10 +47,8 @@ def as_square(a) -> np.ndarray:
 def _check_gap(kind: str, deviation: np.ndarray, s: np.ndarray) -> None:
     """Reject s when max |deviation| exceeds the symmetry tolerance, relative
     to max(1, max |s|)."""
-    if not s.size:
-        return
-    gap = float(np.max(np.abs(deviation)))
-    if gap > config.TOLERANCES.symmetry * max(1.0, float(np.max(np.abs(s)))):
+    gap = float(np.abs(deviation).max())
+    if gap > config.TOLERANCES.symmetry * max(1.0, float(np.abs(s).max())):
         raise SymmetryError(kind, gap)
 
 
@@ -55,6 +58,12 @@ def check_symmetric(s: np.ndarray) -> None:
 
 def check_hermitian(s: np.ndarray) -> None:
     _check_gap("hermitian", s - s.conj().T, s)
+
+
+def check_finite(z, what: str) -> None:
+    """Reject a non-finite real or complex scalar z, named by ``what``."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"{what} must be finite, got {z!r}")
 
 
 def check_real(s: np.ndarray) -> None:
@@ -70,10 +79,13 @@ def minors_outside_floor(s: np.ndarray, minor_abs) -> tuple[np.ndarray, np.ndarr
     outside the complexified Iwasawa domain.  Returns the per-minor
     ``outside`` flags (..., n) and the floors (...).
     """
-    floor = config.TOLERANCES.minor_floor_rel * np.maximum(
-        1.0, np.linalg.norm(s, axis=(-2, -1))
-    )
-    return ~(np.asarray(minor_abs) > np.expand_dims(floor, -1)), floor
+    floor = config.TOLERANCES.minor_floor_rel * np.maximum(1.0, frobenius_norm(s))
+    return ~(np.asarray(minor_abs) > floor[..., None]), floor
+
+
+def frobenius_norm(s: np.ndarray) -> np.ndarray:
+    """||S||_F over the last two axes, as ``np.linalg.norm`` sums it."""
+    return np.sqrt(np.add.reduce((s.conj() * s).real, axis=(-2, -1)))
 
 
 def path_minor_floor(z: complex, radius: float) -> float:
@@ -136,11 +148,14 @@ def inv_unit_upper(u: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(x + x^H) / 2, real when x is, so a real symmetric x keeps a real eigenbasis."""
-    if not x.imag.any():
-        x = x.real
-    return 0.5 * (x + x.T.conj())
+def _checked_hermitian_part(x) -> np.ndarray:
+    """(x + x^H) / 2 of a checked hermitian x, real when x is, so a real
+    symmetric x keeps a real eigenbasis; the check reads the real array."""
+    X = as_square(x)
+    if not X.imag.any():
+        X = X.real
+    check_hermitian(X)
+    return 0.5 * (X + X.T.conj())
 
 
 def gram(g: np.ndarray) -> np.ndarray:
@@ -195,9 +210,7 @@ def sym_ldl(s) -> tuple[np.ndarray, np.ndarray]:
 
 def sym_eig(x) -> np.ndarray:
     """Eigenvalues of a real symmetric or hermitian matrix, ascending."""
-    X = as_square(x)
-    check_hermitian(X)
-    return np.linalg.eigvalsh(_hermitian_part(X))
+    return np.linalg.eigvalsh(_checked_hermitian_part(x))
 
 
 def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +218,7 @@ def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
 
     V is real orthogonal when x is real symmetric.
     """
-    X = as_square(x)
-    check_hermitian(X)
-    return np.linalg.eigh(_hermitian_part(X))
+    return np.linalg.eigh(_checked_hermitian_part(x))
 
 
 def group_exp_batch(w: np.ndarray, q: np.ndarray, z) -> np.ndarray:

@@ -96,7 +96,7 @@ import numpy as np
 from . import config
 from .errors import DomainExitError
 from .growth import BlowupFit, fit_power_law
-from .numkernel import check_real, path_minor_floor
+from .numkernel import check_finite, check_real, path_minor_floor
 
 MIN_QUAD_POINTS = 64
 
@@ -125,7 +125,7 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
 
 def unitary_params(im_s: float = 0.0) -> complex:
     """s = 2 + i im_s, on the unitary axis of the rho-shifted character
-    sigma(exp H) = e^{s H1}; entry points take any complex s."""
+    sigma(exp H) = e^{s H1}; entry points take any finite complex s."""
     return complex(2.0, im_s)
 
 
@@ -137,8 +137,10 @@ class ModeVector:
         for m, c in modes.items():
             if m % 2 != 0:
                 raise ValueError(f"mode {m} is odd; M-invariance forces even modes")
+            c = complex(c)
+            check_finite(c, "mode coefficients")
             if c != 0:
-                clean[int(m)] = complex(c)
+                clean[int(m)] = c
         self.modes = dict(sorted(clean.items()))
 
     @property
@@ -545,6 +547,7 @@ def _times(t) -> np.ndarray:
 def _orbit_norms_sq(v: ModeVector, s: complex, z: np.ndarray, quad_points: int) -> np.ndarray:
     """||pi_sigma(exp(z x)) v||^2 by ``_rule`` over K/M for each time of the
     1-D array z: i t on the crown path, or real on the real flow."""
+    check_finite(s, "s")
     tables = [_rule(quad_points, zk) for zk in z.tolist()]
     norms = np.empty(z.size)
     for table, idx in _runs(tables):
@@ -597,6 +600,7 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
     Each g must be a finite real 2x2 matrix of det 1 (realness by
     ``numkernel.check_real``).
     """
+    check_finite(s, "s")
     # real group elements: the rule of real time
     table = _rule(quad_points, 0j)
     angles = table.theta
@@ -635,6 +639,7 @@ def orbit_derivative_norm(v: ModeVector, s: complex, t, quad_points: int) -> flo
     """L2 norm of the t-derivative of the orbit, the orbit norm of
     dpi(x) v (``dpi_x``): a float for a float t, and one value per time for
     a 1-D grid, as ``extended_norm_sq`` gives them."""
+    check_finite(s, "s")
     norms = np.sqrt(extended_norm_sq(dpi_x(v, s), s, t, quad_points))
     return float(norms) if np.ndim(t) == 0 else norms
 
@@ -703,6 +708,7 @@ def boundary_pairing(
     (1-t)^(-N) with N = (max|m| + Re s - 2) / 2, which is max|m|/2 on the
     unitary axis Re s = 2.
     """
+    check_finite(s, "s")
     if v.norm_sq == 0.0:
         raise ValueError("cannot pair the zero vector v")
     if w_smooth.norm_sq == 0.0:

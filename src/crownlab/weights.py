@@ -12,6 +12,7 @@ over these profiles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +38,17 @@ class WeightProfile:
         return self.weights @ hv
 
 
+@functools.cache
+def _subsets(n: int, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and 0/1 weight rows of the rep_index-subsets of 0..n-1,
+    lexicographic and read-only; fewer than n^2 keys exist up to size n."""
+    rows = np.array(list(itertools.combinations(range(n), rep_index)))
+    weights = np.zeros((len(rows), n))
+    np.put_along_axis(weights, rows, 1.0, axis=1)
+    rows.flags.writeable = weights.flags.writeable = False
+    return rows, weights
+
+
 def fundamental_profile(k_rot, rep_index: int) -> WeightProfile:
     """Weight profile of the rotated highest-weight vector of Lambda^rep_index.
 
@@ -45,24 +57,19 @@ def fundamental_profile(k_rot, rep_index: int) -> WeightProfile:
     """
     K = as_square(k_rot)
     check_real(K)
-    K = K.real
     n = K.shape[0]
     if not 1 <= rep_index <= n - 1:
         raise ValueError(f"rep_index must lie in 1..{n - 1}, got {rep_index}")
-    subsets = list(itertools.combinations(range(n), rep_index))
-    blocks = np.stack([K[np.array(idx), :rep_index] for idx in subsets])
-    norms = np.linalg.det(blocks) ** 2
-    weights = np.zeros((len(subsets), n))
-    for row, idx in enumerate(subsets):
-        weights[row, list(idx)] = 1.0
-    return WeightProfile(rep_index=rep_index, weights=weights, norms_sq=norms)
+    rows, weights = _subsets(n, rep_index)
+    norms = np.linalg.det(K.real[:, :rep_index][rows]) ** 2
+    return WeightProfile(rep_index=rep_index, weights=weights.copy(), norms_sq=norms)
 
 
 def alpha_pow(profile: WeightProfile, h, z: complex) -> complex:
     """The holomorphic alpha^{2*lambda} along the path: sum of
     exp(-2 z mu(h)) * ||v_mu||^2 over the profile; z = i*t is imaginary time."""
     mu = profile.pairings(h)
-    return complex(np.sum(profile.norms_sq * np.exp(-2.0 * complex(z) * mu)))
+    return complex((profile.norms_sq * np.exp(-2.0 * complex(z) * mu)).sum())
 
 
 def cos_formula(profile: WeightProfile, h, t: float) -> float:

@@ -80,6 +80,44 @@ class TestDecompose:
         assert out == ""
         assert f"t must be finite, got z = ({t}+0j)" in err
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (("--matrix", "[[1,0],[1,1]]", "--theta", "0.3", "--t", "0.9", "--seed", "5"),
+             "--theta, --t, --seed"),
+            (("--matrix", "[[1,0],[1,1]]", "--t", "0.5"), "--t"),
+            (("--matrix", "[[1,0],[1,1]]", "--seed", "0"), "--seed"),
+        ],
+    )
+    def test_matrix_route_takes_no_path_flags(self, capsys, argv, flags):
+        # each would be ignored: the real route reads none of them, even at
+        # its default value
+        code, out, err = run(capsys, "decompose", *argv)
+        assert code == 1 and out == ""
+        assert f"--matrix takes no {flags}" in err
+
+    def test_theta_route_takes_no_seed(self, capsys):
+        code, out, err = run(capsys, "decompose", "--x-diag", "1,-1", "--theta", "0.3",
+                             "--seed", "5")
+        assert code == 1 and out == ""
+        assert "--seed draws the Haar k, which --theta replaces" in err
+
+    def test_config_keys_follow_the_route(self, capsys, tmp_path):
+        cfg = tmp_path / "dec.cfg"
+        cfg.write_text("t = 0.9\n")
+        code, out, err = run(capsys, "decompose", "--config", str(cfg), "--matrix", "[[1,0],[1,1]]")
+        assert code == 1 and out == ""
+        assert "--matrix takes no --t" in err
+        # the same key on the path route is its --t, and the defaults apply
+        # where they are read: t = 0.5 and seed 0
+        for argv in (("--t", "0.9"), ("--config", str(cfg))):
+            assert run(capsys, "decompose", "--x-diag", "1,0,-1", *argv) == run(
+                capsys, "decompose", "--x-diag", "1,0,-1", "--t", "0.9", "--seed", "0"
+            )
+        assert run(capsys, "decompose", "--x-diag", "1,-1", "--theta", "0.3") == run(
+            capsys, "decompose", "--x-diag", "1,-1", "--theta", "0.3", "--t", "0.5"
+        )
+
     def test_bad_matrix_is_usage_error(self, capsys):
         code, _, err = run(capsys, "decompose", "--matrix", "not json")
         assert code == 1

@@ -278,6 +278,22 @@ class TestPatternSearch:
         assert self._assert_matches_serial(e_mat, starts, comps, PI / 8) > 0
 
 
+class TestComponentScales:
+    def test_single_matrix_is_the_batch_row(self, rng):
+        # the g, kappa and eta stacks share one SVD call, and only not-ok
+        # rows are factored as the identity: each row is its m = 1 call
+        for n in (2, 3, 4):
+            g = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
+            g[::4, :, 0] = 0.0
+            g[::4, 0, 0], g[::4, 1, 0] = 1.0, 1j + 1e-15
+            batch = component_scales_batch(g)
+            assert not batch["ok"].all() and batch["ok"].any()
+            for i, gi in enumerate(g):
+                one = dataclasses.asdict(component_scales(gi))
+                assert one.keys() == batch.keys()
+                assert all(np.array(one[key]).tobytes() == batch[key][i].tobytes() for key in one)
+
+
 class TestComponentValues:
     def test_columns_equal_full_batch(self, rng):
         for n in (2, 3, 4):

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from crownlab import config
 from crownlab.errors import NearSingularMinorError, SymmetryError
-from crownlab.growth import component_scales_batch
+from crownlab.growth import component_scales, component_scales_batch
+from crownlab.iwasawa import decompose_real, domain_test
+from crownlab.liegroup import PElement, s_max
 from crownlab.numkernel import (
+    frobenius_norm,
     gram,
     gram_minors,
     group_exp,
@@ -23,6 +26,7 @@ from crownlab.numkernel import (
     sym_ldl,
     sym_ldl_batch,
 )
+from crownlab.weights import fundamental_profile
 
 PROP_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -350,3 +354,41 @@ def test_inv_unit_upper(rng):
     inv = inv_unit_upper(u)
     assert np.linalg.norm(u @ inv - np.eye(5)) < 1e-12
     assert np.array_equal(inv_unit_upper(u[1]), inv[1])
+
+
+def test_frobenius_norm_is_the_linalg_norm_sum(rng):
+    for shape in [(2, 2), (3, 3), (5, 4, 4), (2, 3, 2, 2)]:
+        s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for stack in (s, s.real):
+            want = np.linalg.norm(stack, axis=(-2, -1))
+            assert np.asarray(frobenius_norm(stack)).tobytes() == np.asarray(want).tobytes()
+
+
+# Every exported entry point that takes a matrix from outside the library,
+# each called with that matrix as its only array input.
+MATRIX_ENTRY_POINTS = {
+    "PElement": PElement,
+    "decompose_real": decompose_real,
+    "domain_test": domain_test,
+    "component_scales": component_scales,
+    "s_max": s_max,
+    "principal_minors": principal_minors,
+    "sym_ldl": sym_ldl,
+    "sym_eig": sym_eig,
+    "singular_values": singular_values,
+    "group_exp": lambda m: group_exp(m, 0.5),
+    "fundamental_profile": lambda m: fundamental_profile(m, 1),
+}
+BAD_MATRICES = {
+    "nan": np.array([[1.0, 0.0], [0.0, np.nan]]),
+    "non-square": np.zeros((2, 3)),
+    "3-D": np.broadcast_to(np.eye(2), (2, 2, 2)),
+    "0x0": np.empty((0, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MATRICES))
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_matrix_entry_points_reject_malformed_input(entry, bad):
+    with pytest.raises(ValueError, match="square matrix|must be finite"):
+        MATRIX_ENTRY_POINTS[entry](BAD_MATRICES[bad])

@@ -266,6 +266,14 @@ class TestModeVector:
         with pytest.raises(ValueError, match="even"):
             ModeVector({1: 1.0})
 
+    @pytest.mark.parametrize(
+        "c", [math.nan, math.inf, complex(1.0, -math.inf), np.complex128(complex(math.nan, 1.0))]
+    )
+    def test_rejects_non_finite_coefficients(self, c):
+        # a NaN coefficient made every norm and pairing of the vector nan
+        with pytest.raises(ValueError, match="mode coefficients must be finite"):
+            ModeVector({0: 1.0, 2: c})
+
     def test_norm_sq(self):
         assert V_MIX.norm_sq == pytest.approx(1.5)
 
@@ -1308,6 +1316,28 @@ def test_non_finite_time_is_rejected_before_any_node(entry, t, monkeypatch):
     monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
     with pytest.raises(ValueError, match="t must be finite"):
         NON_FINITE_TIME_ENTRY_POINTS[entry](t)
+
+
+NON_FINITE_S_ENTRY_POINTS = {
+    "extended_norm_sq": lambda s: extended_norm_sq(V_MIX, s, 0.5, 256),
+    "real_time_norm_sq": lambda s: real_time_norm_sq(V_MIX, s, 0.5, 256),
+    "growth_exponent": lambda s: growth_exponent(V_MIX, s, [0.5, 0.6, 0.7, 0.8], 256),
+    "action_norm_sq": lambda s: action_norm_sq(V_MIX, s, [np.eye(2)], 256),
+    "orbit_derivative_norm": lambda s: orbit_derivative_norm(V_MIX, s, 0.5, 256),
+    "boundary_pairing": lambda s: boundary_pairing(
+        V_MIX, smooth_test_vector(), s, [0.5, 0.6, 0.7], 256
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "s", [complex(math.nan), complex(2.0, math.inf), math.nan, np.complex128(-math.inf + 0.4j)]
+)
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_S_ENTRY_POINTS))
+def test_non_finite_s_is_rejected(entry, s):
+    # NaN passes into every node's value, and the norm or pairing read nan
+    with pytest.raises(ValueError, match=re.escape(f"s must be finite, got {s!r}")):
+        NON_FINITE_S_ENTRY_POINTS[entry](s)
 
 
 class TestGrowthExponent:

@@ -47,6 +47,26 @@ class TestFundamentalProfile:
         with pytest.raises(ValueError):
             fundamental_profile(np.eye(3), 3)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_loop_oracle(self, n, rng):
+        # one determinant per subset, stacked in lexicographic order
+        for rep in range(1, n):
+            k_rot = haar_so(n, rng)
+            subsets = list(itertools.combinations(range(n), rep))
+            blocks = np.stack([k_rot[np.array(idx), :rep] for idx in subsets])
+            weights = np.zeros((len(subsets), n))
+            for row, idx in enumerate(subsets):
+                weights[row, list(idx)] = 1.0
+            prof = fundamental_profile(k_rot, rep)
+            assert prof.weights.tobytes() == weights.tobytes()
+            assert prof.norms_sq.tobytes() == (np.linalg.det(blocks) ** 2).tobytes()
+
+    def test_weights_are_the_callers_own(self):
+        # the subset table is shared between calls; what a caller receives is not
+        first = fundamental_profile(np.eye(3), 1)
+        first.weights[:] = 7.0
+        assert np.array_equal(fundamental_profile(np.eye(3), 1).weights, np.eye(3))
+
 
 class TestAlphaPow:
     def test_unit_at_zero(self, rng):
