@@ -147,8 +147,9 @@ def _t_grid(spec: str) -> list[float]:
             depth = int(spec.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad dyadic depth in t_grid {spec!r}")
-        if depth < 1:
-            raise argparse.ArgumentTypeError("t_grid's dyadic depth must be >= 1")
+        if not 1 <= depth <= 53:
+            raise argparse.ArgumentTypeError(
+                f"t_grid's dyadic depth must be 1..53, got {depth} (1 - 2^-54 rounds to 1)")
         return [1.0 - 2.0**-j for j in range(1, depth + 1)]
     try:
         vals = [float(v) for v in spec.split(",") if v.strip()]
@@ -406,7 +407,7 @@ def build_parser() -> _Parser:
     x_diag(p_dec)
     p_dec.add_argument("--theta", type=float, default=None, help="SO(2) rotation angle")
     p_dec.add_argument("--t", type=float, default=None,
-                       help="path parameter in [0, 1] (default 0.5)")
+                       help="path time t >= 0 (default 0.5); past t = 1 it leaves the crown")
 
     p_sweep = command("sweep", cmd_sweep, "sup-over-K component scales along a boundary path")
     p_sweep.add_argument("--n", type=_int_at_least(2), default=2, help="matrix size n")

@@ -30,12 +30,12 @@ class Tolerances:
     diagonality       largest off-diagonal entry, relative to max(1, max |x|),
                       of a direction that counts as diagonal
     minor_floor_rel   leading-minor magnitude floor, relative to
-                      max(1, ||S||_F); at or below it an input counts as
-                      outside the complexified Iwasawa domain rather than as
-                      noise.  The same floor guards the domain test, the
-                      pivot-free LDL, path continuation and the component
-                      scales (``numkernel.minors_outside_floor`` and
-                      ``numkernel.path_minor_floor``)
+                      max(1, ||S||_F) of the matrix's own S; at or below it
+                      an input counts as outside the complexified Iwasawa
+                      domain rather than as noise.  The same pointwise floor
+                      (``numkernel.minor_floor``) guards the domain test,
+                      the pivot-free LDL, every path point, the component
+                      scales and the SL(2) bench's closed-form exits
     sv_floor_rel      smallest singular value, relative to the largest,
                       below which a matrix counts as singular
     boundary_rho      allowed |rho(x) - pi/2| for a sweep direction to count

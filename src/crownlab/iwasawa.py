@@ -14,12 +14,12 @@ The continuation evaluates the path on a uniform grid of INITIAL_STEPS
 intervals as one batch and tests every interval at once for a domain exit,
 an argument jump and a magnitude drop.  Most paths pass and use the grid as
 it is; on the others a sequential pass bisects from the first flagged
-interval on, with the same interval test.  Points, Gram matrices and
-minors are those of ``numkernel``, from one eigensystem of x per path; the
-end point g(1) and the S(1) that the endpoint LDL factors are the last of
-the grid's batch.  Every kappa, real or continued, is ``kappa_factor``.
-Non-finite path times are rejected before any point is built, since NaN
-passes every interval test.
+interval on, with the same interval test.  Points, Gram matrices, minors
+and outside flags are those of ``numkernel``, from one eigensystem of x
+per path; the end point g(1) and the S(1) that the endpoint LDL factors
+are the last of the grid's batch.  Every kappa, real or continued, is
+``kappa_factor``.  Non-finite path times are rejected before any point is
+built: a NaN point would read as a domain exit.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .numkernel import (
     hermitian_eigensystem,
     inv_unit_upper,
     leading_minors_batch,
-    path_minor_floor,
     principal_minors,
     sym_ldl,
 )
@@ -49,8 +48,8 @@ from .numkernel import (
 # bisected, and the largest argument step of a minor accepted per interval.
 # MAX_ARG_JUMP must stay below pi/2: a jump of pi in a minor's argument is
 # exactly the sign ambiguity of its square root, which the guard exists to
-# exclude.  The leading-minor floor along the path is
-# ``numkernel.path_minor_floor``.
+# exclude.  A domain exit needs no constant: each point's outside flag is
+# that of ``numkernel.gram_minors``, the arithmetic of ``domain_test``.
 INITIAL_STEPS = 32
 MAX_REFINEMENT_DEPTH = 40
 MAX_ARG_JUMP = float(np.pi / 4)
@@ -122,27 +121,25 @@ def domain_test(g) -> tuple[bool, float]:
 
 def _crown_path(x: PElement, k: np.ndarray, z: complex):
     """The path tau -> exp(-i tau z x) k as a function of taus (m,), giving the
-    points (m, n, n), their Grams g^T g and those Grams' leading minors (m, n)."""
+    points (m, n, n) and ``gram_minors``' data of each: the Grams g^T g, their
+    leading minors and magnitudes (m, n), and the outside flags (m, n)."""
     w, q = hermitian_eigensystem(x.matrix)
 
-    def evaluate(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(taus: np.ndarray):
         g = group_exp_batch(w, q, -1j * z * taus) @ k
-        s = gram(g)
-        return g, s, leading_minors_batch(s)
+        return (g, *gram_minors(g, leading_minors_batch))
 
     return evaluate
 
 
-def _interval_test(m0: np.ndarray, m1: np.ndarray, floor: float):
-    """Per interval with end minors m0, m1 (..., n): a domain exit (a minor at
-    or below the floor at its right end), the argument jumps, a jump above
-    MAX_ARG_JUMP, a magnitude drop of more than MAGNITUDE_DROP_GUARD times.
-    NaN fails none of the tests."""
+def _interval_test(m0: np.ndarray, m1: np.ndarray, outside1: np.ndarray):
+    """Per interval with end minors m0, m1 (..., n) and the right end's
+    outside flags (..., n): a domain exit (the right end outside the
+    domain), the argument jumps, a jump above MAX_ARG_JUMP, a magnitude drop
+    of more than MAGNITUDE_DROP_GUARD times."""
     jumps = np.abs(np.angle(m1 / m0))
-    abs1 = np.abs(m1)
-    exits = abs1.min(axis=-1) <= floor
-    dropped = (abs1 * MAGNITUDE_DROP_GUARD < np.abs(m0)).any(axis=-1)
-    return exits, jumps, (jumps > MAX_ARG_JUMP).any(axis=-1), dropped
+    dropped = (np.abs(m1) * MAGNITUDE_DROP_GUARD < np.abs(m0)).any(axis=-1)
+    return outside1.any(axis=-1), jumps, (jumps > MAX_ARG_JUMP).any(axis=-1), dropped
 
 
 def _check_k_matrix(k) -> np.ndarray:
@@ -163,40 +160,37 @@ def _continued_path(
     """Refined path 0 = tau_0 < ... < tau_m = 1 with minors at every point.
 
     Each interval [tau_i, tau_{i+1}] gets the three tests of
-    ``_interval_test``: a floor crossing is a domain exit, an argument jump
-    or a magnitude drop fails the guard.  One array pass tests every
-    interval of the initial uniform grid at once; the grid is returned as it
-    is when none is flagged.  Otherwise a left-to-right pass resumes at the
-    first flagged interval (every interval before it passed): a guard
+    ``_interval_test``: a right end outside the domain is a domain exit, an
+    argument jump or a magnitude drop fails the guard.  One array pass tests
+    every interval of the initial uniform grid at once; the grid is returned
+    as it is when none is flagged.  Otherwise a left-to-right pass resumes
+    at the first flagged interval (every interval before it passed): a guard
     failure is bisected in place, at most MAX_REFINEMENT_DEPTH times in a
     row, and only a persisting argument jump is fatal.  Returns the tau
     grid, the (m+1, n) minors, and the point and Gram at tau = 1.
     """
     path = _crown_path(x, k, z_target)
     grid = np.linspace(0.0, 1.0, INITIAL_STEPS + 1)
-    points, grams, grid_minors = path(grid)
-    floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
+    points, grams, grid_minors, _, grid_outside = path(grid)
 
     # callers keep non-finite times out before any point is built
-    exits, _, arg_bad, dropped = _interval_test(grid_minors[:-1], grid_minors[1:], floor)
+    exits, _, arg_bad, dropped = _interval_test(grid_minors[:-1], grid_minors[1:], grid_outside[1:])
     flagged = exits | arg_bad | dropped
     if not flagged.any():
         return grid, grid_minors, points[-1], grams[-1]
-    taus, minors = list(grid), list(grid_minors)
+    taus, minors, outside = list(grid), list(grid_minors), list(grid_outside)
 
     speed = abs(z_target)  # path time t per unit tau
 
-    # locate the first floor violation in (lo, hi], bisecting to float resolution
+    # locate the first point outside the domain in (lo, hi], bisecting to
+    # float resolution
     def exit_error(lo: float, hi: float, m_hi: np.ndarray) -> DomainExitError:
         while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            m_mid = path(np.array([mid]))[2][0]
-            if np.min(np.abs(m_mid)) > floor:
-                lo = mid
-            else:
-                hi, m_hi = mid, m_mid
+            _, _, m_mid, _, out_mid = path(np.array([mid]))
+            lo, hi, m_hi = (lo, mid, m_mid[0]) if out_mid.any() else (mid, hi, m_hi)
         idx = int(np.argmin(np.abs(m_hi)))
         return DomainExitError(
             last_good_t=speed * lo,
@@ -208,13 +202,15 @@ def _continued_path(
     i, depth = int(np.argmax(flagged)), 0
     while i + 1 < len(taus):
         m1 = minors[i + 1]
-        exit_, jumps, arg_bad, dropped = _interval_test(minors[i], m1, floor)
+        exit_, jumps, arg_bad, dropped = _interval_test(minors[i], m1, outside[i + 1])
         if exit_:
             raise exit_error(taus[i], taus[i + 1], m1)
         mid = 0.5 * (taus[i] + taus[i + 1])
         if (arg_bad or dropped) and depth < MAX_REFINEMENT_DEPTH and taus[i] < mid < taus[i + 1]:
+            _, _, m_mid, _, out_mid = path(np.array([mid]))
             taus.insert(i + 1, mid)
-            minors.insert(i + 1, path(np.array([mid]))[2][0])
+            minors.insert(i + 1, m_mid[0])
+            outside.insert(i + 1, out_mid[0])
             depth += 1
         elif arg_bad:
             idx = int(np.argmax(jumps))

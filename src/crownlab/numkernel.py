@@ -11,10 +11,12 @@ point exp(z x) k is ``group_exp_batch`` times k, from one eigensystem of
 x per path or sweep, and every bilinear Gram matrix g^T g is ``gram``.
 
 The decision when a leading minor counts as zero has its one home here:
-``minors_outside_floor`` for matrices, batched, and ``path_minor_floor``
-for whole crown paths, both reading ``config.TOLERANCES`` at call time.
-``gram_minors`` feeds the pointwise rule from g itself, with one Gram and
-magnitude arithmetic for the domain test and the component scales.
+``minor_floor`` is the floor of a matrix of a given Frobenius norm, read
+from ``config.TOLERANCES`` at call time, and ``minors_outside_floor``
+applies it to a stack of matrices.  ``gram_minors`` feeds that pointwise
+rule from g itself, with one Gram and magnitude arithmetic for the domain
+test, the path continuation and the component scales; the SL(2) bench
+passes its closed-form Gram norm to ``minor_floor``.
 
 Per-call paths (the m = 1 case) reduce by array methods, ``x.max()`` and
 not ``np.max(x)``: on 2x2 to 8x8 arrays numpy's wrappers cost more than the
@@ -70,32 +72,28 @@ def check_real(s: np.ndarray) -> None:
     _check_gap("real", s.imag, s)
 
 
+def minor_floor(norm):
+    """The leading-minor floor minor_floor_rel * max(1, norm) of a matrix S
+    with ||S||_F = ``norm`` (a float or an array of them)."""
+    return config.TOLERANCES.minor_floor_rel * np.maximum(1.0, norm)
+
+
 def minors_outside_floor(s: np.ndarray, minor_abs) -> tuple[np.ndarray, np.ndarray]:
     """The pointwise floor test of a stack of matrices S (..., n, n).
 
     ``minor_abs`` holds the magnitudes |Delta_k| of their leading minors
-    (..., n).  The floor of each matrix is minor_floor_rel * max(1, ||S||_F);
-    a minor at or below it (or NaN) counts as zero, which puts that matrix
-    outside the complexified Iwasawa domain.  Returns the per-minor
-    ``outside`` flags (..., n) and the floors (...).
+    (..., n).  A minor at or below its matrix's ``minor_floor`` (or NaN)
+    counts as zero, which puts that matrix outside the complexified Iwasawa
+    domain.  Returns the per-minor ``outside`` flags (..., n) and the
+    floors (...).
     """
-    floor = config.TOLERANCES.minor_floor_rel * np.maximum(1.0, frobenius_norm(s))
+    floor = minor_floor(frobenius_norm(s))
     return ~(np.asarray(minor_abs) > floor[..., None]), floor
 
 
 def frobenius_norm(s: np.ndarray) -> np.ndarray:
     """||S||_F over the last two axes, as ``np.linalg.norm`` sums it."""
     return np.sqrt(np.add.reduce((s.conj() * s).real, axis=(-2, -1)))
-
-
-def path_minor_floor(z: complex, radius: float) -> float:
-    """The floor along a crown path exp(-i tau z x) k, tau in [0, 1].
-
-    ``radius`` bounds |lambda| over the eigenvalues of x, so ||g^T g|| stays
-    below e^{2 |z| radius} on the whole path; the floor is minor_floor_rel *
-    max(1, e^{2 |z| radius}), the pointwise rule at that largest norm.
-    """
-    return config.TOLERANCES.minor_floor_rel * max(1.0, math.exp(2.0 * abs(z) * radius))
 
 
 def leading_minors_batch(s: np.ndarray) -> np.ndarray:

@@ -25,8 +25,10 @@ u e^{-i theta}), and no march in tau is needed; on a principal segment,
 |t| < 1, that branch is the principal one.  On the real flow w > 0
 and Re(u e^{-i theta}) > 0, so the principal values are the continued ones.
 Complex z off both axes is rejected.  The floor test is closed-form as well
-(``_first_crossing``): it decides every exit, on every segment, and a
-DomainExitError names the exact first crossing.
+(``_first_crossing``), at the ``numkernel.minor_floor`` of the end point's
+||g^T g||_F = sqrt(2 cosh(4 Re z x1)): that is sqrt 2 along the crown, where
+an exit names the exact first crossing, and the largest on a real segment,
+where the reported crossing is at or before the pointwise one.
 
 The orbit needs no argument of u at all.  Since zeta = -i (log u - H1) and
 alpha1^2 = e^{2 H1} = w = a^2 + c^2 on every branch, e^{2 i zeta} = u^2 / w
@@ -96,7 +98,7 @@ import numpy as np
 from . import config
 from .errors import DomainExitError
 from .growth import BlowupFit, fit_power_law
-from .numkernel import check_finite, check_real, path_minor_floor
+from .numkernel import check_finite, check_real, minor_floor
 
 MIN_QUAD_POINTS = 64
 
@@ -135,6 +137,8 @@ class ModeVector:
     def __init__(self, modes: dict[int, complex]):
         clean = {}
         for m, c in modes.items():
+            if not isinstance(m, (int, np.integer)):
+                raise ValueError(f"mode {m!r} is not an integer")
             if m % 2 != 0:
                 raise ValueError(f"mode {m} is odd; M-invariance forces even modes")
             c = complex(c)
@@ -306,10 +310,10 @@ def _continued_endpoint(trig, z):
     The argument of w is the branch nearest -sgn(c) t pi/2 (0 on the real
     flow): w stays in the quadrant of e^{-i sgn(c) tau t pi/2}, so that
     branch is the continued one (module docstring); on a principal segment
-    (z = i t, |t| < 1) it is the principal branch.  Every exit is decided by
-    ``_first_crossing``, and the first time of z that exits raises a
-    DomainExitError, which reports its first crossing as both last_good_t
-    and t_fail, with |w| = floor there.
+    (z = i t, |t| < 1) it is the principal branch.  ``_first_crossing`` at
+    the floor of the segment's end decides every exit, and the first time of
+    z that exits raises a DomainExitError, which reports its first crossing
+    as both last_good_t and t_fail, with |w| = floor there.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     bad = ~np.isfinite(z) | ((z.real != 0.0) & (z.imag != 0.0))
@@ -317,14 +321,14 @@ def _continued_endpoint(trig, z):
         raise ValueError(
             f"time z must be finite and real or imaginary, got z = {complex(z[bad][0])!r}"
         )
-    floors = [path_minor_floor(zk, X1) for zk in z.tolist()]
+    floors = minor_floor(np.sqrt(2.0 * np.cosh(4.0 * X1 * z.real)))  # ||exp(-2 z x)||_F
     w, u, v, sinh2, c = _endpoint(trig, z)
-    first = _first_crossing(c, z, np.array(floors))
+    first = _first_crossing(c, z, floors)
     exits = np.nonzero(first <= np.abs(z) * (2.0 * X1))[0]
     if exits.size:
         t_fail = float(first[exits[0]]) / (2.0 * X1)
         raise DomainExitError(
-            last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=floors[exits[0]]
+            last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=float(floors[exits[0]])
         )
     rows = z.imag.reshape((-1,) + (1,) * np.ndim(c))
     arg_w = _nearest_branch(np.angle(w), -np.sign(c) * rows * (2.0 * X1))
@@ -627,6 +631,7 @@ def dpi_x(v: ModeVector, s: complex) -> ModeVector:
     dH1/dz = -(x1/2) (q + 1/q): d/dt of the orbit of v at z = i t is, node
     by node, i times the orbit of dpi(x) v.
     """
+    check_finite(s, "s")
     out: dict[int, complex] = {}
     for m, c in v.modes.items():
         for sign in (1, -1):
@@ -639,7 +644,6 @@ def orbit_derivative_norm(v: ModeVector, s: complex, t, quad_points: int) -> flo
     """L2 norm of the t-derivative of the orbit, the orbit norm of
     dpi(x) v (``dpi_x``): a float for a float t, and one value per time for
     a 1-D grid, as ``extended_norm_sq`` gives them."""
-    check_finite(s, "s")
     norms = np.sqrt(extended_norm_sq(dpi_x(v, s), s, t, quad_points))
     return float(norms) if np.ndim(t) == 0 else norms
 

@@ -55,7 +55,7 @@ class TestDecompose:
             capsys, "decompose", "--x-diag", "1,-1", "--theta", str(math.pi / 4), "--t", "1.0"
         )
         assert code == 2
-        # the crossing lies near 1 - 3e-13, and the message prints it in full
+        # the crossing lies near 1 - 9e-14, and the message prints it in full
         t_fail = float(re.search(r"domain exit near t=(\S+) ", err).group(1))
         assert 0.0 < 1.0 - t_fail < 1e-12
 
@@ -184,6 +184,15 @@ class TestSweep:
         assert code == 0
         ts = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
         assert ts == [0.5, 0.75, 0.875]
+
+    @pytest.mark.parametrize("depth", [54, 60])
+    def test_dyadic_depth_past_53_is_usage_error(self, capsys, depth):
+        # from j = 54 on, 1 - 2^-j rounds to 1 and the grid stops increasing
+        code, out, err = run(capsys, "sweep", "--n", "2", "--t-grid", f"dyadic:{depth}")
+        assert code == 1 and out == ""
+        assert f"dyadic depth must be 1..53, got {depth} (1 - 2^-54 rounds to 1)" in err
+        grid = cli._t_grid("dyadic:53")
+        assert len(grid) == 53 and all(a < b < 1.0 for a, b in zip(grid, grid[1:]))
 
     @pytest.mark.parametrize("argv", [("--haar", "0", "--torus", "0"), ("--n", "4", "--haar", "0")])
     def test_no_samples_is_usage_error(self, capsys, argv):

@@ -24,7 +24,7 @@ from crownlab.liegroup import (
     random_p_element,
     random_sl,
 )
-from crownlab.numkernel import group_exp, path_minor_floor, sym_ldl
+from crownlab.numkernel import group_exp, sym_ldl
 from crownlab.prinseries import sl2_iwasawa_closed
 
 PI = math.pi
@@ -123,7 +123,7 @@ def test_every_endpoint_gram_is_exactly_symmetric(rng, monkeypatch):
         k = haar_so(n, rng)
         decompose_real(random_sl(n, rng))
         decompose_path(x, k, float(rng.uniform(0.1, 0.99)))
-        _, grams, _ = iwasawa._crown_path(x, k, 0.9)(np.linspace(0.0, 1.0, 9))
+        grams = iwasawa._crown_path(x, k, 0.9)(np.linspace(0.0, 1.0, 9))[1]
         assert np.array_equal(grams, np.swapaxes(grams, -1, -2))
     assert len(factored) == 60
     assert all(np.array_equal(s, s.T) for s in factored)
@@ -297,7 +297,7 @@ class TestDecomposePath:
         ],
     )
     def test_rejects_non_finite_time_before_any_point(self, route, z, monkeypatch):
-        # NaN passes every guard of the continuation, so it must not get there
+        # a NaN point reads as a domain exit, so a NaN time must not get there
         def no_path(*args):
             raise AssertionError("path built for a non-finite time")
 
@@ -309,6 +309,63 @@ class TestDecomposePath:
     def test_rejects_non_orthogonal_k(self):
         with pytest.raises(ValueError, match="orthogonal"):
             decompose_path(X2, [[1.0, 0.5], [0.0, 1.0]], 0.5)
+
+
+def haar_exit_path(n, seed):
+    """A seeded Haar path of size n to t = 3 and a floor that it must cross:
+    minor_floor_rel is the geometric mean of the smallest relative minor
+    |Delta_k| / max(1, ||S||_F) on a 301-point grid and that at t = 0."""
+    rng = np.random.default_rng([20261020, n, seed])
+    x = boundary_direction(random_p_element(n, rng))
+    k = haar_so(n, rng)
+    rel = []
+    for t in np.linspace(0.0, 3.0, 301):
+        g = crown_point(x, k, t)
+        s = g.T @ g
+        smallest = min(abs(np.linalg.det(s[:j, :j])) for j in range(1, n + 1))
+        rel.append(smallest / max(1.0, float(np.linalg.norm(s))))
+    return x, k, 3.0, math.sqrt(min(rel) * rel[0])
+
+
+EXIT_PATHS = [(X2, rot2(PI / 4), t, None) for t in (1.0, 3.0, 10.0)] + [
+    haar_exit_path(n, seed) for n in (3, 4) for seed in range(3)
+]
+EXIT_IDS = ["corner_t1", "corner_t3", "corner_t10"] + [
+    f"haar_n{n}_{seed}" for n in (3, 4) for seed in range(3)
+]
+
+
+class TestExitRule:
+    """A path exits where ``domain_test`` says its point leaves the domain."""
+
+    @pytest.mark.parametrize("x, k, t, floor_rel", EXIT_PATHS, ids=EXIT_IDS)
+    def test_exit_brackets_the_domain_test(self, x, k, t, floor_rel, monkeypatch):
+        if floor_rel is not None:
+            raised = dataclasses.replace(config.TOLERANCES, minor_floor_rel=floor_rel)
+            monkeypatch.setattr(config, "TOLERANCES", raised)
+        with pytest.raises(DomainExitError) as err:
+            decompose_path(x, k, t)
+        exc = err.value
+        assert 0.0 < exc.last_good_t < exc.t_fail < t
+        assert domain_test(crown_point(x, k, exc.last_good_t))[0]
+        assert not domain_test(crown_point(x, k, exc.t_fail))[0]
+
+    def test_corner_exit_does_not_depend_on_the_target(self):
+        # the floor is the point's own, so a longer path meets the same exit
+        fails = set()
+        for t in (1.0, 3.0, 10.0):
+            with pytest.raises(DomainExitError) as err:
+                decompose_path(X2, rot2(PI / 4), t)
+            fails.add(err.value.t_fail)
+        assert len(fails) == 1 and 1.0 - 1e-13 < fails.pop() < 1.0
+
+    @pytest.mark.parametrize("theta, t", [(0.3, 25.0), (2.0, 19.0), (1.1, 22.0)])
+    def test_continuation_past_the_crown_matches_the_closed_form(self, theta, t):
+        f = decompose_path(X2, rot2(theta), t)
+        c = sl2_iwasawa_closed(theta, t)
+        assert abs(np.exp(f.H[0]) - c.alpha1) < 1e-8
+        assert abs(f.eta[0, 1] - c.nu) < 1e-8
+        assert np.max(np.abs(f.kappa - c.kappa())) < 1e-8
 
 
 class TestRefinementGrid:
@@ -345,8 +402,12 @@ def sequential_path(x, k, z_target):
     tau grid and the minors, or raises as ``iwasawa._continued_path`` must."""
     path = iwasawa._crown_path(x, k, z_target)
     taus = list(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))
-    minors = list(path(np.asarray(taus))[2])
-    floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
+    _, _, grid_minors, _, grid_outside = path(np.asarray(taus))
+    minors, outside = list(grid_minors), list(grid_outside)
+
+    def point(tau):
+        _, _, m, _, out = path(np.array([tau]))
+        return m[0], out[0]
 
     def t_of(tau):
         return tau * abs(z_target)
@@ -356,11 +417,11 @@ def sequential_path(x, k, z_target):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            m_mid = path(np.array([mid]))[2][0]
-            if np.min(np.abs(m_mid)) > floor:
-                lo = mid
-            else:
+            m_mid, out_mid = point(mid)
+            if out_mid.any():
                 hi, m_hi = mid, m_mid
+            else:
+                lo = mid
         idx = int(np.argmin(np.abs(m_hi)))
         return DomainExitError(
             last_good_t=t_of(lo),
@@ -372,7 +433,7 @@ def sequential_path(x, k, z_target):
     i = depth = 0
     while i + 1 < len(taus):
         m0, m1 = minors[i], minors[i + 1]
-        if np.min(np.abs(m1)) <= floor:
+        if outside[i + 1].any():
             raise exit_error(taus[i], taus[i + 1], m1)
         jumps = np.abs(np.angle(m1 / m0))
         arg_bad = bool(np.any(jumps > iwasawa.MAX_ARG_JUMP))
@@ -381,8 +442,10 @@ def sequential_path(x, k, z_target):
         )
         mid = 0.5 * (taus[i] + taus[i + 1])
         if guard_failed and depth < iwasawa.MAX_REFINEMENT_DEPTH and taus[i] < mid < taus[i + 1]:
+            m_mid, out_mid = point(mid)
             taus.insert(i + 1, mid)
-            minors.insert(i + 1, path(np.array([mid]))[2][0])
+            minors.insert(i + 1, m_mid)
+            outside.insert(i + 1, out_mid)
             depth += 1
         elif arg_bad:
             idx = int(np.argmax(jumps))
@@ -399,17 +462,17 @@ def sequential_path(x, k, z_target):
 
 def initial_grid_flags(x, k, z_target):
     """Per interval of the uniform grid, whether one of the three interval
-    tests (floor, argument jump, 10x drop) fails there, tested one at a time."""
+    tests (right end outside the domain, argument jump, 10x drop) fails
+    there, tested one at a time."""
     path = iwasawa._crown_path(x, k, z_target)
-    minors = path(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))[2]
-    floor = path_minor_floor(z_target, max(abs(x.eigenvalues[0]), abs(x.eigenvalues[-1])))
+    _, _, minors, _, outside = path(np.linspace(0.0, 1.0, iwasawa.INITIAL_STEPS + 1))
     return [
         bool(
-            np.min(np.abs(m1)) <= floor
+            out1.any()
             or np.any(np.abs(np.angle(m1 / m0)) > iwasawa.MAX_ARG_JUMP)
             or np.any(np.abs(m1) * iwasawa.MAGNITUDE_DROP_GUARD < np.abs(m0))
         )
-        for m0, m1 in zip(minors, minors[1:])
+        for m0, m1, out1 in zip(minors, minors[1:], outside[1:])
     ]
 
 
@@ -469,8 +532,9 @@ class TestContinuationOracle:
 
     def test_floor_crossing_without_a_guard_failure(self, monkeypatch):
         # On the real flow exp(-7x) the first minor e^{-14 tau} falls by
-        # e^{-14/32} per interval, which fails neither guard; a floor of
-        # e^{-6.5} is crossed at tau = 6.5/14 all the same
+        # e^{-14/32} per interval, which fails neither guard; the pointwise
+        # floor e^{-20.5} ||S||_F, with ||S||_F = e^{14 tau} to 1e-18, is
+        # crossed at tau = 20.5/28 all the same, at t = 7 tau
         monkeypatch.setattr(
             config,
             "TOLERANCES",
@@ -478,7 +542,7 @@ class TestContinuationOracle:
         )
         kind, payload = self.assert_matches(PElement(np.diag([1.0, -1.0])), np.eye(2), -7j)
         assert kind is DomainExitError
-        assert payload["t_fail"] == pytest.approx(6.5 / 2.0, rel=1e-12)
+        assert payload["t_fail"] == pytest.approx(7.0 * 20.5 / 28.0, rel=1e-12)
 
     def test_branch_guard(self, monkeypatch):
         monkeypatch.setattr(iwasawa, "INITIAL_STEPS", 1)

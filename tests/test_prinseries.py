@@ -16,7 +16,7 @@ from crownlab.errors import DomainExitError, SymmetryError
 from crownlab.growth import fit_power_law
 from crownlab.iwasawa import decompose_path
 from crownlab.liegroup import PElement, givens, random_sl
-from crownlab.numkernel import path_minor_floor
+from crownlab.numkernel import frobenius_norm, gram, minor_floor
 from crownlab.prinseries import (
     ModeVector,
     action_norm_sq,
@@ -43,6 +43,12 @@ def scaled(t, x_scale):
     """The time whose phase t pi/2 is t x_scale: a segment of the direction
     diag(x_scale, -x_scale) / 2 as a segment of the bench's x."""
     return t * x_scale / XS
+
+
+def end_floor(z):
+    """The floor of the segment to z: ``minor_floor`` at its end's Gram norm
+    ||exp(-2 z x)||_F = sqrt(2 cosh(4 Re z X1)), which is sqrt 2 on the crown."""
+    return float(minor_floor(math.sqrt(2.0 * math.cosh(4.0 * X1 * complex(z).real))))
 
 
 def flow(tau):
@@ -107,7 +113,7 @@ def march_arguments(trig, z: complex, floor: float) -> tuple[np.ndarray, np.ndar
 def march_components(nodes, z):
     """(H1, q) with the argument of w continued by the march."""
     trig = node_trig(nodes)
-    arg_w, _ = march_arguments(trig, z, path_minor_floor(z, X1))
+    arg_w, _ = march_arguments(trig, z, end_floor(z))
     # endpoint values in the library's arithmetic: near the corner |w| is
     # small, and w's rounding then moves log |w| well past 1e-14
     w, u, v, *_ = endpoint(trig, z)
@@ -123,7 +129,7 @@ def march_sl2(theta, t):
     """sl2_iwasawa_closed's (alpha1, zeta, nu) with both arguments continued by the march."""
     th, z = np.array([float(theta)]), 1j * t
     trig = prinseries._trig(th)
-    arg_w, turn_u = march_arguments(trig, z, path_minor_floor(z, X1))
+    arg_w, turn_u = march_arguments(trig, z, end_floor(z))
     w, u, _, sinh2, _ = endpoint(trig, z)
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     zeta = -1j * (np.log(np.abs(u)) + 1j * (th + turn_u) - h1)
@@ -160,7 +166,7 @@ def assert_routes_agree(nodes, z):
 def assert_first_crossing(nodes, z, t_fail):
     """min |w| over the nodes stays above the floor on 256 points of the
     segment before path time t_fail and reaches the floor at t_fail."""
-    floor = path_minor_floor(z, X1)
+    floor = end_floor(z)
     trig, unit = node_trig(nodes), z / abs(z)
     for t in np.linspace(0.0, t_fail, 257)[:-1]:
         assert np.abs(endpoint(trig, t * unit)[0]).min() > floor
@@ -266,6 +272,12 @@ class TestModeVector:
         with pytest.raises(ValueError, match="even"):
             ModeVector({1: 1.0})
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2", None])
+    def test_rejects_a_mode_that_is_not_an_integer(self, m):
+        # 2.5 read as an odd mode and "2" failed inside string formatting
+        with pytest.raises(ValueError, match=re.escape(f"mode {m!r} is not an integer")):
+            ModeVector({0: 1.0, m: 0.5})
+
     @pytest.mark.parametrize(
         "c", [math.nan, math.inf, complex(1.0, -math.inf), np.complex128(complex(math.nan, 1.0))]
     )
@@ -310,19 +322,30 @@ class TestClosedForm:
             assert np.linalg.norm(c.reconstruct() - g) < 1e-10
 
     def test_corner_exit_reports_the_exact_crossing(self):
-        # at theta = pi/4 |w| = cos(t pi/2) crosses the floor near 1 - t = 3e-13,
+        # at theta = pi/4 |w| = cos(t pi/2) crosses the floor near 1 - t = 9e-14,
         # and the exit names the crossing itself
         z = 1j * (1.0 - 1e-14)
         with pytest.raises(DomainExitError) as closed:
             sl2_iwasawa_closed(PI / 4, z.imag)
         exc = closed.value
         assert exc.last_good_t == exc.t_fail and exc.minor_index == 1
-        assert exc.magnitude == path_minor_floor(z, X1)
+        assert exc.magnitude == end_floor(z)
         assert_first_crossing([PI / 4], z, exc.t_fail)
         march = outcome(march_components, [PI / 4], z)
         assert_same_outcome((exc.last_good_t, exc.t_fail), march)
         for gap in np.geomspace(1e-12, 1e-14, 17):
             assert_routes_agree([PI / 4, 0.3], 1j * (1.0 - gap))
+
+    @pytest.mark.parametrize(
+        "theta, z", [(PI / 4, 1j * (1.0 - 1e-14)), (PI / 2, complex(-12.0)), (0.0, complex(12.0))]
+    )
+    def test_exit_floor_is_the_pointwise_floor_at_the_segment_end(self, theta, z):
+        # an exit on the crown or on the real flow reports the floor that
+        # minors_outside_floor gives the Gram of the segment's end point
+        g = np.diag([np.exp(-z * X1), np.exp(z * X1)]) @ rot2(theta)
+        got = outcome(closed_components, [theta], z)
+        assert exited(got) and got[1] < abs(z)
+        assert got[3] == pytest.approx(float(minor_floor(frobenius_norm(gram(g)))), rel=1e-14)
 
     # near-corner principal segments, drawn (seed 272) with theta near pi/4
     # and the endpoint |w| within a factor 1.5 of the floor, on which the
@@ -332,13 +355,13 @@ class TestClosedForm:
     # round differently on another CPU; the exit rule holds on any.
     @pytest.mark.parametrize(
         "theta, t",
-        [(0.7853981633973449, 0.9999999999997236),
-         (0.7853981633972109, 0.9999999999999507)],
+        [(0.7853981633974179, 0.9999999999999187),
+         (0.7853981633973972, 0.9999999999999376)],
         ids=["endpoint_above_floor_crossing_inside", "endpoint_below_floor_crossing_past_end"],
     )
     def test_exact_crossing_decides_a_principal_segment(self, theta, t):
         z = 1j * t
-        floor = path_minor_floor(z, X1)
+        floor = end_floor(z)
         w, *_, c = endpoint(prinseries._trig([theta]), z)
         first = prinseries._first_crossing(c, np.array([z]), np.array([floor]))[0]
         exits = first <= t * (2.0 * X1)
@@ -408,7 +431,7 @@ class TestClosedForm:
         # a conjugating endpoint must negate the oracle's increments: the
         # march has no formula for w or u of its own
         trig, z = prinseries._trig([0.1, 0.4, 1.0, 2.0]), scaled(7.0j, 0.5)
-        floor = path_minor_floor(z, X1)
+        floor = end_floor(z)
         arg_w, arg_u = march_arguments(trig, z, floor)
         endpoint, zs = prinseries._endpoint, []
 
@@ -803,9 +826,9 @@ class TestRule:
         assert_first_crossing(table, z, oracle[1])
 
     @pytest.mark.parametrize("quad", [1024, 1000])
-    @pytest.mark.parametrize("gap", [1e-13, 1e-14])
+    @pytest.mark.parametrize("gap", [6e-14, 1e-14])
     def test_deep_time_exit_reports_the_rule_crossing(self, gap, quad):
-        # the corner's |w| crosses the floor near 1 - t = 3e-13, and the
+        # the corner's |w| crosses the floor near 1 - t = 9e-14, and the
         # innermost nodes, whose cos 2 theta = -+sin 2d is of the order of
         # the gap, cross it first: the quadrature reports the crossing its
         # rule's nodes report, which the march also detects, at a step on or
@@ -978,14 +1001,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="read-only"):
             probe[...] = 0.0
 
-    # the gaps 1e-13 and 1e-14 exit (test_deep_time_exit_reports_the_rule_crossing),
-    # and -(1 - 1e-13) shares 1 - 1e-13's table without being next to it
+    # the gaps 6e-14 and 1e-14 exit (test_deep_time_exit_reports_the_rule_crossing),
+    # and -(1 - 6e-14) shares 1 - 6e-14's table without being next to it
     FAILING_GRIDS = {
-        "later_exit": [0.5, 0.9, 1.0 - 1e-13, 1.0 - 1e-14],
-        "exit_across_runs": [0.5, -(1.0 - 1e-13), 0.9, 1.0 - 1e-13],
+        "later_exit": [0.5, 0.9, 1.0 - 6e-14, 1.0 - 1e-14],
+        "exit_across_runs": [0.5, -(1.0 - 6e-14), 0.9, 1.0 - 6e-14],
         "later_boundary_time": [0.5, 0.9, 1.0],
         "later_nan": [0.5, 0.9, math.nan],
-        "exit_then_boundary_time": [0.5, 1.0 - 1e-13, 1.0],
+        "exit_then_boundary_time": [0.5, 1.0 - 6e-14, 1.0],
     }
 
     @pytest.mark.parametrize("grid", sorted(FAILING_GRIDS))
@@ -1197,7 +1220,7 @@ class TestNodeMemo:
                     array[...] = 0.0
 
     def test_an_exit_raises_the_same_payload_every_time(self):
-        # 0.5 and 0.9 take a pass each before 1 - 1e-13 exits; the exit's
+        # 0.5 and 0.9 take a pass each before 1 - 6e-14 exits; the exit's
         # key is never kept
         ts = TestTimeGrid.FAILING_GRIDS["later_exit"]
         prinseries._node_memo.clear()
@@ -1324,6 +1347,7 @@ NON_FINITE_S_ENTRY_POINTS = {
     "growth_exponent": lambda s: growth_exponent(V_MIX, s, [0.5, 0.6, 0.7, 0.8], 256),
     "action_norm_sq": lambda s: action_norm_sq(V_MIX, s, [np.eye(2)], 256),
     "orbit_derivative_norm": lambda s: orbit_derivative_norm(V_MIX, s, 0.5, 256),
+    "dpi_x": lambda s: prinseries.dpi_x(V_MIX, s),
     "boundary_pairing": lambda s: boundary_pairing(
         V_MIX, smooth_test_vector(), s, [0.5, 0.6, 0.7], 256
     ),
