@@ -5,8 +5,9 @@ The sup over the compact group is estimated from below: Haar samples plus a
 deterministic torus grid of Givens-angle rotations, refined by a
 coordinate-wise pattern search (step halving to a floor, warm-started across
 the t grid).  The torus grid (broadcast products of three rotation stacks
-for n = 3) and the search probes take their rotations from
-``liegroup.givens``.  Estimates are one-sided (never above the true sup).  The grid
+for n = 3) takes its rotations from ``liegroup.givens``, and so does each
+search, once: one table for all its steps step0 / 2^h above the floor.
+Estimates are one-sided (never above the true sup).  The grid
 sup is monotone in n_haar: each t draws its Haar block from one stream,
 whose first m rows do not depend on n_haar, so more samples only add rows.
 The search refinement is not yet monotone: its starts (the best grid
@@ -18,6 +19,11 @@ directions, n_haar 32 to 256, the worst by 2.2%).
 Component scales only need moduli, so the sweep uses a direct pivot-free
 LDL of g^T g per sample with principal square roots; branch-coherent
 continuation is not required here and lives in ``iwasawa.decompose_path``.
+As kappa^T kappa = I, the singular values of kappa for n <= 3, and of
+eta = [[1, nu], [0, 1]], are a pair sigma, 1/sigma (and 1 if n = 3): the
+ratio sigma^2 solves sigma^2 + sigma^-2 = 2 + 2h, 2h = tr(M^H M) - n, which
+is 2 ||Im kappa||_F^2 or |nu|^2.  Only g, eta for n >= 3 and kappa for
+n >= 4 need the SVD.
 
 Per t, the grid is one ``component_scales_batch`` call, and all pattern
 searches of that t (each component from its best grid sample and from the
@@ -102,6 +108,21 @@ def _sv_ratio(stack: np.ndarray) -> np.ndarray:
         return sv[:, 0] / sv[:, -1]
 
 
+def _pair_ratio(h: np.ndarray) -> np.ndarray:
+    """sigma^2, the root >= 1 of sigma^2 + sigma^-2 = 2 + 2h (module docstring)."""
+    return 1.0 + h + np.sqrt(h * (h + 2.0))
+
+
+def _kappa_ratio(kappa: np.ndarray) -> np.ndarray:
+    im = kappa.imag.reshape(-1, kappa.shape[-1] ** 2)
+    return _pair_ratio(np.vecdot(im, im))
+
+
+def _eta_ratio(unit: np.ndarray) -> np.ndarray:
+    nu = unit[:, 0, 1]
+    return _pair_ratio(0.5 * (nu.real**2 + nu.imag**2))
+
+
 def _ldl_stage(g_stack: np.ndarray):
     """Shared first stage of the component scales of a stack (m, n, n).
 
@@ -128,12 +149,17 @@ def component_scales_batch(g_stack: np.ndarray) -> dict[str, np.ndarray]:
     """Component scales for a stack of domain elements (m, n, n).
 
     Elements with a leading minor of g^T g at or below the floor are
-    flagged not-ok; their component entries are +inf.  One SVD call
-    serves the g, kappa and eta stacks.
+    flagged not-ok; their component entries are +inf.  s_kappa for n <= 3
+    and s_eta for n = 2 are closed forms (module docstring), and one SVD
+    call serves the other ratios.
     """
     minors, min_minor, ok, unit, diag = _ldl_stage(g_stack)
     kappa = kappa_factor(g_stack, unit, np.sqrt(diag.astype(complex)))
-    s_g, s_kappa, s_eta = _sv_ratio(np.concatenate([g_stack, kappa, unit])).reshape(3, -1)
+    n = g_stack.shape[-1]
+    stacks = [g_stack] + [kappa] * (n > 3) + [unit] * (n > 2)
+    s_g, *svd_rest = _sv_ratio(np.concatenate(stacks)).reshape(len(stacks), -1)
+    s_eta = svd_rest.pop() if n > 2 else _eta_ratio(unit)
+    s_kappa = svd_rest.pop() if n > 3 else _kappa_ratio(kappa)
     out = {
         "s_g": s_g,
         "s_kappa": np.where(ok, s_kappa, np.inf),
@@ -154,9 +180,9 @@ def _component_values(g_stack: np.ndarray, comp_idx: np.ndarray) -> tuple[np.nda
     """Row r's scale of component COMPONENTS[comp_idx[r]], and the ok flags.
 
     Runs the shared LDL stage once, then each row computes only its own
-    column: kappa rows the unit-upper inverse and one SVD, eta rows an SVD
-    of the unit factor, alpha rows no SVD (one LAPACK call serves the kappa
-    and eta rows).  Not-ok rows read -inf.  Each value equals the matching
+    column: kappa rows the unit-upper inverse, and kappa and eta rows their
+    ratio by the closed forms of ``component_scales_batch`` or one shared
+    SVD call.  Not-ok rows read -inf.  Each value equals the matching
     ``component_scales_batch`` entry bit for bit.
     """
     _, _, ok, unit, diag = _ldl_stage(g_stack)
@@ -164,9 +190,13 @@ def _component_values(g_stack: np.ndarray, comp_idx: np.ndarray) -> tuple[np.nda
     vals = np.empty(len(comp_idx))
     vals[alp] = _alpha_ratio(diag[alp])
     kappa = kappa_factor(g_stack[kap], unit[kap], np.sqrt(diag[kap].astype(complex)))
-    ratios = _sv_ratio(np.concatenate([kappa, unit[eta]]))
-    n_kap = int(kap.sum())
-    vals[kap], vals[eta] = ratios[:n_kap], ratios[n_kap:]
+    n = g_stack.shape[-1]
+    if n > 3:
+        ratios = _sv_ratio(np.concatenate([kappa, unit[eta]]))
+        vals[kap], vals[eta] = ratios[: len(kappa)], ratios[len(kappa) :]
+    else:
+        vals[kap] = _kappa_ratio(kappa)
+        vals[eta] = _sv_ratio(unit[eta]) if n > 2 else _eta_ratio(unit[eta])
     return np.where(ok, vals, -np.inf), ok
 
 
@@ -290,11 +320,12 @@ def _pattern_search(
     convergence rather than a fixed round count; the estimate stays
     one-sided (never above the true sup).  The state is one array per
     quantity with a row per search: ``val`` (m,), ``k_best`` (m, n, n),
-    ``step``, ``used`` and ``exits``.  Each step takes the searches above the
-    floor and under budget, evaluates all their probes at once (each row
-    computes just its own component, see ``_component_values``) and updates
-    their rows; no row reads another's, so each search returns exactly what
-    it would alone.  Returns the arrays (val, k_best, used, exits).
+    ``level`` (the step is step0 / 2^level), ``used`` and ``exits``.  Each
+    step takes the searches above the floor and under budget, evaluates all
+    their probes at once (each row computes just its own component, see
+    ``_component_values``) and updates their rows; no row reads another's,
+    so each search returns exactly what it would alone.  Returns the arrays
+    (val, k_best, used, exits).
     """
     n = e_mat.shape[0]
     plane_i, plane_j = (np.array(a)[:, np.newaxis] for a in np.triu_indices(n, 1))
@@ -305,14 +336,18 @@ def _pattern_search(
     val, ok = _component_values(e_mat[np.newaxis] @ k_best.astype(complex), comp_idx)
     used = np.ones(len(k_best), dtype=int)
     exits = (~ok).astype(int)
-    step = np.full(len(k_best), step0)
+    # (levels, planes, +-step, n, n)
+    steps = [step0]
+    while steps[-1] > PATTERN_STEP_FLOOR:
+        steps.append(0.5 * steps[-1])
+    table = givens(n, plane_i, plane_j, np.array(steps[:-1])[:, None, None] * [1.0, -1.0])
+    level = np.zeros(len(k_best), dtype=int)
     while True:
-        active = np.flatnonzero((step > PATTERN_STEP_FLOOR) & (used < PATTERN_MAX_EVALS))
+        active = np.flatnonzero((level < len(table)) & (used < PATTERN_MAX_EVALS))
         if not active.size:
             break
         # probes run search by search, then plane by plane, then +step, -step
-        rot = givens(n, plane_i, plane_j, step[active, np.newaxis, np.newaxis] * [1.0, -1.0])
-        probes = rot.reshape(-1, n, n) @ k_best[active].repeat(n_probe, axis=0)
+        probes = table[level[active]].reshape(-1, n, n) @ k_best[active].repeat(n_probe, axis=0)
         p_vals, p_ok = _component_values(
             e_mat[np.newaxis] @ probes.astype(complex), comp_idx[active].repeat(n_probe)
         )
@@ -323,7 +358,7 @@ def _pattern_search(
         up = p_max > val[active]
         val[active[up]] = p_max[up]
         k_best[active[up]] = probes.reshape(-1, n_probe, n, n)[up, p_best[up]]
-        step[active[~up]] *= 0.5
+        level[active[~up]] += 1
     return val, k_best, used, exits
 
 

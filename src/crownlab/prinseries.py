@@ -25,10 +25,9 @@ u e^{-i theta}), and no march in tau is needed; on a principal segment,
 |t| < 1, that branch is the principal one.  On the real flow w > 0
 and Re(u e^{-i theta}) > 0, so the principal values are the continued ones.
 Complex z off both axes is rejected.  The floor test is closed-form as well
-(``_first_crossing``), at the ``numkernel.minor_floor`` of the end point's
-||g^T g||_F = sqrt(2 cosh(4 Re z x1)): that is sqrt 2 along the crown, where
-an exit names the exact first crossing, and the largest on a real segment,
-where the reported crossing is at or before the pointwise one.
+(``_first_crossing``), pointwise at the ``numkernel.minor_floor`` of
+||g^T g||_F = sqrt(2 cosh(4 Re z x1)), sqrt 2 along the crown and growing
+along a real segment: an exit names the exact first crossing.
 
 The orbit needs no argument of u at all.  Since zeta = -i (log u - H1) and
 alpha1^2 = e^{2 H1} = w = a^2 + c^2 on every branch, e^{2 i zeta} = u^2 / w
@@ -270,20 +269,23 @@ def _nearest_branch(principal: np.ndarray, target) -> np.ndarray:
 
 def _first_crossing(c: np.ndarray, z: np.ndarray, floors: np.ndarray) -> np.ndarray:
     """For each time of z, the least phase y = tau |z| pi/2 at which some
-    node's |w| reaches its floor along tau z, tau >= 0, with c = cos(2 theta);
-    inf if none.
+    node's |w| reaches its pointwise floor along tau z, tau >= 0, with
+    c = cos(2 theta); inf if none.
 
-    For z = i t, |w|^2 = cos^2 y + c^2 sin^2 y >= c^2 first reaches floor^2
-    at tan y = sqrt((1 - floor^2) / (floor^2 - c^2)) if |c| <= floor, so
-    the smallest |c| of the nodes, read once, clears every imaginary time
-    whose floor is below it.  For real z, w = A e^y + B e^{-y} with
-    A, B = (1 -+ c) / 2 (swapped for z < 0) is convex with minimum
-    |sin 2 theta| = 2 sqrt(A B), and equals the floor at
-    e^y = (floor -+ sqrt(floor^2 - 4 A B)) / (2 A); it reaches the floor for
-    y >= 0 iff the larger root is >= 1, at the smaller one or at y = 0.
+    For z = i t, with the constant floor ``floors``,
+    |w|^2 = cos^2 y + c^2 sin^2 y >= c^2 first reaches floor^2 at
+    tan y = sqrt((1 - floor^2) / (floor^2 - c^2)) if |c| <= floor, so the
+    smallest |c| of the nodes, read once, clears every imaginary time whose
+    floor is below it.  For real z, w = A e^y + B e^{-y} with
+    A, B = (1 -+ c) / 2 (swapped for z < 0) and the floor is r ||g^T g||_F,
+    r = minor_floor_rel (the norm is >= sqrt 2).  With v = e^{2y} >= 1,
+    |w|^2 - floor^2 = f(v) / v, f(v) = (A^2 - r^2) v^2 + 2 A B v + B^2 - r^2,
+    and f(1) > 0, so a node crosses only if A < r, at the larger root
+    v = (A B + r sqrt(A^2 + B^2 - r^2)) / (r^2 - A^2).
     """
     first = np.full(z.shape, math.inf)
     least = np.abs(c).min(initial=math.inf)
+    r = config.TOLERANCES.minor_floor_rel
     for k in np.nonzero((z.real != 0.0) | (floors >= least))[0]:
         zk, floor = z[k], floors[k]
         if zk.real == 0.0:
@@ -294,13 +296,15 @@ def _first_crossing(c: np.ndarray, z: np.ndarray, floors: np.ndarray) -> np.ndar
             a, b = (1.0 - c) / 2.0, (1.0 + c) / 2.0
             if zk.real < 0.0:
                 a, b = b, a
-            disc = floor * floor - (1.0 - c) * (1.0 + c)
-            root = floor + np.sqrt(np.maximum(disc, 0.0))
-            # the smaller root is 2 B / root, the larger root / (2 A)
-            ahead = (disc >= 0.0) & (root >= 2.0 * a)
-            phases = np.log(np.maximum(2.0 * b[ahead] / root[ahead], 1.0))
+            a, b = a[a < r], b[a < r]
+            phases = 0.5 * np.log((a * b + r * np.sqrt(a * a + b * b - r * r)) / (r * r - a * a))
         first[k] = np.min(phases, initial=math.inf)
     return first
+
+
+def _gram_floor(re_z):
+    """``minor_floor`` at the Gram norm of g(z) (module docstring)."""
+    return minor_floor(np.sqrt(2.0 * np.cosh(4.0 * X1 * re_z)))
 
 
 def _continued_endpoint(trig, z):
@@ -311,9 +315,9 @@ def _continued_endpoint(trig, z):
     flow): w stays in the quadrant of e^{-i sgn(c) tau t pi/2}, so that
     branch is the continued one (module docstring); on a principal segment
     (z = i t, |t| < 1) it is the principal branch.  ``_first_crossing`` at
-    the floor of the segment's end decides every exit, and the first time of
-    z that exits raises a DomainExitError, which reports its first crossing
-    as both last_good_t and t_fail, with |w| = floor there.
+    the pointwise floor decides every exit, and the first time of z that
+    exits raises a DomainExitError, which reports its first crossing as
+    both last_good_t and t_fail, with |w| = floor there.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     bad = ~np.isfinite(z) | ((z.real != 0.0) & (z.imag != 0.0))
@@ -321,14 +325,14 @@ def _continued_endpoint(trig, z):
         raise ValueError(
             f"time z must be finite and real or imaginary, got z = {complex(z[bad][0])!r}"
         )
-    floors = minor_floor(np.sqrt(2.0 * np.cosh(4.0 * X1 * z.real)))  # ||exp(-2 z x)||_F
     w, u, v, sinh2, c = _endpoint(trig, z)
-    first = _first_crossing(c, z, floors)
+    first = _first_crossing(c, z, _gram_floor(z.real))
     exits = np.nonzero(first <= np.abs(z) * (2.0 * X1))[0]
     if exits.size:
         t_fail = float(first[exits[0]]) / (2.0 * X1)
+        floor = _gram_floor(np.sign(z[exits[0]].real) * t_fail)
         raise DomainExitError(
-            last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=float(floors[exits[0]])
+            last_good_t=t_fail, t_fail=t_fail, minor_index=1, magnitude=float(floor)
         )
     rows = z.imag.reshape((-1,) + (1,) * np.ndim(c))
     arg_w = _nearest_branch(np.angle(w), -np.sign(c) * rows * (2.0 * X1))

@@ -21,7 +21,7 @@ from crownlab.growth import (
     _pattern_search,
     _scan_certificate,
 )
-from crownlab.iwasawa import domain_test
+from crownlab.iwasawa import domain_test, kappa_factor
 from crownlab.liegroup import (
     PElement,
     boundary_direction,
@@ -278,10 +278,11 @@ class TestPatternSearch:
         assert self._assert_matches_serial(e_mat, starts, comps, PI / 8) > 0
 
 
-class TestComponentScales:
+class TestComponentScalesBatch:
     def test_single_matrix_is_the_batch_row(self, rng):
-        # the g, kappa and eta stacks share one SVD call, and only not-ok
-        # rows are factored as the identity: each row is its m = 1 call
+        # the closed-form ratios are elementwise, the stacks left to LAPACK
+        # share one SVD call, and only not-ok rows are factored as the
+        # identity: each row is its m = 1 call
         for n in (2, 3, 4):
             g = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
             g[::4, :, 0] = 0.0
@@ -304,6 +305,8 @@ class TestComponentValues:
             g[::5, 0, 0], g[::5, 1, 0] = 1.0, 1j + 1e-15
             full = component_scales_batch(g)
             assert not full["ok"].all() and full["ok"].any()
+            for comp in COMPONENTS:
+                assert np.all(full[f"s_{comp}"][~full["ok"]] == np.inf)
             mixed = rng.integers(0, 3, len(g))
             for comp_idx in [np.full(len(g), c) for c in range(3)] + [mixed]:
                 vals, ok = _component_values(g, comp_idx)
@@ -312,6 +315,86 @@ class TestComponentValues:
                 for c, comp in enumerate(COMPONENTS):
                     rows = ok & (comp_idx == c)
                     assert vals[rows].tobytes() == full[f"s_{comp}"][rows].tobytes()
+
+
+def domain_elements(n, rng, count, u_range=(1.0, 40.0)):
+    """Seeded g = exp(-i t x) k with boundary x, Haar k and 1 - t = 2^-u."""
+    out = []
+    for _ in range(count):
+        x = boundary_direction(random_p_element(n, rng))
+        t = 1.0 - 2.0 ** -rng.uniform(*u_range)
+        out.append(group_exp(x.matrix, -1j * t) @ haar_so(n, rng))
+    return np.stack(out)
+
+
+def kappa_and_eta(g):
+    """The float kappa and eta (the unit factor) that the component scales read."""
+    _, _, ok, unit, diag = growth._ldl_stage(g)
+    return kappa_factor(g, unit, np.sqrt(diag.astype(complex))), unit, ok
+
+
+class TestClosedFormRatios:
+    """kappa^T kappa = I and det eta = 1 pair the singular values as sigma,
+    1/sigma (plus 1 for odd n), so s_kappa for n <= 3 and s_eta for n = 2
+    are closed forms in tr(M^H M); a 40-digit SVD of the same float matrix
+    is the oracle."""
+
+    @staticmethod
+    def mp_ratio(mpmath, m):
+        with mpmath.workdps(40):
+            sv = mpmath.svd_c(mpmath.matrix(m.tolist()), compute_uv=False)
+            return max(sv) / min(sv)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_deep_domain_elements_match_the_mpmath_ratio(self, n, rng):
+        mpmath = pytest.importorskip("mpmath")
+        g = domain_elements(n, rng, 150)
+        batch = component_scales_batch(g)
+        kappa, unit, ok = kappa_and_eta(g)
+        assert ok.all() and np.array_equal(batch["ok"], ok)
+        pairs = [("s_kappa", kappa)] + ([("s_eta", unit)] if n == 2 else [])
+        for key, stack in pairs:
+            for got, m in zip(batch[key], stack):
+                want = self.mp_ratio(mpmath, m)
+                assert abs(mpmath.mpf(float(got)) - want) <= 1e-13 * want
+
+    def test_zero_time_ratios_are_exactly_one(self, rng):
+        # a real g gives a real kappa, and a rotation [[c, -s], [s, c]] the
+        # Gram entry c (-s) + s c = 0, so eta = I
+        for g in (torus_samples(2, 64), haar_so(2, rng, 32), haar_so(3, rng, 32)):
+            batch = component_scales_batch(g.astype(complex))
+            assert np.all(batch["s_kappa"] == 1.0)
+        assert np.all(component_scales_batch(torus_samples(2, 64).astype(complex))["s_eta"] == 1.0)
+        for n in (2, 3):
+            x = boundary_direction(random_p_element(n, rng))
+            assert sweep_components(x, [0.0], 8, 8, seed=1)[0].sup_kappa == 1.0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_svd_rows_are_the_lapack_ratio(self, n, rng):
+        # what has no closed form keeps the one SVD route, bit for bit
+        g = domain_elements(n, rng, 40, (1.0, 20.0))
+        batch = component_scales_batch(g)
+        kappa, unit, ok = kappa_and_eta(g)
+        assert ok.all()
+        assert batch["s_eta"].tobytes() == growth._sv_ratio(unit).tobytes()
+        assert batch["s_g"].tobytes() == growth._sv_ratio(g).tobytes()
+        if n == 4:
+            assert batch["s_kappa"].tobytes() == growth._sv_ratio(kappa).tobytes()
+
+    def test_search_builds_its_rotations_once(self, rng, monkeypatch):
+        # one givens call per search, over all its step levels; the serial
+        # oracle still builds its rotations step by step
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return givens(*args)
+
+        monkeypatch.setattr(growth, "givens", counting)
+        e_mat = boundary_exp(3, rng, 1.0 - 2.0**-6)
+        starts = [haar_so(3, rng) for _ in range(4)]
+        used = _pattern_search(e_mat, starts, list(COMPONENTS) + ["kappa"], PI / 8)[2]
+        assert len(calls) == 1 and min(used) > 1 + 6
 
 
 class TestFit:

@@ -1,12 +1,15 @@
 """No module of the package or of the tests imports a name it never uses,
-and the package defines no private function or class that it never uses.
+the package defines no private function or class that it never uses, and
+no test file defines one name twice in one scope.
 
 Standard-library ``ast`` only: a name bound by an import must appear as a
 ``Name`` node somewhere in the same file.  The package ``__init__`` is left
 out, since re-exporting imported names is its purpose.  A module-level
 private function or class of the package must be referred to, as a name or
 an attribute, somewhere in the package outside its own definition; code
-that only the tests call belongs in the tests.
+that only the tests call belongs in the tests.  A second ``class`` or
+``def`` of a name in the same scope replaces the first, so pytest never
+collects the tests of the first.
 """
 
 import ast
@@ -48,7 +51,6 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert unused == {}
-
 
 
 def references(tree: ast.AST) -> list[tuple[str, int]]:
@@ -94,3 +96,38 @@ def test_finds_an_unreferenced_private():
 
 def test_every_private_is_used_in_the_package():
     assert unreferenced_privates({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def shadowed_definitions(source: str) -> list[str]:
+    """``name (lines a, b)`` of each class or function defined again in the
+    body of the same module, class or function."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            continue
+        first: dict[str, int] = {}
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in first:
+                    found.append(f"{node.name} (lines {first[node.name]}, {node.lineno})")
+                first.setdefault(node.name, node.lineno)
+    return found
+
+
+def test_finds_a_shadowed_definition():
+    source = (
+        "class A:\n    def f(self):\n        pass\n\n    def f(self):\n        pass\n\n\n"
+        "def g():\n    pass\n\n\nclass A:\n    pass\n"
+    )
+    assert shadowed_definitions(source) == ["A (lines 1, 13)", "f (lines 2, 5)"]
+
+
+def test_no_test_file_shadows_a_definition():
+    files = [*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench" / "tests").glob("*.py")]
+    assert len(files) > 10
+    shadowed = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted(files)
+        if (names := shadowed_definitions(path.read_text()))
+    }
+    assert shadowed == {}

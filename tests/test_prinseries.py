@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -14,7 +15,7 @@ from conftest import rot2
 from crownlab import config, prinseries
 from crownlab.errors import DomainExitError, SymmetryError
 from crownlab.growth import fit_power_law
-from crownlab.iwasawa import decompose_path
+from crownlab.iwasawa import decompose_path, domain_test
 from crownlab.liegroup import PElement, givens, random_sl
 from crownlab.numkernel import frobenius_norm, gram, minor_floor
 from crownlab.prinseries import (
@@ -45,8 +46,8 @@ def scaled(t, x_scale):
     return t * x_scale / XS
 
 
-def end_floor(z):
-    """The floor of the segment to z: ``minor_floor`` at its end's Gram norm
+def point_floor(z):
+    """The pointwise floor at g(z): ``minor_floor`` at its Gram norm
     ||exp(-2 z x)||_F = sqrt(2 cosh(4 Re z X1)), which is sqrt 2 on the crown."""
     return float(minor_floor(math.sqrt(2.0 * math.cosh(4.0 * X1 * complex(z).real))))
 
@@ -79,14 +80,15 @@ def endpoint(trig, z):
     return w[0], u[0], v[0], sinh2[0], cos2
 
 
-def march_arguments(trig, z: complex, floor: float) -> tuple[np.ndarray, np.ndarray]:
+def march_arguments(trig, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """How far the arguments of w = a^2 + c^2 and u = a + i c turn along the
     segment to z, by nearest-argument steps in tau from 0 to 1, each step
     evaluating w and u by ``_endpoint`` at the given node trig.  The
     continued arguments are these turns plus arg w = 0 and arg u = theta at
     z = 0.
 
-    Raises DomainExitError at the first step where min |w| <= floor.
+    Raises DomainExitError at the first step where min |w| is at or below
+    the step's ``point_floor``.
 
     The oracle for the closed-form branch rule: it continues the same
     endpoint formula by steps, and its floor test sees only the steps.
@@ -97,7 +99,7 @@ def march_arguments(trig, z: complex, floor: float) -> tuple[np.ndarray, np.ndar
     for j in range(1, taus.size):
         w_cur, u_cur, *_ = endpoint(trig, taus[j] * complex(z))
         least = float(np.abs(w_cur).min())
-        if least <= floor:
+        if least <= point_floor(taus[j] * complex(z)):
             raise DomainExitError(
                 last_good_t=float(taus[j - 1] * abs(z)),
                 t_fail=float(taus[j] * abs(z)),
@@ -113,7 +115,7 @@ def march_arguments(trig, z: complex, floor: float) -> tuple[np.ndarray, np.ndar
 def march_components(nodes, z):
     """(H1, q) with the argument of w continued by the march."""
     trig = node_trig(nodes)
-    arg_w, _ = march_arguments(trig, z, end_floor(z))
+    arg_w, _ = march_arguments(trig, z)
     # endpoint values in the library's arithmetic: near the corner |w| is
     # small, and w's rounding then moves log |w| well past 1e-14
     w, u, v, *_ = endpoint(trig, z)
@@ -129,7 +131,7 @@ def march_sl2(theta, t):
     """sl2_iwasawa_closed's (alpha1, zeta, nu) with both arguments continued by the march."""
     th, z = np.array([float(theta)]), 1j * t
     trig = prinseries._trig(th)
-    arg_w, turn_u = march_arguments(trig, z, end_floor(z))
+    arg_w, turn_u = march_arguments(trig, z)
     w, u, _, sinh2, _ = endpoint(trig, z)
     h1 = 0.5 * (np.log(np.abs(w)) + 1j * arg_w)
     zeta = -1j * (np.log(np.abs(u)) + 1j * (th + turn_u) - h1)
@@ -163,14 +165,26 @@ def assert_routes_agree(nodes, z):
     assert_same_outcome(outcome(closed_components, nodes, z), outcome(march_components, nodes, z))
 
 
+def bisect_domain_exit(theta, z):
+    """The path time, to within 2^-60 of |z|, at which ``domain_test`` puts
+    g(tau z) = exp(-tau z x) k_theta outside the domain, by bisection on
+    the segment to z."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        at = mid * complex(z)
+        inside, _ = domain_test(np.diag([np.exp(-at * X1), np.exp(at * X1)]) @ rot2(theta))
+        lo, hi = (mid, hi) if inside else (lo, mid)
+    return hi * abs(z)
+
+
 def assert_first_crossing(nodes, z, t_fail):
-    """min |w| over the nodes stays above the floor on 256 points of the
-    segment before path time t_fail and reaches the floor at t_fail."""
-    floor = end_floor(z)
+    """min |w| over the nodes stays above the pointwise floor on 256 points
+    of the segment before path time t_fail and reaches it at t_fail."""
     trig, unit = node_trig(nodes), z / abs(z)
     for t in np.linspace(0.0, t_fail, 257)[:-1]:
-        assert np.abs(endpoint(trig, t * unit)[0]).min() > floor
-    at = np.abs(endpoint(trig, t_fail * unit)[0]).min()
+        assert np.abs(endpoint(trig, t * unit)[0]).min() > point_floor(t * unit)
+    at, floor = np.abs(endpoint(trig, t_fail * unit)[0]).min(), point_floor(t_fail * unit)
     assert at <= 1.01 * floor and (t_fail == 0.0 or at >= 0.99 * floor)
 
 
@@ -329,7 +343,7 @@ class TestClosedForm:
             sl2_iwasawa_closed(PI / 4, z.imag)
         exc = closed.value
         assert exc.last_good_t == exc.t_fail and exc.minor_index == 1
-        assert exc.magnitude == end_floor(z)
+        assert exc.magnitude == point_floor(z)
         assert_first_crossing([PI / 4], z, exc.t_fail)
         march = outcome(march_components, [PI / 4], z)
         assert_same_outcome((exc.last_good_t, exc.t_fail), march)
@@ -339,13 +353,24 @@ class TestClosedForm:
     @pytest.mark.parametrize(
         "theta, z", [(PI / 4, 1j * (1.0 - 1e-14)), (PI / 2, complex(-12.0)), (0.0, complex(12.0))]
     )
-    def test_exit_floor_is_the_pointwise_floor_at_the_segment_end(self, theta, z):
+    def test_exit_floor_is_the_pointwise_floor_at_the_crossing(self, theta, z):
         # an exit on the crown or on the real flow reports the floor that
-        # minors_outside_floor gives the Gram of the segment's end point
-        g = np.diag([np.exp(-z * X1), np.exp(z * X1)]) @ rot2(theta)
+        # minors_outside_floor gives the Gram of the crossing point
         got = outcome(closed_components, [theta], z)
         assert exited(got) and got[1] < abs(z)
+        at = got[1] * z / abs(z)
+        g = np.diag([np.exp(-at * X1), np.exp(at * X1)]) @ rot2(theta)
         assert got[3] == pytest.approx(float(minor_floor(frobenius_norm(gram(g)))), rel=1e-14)
+
+    @pytest.mark.parametrize("theta, z", [(PI / 2, complex(-12.0)), (0.0, complex(12.0))])
+    def test_real_exit_is_the_domain_test_crossing(self, theta, z):
+        # the floor grows like e^y along the real flow, and w = A e^y + B e^-y
+        # with A = 0 here falls: the exit is where domain_test puts g(tau z)
+        # outside, near 9.528, not where the segment end's floor is met
+        got = outcome(closed_components, [theta], z)
+        assert exited(got)
+        assert got[1] == pytest.approx(bisect_domain_exit(theta, z), rel=1e-9)
+        assert got[1] == pytest.approx(9.528, abs=1e-3)
 
     # near-corner principal segments, drawn (seed 272) with theta near pi/4
     # and the endpoint |w| within a factor 1.5 of the floor, on which the
@@ -361,7 +386,7 @@ class TestClosedForm:
     )
     def test_exact_crossing_decides_a_principal_segment(self, theta, t):
         z = 1j * t
-        floor = end_floor(z)
+        floor = point_floor(z)
         w, *_, c = endpoint(prinseries._trig([theta]), z)
         first = prinseries._first_crossing(c, np.array([z]), np.array([floor]))[0]
         exits = first <= t * (2.0 * X1)
@@ -431,8 +456,7 @@ class TestClosedForm:
         # a conjugating endpoint must negate the oracle's increments: the
         # march has no formula for w or u of its own
         trig, z = prinseries._trig([0.1, 0.4, 1.0, 2.0]), scaled(7.0j, 0.5)
-        floor = end_floor(z)
-        arg_w, arg_u = march_arguments(trig, z, floor)
+        arg_w, arg_u = march_arguments(trig, z)
         endpoint, zs = prinseries._endpoint, []
 
         def conjugated(trig_, z_):
@@ -440,7 +464,7 @@ class TestClosedForm:
             return tuple(np.conj(a) for a in endpoint(trig_, z_))
 
         monkeypatch.setattr(prinseries, "_endpoint", conjugated)
-        conj_w, conj_u = march_arguments(trig, z, floor)
+        conj_w, conj_u = march_arguments(trig, z)
         assert zs == list(np.linspace(0.0, 1.0, march_steps(z)) * z)
         assert np.allclose(conj_w, -arg_w, rtol=0.0, atol=1e-13)
         assert np.allclose(conj_u, -arg_u, rtol=0.0, atol=1e-13)
@@ -456,9 +480,11 @@ class TestClosedForm:
 
     def test_closed_form_matches_march_on_long_segments_and_real_time(self):
         # seeded segments with phase |z| pi/2 up to 40, some nodes near the
-        # corners pi/4 and 3 pi/4: where the march exits the closed form
-        # exits no later; where only the closed form exits the march stepped
-        # over the crossing; elsewhere the values agree
+        # corners where |w| falls below the floor: pi/4 and 3 pi/4 on the
+        # crown, and on the real flow pi/2 (z < 0) or 0 and pi (z > 0), where
+        # the coefficient of e^y in w vanishes.  Where the march exits the
+        # closed form exits no later; where only the closed form exits the
+        # march stepped over the crossing; elsewhere the values agree
         rng = np.random.default_rng(20261019)
         tally = {"values": 0, "both_exit": 0, "closed_only": 0}
         for i in range(240):
@@ -466,7 +492,8 @@ class TestClosedForm:
             z = complex(phase / XS) if i % 3 == 0 else 1j * phase / XS
             thetas = rng.uniform(0.0, PI, 8)
             if i % 4 == 0:
-                thetas[0] = rng.choice([PI / 4, 3 * PI / 4]) + 10.0 ** rng.uniform(-16.0, -11.0)
+                corners = [PI / 4, 3 * PI / 4] if z.imag else [PI / 2] if phase < 0 else [0.0, PI]
+                thetas[0] = rng.choice(corners) + 10.0 ** rng.uniform(-16.0, -11.0)
             closed = outcome(closed_components, thetas, z)
             march = outcome(march_components, thetas, z)
             if exited(closed) and not exited(march):
@@ -813,17 +840,32 @@ class TestRule:
         assert len(rules) == 1 and rules[0][0] == -0.999j
         assert nodes == dict(rules)
 
-    def test_real_time_exit_names_the_first_crossing_of_the_rule(self):
-        # at real time -tau with floor 1/2, nodes within about pi/12 of pi/2
-        # reach the floor, the later the farther from pi/2: the quadrature's
-        # exit is the earliest crossing over all of the rule's nodes
-        tau = math.log(0.5 / config.TOLERANCES.minor_floor_rel) / (2.0 * X1)
-        z = complex(-tau)
+    def test_real_time_exit_names_the_first_crossing_of_the_rule(self, monkeypatch):
+        # at real time -tau a node crosses the growing floor only if its
+        # A = cos^2 theta is below minor_floor_rel; at 1e-4 the six node
+        # pairs nearest pi/2 do, the later the farther from pi/2: the
+        # quadrature's exit is the earliest crossing over all of the rule's
+        # nodes, the one domain_test finds at the node nearest pi/2
+        raised = dataclasses.replace(config.TOLERANCES, minor_floor_rel=1e-4)
+        monkeypatch.setattr(config, "TOLERANCES", raised)
+        prinseries._node_memo.clear()
+        z = complex(-4.0)
         table = prinseries._rule(1024, z)
+        assert np.count_nonzero(np.cos(table.theta[0, 0]) ** 2 < 1e-4) == 6
         oracle = outcome(closed_components, table, z)
-        assert exited(oracle) and outcome(real_time_norm_sq, V_MIX, S_AXIS, -tau, 1024) == oracle
-        assert oracle[1] == pytest.approx(math.log(2.0) / (2.0 * X1), rel=1e-6)
+        assert exited(oracle) and outcome(real_time_norm_sq, V_MIX, S_AXIS, -4.0, 1024) == oracle
+        nearest = table.theta.flat[np.argmin(np.abs(table.theta - PI / 2))]
+        assert oracle[1] == pytest.approx(bisect_domain_exit(nearest, z), rel=1e-9)
         assert_first_crossing(table, z, oracle[1])
+
+    def test_long_real_segment_stays_inside(self):
+        # no node of the rule has A below minor_floor_rel (min A = 2.9e-7),
+        # so the pointwise floor is never met; the floor of the segment's
+        # end, 4.40, exceeded |w| = 1 at tau = 0
+        table = prinseries._rule(256, complex(20.0))
+        c = table.trig[2]
+        assert ((1.0 - c) / 2.0).min() > 1e3 * config.TOLERANCES.minor_floor_rel
+        assert math.isfinite(real_time_norm_sq(V_MIX, S_OFF, 20.0, 256))
 
     @pytest.mark.parametrize("quad", [1024, 1000])
     @pytest.mark.parametrize("gap", [6e-14, 1e-14])
