@@ -155,8 +155,6 @@ def _t_grid(spec: str) -> list[float]:
         vals = [float(v) for v in spec.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse t_grid {spec!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("t_grid is empty")
     return vals
 
 

@@ -244,17 +244,7 @@ def sweep_components(
     the grid sup cannot drop.  The refined sups can, since the search starts
     move with n_haar (see the module docstring).
     """
-    ts = [float(t) for t in t_grid]
-    if not ts:
-        raise ValueError("t_grid must be nonempty")
-    # NaN fails no comparison below, so it is rejected first
-    bad = [t for t in ts if not math.isfinite(t)]
-    if bad:
-        raise ValueError(f"t_grid must be finite, got t = {bad[0]!r}")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be strictly increasing")
-    if ts[0] < 0.0 or ts[-1] >= 1.0:
-        raise ValueError("t_grid must lie in [0, 1)")
+    ts = check_t_grid(t_grid, 0.0)
     if abs(rho(x) - 0.5 * math.pi) > config.TOLERANCES.boundary_rho:
         raise ValueError(f"x must satisfy rho(x) = pi/2, got rho={rho(x)!r}")
 
@@ -360,6 +350,23 @@ def _pattern_search(
         k_best[active[up]] = probes.reshape(-1, n_probe, n, n)[up, p_best[up]]
         level[active[~up]] += 1
     return val, k_best, used, exits
+
+
+def check_t_grid(t_grid, lo: float) -> list[float]:
+    """t_grid as a list of floats: nonempty, finite, strictly increasing and
+    in [lo, 1), or a ValueError that names the first rule it breaks."""
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        raise ValueError("t_grid must be nonempty")
+    # NaN fails every comparison below, so it is rejected first
+    bad = [t for t in ts if not math.isfinite(t)]
+    if bad:
+        raise ValueError(f"t_grid must be finite, got t = {bad[0]!r}")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("t_grid must be strictly increasing")
+    if ts[0] < lo or ts[-1] >= 1.0:
+        raise ValueError(f"t_grid must lie in [{lo:g}, 1)")
+    return ts
 
 
 def fit_power_law(ts, values, t_window: tuple[float, float] | None = None) -> BlowupFit:

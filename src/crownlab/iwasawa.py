@@ -182,19 +182,22 @@ def _continued_path(
 
     speed = abs(z_target)  # path time t per unit tau
 
-    # locate the first point outside the domain in (lo, hi], bisecting to
-    # float resolution
+    # locate the first point outside the domain in path time t, in
+    # (speed lo, speed hi], on the points exp(-i t (z / |z|) x) k: the
+    # bisection ends at two adjacent floats of t
     def exit_error(lo: float, hi: float, m_hi: np.ndarray) -> DomainExitError:
+        unit_path = _crown_path(x, k, z_target / speed)
+        lo, hi = speed * lo, speed * hi
         while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            _, _, m_mid, _, out_mid = path(np.array([mid]))
+            _, _, m_mid, _, out_mid = unit_path(np.array([mid]))
             lo, hi, m_hi = (lo, mid, m_mid[0]) if out_mid.any() else (mid, hi, m_hi)
         idx = int(np.argmin(np.abs(m_hi)))
         return DomainExitError(
-            last_good_t=speed * lo,
-            t_fail=speed * hi,
+            last_good_t=lo,
+            t_fail=hi,
             minor_index=idx + 1,
             magnitude=float(np.abs(m_hi)[idx]),
         )

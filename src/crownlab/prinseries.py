@@ -45,22 +45,24 @@ The unshifted convention (axis Re s = 1) at s - 1 is this one at s.
 
 K-finite vectors are finite Fourier series on K/M, theta in [0, pi) with
 probability measure d theta / pi; M-invariance forces even modes.  Orbit
-norms, derivative norms and boundary pairings are sums over one graded rule,
-``_rule``.  For z = i t the integrand is nearly singular at theta_0 = pi/4
-and 3 pi/4, where |w| falls to the gap 1 - |t| over a width of the same
-order; a uniform rule needs O(1 / (1 - |t|)) nodes there.  The rule breaks
-each quarter of [0, pi], between theta_0 and a multiple of pi/2, at the
-distances X1 GRADE_RATIO^k from theta_0 down to the first one at most the
-gap, splits every level into equal panels until there are at least the
+norms, derivative norms and boundary pairings are sums over one graded
+rule.  For z = i t the integrand is nearly singular at theta_0 = pi/4 and
+3 pi/4, where |w| falls to the gap 1 - |t| over a width of the same order;
+a uniform rule needs O(1 / (1 - |t|)) nodes there.  The rule breaks each
+quarter of [0, pi], between theta_0 and a multiple of pi/2, at the level
+edges ``LEVEL_EDGES`` from theta_0 down to the first one at most the gap,
+splits every level into equal panels until there are at least the
 requested number of nodes, and puts Gauss-Legendre of order PANEL_ORDER on
-every panel: O(log 1 / (1 - |t|)) panels.  ``_rule`` first rejects
-imaginary time on or past the crown boundary |t| >= 1, where |w| reaches 0
-at theta = pi/4.
+every panel: O(log 1 / (1 - |t|)) panels.
 
 The rule reads t only through its level count, so it is one cached table
-per (quad_points, level count), ``_table``, built on first use.  Every node
-is theta_0 + sigma d for an offset d of the table and sigma = +-1, and the
-orbit is evaluated from the offsets, never from the rounded angle: with
+per (quad_points, level count), ``_table``, built on first use.  One
+function, ``_rules``, decides which times a call accepts and which table
+each gets: it checks the count once and every time once, finite, and
+imaginary time inside the crown boundary |t| < 1, where |w| reaches 0 at
+theta = pi/4, before any node is evaluated.  Every node is theta_0 +
+sigma d for an offset d of the table and sigma = +-1, and the orbit is
+evaluated from the offsets, never from the rounded angle: with
 phi = theta - pi/4, cos 2 theta = -+ sin 2d and cos phi, sin phi are
 +-cos d and +-sin d, so the innermost nodes stay apart where theta_0 +
 sigma d would round onto theta_0.  ``_endpoint`` forms u and v from cos phi
@@ -72,17 +74,16 @@ test vector from the offsets as well, memoised per (table, modes),
 
 The orbit is evaluated over an axis of times: from ``_endpoint`` to
 ``_orbit`` every node array has a leading time axis, and a single time is
-the m = 1 case.  Each run of consecutive times that share a table is one
-pass (``_runs``); every node operation is elementwise and each row is
-summed on its own, so a row equals its m = 1 pass bit for bit.  Every time
-is checked before any node is evaluated, and the first time of the grid
-that exits the domain raises, as a loop over the times would.  H1 and q
-depend on the crown geometry alone, not on s or v, so ``_closed_components``
-keeps a table's per (table, the run's times) once that key comes again: a
-pass at known times forms only e^{(1 - s) H1} and the mode sum.  A norm takes
-|e^{(1 - s) H1}|^2 = e^{2 Re((1 - s) H1)} on H1's half of the nodes.  d/dt
-of the orbit of v is i times the orbit of dpi(x) v (``dpi_x``), so a
-derivative norm is an orbit norm.
+the m = 1 case.  ``_rules`` hands out each run of consecutive times that
+share a table as one pass; every node operation is elementwise and each
+row is summed on its own, so a row equals its m = 1 pass bit for bit.  The
+first time of the grid that exits the domain raises, as a loop over the
+times would.  H1 and q depend on the crown geometry alone, not on s or v,
+so ``_closed_components`` keeps a table's per (table, the run's times) once
+that key comes again: a pass at known times forms only e^{(1 - s) H1} and
+the mode sum.  A norm takes |e^{(1 - s) H1}|^2 = e^{2 Re((1 - s) H1)} on
+H1's half of the nodes.  d/dt of the orbit of v is i times the orbit of
+dpi(x) v (``dpi_x``), so a derivative norm is an orbit norm.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ import numpy as np
 
 from . import config
 from .errors import DomainExitError
-from .growth import BlowupFit, fit_power_law
+from .growth import BlowupFit, check_t_grid, fit_power_law
 from .numkernel import check_finite, check_real, minor_floor
 
 MIN_QUAD_POINTS = 64
@@ -107,10 +108,14 @@ X1 = 0.25 * math.pi
 # pi/4 - X1, the rounding of X1: sin(fl(pi)) is pi - fl(pi) to within its own rounding
 X1_LO = 0.25 * math.sin(math.pi)
 
-# ``_rule``'s panels: edges at distances X1 GRADE_RATIO^k from the singular
-# angles, Gauss-Legendre of order PANEL_ORDER on each
+# The graded rule's panels: level edges at the offsets GRADE_RATIO^k X1 from
+# the singular angles, Gauss-Legendre of order PANEL_ORDER on each
 GRADE_RATIO = 0.15
 PANEL_ORDER = 32
+
+# The level edges, k = 0 .. 20.  A float t below 1 has the gap 1 - |t| >= 2^-53,
+# which lies above the last edge, so a rule has at most 21 levels.
+LEVEL_EDGES = tuple(X1 * GRADE_RATIO**k for k in range(21))
 
 
 @functools.cache
@@ -317,14 +322,10 @@ def _continued_endpoint(trig, z):
     (z = i t, |t| < 1) it is the principal branch.  ``_first_crossing`` at
     the pointwise floor decides every exit, and the first time of z that
     exits raises a DomainExitError, which reports its first crossing as
-    both last_good_t and t_fail, with |w| = floor there.
+    both last_good_t and t_fail, with |w| = floor there.  The times are
+    checked where they enter, by ``_rules`` or ``sl2_iwasawa_closed``.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    bad = ~np.isfinite(z) | ((z.real != 0.0) & (z.imag != 0.0))
-    if bad.any():
-        raise ValueError(
-            f"time z must be finite and real or imaginary, got z = {complex(z[bad][0])!r}"
-        )
     w, u, v, sinh2, c = _endpoint(trig, z)
     first = _first_crossing(c, z, _gram_floor(z.real))
     exits = np.nonzero(first <= np.abs(z) * (2.0 * X1))[0]
@@ -378,25 +379,17 @@ def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
     path.  zeta = -i (log u - H1) takes the argument of u e^{-i theta} on
     the branch nearest -sgn(c) t pi/4, the continued one (module docstring).
     """
+    z = complex(1j * t)
+    if not (np.isfinite(z) and (z.real == 0.0 or z.imag == 0.0)):
+        raise ValueError(f"time z must be finite and real or imaginary, got z = {z!r}")
     th = np.array([float(theta)])
-    h1, w, u, _, sinh2, c = _continued_endpoint(_trig(th), [1j * t])
+    h1, w, u, _, sinh2, c = _continued_endpoint(_trig(th), [z])
     h1, w, u, sinh2 = h1[0], w[0], u[0], sinh2[0]  # the one time's row
     target = -np.sign(c) * t * X1
     arg_u = th + _nearest_branch(np.angle(u * np.exp(-1j * th)), target)
     zeta = -1j * (np.log(np.abs(u)) + 1j * arg_u - h1)
     nu = np.sin(2.0 * th) * sinh2 / w
     return Sl2Components(alpha1=complex(np.exp(h1[0])), zeta=complex(zeta[0]), nu=complex(nu[0]))
-
-
-def _strip_gap(t: float) -> float:
-    """1 - |t|, the distance of i t from the crown boundary, where |w|
-    reaches 0 at theta = pi/4; ValueError if it is <= 0 or t is not finite."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got t = {t!r}")
-    gap = 1.0 - abs(t)
-    if gap <= 0.0:
-        raise ValueError(f"t = {t!r} is on or past the crown boundary |t| >= 1")
-    return gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,14 +429,13 @@ def _table(quad_points: int, levels: int) -> _Table:
 
     Each quarter of [0, pi] runs from a singular angle theta_0 in
     {pi/4, 3 pi/4} to a multiple of pi/2, with level edges at the offsets
-    X1 GRADE_RATIO^k, k < levels, and 0.  Every level is split into the same
+    LEVEL_EDGES[:levels] and 0.  Every level is split into the same
     number of equal panels, the fewest that give the rule at least
     quad_points nodes, and each panel carries PANEL_ORDER Gauss-Legendre
     nodes.  The offsets come in increasing order.
     """
-    dist = [X1 * GRADE_RATIO**k for k in range(levels)]
-    # level edges 0 < X1 r^(levels - 1) < ... < X1
-    bounds = np.array([0.0, *dist[::-1]])
+    # level edges 0 < LEVEL_EDGES[levels - 1] < ... < LEVEL_EDGES[0] = X1
+    bounds = np.array([0.0, *LEVEL_EDGES[levels - 1::-1]])
     per_level = -(-quad_points // (4 * PANEL_ORDER * levels))
     edges = np.linspace(bounds[:-1], bounds[1:], per_level, endpoint=False).T.ravel()
     width = np.diff(edges, append=X1)
@@ -465,29 +457,40 @@ def _table(quad_points: int, levels: int) -> _Table:
     return table
 
 
-def _rule(quad_points: int, z: complex) -> _Table:
-    """The graded rule of (1/pi) int_0^pi dtheta for an orbit at time z.
+def _rules(quad_points: int, z: np.ndarray) -> list[tuple[_Table, slice]]:
+    """(table, times) for each run of consecutive times of the 1-D array z
+    that share a graded rule of (1/pi) int_0^pi dtheta: one orbit pass
+    each, in grid order, which keeps the exit that a loop over the times
+    would raise first.
 
-    Rejects a count that is not an integer or is below MIN_QUAD_POINTS, a
-    non-finite z, and imaginary z on or past the crown boundary, before any
-    table is looked up.  For z = i t the levels reach down to the first
-    offset X1 GRADE_RATIO^k at most the gap 1 - |t|, and then to theta_0
-    itself; for real z, and for t = 0, a quarter is one level.  The table
-    depends on t only through that level count, at most 21 for a float t.
+    Before any table is looked up, rejects the first time of z that is not
+    finite, not real or imaginary, or imaginary on or past the crown
+    boundary, and then a count that is not an integer or is below
+    MIN_QUAD_POINTS.  For z = i t the levels reach down to the first of the
+    LEVEL_EDGES at most the gap 1 - |t|, and then to theta_0 itself; for
+    real z, and for t = 0, a quarter is one level.
     """
+    levels = []
+    for zk in z.tolist():
+        if zk.real != 0.0 and zk.imag != 0.0:
+            raise ValueError(f"time z must be finite and real or imaginary, got z = {zk!r}")
+        # i t lies the gap 1 - |t| inside the crown boundary; real time has no gap
+        t, gap = (zk.imag, 1.0 - abs(zk.imag)) if zk.real == 0.0 else (zk.real, 1.0)
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got t = {t!r}")
+        if gap <= 0.0:
+            raise ValueError(f"t = {t!r} is on or past the crown boundary |t| >= 1")
+        level = 1
+        while LEVEL_EDGES[level - 1] > gap:
+            level += 1
+        levels.append(level)
     if not isinstance(quad_points, (int, np.integer)):
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}")
     if quad_points < MIN_QUAD_POINTS:
         raise ValueError(f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
-    # 1j * nan has a NaN real part, so a NaN t would skip the strip test
-    if not np.isfinite(z):
-        raise ValueError(f"t must be finite, got time z = {z!r}")
-    levels = 1
-    if z.real == 0.0:
-        gap = _strip_gap(z.imag)
-        while X1 * GRADE_RATIO ** (levels - 1) > gap:
-            levels += 1
-    return _table(int(quad_points), levels)
+    cuts = [0, *(k for k in range(1, len(levels)) if levels[k] != levels[k - 1]), len(levels)]
+    runs = itertools.pairwise(cuts)
+    return [(_table(int(quad_points), levels[a]), slice(a, b)) for a, b in runs]
 
 
 def _series_at_nodes(vec: ModeVector, table: _Table) -> np.ndarray:
@@ -532,38 +535,29 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[0], -1).sum(axis=1)
 
 
-def _runs(tables: list) -> list[tuple[_Table, list[int]]]:
-    """(table, indices) for each run of consecutive times that share a table:
-    one orbit pass each, in grid order, which keeps the exit that a loop over
-    the times would raise first."""
-    runs = itertools.groupby(range(len(tables)), key=tables.__getitem__)
-    return [(table, list(idx)) for table, idx in runs]
-
-
 def _times(t) -> np.ndarray:
-    """A float t or a 1-D grid of times as a 1-D float array, every time
-    checked by ``_strip_gap`` before any node is evaluated."""
+    """A float t or a 1-D grid of times as the 1-D array of crown times i t,
+    which ``_rules`` checks.  Each t is set as an imaginary part, not
+    multiplied by i, so that an infinite t stays 0 + i t."""
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
         raise ValueError(f"t must be a float or a nonempty 1-D grid, got shape {ts.shape}")
-    ts = ts.reshape(-1)
-    for tk in ts.tolist():
-        _strip_gap(tk)
-    return ts
+    z = np.zeros(ts.size, dtype=complex)
+    z.imag = ts.reshape(-1)
+    return z
 
 
 def _orbit_norms_sq(v: ModeVector, s: complex, z: np.ndarray, quad_points: int) -> np.ndarray:
-    """||pi_sigma(exp(z x)) v||^2 by ``_rule`` over K/M for each time of the
-    1-D array z: i t on the crown path, or real on the real flow."""
-    check_finite(s, "s")
-    tables = [_rule(quad_points, zk) for zk in z.tolist()]
+    """||pi_sigma(exp(z x)) v||^2 over K/M on the rules of ``_rules`` for
+    each time of the 1-D array z: i t on the crown path, or real on the real
+    flow.  The caller checks s."""
     norms = np.empty(z.size)
-    for table, idx in _runs(tables):
-        h1, q = _closed_components(table, z[idx])
+    for table, run in _rules(quad_points, z):
+        h1, q = _closed_components(table, z[run])
         values = v.evaluate(q)
         # |e^{(1 - s) H1}|^2 on H1's half of the nodes, times |values|^2
         scale = table.weights * np.exp(2.0 * ((1.0 - s) * h1).real)
-        norms[idx] = _row_sums(scale * (values.real**2 + values.imag**2))
+        norms[run] = _row_sums(scale * (values.real**2 + values.imag**2))
     return norms
 
 
@@ -572,13 +566,15 @@ def extended_norm_sq(v: ModeVector, s: complex, t, quad_points: int) -> float | 
     |e^{(1 - s) H1}|^2 |sum c_m q^{m/2}|^2 (module docstring): a float for a
     float t, and an array of one value per time for a 1-D grid, each equal
     bit for bit to the float of that t alone."""
-    norms = _orbit_norms_sq(v, s, 1j * _times(t), quad_points)
+    check_finite(s, "s")
+    norms = _orbit_norms_sq(v, s, _times(t), quad_points)
     return float(norms[0]) if np.ndim(t) == 0 else norms
 
 
 def real_time_norm_sq(v: ModeVector, s: complex, tau: float, quad_points: int) -> float:
     """||pi_sigma(exp(tau x)) v||^2 at real time, same code path as the
     holomorphic formula (oracle partner: action_norm_sq)."""
+    check_finite(s, "s")
     return float(_orbit_norms_sq(v, s, np.array([complex(tau)]), quad_points)[0])
 
 
@@ -610,7 +606,7 @@ def action_norm_sq(v: ModeVector, s: complex, gs, quad_points: int) -> float:
     """
     check_finite(s, "s")
     # real group elements: the rule of real time
-    table = _rule(quad_points, 0j)
+    [(table, _)] = _rules(quad_points, np.zeros(1, dtype=complex))
     angles = table.theta
     total = np.ones(angles.shape, dtype=complex)
     for g in gs:
@@ -648,21 +644,13 @@ def orbit_derivative_norm(v: ModeVector, s: complex, t, quad_points: int) -> flo
     """L2 norm of the t-derivative of the orbit, the orbit norm of
     dpi(x) v (``dpi_x``): a float for a float t, and one value per time for
     a 1-D grid, as ``extended_norm_sq`` gives them."""
-    norms = np.sqrt(extended_norm_sq(dpi_x(v, s), s, t, quad_points))
-    return float(norms) if np.ndim(t) == 0 else norms
+    norms = np.sqrt(_orbit_norms_sq(dpi_x(v, s), s, _times(t), quad_points))
+    return float(norms[0]) if np.ndim(t) == 0 else norms
 
 
 def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> BlowupFit:
     """Fit of log ||e^{i t dpi(x)} v|| against -log(1 - t) over the grid."""
-    ts = [float(t) for t in t_grid]
-    # NaN fails every comparison below, so it is rejected first
-    bad = [t for t in ts if not math.isfinite(t)]
-    if bad:
-        raise ValueError(f"t_grid must be finite, got t = {bad[0]!r}")
-    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be nonempty and strictly increasing")
-    if ts[0] < 0.5 or ts[-1] >= 1.0:
-        raise ValueError("t_grid must lie in [0.5, 1)")
+    ts = check_t_grid(t_grid, 0.5)
     if v.norm_sq == 0.0:
         raise ValueError("cannot fit the growth of the zero vector")
     return fit_power_law(ts, np.sqrt(extended_norm_sq(v, s, ts, quad_points)))
@@ -730,12 +718,11 @@ def boundary_pairing(
     ts = [float(t) for t in t_grid]
     if len(ts) < 3 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
-    z = 1j * _times(ts)
-    tables = [_rule(quad_points, zk) for zk in z.tolist()]
+    z = _times(ts)
     modes = tuple(w_smooth.modes.items())
     values = np.empty(z.size, dtype=complex)
-    for table, idx in _runs(tables):
-        values[idx] = _row_sums(_probe(table, modes) * _orbit(v, s, z[idx], table))
+    for table, run in _rules(quad_points, z):
+        values[run] = _row_sums(_probe(table, modes) * _orbit(v, s, z[run], table))
     values = values.tolist()
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))

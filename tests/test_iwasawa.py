@@ -347,6 +347,7 @@ class TestExitRule:
             decompose_path(x, k, t)
         exc = err.value
         assert 0.0 < exc.last_good_t < exc.t_fail < t
+        assert math.nextafter(exc.last_good_t, 2.0) == exc.t_fail
         assert domain_test(crown_point(x, k, exc.last_good_t))[0]
         assert not domain_test(crown_point(x, k, exc.t_fail))[0]
 
@@ -358,6 +359,19 @@ class TestExitRule:
                 decompose_path(X2, rot2(PI / 4), t)
             fails.add(err.value.t_fail)
         assert len(fails) == 1 and 1.0 - 1e-13 < fails.pop() < 1.0
+
+    def test_corner_exit_is_one_bracket_of_adjacent_floats(self):
+        # the exit is bisected in path time t, not in tau = t / |z|, so every
+        # target reports the same two neighbouring floats of t; bisecting in
+        # tau gave 0.9999999999999098 at target 3, three floats below
+        brackets = set()
+        for t in (1.0, 3.0, 10.0):
+            with pytest.raises(DomainExitError) as err:
+                decompose_path(X2, rot2(PI / 4), t)
+            brackets.add((err.value.last_good_t, err.value.t_fail))
+        assert len(brackets) == 1
+        last_good_t, t_fail = brackets.pop()
+        assert math.nextafter(last_good_t, 2.0) == t_fail
 
     @pytest.mark.parametrize("theta, t", [(0.3, 25.0), (2.0, 19.0), (1.1, 22.0)])
     def test_continuation_past_the_crown_matches_the_closed_form(self, theta, t):
@@ -413,19 +427,22 @@ def sequential_path(x, k, z_target):
         return tau * abs(z_target)
 
     def exit_error(lo, hi, m_hi):
+        # bisect path time t itself, on the points exp(-i t (z / |z|) x) k
+        unit_path = iwasawa._crown_path(x, k, z_target / abs(z_target))
+        lo, hi = t_of(lo), t_of(hi)
         while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            m_mid, out_mid = point(mid)
+            _, _, m_mid, _, out_mid = unit_path(np.array([mid]))
             if out_mid.any():
-                hi, m_hi = mid, m_mid
+                hi, m_hi = mid, m_mid[0]
             else:
                 lo = mid
         idx = int(np.argmin(np.abs(m_hi)))
         return DomainExitError(
-            last_good_t=t_of(lo),
-            t_fail=t_of(hi),
+            last_good_t=lo,
+            t_fail=hi,
             minor_index=idx + 1,
             magnitude=float(np.abs(m_hi)[idx]),
         )

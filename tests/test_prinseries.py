@@ -444,8 +444,13 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("z", [0.3 + 0.4j, complex(math.inf), 1j * math.nan])
     def test_rejects_complex_or_non_finite_time(self, z):
+        # times are checked where they enter: sl2_iwasawa_closed takes the
+        # time z = i t, and a quadrature's rules take real time as it is
         with pytest.raises(ValueError, match="finite and real or imaginary"):
-            closed_components([0.1, 0.3], z)
+            sl2_iwasawa_closed(0.1, z / 1j)
+        if z.real != 0.0 and z.imag != 0.0:
+            with pytest.raises(ValueError, match="finite and real or imaginary"):
+                real_time_norm_sq(V_MIX, S_AXIS, z, 256)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_sl2_rejects_non_finite_time(self, t):
@@ -531,7 +536,7 @@ class TestClosedForm:
             h = 1e-2 * (1.0 - t)
             grid += [(512, t - h), (512, t), (512, t + h)]
         for quad, t in grid:
-            assert_routes_agree(prinseries._rule(quad, 1j * t), 1j * t)
+            assert_routes_agree(rule(quad, 1j * t), 1j * t)
 
     def test_principal_route_matches_march_on_seeded_draws(self):
         rng = np.random.default_rng(20261018)
@@ -691,9 +696,15 @@ def level_count(z):
     return k + 1
 
 
+def rule(quad, z):
+    """The graded rule of the one time z: the m = 1 case of ``_rules``."""
+    [(table, _)] = prinseries._rules(quad, np.array([z], dtype=complex))
+    return table
+
+
 def rule_size(quad, z):
     """The node count of the rule at time z: four nodes theta_0 +- d per offset."""
-    return 4 * prinseries._rule(quad, z).offsets.size
+    return 4 * rule(quad, z).offsets.size
 
 
 def exact_node(mpmath, kappa, mu, d):
@@ -724,7 +735,7 @@ class TestRule:
     def test_weights_sum_to_one_on_at_least_quad_nodes(self, route, quad):
         # the fewest equal panels per level that reach the requested count
         z = RULE_TIMES[route]
-        table = prinseries._rule(quad, z)
+        table = rule(quad, z)
         d, weights = table.offsets, table.weights
         size = 4 * d.size
         panel = 4 * prinseries.PANEL_ORDER * level_count(z)
@@ -744,7 +755,7 @@ class TestRule:
         z = RULE_TIMES[route]
         gap = 1.0 - abs(z.imag) if z.real == 0.0 else X1
         order = prinseries.PANEL_ORDER
-        table = prinseries._rule(1024, z)
+        table = rule(1024, z)
         assert PI * table.weights[:order].sum() <= gap * (1.0 + 1e-12)
         assert table.offsets[order - 1] < gap
 
@@ -757,7 +768,7 @@ class TestRule:
         # cos 2 theta = -+ sin 2d, and cos phi, sin phi of phi = theta - pi/4
         # are +-cos d, +-sin d: against the trig of the rounded angles, whose
         # rounding is up to 2.2e-16 near 3 pi/4
-        table = prinseries._rule(1024, 1j * (1.0 - 2.0**-10))
+        table = rule(1024, 1j * (1.0 - 2.0**-10))
         cos_phi, sin_phi, cos2 = table.trig
         phi = table.theta - PI / 4
         assert np.abs(cos2 - np.cos(2.0 * table.theta)).max() <= 1e-15
@@ -773,7 +784,7 @@ class TestRule:
     @pytest.mark.parametrize("quad, t", [(1024, 1.0 - 2.0**-14), (1000, 0.5), (64, 0.0)])
     def test_test_vector_from_offsets_matches_the_mode_sum(self, w, quad, t):
         # the oracle: the Laurent sum at q = e^{2 i theta} on the rounded angles
-        table = prinseries._rule(quad, 1j * t)
+        table = rule(quad, 1j * t)
         got = prinseries._series_at_nodes(w, table)
         want = w.evaluate(np.exp(2j * table.theta))
         assert got.shape == table.theta.shape
@@ -795,7 +806,7 @@ class TestRule:
         eps = np.finfo(float).eps
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
         params = (S_AXIS, 1.8 + 0.3j)
-        table = prinseries._rule(quad, z)
+        table = rule(quad, z)
         got = [prinseries._orbit(v, p, [z], table.trig)[0] for p in params]
         n = table.offsets.size
         picks = {0, 1, 2, 3, n - 2, n - 1, *np.random.default_rng(quad).integers(0, n, 24).tolist()}
@@ -810,14 +821,17 @@ class TestRule:
 
     @pytest.mark.parametrize("quad", [1024, 1001])
     def test_every_rule_node_reaches_the_components_once(self, quad, monkeypatch):
-        # one rule per time, and its nodes reach the components in one call
-        rules, nodes = [], Counter()
-        rule, closed = prinseries._rule, prinseries._closed_components
+        # one rule per time, handed out by one ``_rules`` call per entry
+        # call, and its nodes reach the components in one call
+        rules, nodes, calls = [], Counter(), []
+        rules_of, closed = prinseries._rules, prinseries._closed_components
 
-        def counted_rule(quad_points, z):
-            table = rule(quad_points, z)
-            rules.append((z, 4 * table.offsets.size))
-            return table
+        def counted_rules(quad_points, z):
+            runs = rules_of(quad_points, z)
+            calls.append(z.size)
+            for table, run in runs:
+                rules.extend((zk, 4 * table.offsets.size) for zk in z[run].tolist())
+            return runs
 
         def counted_components(table, z):
             for zk in np.ravel(z).tolist():
@@ -825,19 +839,21 @@ class TestRule:
             return closed(table, z)
 
         prinseries._node_memo.clear()
-        monkeypatch.setattr(prinseries, "_rule", counted_rule)
+        monkeypatch.setattr(prinseries, "_rules", counted_rules)
         monkeypatch.setattr(prinseries, "_closed_components", counted_components)
         extended_norm_sq(V_MIX, S_AXIS, 0.9, quad)
         extended_norm_sq(V_MIX, S_AXIS, 0.999, quad)
         real_time_norm_sq(V_MIX, S_OFF, 0.7, quad)
         boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, [0.0, 0.5, 0.99, 0.9995], quad)
+        assert calls == [1, 1, 1, 4]
         assert [z for z, _ in rules] == [0.9j, 0.999j, 0.7, 0j, 0.5j, 0.99j, 0.9995j]
         assert nodes == dict(rules)
         # the derivative is the orbit of dpi(x) v at t itself, on t's rule
         rules.clear()
         nodes.clear()
+        calls.clear()
         orbit_derivative_norm(V_MIX, S_AXIS, -0.999, quad)
-        assert len(rules) == 1 and rules[0][0] == -0.999j
+        assert calls == [1] and len(rules) == 1 and rules[0][0] == -0.999j
         assert nodes == dict(rules)
 
     def test_real_time_exit_names_the_first_crossing_of_the_rule(self, monkeypatch):
@@ -850,7 +866,7 @@ class TestRule:
         monkeypatch.setattr(config, "TOLERANCES", raised)
         prinseries._node_memo.clear()
         z = complex(-4.0)
-        table = prinseries._rule(1024, z)
+        table = rule(1024, z)
         assert np.count_nonzero(np.cos(table.theta[0, 0]) ** 2 < 1e-4) == 6
         oracle = outcome(closed_components, table, z)
         assert exited(oracle) and outcome(real_time_norm_sq, V_MIX, S_AXIS, -4.0, 1024) == oracle
@@ -862,7 +878,7 @@ class TestRule:
         # no node of the rule has A below minor_floor_rel (min A = 2.9e-7),
         # so the pointwise floor is never met; the floor of the segment's
         # end, 4.40, exceeded |w| = 1 at tau = 0
-        table = prinseries._rule(256, complex(20.0))
+        table = rule(256, complex(20.0))
         c = table.trig[2]
         assert ((1.0 - c) / 2.0).min() > 1e3 * config.TOLERANCES.minor_floor_rel
         assert math.isfinite(real_time_norm_sq(V_MIX, S_OFF, 20.0, 256))
@@ -876,7 +892,7 @@ class TestRule:
         # rule's nodes report, which the march also detects, at a step on or
         # after it, and its message shows how far below 1 the crossing is
         t = 1.0 - gap
-        table = prinseries._rule(quad, 1j * t)
+        table = rule(quad, 1j * t)
         with pytest.raises(DomainExitError) as exc:
             extended_norm_sq(V_MIX, S_AXIS, t, quad)
         got = exc.value
@@ -895,16 +911,16 @@ class TestTable:
     def test_times_with_one_level_count_share_a_table(self):
         # 1 - t = 2^-12 .. 2^-14 all have six levels, 2^-11 has five; real
         # time, t = 0 and negative t take the tables of their level counts
-        deep = [prinseries._rule(1024, 1j * (1.0 - 2.0**-j)) for j in (12, 13, 14)]
+        deep = [rule(1024, 1j * (1.0 - 2.0**-j)) for j in (12, 13, 14)]
         assert deep[0] is deep[1] is deep[2]
-        assert prinseries._rule(1024, 1j * (1.0 - 2.0**-11)) is not deep[0]
-        assert prinseries._rule(1024, -1j * (1.0 - 2.0**-13)) is deep[0]
-        assert prinseries._rule(1024, 0j) is prinseries._rule(1024, complex(1.1))
-        assert prinseries._rule(np.int64(1024), 0.5j) is prinseries._rule(1024, 0.5j)
-        assert prinseries._rule(1000, 0.5j) is not prinseries._rule(1024, 0.5j)
+        assert rule(1024, 1j * (1.0 - 2.0**-11)) is not deep[0]
+        assert rule(1024, -1j * (1.0 - 2.0**-13)) is deep[0]
+        assert rule(1024, 0j) is rule(1024, complex(1.1))
+        assert rule(np.int64(1024), 0.5j) is rule(1024, 0.5j)
+        assert rule(1000, 0.5j) is not rule(1024, 0.5j)
 
     def test_table_arrays_are_read_only(self):
-        table = prinseries._rule(1024, 0.9j)
+        table = rule(1024, 0.9j)
         for name, array in vars(table).items():
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
@@ -919,10 +935,25 @@ class TestTable:
             other = getattr(cold, name)
             assert other.shape == array.shape and other.tobytes() == array.tobytes(), name
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_level_edges_give_the_loops_level_count(self, sign):
+        # at t = 1 - X1 GRADE_RATIO^k and its float neighbours, for every
+        # edge k, the table is the one the loop of ``level_count`` picks
+        quad, checked = 64, 0
+        for edge in prinseries.LEVEL_EDGES:
+            t0 = 1.0 - edge
+            for t in (math.nextafter(t0, 0.0), t0, math.nextafter(t0, 2.0)):
+                if t >= 1.0:
+                    continue
+                z = 1j * (sign * t)
+                assert rule(quad, z) is prinseries._table(quad, level_count(z))
+                checked += 1
+        assert checked >= 60
+
     def test_level_count_is_at_most_21(self):
         # the largest float t below 1 has the gap 2^-53
         assert level_count(1j * (1.0 - 2.0**-53)) == 21
-        assert prinseries._rule(64, 1j * math.nextafter(1.0, 0.0)) is prinseries._table(64, 21)
+        assert rule(64, 1j * math.nextafter(1.0, 0.0)) is prinseries._table(64, 21)
 
     def test_pairing_does_not_depend_on_the_tables_built_before(self):
         w = smooth_test_vector()
@@ -1037,7 +1068,7 @@ class TestTimeGrid:
         assert hit == miss
 
     def test_memoised_node_values_are_read_only(self):
-        table = prinseries._rule(1024, 0.9j)
+        table = rule(1024, 0.9j)
         probe = prinseries._probe(table, tuple(smooth_test_vector().modes.items()))
         assert probe.shape == table.cos_phi.shape
         with pytest.raises(ValueError, match="read-only"):
@@ -1254,7 +1285,7 @@ class TestNodeMemo:
         assert list(prinseries._node_memo.values()) == [()]
 
     def test_memoised_arrays_are_read_only(self):
-        table = prinseries._rule(1024, 0.9j)
+        table = rule(1024, 0.9j)
         prinseries._node_memo.clear()
         for _ in range(3):
             for array in prinseries._closed_components(table, [0.9j, 0.95j]):
@@ -1323,7 +1354,7 @@ def test_pairing_peak_memory_stays_within_budget(j):
     grid = [0.5, 0.75, 1.0 - 2.0**-j]
     w = smooth_test_vector()
     for t in grid:
-        prinseries._rule(1024, 1j * t)
+        rule(1024, 1j * t)
     prinseries._probe.cache_clear()
     prinseries._node_memo.clear()
     peak = traced_peak(lambda: boundary_pairing(V_MIX, w, S_AXIS, grid, 1024))
@@ -1564,7 +1595,7 @@ class TestBoundaryPairing:
         def no_work(*args):
             raise AssertionError("rule or orbit work for a zero vector")
 
-        monkeypatch.setattr(prinseries, "_rule", no_work)
+        monkeypatch.setattr(prinseries, "_rules", no_work)
         monkeypatch.setattr(prinseries, "_closed_components", no_work)
         vectors = {"v": V_MIX, "w_smooth": smooth_test_vector(), which: zero}
         with pytest.raises(ValueError, match=message):
@@ -1597,7 +1628,7 @@ class TestBoundaryPairing:
         # error falls 100-fold per 10-fold step (measured 100.01 to 100.03,
         # from 6.8e-5 to 2.2e-4 relative at h = 0.01 (1 - |t|))
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, 4: 0.1j})
-        table = prinseries._rule(1024, 1j * t)
+        table = rule(1024, 1j * t)
         want = orbit_derivative_norm(v, s, t, 1024)
         errors = []
         for scale in (1e-2, 1e-3):
