@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -71,6 +73,17 @@ def closed_components(nodes, z):
     """``_closed_components`` at one time z: the row of its m = 1 pass."""
     h1, q = prinseries._closed_components(node_trig(nodes), [z])
     return h1[0], q[0]
+
+
+def node_orbit(v, s, z, nodes):
+    """(pi_sigma(exp(z x)) v)(k_theta) at the nodes of a table or trig, one
+    row per time of the 1-D array z: e^{(1 - s) H1}, the character e^{-s H1}
+    times the rho-shift e^{H1}, times the mode sum at q = e^{2 i zeta}.  The
+    per-node route, the oracle of a pairing's mode moments."""
+    h1, q = prinseries._closed_components(nodes, z)
+    values = v.evaluate(q)
+    values *= np.exp((1.0 - s) * h1)
+    return values
 
 
 def endpoint(trig, z):
@@ -217,7 +230,7 @@ def trapezoid_trig(pts):
 
 
 def trapezoid_orbit(v, s, z, pts):
-    return prinseries._orbit(v, s, [z], trapezoid_trig(pts))[0]
+    return node_orbit(v, s, [z], trapezoid_trig(pts))[0]
 
 
 def trapezoid_norm_sq(v, s, z, quad):
@@ -271,6 +284,24 @@ def mpmath_pairing(mpmath, v, w_smooth, s, t):
         return complex(2 * mpmath.quad(integrand, breaks) / mpmath.pi)
 
 
+def node_pairings(v, w_smooth, s, t_grid, quad):
+    """The pairings by the per-node route, one pass per run of ``_rules``:
+    weights * conj(w) times ``node_orbit`` at every node, summed per time;
+    and each time's scale, the same sum over the magnitudes of the terms
+    weights |w| |e^{(1 - s) H1}| |c_m q^{m/2}|."""
+    z = prinseries._times(t_grid)
+    values, scales = np.empty(z.size, dtype=complex), np.empty(z.size)
+    for table, run in prinseries._rules(quad, z):
+        test = prinseries._series_at_nodes(w_smooth, table)
+        terms = table.weights * np.conj(test) * node_orbit(v, s, z[run], table)
+        values[run] = terms.reshape(terms.shape[0], -1).sum(axis=1)
+        h1, q = prinseries._closed_components(table, z[run])
+        mags = sum(abs(c) * np.abs(q) ** (m // 2) for m, c in v.modes.items())
+        mags = table.weights * np.abs(test) * np.abs(np.exp((1.0 - s) * h1)) * mags
+        scales[run] = mags.reshape(mags.shape[0], -1).sum(axis=1)
+    return values, scales
+
+
 def trapezoid_action_norm_sq(v, s, gs, quad):
     # real time: quad nodes, whose rounded angles the cocycles move
     angles = math.pi * np.arange(quad) / quad
@@ -307,6 +338,52 @@ class TestModeVector:
         w = smooth_test_vector()
         assert max(abs(m) for m in w.modes) == 40
         assert w.modes[40] == pytest.approx((1 + 40) ** -8.0)
+
+    def test_a_vector_cannot_be_changed(self):
+        v = ModeVector({0: 1.0, 2: 0.5})
+        with pytest.raises(TypeError):
+            v.modes[4] = 1.0
+        for name in ("modes", "norm_sq", "key"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(v, name)
+        ms, cs = v.arrays()
+        for array in (ms, cs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 3.0
+        assert v.modes == {0: 1.0, 2: 0.5}
+
+    @pytest.mark.parametrize(
+        "v", [V_MIX, V_ASYM, smooth_test_vector(), ModeVector({-6: 0.5j, 4: 1.0}), ModeVector({})]
+    )
+    def test_derived_values_are_those_of_the_modes(self, v):
+        # formed once and kept: each equals its value computed from the modes
+        for _ in range(2):
+            assert v.norm_sq == sum(abs(c) ** 2 for c in v.modes.values())
+            ms, cs = v.arrays()
+            assert ms.tolist() == [float(m) for m in v.modes]
+            assert cs.tolist() == list(v.modes.values())
+            assert v.key == tuple(v.modes.items()) and hash(v) == hash(v.key)
+
+    def test_smooth_test_vector_is_one_shared_instance(self):
+        assert smooth_test_vector() is smooth_test_vector()
+        assert smooth_test_vector().decays
+
+    def test_vectors_are_equal_by_their_modes(self):
+        # dpi_x and criterion 11's scaled probe build new vectors; equal
+        # modes give an equal vector, which the memo keys read
+        w = smooth_test_vector()
+        same = ModeVector({m: c for m, c in reversed(w.modes.items())})
+        assert same == w and hash(same) == hash(w) and same is not w
+        probe = ModeVector({m: 0.01 * c for m, c in w.modes.items()})
+        assert probe != w and probe.decays
+        moved = prinseries.dpi_x(w, S_AXIS)
+        assert moved != w and moved.modes.keys() != w.modes.keys()
+        assert ModeVector({0: 1.0}) == ModeVector({0: 1.0 + 0.0j, 2: 0.0})
+        assert ModeVector({0: 1.0}) != {0: 1.0}
+        for clone in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert clone == w and clone.modes == w.modes and clone.decays
 
 
 class TestClosedForm:
@@ -664,7 +741,7 @@ class TestOrbitValues:
                                  float(abs(factor) * sum(abs(x) for x in terms))))
                 bound = 16 * eps / min(1.0, float(abs(w)))
             for p, (want, scale) in zip(params, refs):
-                got = prinseries._orbit(v, p, [1j * t], prinseries._trig(theta))[0, 0]
+                got = node_orbit(v, p, [1j * t], prinseries._trig(theta))[0, 0]
                 assert abs(got - want) <= bound * scale
 
 
@@ -807,7 +884,7 @@ class TestRule:
         v = ModeVector({0: 1.0, 2: 0.6 + 0.3j, -2: 0.25, -4: 0.1 - 0.2j, 6: 0.05j})
         params = (S_AXIS, 1.8 + 0.3j)
         table = rule(quad, z)
-        got = [prinseries._orbit(v, p, [z], table.trig)[0] for p in params]
+        got = [node_orbit(v, p, [z], table.trig)[0] for p in params]
         n = table.offsets.size
         picks = {0, 1, 2, 3, n - 2, n - 1, *np.random.default_rng(quad).integers(0, n, 24).tolist()}
         for k in sorted(picks):
@@ -1053,23 +1130,38 @@ class TestTimeGrid:
             values = boundary_pairing(V_ASYM, w, S_AXIS, part, 1024).values
             assert values == [full[t] for t in part]
 
-    def test_pairing_does_not_depend_on_the_test_vectors_paired_before(self):
-        # the test vector's node values are memoised per (table, content):
-        # a memo miss and a hit give the same bits, whatever was paired before
+    def test_pairing_does_not_depend_on_the_test_vectors_paired_before(self, monkeypatch):
+        # the mode moments are kept per (table, times, test vector, v's
+        # modes) from a key's second request on: the kept moments give the
+        # bits of the first call's, whatever was paired in between.  Five
+        # runs of one time each: the four moment keys per run and the node
+        # data's one stay within NODE_MEMO_SIZE
+        grid = [0.0, 0.5, 0.9, 0.99, 1.0 - 2.0**-15]
         w = smooth_test_vector()
-        others = [ModeVector({4: 0.3 - 0.2j}), ModeVector({m: 0.5 * c for m, c in w.modes.items()})]
+        others = [
+            (V_ASYM, ModeVector({4: 0.3 - 0.2j})),
+            (V_ASYM, ModeVector({m: 0.5 * c for m, c in w.modes.items()})),
+            (ModeVector({4: 1.0, -6: 0.5}), w),
+            (V_MIX, w),
+        ]
+        prinseries._node_memo.clear()
         prinseries._probe.cache_clear()
-        miss = boundary_pairing(V_ASYM, w, S_AXIS, TIME_GRID, 1024).values
-        for other in others:
-            boundary_pairing(V_ASYM, other, S_AXIS, TIME_GRID, 1024)
+        builds = count_moment_builds(monkeypatch)
+        miss = boundary_pairing(V_ASYM, w, S_AXIS, grid, 1024).values
+        runs = len(builds)
+        assert boundary_pairing(V_ASYM, w, S_AXIS, grid, 1024).values == miss
+        assert len(builds) == 2 * runs
+        for v, other in others:
+            boundary_pairing(v, other, S_AXIS, grid, 1024)
+        builds.clear()
         misses = prinseries._probe.cache_info().misses
-        hit = boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, TIME_GRID, 1024).values
-        assert prinseries._probe.cache_info().misses == misses
+        hit = boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, grid, 1024).values
+        assert builds == [] and prinseries._probe.cache_info().misses == misses
         assert hit == miss
 
     def test_memoised_node_values_are_read_only(self):
         table = rule(1024, 0.9j)
-        probe = prinseries._probe(table, tuple(smooth_test_vector().modes.items()))
+        probe = prinseries._probe(table, smooth_test_vector())
         assert probe.shape == table.cos_phi.shape
         with pytest.raises(ValueError, match="read-only"):
             probe[...] = 0.0
@@ -1250,10 +1342,58 @@ def count_evaluations(monkeypatch):
     return calls
 
 
+def count_moment_builds(monkeypatch):
+    """The number of times in each pass that builds its mode moments."""
+    builds, moments = [], prinseries._moments
+
+    def counted(probe, q, js):
+        builds.append(q.shape[0])
+        return moments(probe, q, js)
+
+    monkeypatch.setattr(prinseries, "_moments", counted)
+    return builds
+
+
 class TestNodeMemo:
-    """H1 and q are kept per (table, the run's exact times) from a key's
+    """H1 and q are kept per (table, the run's exact times), and a pairing's
+    mode moments per (table, times, test vector, v's modes), from a key's
     second request on: a hit gives the bits of a miss, and nothing but a
     table's successful data is kept."""
+
+    def test_kept_moments_are_read_only(self):
+        prinseries._node_memo.clear()
+        for _ in range(2):
+            boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, [0.5, 0.9, 0.99], 1024)
+        kept = [data for key, data in prinseries._node_memo.items() if len(key) == 4]
+        assert len(kept) == 3
+        for [moments] in kept:
+            assert moments.shape == (1, 3, 2, moments.shape[-1])
+            with pytest.raises(ValueError, match="read-only"):
+                moments[...] = 0.0
+
+    def test_clearing_the_node_memo_clears_the_moments(self, monkeypatch):
+        grid = [0.5, 0.9, 0.95]
+        prinseries._node_memo.clear()
+        builds = count_moment_builds(monkeypatch)
+        for _ in range(3):
+            boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, grid, 1024)
+        assert builds == [1, 2, 1, 2]
+        prinseries._node_memo.clear()
+        builds.clear()
+        boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, grid, 1024)
+        assert builds == [1, 2]
+
+    def test_moments_keep_the_bound(self):
+        # a new mode set per call: every call adds keys, and the least
+        # recently requested go
+        prinseries._node_memo.clear()
+        w = smooth_test_vector()
+        for _ in range(2):
+            for k in range(prinseries.NODE_MEMO_SIZE):
+                v = ModeVector({0: 1.0, 2 * k + 2: 0.5})
+                boundary_pairing(v, w, S_AXIS, [0.5, 0.9, 0.99], 64)
+                assert len(prinseries._node_memo) <= prinseries.NODE_MEMO_SIZE
+        assert len(prinseries._node_memo) == prinseries.NODE_MEMO_SIZE
 
     @pytest.mark.parametrize("quad", [64, 1024, 8193])
     def test_a_hit_equals_a_miss(self, quad, monkeypatch):
@@ -1386,7 +1526,11 @@ def test_crown_boundary_time_is_rejected_before_any_node(entry, x_scale, t, monk
         raise AssertionError("orbit evaluated for a crown-boundary time")
 
     monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
-    with pytest.raises(ValueError, match="crown boundary"):
+    # a pairing grid is checked as a grid first, by ``growth.check_t_grid``
+    message = "crown boundary"
+    if entry == "boundary_pairing":
+        message = re.escape("t_grid must lie in [-1, 1)")
+    with pytest.raises(ValueError, match=message):
         CROWN_TIME_ENTRY_POINTS[entry](scaled(t, x_scale))
 
 
@@ -1410,7 +1554,8 @@ def test_non_finite_time_is_rejected_before_any_node(entry, t, monkeypatch):
         raise AssertionError("orbit evaluated for a non-finite time")
 
     monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
-    with pytest.raises(ValueError, match="t must be finite"):
+    message = "t_grid must be finite" if entry == "boundary_pairing" else "t must be finite"
+    with pytest.raises(ValueError, match=f"{message}, got t = {t!r}"):
         NON_FINITE_TIME_ENTRY_POINTS[entry](t)
 
 
@@ -1582,6 +1727,24 @@ class TestBoundaryPairing:
             got = boundary_pairing(V_MIX, w, S_AXIS, [0.5, 0.75, t], 1024).values[-1]
             assert abs(got - mpmath_pairing(mpmath, V_MIX, w, S_AXIS, t)) <= bound
 
+    @pytest.mark.parametrize("quad", [64, 1024, 8193])
+    @pytest.mark.parametrize("s", [S_AXIS, S_OFF])
+    @pytest.mark.parametrize("scale", [1.0, 0.01])
+    def test_mode_moments_match_the_per_node_route(self, scale, s, quad):
+        # v with modes up to +-10 on a grid to 1 - t = 2^-20.  The terms'
+        # magnitudes grow about 20-fold per halving of the gap against a
+        # pairing of order 1, and from 1 - t = 2^-13 on they sum to 1e16
+        # times it: there either route's value is rounding noise.  So the
+        # gap is measured against the terms' magnitudes; the worst measured
+        # 9.4e-17 of them
+        v = ModeVector({m: 0.9 ** abs(m) * complex(math.cos(m), math.sin(m))
+                        for m in range(-10, 11, 2)})
+        w = ModeVector({m: scale * c for m, c in smooth_test_vector().modes.items()})
+        grid = [-0.5, 0.0, *(1.0 - 2.0**-j for j in range(1, 21))]
+        got = np.array(boundary_pairing(v, w, s, grid, quad).values)
+        want, scales = node_pairings(v, w, s, grid, quad)
+        assert np.all(np.abs(got - want) <= 1e-14 * scales)
+
     @pytest.mark.parametrize(
         "which, message",
         [("v", "cannot pair the zero vector v"),
@@ -1600,6 +1763,22 @@ class TestBoundaryPairing:
         vectors = {"v": V_MIX, "w_smooth": smooth_test_vector(), which: zero}
         with pytest.raises(ValueError, match=message):
             boundary_pairing(vectors["v"], vectors["w_smooth"], S_AXIS, [0.5, 0.75, 0.9], 256)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "t_grid must be nonempty"),
+            ([0.5, 0.6], "t_grid must have at least 3 points"),
+            ([0.5, 0.4, 0.6], "t_grid must be strictly increasing"),
+            ([0.5, 0.6, math.nan], "t_grid must be finite, got t = nan"),
+            ([0.5, 0.6, 1.0], "t_grid must lie in [-1, 1)"),
+            ([-1.5, 0.0, 0.5], "t_grid must lie in [-1, 1)"),
+        ],
+    )
+    def test_grid_rule_is_the_growth_grid_rule_with_three_points(self, grid, message):
+        # growth.check_t_grid at lo = -1, then the 3-point minimum
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, grid, 256)
 
     def test_rejects_fat_tail_test_vector(self):
         fat = ModeVector({m: 1.0 for m in range(-20, 21, 2)})
@@ -1633,7 +1812,7 @@ class TestBoundaryPairing:
         errors = []
         for scale in (1e-2, 1e-3):
             h = scale * (1.0 - abs(t))
-            hi, lo = (prinseries._orbit(v, s, [1j * (t + sign * h)], table.trig)[0]
+            hi, lo = (node_orbit(v, s, [1j * (t + sign * h)], table.trig)[0]
                       for sign in (1, -1))
             got = math.sqrt(float(np.sum(table.weights * np.abs((hi - lo) / (2.0 * h)) ** 2)))
             errors.append(abs(got - want) / want)
