@@ -23,6 +23,14 @@ from .numkernel import gram, group_exp, principal_minors
 
 SEED = 20260808
 
+# The principal-series bench configuration of criteria 10 and 11 and
+# ``prinseries_tables``: s on the unitary axis, v = e_0 + (e_2 + e_-2) / 2,
+# the growth-fit grid 1 - 2^-j, j = 4 .. 12, and the pairing grid, j = 4 .. 14
+BENCH_S = prinseries.unitary_params(0.4)
+BENCH_V = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
+FIT_GRID = tuple(1.0 - 2.0**-j for j in range(4, 13))
+PAIRING_GRID = tuple(1.0 - 2.0**-j for j in range(4, 15))
+
 
 @dataclass
 class CheckResult:
@@ -290,15 +298,12 @@ def acceptance_09_scale_relations() -> CheckResult:
 
 def acceptance_10_principal_series() -> CheckResult:
     """Spherical + (m = +-2) orbit fits, t = 0 norm, real-time group law."""
-    s_axis = prinseries.unitary_params(0.4)
-    v_mix = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     v_pm2 = prinseries.ModeVector({2: 1.0 / math.sqrt(2), -2: 1.0 / math.sqrt(2)})
-    t_grid = [1.0 - 2.0**-j for j in range(4, 13)]
-    fit_mix = prinseries.growth_exponent(v_mix, s_axis, t_grid, 512)
-    fit_pm2 = prinseries.growth_exponent(v_pm2, s_axis, t_grid, 512)
+    fit_mix = prinseries.growth_exponent(BENCH_V, BENCH_S, FIT_GRID, 512)
+    fit_pm2 = prinseries.growth_exponent(v_pm2, BENCH_S, FIT_GRID, 512)
 
-    norm0 = prinseries.extended_norm_sq(v_mix, s_axis, 0.0, 256)
-    norm0_gap = abs(norm0 - v_mix.norm_sq)
+    norm0 = prinseries.extended_norm_sq(BENCH_V, BENCH_S, 0.0, 256)
+    norm0_gap = abs(norm0 - BENCH_V.norm_sq)
 
     s_off = 2.8 + 0.3j
     rng = np.random.default_rng([SEED, 10])
@@ -306,15 +311,15 @@ def acceptance_10_principal_series() -> CheckResult:
     for _ in range(10):
         g1 = liegroup.random_sl(2, rng)
         g2 = liegroup.random_sl(2, rng)
-        a = prinseries.action_norm_sq(v_mix, s_off, [g1, g2], 8192)
-        b = prinseries.action_norm_sq(v_mix, s_off, [g1 @ g2], 8192)
+        a = prinseries.action_norm_sq(BENCH_V, s_off, [g1, g2], 8192)
+        b = prinseries.action_norm_sq(BENCH_V, s_off, [g1 @ g2], 8192)
         worst_law = max(worst_law, abs(a - b) / max(1.0, abs(b)))
     for tau1, tau2 in ((0.4, 0.7), (0.9, 0.35)):
         x1 = math.pi / 4
         g1 = np.diag([math.exp(tau1 * x1), math.exp(-tau1 * x1)])
         g2 = np.diag([math.exp(tau2 * x1), math.exp(-tau2 * x1)])
-        a = prinseries.real_time_norm_sq(v_mix, s_off, tau1 + tau2, 8192)
-        b = prinseries.action_norm_sq(v_mix, s_off, [g1, g2], 8192)
+        a = prinseries.real_time_norm_sq(BENCH_V, s_off, tau1 + tau2, 8192)
+        b = prinseries.action_norm_sq(BENCH_V, s_off, [g1, g2], 8192)
         worst_law = max(worst_law, abs(a - b) / max(1.0, abs(b)))
 
     passed = (
@@ -346,23 +351,19 @@ def acceptance_11_distributional_limit() -> CheckResult:
     asserted on the unit-norm pairing.
     """
     probe_scale = 0.01
-    s = prinseries.unitary_params(0.4)
-    v = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     w_unit = prinseries.smooth_test_vector()
     w_probe = prinseries.ModeVector({m: probe_scale * c for m, c in w_unit.modes.items()})
-    t_grid = [1.0 - 2.0**-j for j in range(4, 15)]
 
-    rep = prinseries.boundary_pairing(v, w_probe, s, t_grid, 1024)
-    rep_unit = prinseries.boundary_pairing(v, w_unit, s, t_grid, 1024)
+    rep = prinseries.boundary_pairing(BENCH_V, w_probe, BENCH_S, PAIRING_GRID, 1024)
+    rep_unit = prinseries.boundary_pairing(BENCH_V, w_unit, BENCH_S, PAIRING_GRID, 1024)
     ratios = [b / a for a, b in zip(rep_unit.diffs, rep_unit.diffs[1:])]
     ratio_ok = all(0.4 < r < 0.6 for r in ratios[2:])
 
-    fit_grid = [1.0 - 2.0**-j for j in range(4, 13)]
-    norms = np.sqrt(prinseries.extended_norm_sq(v, s, fit_grid, 512))
-    dnorms = prinseries.orbit_derivative_norm(v, s, fit_grid, 512)
+    norms = np.sqrt(prinseries.extended_norm_sq(BENCH_V, BENCH_S, FIT_GRID, 512))
+    dnorms = prinseries.orbit_derivative_norm(BENCH_V, BENCH_S, FIT_GRID, 512)
     bump = (
-        growth.fit_power_law(fit_grid, dnorms).n_hat
-        - growth.fit_power_law(fit_grid, norms).n_hat
+        growth.fit_power_law(FIT_GRID, dnorms).n_hat
+        - growth.fit_power_law(FIT_GRID, norms).n_hat
     )
 
     passed = rep.cauchy and ratio_ok and abs(bump - 1.0) <= 0.1
@@ -440,13 +441,10 @@ def run_suite(name: str) -> list[CheckResult]:
 
 def prinseries_tables(quad_points: int) -> dict:
     """Orbit-norm and boundary-pairing tables for the bench configuration."""
-    s = prinseries.unitary_params(0.4)
-    v = prinseries.ModeVector({0: 1.0, 2: 0.5, -2: 0.5})
     w = prinseries.smooth_test_vector()
-    t_grid = [1.0 - 2.0**-j for j in range(4, 15)]
-    norms = np.sqrt(prinseries.extended_norm_sq(v, s, t_grid, quad_points))
-    rep = prinseries.boundary_pairing(v, w, s, t_grid, quad_points)
-    orbit = [{"t": t, "norm": nv} for t, nv in zip(t_grid, norms.tolist())]
+    norms = np.sqrt(prinseries.extended_norm_sq(BENCH_V, BENCH_S, PAIRING_GRID, quad_points))
+    rep = prinseries.boundary_pairing(BENCH_V, w, BENCH_S, PAIRING_GRID, quad_points)
+    orbit = [{"t": t, "norm": nv} for t, nv in zip(PAIRING_GRID, norms.tolist())]
     pairing = [
         {"t": t, "re": val.real, "im": val.imag} for t, val in zip(rep.ts, rep.values)
     ]

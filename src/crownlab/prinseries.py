@@ -69,8 +69,7 @@ sigma d would round onto theta_0.  ``_endpoint`` forms u and v from cos phi
 and sin phi, which leaves no cancellation between node terms where u or v
 falls to the gap at the corners.  w and H1 read cos 2 theta only, so the
 continuation runs on its two halves +-sin 2d.  A pairing evaluates the
-test vector from the offsets as well, memoised per (table, vector),
-``_probe``.
+test vector w from the offsets as well (``_series_at_nodes``).
 
 The orbit is evaluated over an axis of times: every node array from
 ``_endpoint`` on has a leading time axis, and a single time is the m = 1
@@ -83,12 +82,13 @@ would.  H1 and q depend on the crown geometry alone, not on s or v, so
 key comes again (``_kept``).  A norm takes |e^{(1 - s) H1}|^2 =
 e^{2 Re((1 - s) H1)} on H1's half of the nodes, times |sum c_m q^{m/2}|^2.
 A pairing is F = sum_nodes e^{(1 - s) H1} sum_m c_m P_m, where the mode
-moment P_m sums probe * q^{m/2} over each node pair that shares an H1;
-the moments depend on the table, the times, the test vector and v's set of
-modes only, and are kept beside the node data, so a pass forms
-e^{(1 - s) H1} and sum_m c_m P_m once and one row sum per time.  d/dt of
-the orbit of v is i times the orbit of dpi(x) v (``dpi_x``), so a
-derivative norm is an orbit norm.
+moment P_m sums weights * conj(w) * q^{m/2} over each node pair that
+shares an H1; the moments depend on the table, the times, the test vector
+and v's set of modes only, and are kept beside the node data, so a pass
+forms e^{(1 - s) H1} and sum_m c_m P_m once and one row sum per time.
+``ModeVector.evaluate`` and the moments take q^{m/2} from one loop of
+running products, ``_powers``.  d/dt of the orbit of v is i times the orbit
+of dpi(x) v (``dpi_x``), so a derivative norm is an orbit norm.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ import functools
 import itertools
 import math
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,33 +200,40 @@ class ModeVector:
         ms, cs = self.arrays()
         weighted = np.abs(cs) * (1.0 + np.abs(ms)) ** SMOOTH_DECAY
         low = np.abs(ms) <= 4
-        head = float(np.max(weighted[low])) if np.any(low) else float(np.min(weighted))
-        return not bool(np.any(weighted > 10.0 * max(head, 1e-300)))
+        # the zero vector's head is inf: no mode breaks the rule
+        head = np.max(weighted[low]) if np.any(low) else np.min(weighted, initial=math.inf)
+        return not bool(np.any(weighted > 10.0 * max(float(head), 1e-300)))
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
         """Fourier sum sum_m c_m e^{i m angle} at the point q = e^{2 i angle}.
 
         Every mode is even, so e^{i m angle} = q^{m/2} exactly, on whatever
         branch the (real or complex) angle was continued: the sum is a Laurent
-        polynomial in q, summed with running products of q and 1/q and no
-        exp per mode.
+        polynomial in q, summed over ``_powers`` and no exp per mode.
         """
         q = np.asarray(q, dtype=complex)
         total = np.full(q.shape, self.modes.get(0, 0.0), dtype=complex)
-        for sign in (1, -1):
-            terms = sorted((sign * m // 2, c) for m, c in self.modes.items() if sign * m > 0)
-            if not terms:
-                continue
-            step = q if sign > 0 else 1.0 / q
-            power, k = step, 1
-            for j, c in terms:
-                while k < j:
-                    power, k = power * step, k + 1
-                total += c * power
+        for j, power in _powers(q, [m // 2 for m in self.modes]):
+            total += self.modes[2 * j] * power
         return total
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ModeVector({self.modes})"
+
+
+def _powers(q: np.ndarray, js):
+    """(j, q^j) for each nonzero j of js, from running products of q and
+    1/q: the positive j in ascending order, then the negative j by |j|."""
+    for sign in (1, -1):
+        reach = sorted(sign * j for j in js if sign * j > 0)
+        if not reach:
+            continue
+        step = q if sign > 0 else 1.0 / q
+        power, k = step, 1
+        for j in reach:
+            while k < j:
+                power, k = power * step, k + 1
+            yield sign * j, power
 
 
 # The decay exponent of smooth_test_vector, which boundary_pairing also asks
@@ -406,25 +413,22 @@ def _kept(key, build) -> tuple:
     return data
 
 
-def _closed_components(nodes, z) -> tuple[np.ndarray, np.ndarray]:
+def _closed_components(table: _Table, z) -> tuple[np.ndarray, np.ndarray]:
     """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta}
-    at the nodes of a rule's table or of the given trig, for each time of
-    the 1-D array z (``_endpoint``'s shapes: H1 per value of cos 2 theta, q
-    per node, after the leading time axis).
+    at the nodes of a rule's table, for each time of the 1-D array z
+    (``_endpoint``'s shapes: H1 per value of cos 2 theta, q per node, after
+    the leading time axis).
 
     H1 takes the route of ``_continued_endpoint``.  q needs no argument at
-    all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.  A
-    table's data is ``_kept`` per (table, times).
+    all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.  The
+    data is ``_kept`` per (table, times).
     """
 
-    def components(trig):
-        h1, _, u, v, _, _ = _continued_endpoint(trig, z)
+    def components():
+        h1, _, u, v, _, _ = _continued_endpoint(table.trig, z)
         return h1, np.divide(u, v, out=u)
 
-    if not isinstance(nodes, _Table):
-        return components(nodes)
-    key = (nodes, np.asarray(z, dtype=complex).reshape(-1).tobytes())
-    return _kept(key, lambda: components(nodes.trig))
+    return _kept((table, np.asarray(z, dtype=complex).reshape(-1).tobytes()), components)
 
 
 def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
@@ -701,32 +705,17 @@ def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> Blow
     return fit_power_law(ts, np.sqrt(extended_norm_sq(v, s, ts, quad_points)))
 
 
-# The most test vectors ``_probe`` keeps, one per (table, vector).
-PROBE_MEMO_SIZE = 32
-
-
-@functools.lru_cache(maxsize=PROBE_MEMO_SIZE)
-def _probe(table: _Table, w: ModeVector) -> np.ndarray:
-    """weights * conj(w(theta)) at the table's nodes, read-only."""
+def _moments(table: _Table, w: ModeVector, q: np.ndarray, js: tuple) -> np.ndarray:
+    """The mode moments P_j = sum over theta_0 of probe * q^j, with
+    probe = weights * conj(w(theta)) at the table's nodes, one per
+    j = m / 2 of js, q^j from ``_powers``: one row per time, of shape
+    (times, modes) + H1's node shape (2, n)."""
     probe = table.weights * np.conj(_series_at_nodes(w, table))
-    probe.flags.writeable = False
-    return probe
-
-
-def _moments(probe: np.ndarray, q: np.ndarray, js: tuple) -> np.ndarray:
-    """The mode moments P_j = sum over theta_0 of probe * q^j, one per
-    j = m / 2 of js, from running products of q and 1/q: one row per
-    time, of shape (times, modes) + H1's node shape (2, n)."""
-    powers = {0: np.ones(1)}
-    for sign in (1, -1):
-        reach = max(sign * j for j in (0, *js))
-        if reach:
-            powers[sign] = q if sign > 0 else 1.0 / q
-        for k in range(2, reach + 1):
-            powers[sign * k] = powers[sign * (k - 1)] * powers[sign]
     moments = np.empty((q.shape[0], len(js), 2, q.shape[-1]), dtype=complex)
-    for i, j in enumerate(js):
-        moments[:, i] = (probe * powers[j]).sum(axis=-2)
+    if 0 in js:
+        moments[:, js.index(0)] = probe.sum(axis=-2)
+    for j, power in _powers(q, js):
+        moments[:, js.index(j)] = (probe * power).sum(axis=-2)
     return moments
 
 
@@ -740,10 +729,10 @@ class PairingReport:
 
     ts: list[float]
     values: list[complex]
-    diffs: list[float] = field(default_factory=list)
-    decreasing: bool = False
-    final_diff: float = math.inf
-    cauchy: bool = False
+    diffs: list[float]
+    decreasing: bool
+    final_diff: float
+    cauchy: bool
 
 
 def boundary_pairing(
@@ -782,7 +771,7 @@ def boundary_pairing(
     for table, run in _rules(quad_points, z):
         h1, q = _closed_components(table, z[run])
         key = (table, z[run].tobytes(), w_smooth, js)
-        [moments] = _kept(key, lambda: (_moments(_probe(table, w_smooth), q, js),))
+        [moments] = _kept(key, lambda: (_moments(table, w_smooth, q, js),))
         # F = sum_nodes e^{(1 - s) H1} sum_j c_j P_j: the modes contracted
         # node by node, then one row sum per time.  A row sum per (time,
         # mode) measured 5x the error at 1 - t = 2^-14 against mpmath

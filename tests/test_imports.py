@@ -1,6 +1,7 @@
 """No module of the package or of the tests imports a name it never uses,
-the package defines no private function or class that it never uses, and
-no test file defines one name twice in one scope.
+the package defines no private function or class that it never uses, no
+test file defines one name twice in one scope, and importing the package
+loads neither its checks nor its CLI nor numpy.polynomial.
 
 Standard-library ``ast`` only: a name bound by an import must appear as a
 ``Name`` node somewhere in the same file.  The package ``__init__`` is left
@@ -13,7 +14,10 @@ collects the tests of the first.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "crownlab").glob("*.py"))
@@ -131,3 +135,19 @@ def test_no_test_file_shadows_a_definition():
         if (names := shadowed_definitions(path.read_text()))
     }
     assert shadowed == {}
+
+
+def test_importing_the_package_loads_only_the_library():
+    # a run's set-up time is mostly this import: the checks and the CLI load
+    # on their own import, and numpy.polynomial on the first quadrature rule
+    probe = "import sys, crownlab; print(' '.join(sorted(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    loaded = set(run.stdout.split())
+    assert "crownlab.prinseries" in loaded
+    assert loaded.isdisjoint({"crownlab.checks", "crownlab.cli", "numpy.polynomial"})

@@ -69,18 +69,27 @@ def node_trig(nodes):
     return prinseries._trig(nodes)
 
 
+def trig_components(trig, z):
+    """H1 and q = u / v at the given node trig, one row per time of the 1-D
+    array z: the route of ``_closed_components``, which takes a rule's table,
+    at arbitrary angles and without its memo."""
+    h1, _, u, v, _, _ = prinseries._continued_endpoint(trig, z)
+    return h1, u / v
+
+
 def closed_components(nodes, z):
-    """``_closed_components`` at one time z: the row of its m = 1 pass."""
-    h1, q = prinseries._closed_components(node_trig(nodes), [z])
+    """H1 and q at the nodes of a table or at arbitrary angles at one time z:
+    the row of the m = 1 pass."""
+    h1, q = trig_components(node_trig(nodes), [z])
     return h1[0], q[0]
 
 
-def node_orbit(v, s, z, nodes):
-    """(pi_sigma(exp(z x)) v)(k_theta) at the nodes of a table or trig, one
-    row per time of the 1-D array z: e^{(1 - s) H1}, the character e^{-s H1}
-    times the rho-shift e^{H1}, times the mode sum at q = e^{2 i zeta}.  The
+def node_orbit(v, s, z, trig):
+    """(pi_sigma(exp(z x)) v)(k_theta) at the given node trig, one row per
+    time of the 1-D array z: e^{(1 - s) H1}, the character e^{-s H1} times
+    the rho-shift e^{H1}, times the mode sum at q = e^{2 i zeta}.  The
     per-node route, the oracle of a pairing's mode moments."""
-    h1, q = prinseries._closed_components(nodes, z)
+    h1, q = trig_components(trig, z)
     values = v.evaluate(q)
     values *= np.exp((1.0 - s) * h1)
     return values
@@ -293,7 +302,7 @@ def node_pairings(v, w_smooth, s, t_grid, quad):
     values, scales = np.empty(z.size, dtype=complex), np.empty(z.size)
     for table, run in prinseries._rules(quad, z):
         test = prinseries._series_at_nodes(w_smooth, table)
-        terms = table.weights * np.conj(test) * node_orbit(v, s, z[run], table)
+        terms = table.weights * np.conj(test) * node_orbit(v, s, z[run], table.trig)
         values[run] = terms.reshape(terms.shape[0], -1).sum(axis=1)
         h1, q = prinseries._closed_components(table, z[run])
         mags = sum(abs(c) * np.abs(q) ** (m // 2) for m, c in v.modes.items())
@@ -365,6 +374,23 @@ class TestModeVector:
             assert ms.tolist() == [float(m) for m in v.modes]
             assert cs.tolist() == list(v.modes.values())
             assert v.key == tuple(v.modes.items()) and hash(v) == hash(v.key)
+
+    @pytest.mark.parametrize("zero", [ModeVector({}), ModeVector({2: 0})], ids=["empty", "zero_mode"])
+    def test_the_zero_vector_decays(self, zero):
+        # no mode breaks the rule (the minimum over no weights raised);
+        # test_zero_vector_is_rejected_before_any_rule keeps a pairing's
+        # own zero-vector message first
+        assert zero.decays is True
+
+    def test_powers_run_up_each_sign_in_turn(self):
+        # the one power loop of evaluate and the mode moments: positive j
+        # ascending, then negative j by |j|, and nothing for j = 0
+        q = np.array([0.6 + 0.8j, -1.1j, 0.3 - 2.0j])
+        got = list(prinseries._powers(q, (-6, -2, 0, 4, 2, -1)))
+        assert [j for j, _ in got] == [2, 4, -1, -2, -6]
+        for j, power in got:
+            assert np.abs(power - q**j).max() <= 1e-14 * np.abs(q**j).max()
+        assert list(prinseries._powers(q, (0,))) == []
 
     def test_smooth_test_vector_is_one_shared_instance(self):
         assert smooth_test_vector() is smooth_test_vector()
@@ -855,8 +881,9 @@ class TestRule:
     @pytest.mark.parametrize(
         "w",
         [smooth_test_vector(), ModeVector({4: 0.3 - 0.2j}), ModeVector({0: 0.5}),
-         ModeVector({-2: 1.0, -4: 0.5j, -10: 1e-5})],
-        ids=["smooth", "single_mode", "constant", "negative_modes"],
+         ModeVector({-2: 1.0, -4: 0.5j, -10: 1e-5}),
+         ModeVector({-10: 1e-5, -4: 0.5j, 0: 0.25, 6: 0.3})],
+        ids=["smooth", "single_mode", "constant", "negative_modes", "gapped_both_signs"],
     )
     @pytest.mark.parametrize("quad, t", [(1024, 1.0 - 2.0**-14), (1000, 0.5), (64, 0.0)])
     def test_test_vector_from_offsets_matches_the_mode_sum(self, w, quad, t):
@@ -1108,9 +1135,9 @@ class TestTimeGrid:
         # 2, 3, 3 and 3 times; a grid that returns to a table makes a new run
         passes, closed = [], prinseries._closed_components
 
-        def counted(trig, z):
+        def counted(table, z):
             passes.append(np.size(z))
-            return closed(trig, z)
+            return closed(table, z)
 
         monkeypatch.setattr(prinseries, "_closed_components", counted)
         grid = [1.0 - 2.0**-j for j in range(4, 15)]
@@ -1145,26 +1172,19 @@ class TestTimeGrid:
             (V_MIX, w),
         ]
         prinseries._node_memo.clear()
-        prinseries._probe.cache_clear()
         builds = count_moment_builds(monkeypatch)
+        series = count_series_at_nodes(monkeypatch)
         miss = boundary_pairing(V_ASYM, w, S_AXIS, grid, 1024).values
         runs = len(builds)
         assert boundary_pairing(V_ASYM, w, S_AXIS, grid, 1024).values == miss
-        assert len(builds) == 2 * runs
+        assert len(builds) == len(series) == 2 * runs
         for v, other in others:
             boundary_pairing(v, other, S_AXIS, grid, 1024)
         builds.clear()
-        misses = prinseries._probe.cache_info().misses
+        series.clear()
         hit = boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, grid, 1024).values
-        assert builds == [] and prinseries._probe.cache_info().misses == misses
+        assert builds == [] and series == []
         assert hit == miss
-
-    def test_memoised_node_values_are_read_only(self):
-        table = rule(1024, 0.9j)
-        probe = prinseries._probe(table, smooth_test_vector())
-        assert probe.shape == table.cos_phi.shape
-        with pytest.raises(ValueError, match="read-only"):
-            probe[...] = 0.0
 
     # the gaps 6e-14 and 1e-14 exit (test_deep_time_exit_reports_the_rule_crossing),
     # and -(1 - 6e-14) shares 1 - 6e-14's table without being next to it
@@ -1346,12 +1366,24 @@ def count_moment_builds(monkeypatch):
     """The number of times in each pass that builds its mode moments."""
     builds, moments = [], prinseries._moments
 
-    def counted(probe, q, js):
+    def counted(table, w, q, js):
         builds.append(q.shape[0])
-        return moments(probe, q, js)
+        return moments(table, w, q, js)
 
     monkeypatch.setattr(prinseries, "_moments", counted)
     return builds
+
+
+def count_series_at_nodes(monkeypatch):
+    """The test vector of each evaluation of a vector at a table's nodes."""
+    calls, series = [], prinseries._series_at_nodes
+
+    def counted(vec, table):
+        calls.append(vec)
+        return series(vec, table)
+
+    monkeypatch.setattr(prinseries, "_series_at_nodes", counted)
+    return calls
 
 
 class TestNodeMemo:
@@ -1480,7 +1512,7 @@ def traced_peak(call) -> int:
 
 
 # the graded rule holds about 1,500 nodes at 1 - t = 2^-14, where the
-# trapezoid held 524,288: a j = 14 pairing peaks at 0.40 MB with the test
+# trapezoid held 524,288: a j = 14 pairing peaks at 0.48 MB with the test
 # vector evaluated on its tables, against about 9 MB for the trapezoid's
 # in-place FFT route and 14.7 MB allowed to it
 PEAK_BYTES = 1_000_000
@@ -1495,7 +1527,6 @@ def test_pairing_peak_memory_stays_within_budget(j):
     w = smooth_test_vector()
     for t in grid:
         rule(1024, 1j * t)
-    prinseries._probe.cache_clear()
     prinseries._node_memo.clear()
     peak = traced_peak(lambda: boundary_pairing(V_MIX, w, S_AXIS, grid, 1024))
     assert peak <= PEAK_BYTES
