@@ -392,13 +392,15 @@ def fit_power_law(ts, values, t_window: tuple[float, float] | None = None) -> Bl
     xs = -np.log1p(-t_used)
     ys = np.log(v_used)
     xm, ym = xs.mean(), ys.mean()
-    sxx = float(np.sum((xs - xm) ** 2))
+    dx, dy = xs - xm, ys - ym
+    sxx = float((dx * dx).sum())
     if sxx == 0.0:
         raise ValueError("degenerate window: all t coincide")
-    slope = float(np.sum((xs - xm) * (ys - ym)) / sxx)
+    slope = float((dx * dy).sum() / sxx)
     intercept = float(ym - slope * xm)
-    ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
-    ss_tot = float(np.sum((ys - ym) ** 2))
+    res = ys - (slope * xs + intercept)
+    ss_res = float((res * res).sum())
+    ss_tot = float((dy * dy).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return BlowupFit(
         n_hat=slope,

@@ -74,18 +74,18 @@ test vector w from the offsets as well (``_series_at_nodes``).
 The orbit is evaluated over an axis of times: every node array from
 ``_endpoint`` on has a leading time axis, and a single time is the m = 1
 case.  ``_rules`` hands out each run of consecutive times that share a
-table as one pass; every node operation is elementwise and each row is
-summed on its own, so a row equals its m = 1 pass bit for bit.  The first
-time of the grid that exits the domain raises, as a loop over the times
-would.  H1 and q depend on the crown geometry alone, not on s or v, so
-``_closed_components`` keeps them per (table, the run's times) once that
-key comes again (``_kept``).  A norm takes |e^{(1 - s) H1}|^2 =
+table; the first time of the grid that exits the domain raises, as a loop
+over the times would.  H1 and q depend on the crown geometry alone, not on
+s or v, so ``_closed_components`` lays a call's runs end to end in time
+order and keeps them per (count, exact times) once that key comes again,
+within NODE_MEMO_BYTES.  A norm takes |e^{(1 - s) H1}|^2 =
 e^{2 Re((1 - s) H1)} on H1's half of the nodes, times |sum c_m q^{m/2}|^2.
 A pairing is F = sum_nodes e^{(1 - s) H1} sum_m c_m P_m, where the mode
 moment P_m sums weights * conj(w) * q^{m/2} over each node pair that
-shares an H1; the moments depend on the table, the times, the test vector
-and v's set of modes only, and are kept beside the node data, so a pass
-forms e^{(1 - s) H1} and sum_m c_m P_m once and one row sum per time.
+shares an H1; the moments depend on the times, the test vector and v's set
+of modes only, and a pairing keeps them in place of q.  So a call is one
+pass, a fixed set of elementwise operations and one pairwise sum per
+time's row, and a row equals its m = 1 pass bit for bit.
 ``ModeVector.evaluate`` and the moments take q^{m/2} from one loop of
 running products, ``_powers``.  d/dt of the orbit of v is i times the orbit
 of dpi(x) v (``dpi_x``), so a derivative norm is an orbit norm.
@@ -392,43 +392,77 @@ def _continued_endpoint(trig, z):
     return h1, w, u, v, sinh2, c
 
 
-# The most keys ``_kept`` remembers, by last request: node data per (table,
-# times) and a pairing's mode moments per (table, times, test vector, modes).
-NODE_MEMO_SIZE = 32
+# The bytes ``_node_memo`` may hold, by last request: the kept arrays, and
+# for every key its times plus MEMO_KEY_BYTES for the rest of the key and
+# its slot, so keys requested once are bounded too.
+NODE_MEMO_BYTES = 8 << 20
+MEMO_KEY_BYTES = 256
 _node_memo: dict = {}
 
 
-def _kept(key, build) -> tuple:
-    """build()'s tuple of arrays, read-only, kept for key from its second
-    request on: a key requested once keeps nothing but its place."""
+def _memo_bytes(key, data) -> int:
+    return MEMO_KEY_BYTES + len(key[1]) + sum(array.nbytes for array in data)
+
+
+def _closed_components(quad_points, z: np.ndarray, probe=None) -> tuple[np.ndarray, ...]:
+    """A call's node data at the 1-D array of times z, every run of
+    ``_rules`` laid end to end in time order: H1 (``_continued_endpoint``)
+    per value of cos 2 theta, each time's row raveled; the layout, (times,
+    H1 row length) per run; then for a norm (probe None) q = u / v at every
+    node, the weight at every H1 node and each node's index into H1, or for
+    a pairing (probe (w, js)) the mode moments, a row like H1 per j.
+
+    The arrays are read-only and kept per (count, times, probe) from a
+    key's second request on; the least recently requested keys go past
+    NODE_MEMO_BYTES.  The count is checked before the lookup and the times
+    by ``_rules`` before any node, so a call that raises keeps nothing.
+    """
+    key = (_quad_count(quad_points), z.tobytes(), probe)
     # absent: never requested; (): requested once; else the kept data
-    entry = data = _node_memo.pop(key, None)
-    if not entry:
-        data = build()
-        for array in data:
-            array.flags.writeable = False
+    entry = _node_memo.pop(key, None)
+    if entry:
+        _node_memo[key] = entry
+        return entry
+    data = _node_data(key[0], z, probe)
     _node_memo[key] = () if entry is None else data
-    if len(_node_memo) > NODE_MEMO_SIZE:
-        del _node_memo[next(iter(_node_memo))]  # the least recently requested
+    total = sum(_memo_bytes(*item) for item in _node_memo.items())
+    while total > NODE_MEMO_BYTES:
+        stale = next(iter(_node_memo))  # the least recently requested
+        total -= _memo_bytes(stale, _node_memo.pop(stale))
     return data
 
 
-def _closed_components(table: _Table, z) -> tuple[np.ndarray, np.ndarray]:
-    """Branch-continued H1 and the point q = u^2 / w = u / v = e^{2 i zeta}
-    at the nodes of a rule's table, for each time of the 1-D array z
-    (``_endpoint``'s shapes: H1 per value of cos 2 theta, q per node, after
-    the leading time axis).
-
-    H1 takes the route of ``_continued_endpoint``.  q needs no argument at
-    all: e^{i zeta} = u / alpha1 and alpha1^2 = w on every branch.  The
-    data is ``_kept`` per (table, times).
-    """
-
-    def components():
-        h1, _, u, v, _, _ = _continued_endpoint(table.trig, z)
-        return h1, np.divide(u, v, out=u)
-
-    return _kept((table, np.asarray(z, dtype=complex).reshape(-1).tobytes()), components)
+def _node_data(quad_points: int, z: np.ndarray, probe) -> tuple[np.ndarray, ...]:
+    """``_closed_components``' arrays, filled one run at a time."""
+    runs = _rules(quad_points, z)
+    layout = np.array([(run.stop - run.start, 2 * table.offsets.size) for table, run in runs])
+    h1 = np.empty(layout.prod(axis=1).sum(), dtype=complex)
+    if probe is None:
+        q, weights = np.empty(2 * h1.size, dtype=complex), np.empty(h1.size)
+        to_h1 = np.empty(q.size, dtype=np.intp)
+        data = h1, layout, q, weights, to_h1
+    else:
+        w, js = probe
+        moments = np.empty((len(js), h1.size), dtype=complex)
+        data = h1, layout, moments
+    start = 0
+    for table, run in runs:
+        h1_run, _, u, v, _, _ = _continued_endpoint(table.trig, z[run])
+        q_run = np.divide(u, v, out=u)
+        stop = start + h1_run.size
+        h1[start:stop] = h1_run.ravel()
+        if probe is None:
+            q[2 * start:2 * stop] = q_run.ravel()
+            weights[start:stop].reshape(h1_run.shape)[...] = table.weights
+            # each node's H1: a row of H1 runs over both theta_0 of its nodes
+            at_h1 = np.arange(start, stop).reshape(h1_run.shape)
+            to_h1[2 * start:2 * stop].reshape(q_run.shape)[...] = at_h1
+        else:
+            moments[:, start:stop] = _moments(table, w, q_run, js).reshape(len(js), -1)
+        start = stop
+    for array in data:
+        array.flags.writeable = False
+    return data
 
 
 def sl2_iwasawa_closed(theta: float, t: float) -> Sl2Components:
@@ -543,13 +577,19 @@ def _rules(quad_points: int, z: np.ndarray) -> list[tuple[_Table, slice]]:
         while LEVEL_EDGES[level - 1] > gap:
             level += 1
         levels.append(level)
+    quad_points = _quad_count(quad_points)
+    cuts = [0, *(k for k in range(1, len(levels)) if levels[k] != levels[k - 1]), len(levels)]
+    runs = itertools.pairwise(cuts)
+    return [(_table(quad_points, levels[a]), slice(a, b)) for a, b in runs]
+
+
+def _quad_count(quad_points) -> int:
+    """quad_points as an int, if it is an integer of at least MIN_QUAD_POINTS."""
     if not isinstance(quad_points, (int, np.integer)):
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}")
     if quad_points < MIN_QUAD_POINTS:
         raise ValueError(f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
-    cuts = [0, *(k for k in range(1, len(levels)) if levels[k] != levels[k - 1]), len(levels)]
-    runs = itertools.pairwise(cuts)
-    return [(_table(int(quad_points), levels[a]), slice(a, b)) for a, b in runs]
+    return int(quad_points)
 
 
 def _series_at_nodes(vec: ModeVector, table: _Table) -> np.ndarray:
@@ -578,10 +618,16 @@ def _series_at_nodes(vec: ModeVector, table: _Table) -> np.ndarray:
     return (coeffs.reshape(4, -1) @ basis).reshape(table.cos_phi.shape)
 
 
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    """The sum over each time's row of nodes: one pairwise sum per row, the
-    same whatever the number of rows."""
-    return values.reshape(values.shape[0], -1).sum(axis=1)
+def _row_sums(values: np.ndarray, layout: np.ndarray, per_h1: int = 1) -> np.ndarray:
+    """The sum over each time's row of values laid out as the runs of
+    ``layout`` (``_closed_components``), with per_h1 values per H1 node:
+    one pairwise sum per row, the same whatever the number of rows."""
+    sums, start = [], 0
+    for times, length in layout.tolist():
+        stop = start + times * length * per_h1
+        sums.append(values[start:stop].reshape(times, -1).sum(axis=1))
+        start = stop
+    return np.concatenate(sums)
 
 
 def _times(t) -> np.ndarray:
@@ -600,14 +646,11 @@ def _orbit_norms_sq(v: ModeVector, s: complex, z: np.ndarray, quad_points: int) 
     """||pi_sigma(exp(z x)) v||^2 over K/M on the rules of ``_rules`` for
     each time of the 1-D array z: i t on the crown path, or real on the real
     flow.  The caller checks s."""
-    norms = np.empty(z.size)
-    for table, run in _rules(quad_points, z):
-        h1, q = _closed_components(table, z[run])
-        values = v.evaluate(q)
-        # |e^{(1 - s) H1}|^2 on H1's half of the nodes, times |values|^2
-        scale = table.weights * np.exp(2.0 * ((1.0 - s) * h1).real)
-        norms[run] = _row_sums(scale * (values.real**2 + values.imag**2))
-    return norms
+    h1, layout, q, weights, to_h1 = _closed_components(quad_points, z)
+    values = v.evaluate(q)
+    # |e^{(1 - s) H1}|^2 on H1's half of the nodes, times |values|^2
+    scale = weights * np.exp(2.0 * ((1.0 - s) * h1).real)
+    return _row_sums(scale[to_h1] * (values.real**2 + values.imag**2), layout, 2)
 
 
 def extended_norm_sq(v: ModeVector, s: complex, t, quad_points: int) -> float | np.ndarray:
@@ -708,14 +751,14 @@ def growth_exponent(v: ModeVector, s: complex, t_grid, quad_points: int) -> Blow
 def _moments(table: _Table, w: ModeVector, q: np.ndarray, js: tuple) -> np.ndarray:
     """The mode moments P_j = sum over theta_0 of probe * q^j, with
     probe = weights * conj(w(theta)) at the table's nodes, one per
-    j = m / 2 of js, q^j from ``_powers``: one row per time, of shape
-    (times, modes) + H1's node shape (2, n)."""
+    j = m / 2 of js, q^j from ``_powers``: of shape (modes, times) + H1's
+    node shape (2, n)."""
     probe = table.weights * np.conj(_series_at_nodes(w, table))
-    moments = np.empty((q.shape[0], len(js), 2, q.shape[-1]), dtype=complex)
+    moments = np.empty((len(js), q.shape[0], 2, q.shape[-1]), dtype=complex)
     if 0 in js:
-        moments[:, js.index(0)] = probe.sum(axis=-2)
+        moments[js.index(0)] = probe.sum(axis=-2)
     for j, power in _powers(q, js):
-        moments[:, js.index(j)] = (probe * power).sum(axis=-2)
+        moments[js.index(j)] = (probe * power).sum(axis=-2)
     return moments
 
 
@@ -764,20 +807,20 @@ def boundary_pairing(
     ts = check_t_grid(t_grid, -1.0)
     if len(ts) < 3:
         raise ValueError("t_grid must have at least 3 points")
-    z = _times(ts)
-    js = tuple(m // 2 for m in v.modes)
+    probe = (w_smooth, tuple(m // 2 for m in v.modes))
+    h1, layout, moments = _closed_components(quad_points, _times(ts), probe)
+    # F = sum_nodes e^{(1 - s) H1} sum_j c_j P_j: the modes contracted
+    # node by node, in mode order, then one row sum per time.  A row sum per
+    # (time, mode) measured 5x the error at 1 - t = 2^-14 against mpmath
     cs = v.arrays()[1]
-    values = np.empty(z.size, dtype=complex)
-    for table, run in _rules(quad_points, z):
-        h1, q = _closed_components(table, z[run])
-        key = (table, z[run].tobytes(), w_smooth, js)
-        [moments] = _kept(key, lambda: (_moments(table, w_smooth, q, js),))
-        # F = sum_nodes e^{(1 - s) H1} sum_j c_j P_j: the modes contracted
-        # node by node, then one row sum per time.  A row sum per (time,
-        # mode) measured 5x the error at 1 - t = 2^-14 against mpmath
-        series = (moments * cs[:, None, None]).sum(axis=1)
-        values[run] = _row_sums(series * np.exp((1.0 - s) * h1.reshape(series.shape)))
-    values = values.tolist()
+    series = moments[0] * cs[0]
+    for moment, c in zip(moments[1:], cs[1:]):
+        series += moment * c
+    # named, not a temporary: numpy reuses a temporary operand of 256 KiB
+    # or more for the product, and then multiplies in the other order,
+    # which rounds differently
+    phase = np.exp((1.0 - s) * h1)
+    values = _row_sums(series * phase, layout).tolist()
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     final = diffs[-1]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -397,6 +398,47 @@ class TestClosedFormRatios:
         assert len(calls) == 1 and min(used) > 1 + 6
 
 
+def fit_per_sum_deviations(ts, values, t_window=None):
+    """``fit_power_law`` with every sum forming its own deviations: the
+    oracle of its bits."""
+    t_arr = np.asarray(list(ts), dtype=float)
+    v_arr = np.asarray(list(values), dtype=float)
+    if t_window is not None:
+        mask = (t_arr >= t_window[0]) & (t_arr <= t_window[1])
+    else:
+        mask = np.ones(t_arr.shape, dtype=bool)
+    bad = t_arr[mask & ~(np.isfinite(t_arr) & (t_arr < 1.0))]
+    if bad.size:
+        raise ValueError(f"t must be finite and below 1, got t = {float(bad[0])!r}")
+    mask &= np.isfinite(v_arr) & (v_arr > 0.0)
+    t_used, v_used = t_arr[mask], v_arr[mask]
+    if t_used.size < 4:
+        raise ValueError(f"need at least 4 usable points in the window, got {t_used.size}")
+    xs = -np.log1p(-t_used)
+    ys = np.log(v_used)
+    xm, ym = xs.mean(), ys.mean()
+    sxx = float(np.sum((xs - xm) ** 2))
+    if sxx == 0.0:
+        raise ValueError("degenerate window: all t coincide")
+    slope = float(np.sum((xs - xm) * (ys - ym)) / sxx)
+    intercept = float(ym - slope * xm)
+    ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
+    ss_tot = float(np.sum((ys - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return (slope, intercept, r2, (float(t_used.min()), float(t_used.max())))
+
+
+def fit_outcome(fit, ts, values, window):
+    """("fit", the fit's fields as exact reprs) or ("error", its message)."""
+    try:
+        got = fit(ts, values, window)
+    except ValueError as exc:
+        return ("error", str(exc))
+    if not isinstance(got, tuple):
+        got = (got.n_hat, got.log_c_hat, got.r_squared, got.t_window)
+    return ("fit", repr(got))
+
+
 class TestFit:
     def test_exact_power_law(self):
         ts = np.linspace(0.9, 0.999, 10)
@@ -423,6 +465,29 @@ class TestFit:
         # a t outside the window is not read
         fit = fit_power_law(ts, [1.0, 2.0, 3.0, 4.0, 5.0], (0.5, 0.8))
         assert fit.t_window == (0.5, 0.8)
+
+    def test_matches_the_fit_with_deviations_formed_per_sum(self):
+        # seeded fits, windows, left-out values and every error included
+        rng = np.random.default_rng(2024)
+        outcomes = Counter()
+        for _ in range(2000):
+            size = int(rng.integers(3, 13))
+            ts = np.sort(1.0 - 2.0 ** -rng.uniform(-1.0, 12.0, size))
+            if rng.random() < 0.1:
+                ts[:] = ts[0]
+            if rng.random() < 0.1:
+                ts[rng.integers(size)] = rng.choice([1.0, 1.5, math.nan, math.inf])
+            values = rng.uniform(0.1, 3.0) * (1.0 - np.minimum(ts, 0.999)) ** -rng.uniform(0.0, 3.0)
+            values *= np.exp(rng.normal(0.0, 0.05, size))
+            if rng.random() < 0.2:
+                values[rng.integers(size)] = rng.choice([0.0, -1.0, math.nan, math.inf])
+            window = None if rng.random() < 0.5 else (rng.uniform(0.0, 0.5), rng.uniform(0.95, 1.0))
+            got, want = (fit_outcome(fit, ts, values, window)
+                         for fit in (fit_power_law, fit_per_sum_deviations))
+            assert got == want
+            outcomes[got[1].split()[0] if got[0] == "error" else "fit"] += 1
+        # fits, and every error: too few points, a bad t and a degenerate window
+        assert outcomes["fit"] > 1000 and set(outcomes) == {"fit", "need", "t", "degenerate"}
 
     def test_component_validation(self):
         with pytest.raises(ValueError, match="component"):

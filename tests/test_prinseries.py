@@ -71,8 +71,8 @@ def node_trig(nodes):
 
 def trig_components(trig, z):
     """H1 and q = u / v at the given node trig, one row per time of the 1-D
-    array z: the route of ``_closed_components``, which takes a rule's table,
-    at arbitrary angles and without its memo."""
+    array z: the route of ``_closed_components``, which takes every rule of
+    a call's times, at arbitrary angles and without its memo."""
     h1, _, u, v, _, _ = prinseries._continued_endpoint(trig, z)
     return h1, u / v
 
@@ -304,11 +304,43 @@ def node_pairings(v, w_smooth, s, t_grid, quad):
         test = prinseries._series_at_nodes(w_smooth, table)
         terms = table.weights * np.conj(test) * node_orbit(v, s, z[run], table.trig)
         values[run] = terms.reshape(terms.shape[0], -1).sum(axis=1)
-        h1, q = prinseries._closed_components(table, z[run])
+        h1, q = trig_components(table.trig, z[run])
         mags = sum(abs(c) * np.abs(q) ** (m // 2) for m, c in v.modes.items())
         mags = table.weights * np.abs(test) * np.abs(np.exp((1.0 - s) * h1)) * mags
         scales[run] = mags.reshape(mags.shape[0], -1).sum(axis=1)
     return values, scales
+
+
+def row_sums(values):
+    """One pairwise sum per time's row of nodes."""
+    return values.reshape(values.shape[0], -1).sum(axis=1)
+
+
+def per_run_norms_sq(v, s, z, quad):
+    """The orbit norms at the 1-D array of times z by one pass per run of
+    ``_rules``, each on its own table's nodes and without a memo: the
+    oracle of the one pass over every run laid end to end."""
+    norms = np.empty(z.size)
+    for table, run in prinseries._rules(quad, z):
+        h1, q = trig_components(table.trig, z[run])
+        values = v.evaluate(q)
+        scale = table.weights * np.exp(2.0 * ((1.0 - s) * h1).real)
+        norms[run] = row_sums(scale * (values.real**2 + values.imag**2))
+    return norms.tolist()
+
+
+def per_run_pairings(v, w_smooth, s, t_grid, quad):
+    """The pairings by one pass per run of ``_rules``, as ``per_run_norms_sq``."""
+    z = prinseries._times(t_grid)
+    js, cs = tuple(m // 2 for m in v.modes), v.arrays()[1]
+    values = np.empty(z.size, dtype=complex)
+    for table, run in prinseries._rules(quad, z):
+        h1, q = trig_components(table.trig, z[run])
+        moments = prinseries._moments(table, w_smooth, q, js)
+        series = (moments * cs[:, None, None, None]).sum(axis=0)
+        phase = np.exp((1.0 - s) * h1.reshape(series.shape))
+        values[run] = row_sums(series * phase)
+    return values.tolist()
 
 
 def trapezoid_action_norm_sq(v, s, gs, quad):
@@ -926,9 +958,11 @@ class TestRule:
     @pytest.mark.parametrize("quad", [1024, 1001])
     def test_every_rule_node_reaches_the_components_once(self, quad, monkeypatch):
         # one rule per time, handed out by one ``_rules`` call per entry
-        # call, and its nodes reach the components in one call
-        rules, nodes, calls = [], Counter(), []
+        # call, inside its one ``_closed_components`` call, whose H1 holds
+        # half of the nodes: every node reaches the continuation once
+        rules, nodes, calls, halves = [], Counter(), [], []
         rules_of, closed = prinseries._rules, prinseries._closed_components
+        continued = prinseries._continued_endpoint
 
         def counted_rules(quad_points, z):
             runs = rules_of(quad_points, z)
@@ -937,14 +971,20 @@ class TestRule:
                 rules.extend((zk, 4 * table.offsets.size) for zk in z[run].tolist())
             return runs
 
-        def counted_components(table, z):
+        def counted_components(quad_points, z, probe=None):
+            data = closed(quad_points, z, probe)
+            halves.append(2 * data[0].size)
+            return data
+
+        def counted_continued(trig, z):
             for zk in np.ravel(z).tolist():
-                nodes[zk] += np.broadcast(*node_trig(table)).size
-            return closed(table, z)
+                nodes[zk] += np.broadcast(*trig).size
+            return continued(trig, z)
 
         prinseries._node_memo.clear()
         monkeypatch.setattr(prinseries, "_rules", counted_rules)
         monkeypatch.setattr(prinseries, "_closed_components", counted_components)
+        monkeypatch.setattr(prinseries, "_continued_endpoint", counted_continued)
         extended_norm_sq(V_MIX, S_AXIS, 0.9, quad)
         extended_norm_sq(V_MIX, S_AXIS, 0.999, quad)
         real_time_norm_sq(V_MIX, S_OFF, 0.7, quad)
@@ -952,6 +992,8 @@ class TestRule:
         assert calls == [1, 1, 1, 4]
         assert [z for z, _ in rules] == [0.9j, 0.999j, 0.7, 0j, 0.5j, 0.99j, 0.9995j]
         assert nodes == dict(rules)
+        sizes = [size for _, size in rules]
+        assert halves == [*sizes[:3], sum(sizes[3:])]
         # the derivative is the orbit of dpi(x) v at t itself, on t's rule
         rules.clear()
         nodes.clear()
@@ -1111,8 +1153,9 @@ def raised(call):
 
 
 class TestTimeGrid:
-    """A call over a grid of times makes one orbit pass per run of times that
-    share a table, and every time's row is the one of its own m = 1 pass."""
+    """A call over a grid of times makes one orbit pass over every run of
+    times that share a table, laid end to end, and every time's row is the
+    one of its own m = 1 pass."""
 
     @pytest.mark.parametrize("quad", [64, 1024, 8193])
     @pytest.mark.parametrize("norm", [extended_norm_sq, orbit_derivative_norm])
@@ -1130,25 +1173,88 @@ class TestTimeGrid:
         want = [boundary_pairing(V_ASYM, w, S_AXIS, alone(t), quad).values[-1] for t in TIME_GRID]
         assert got == want
 
-    def test_one_pass_per_run_of_a_table(self, monkeypatch):
-        # j = 4 .. 14 at quad 1024 have three to six levels: four passes of
-        # 2, 3, 3 and 3 times; a grid that returns to a table makes a new run
-        passes, closed = [], prinseries._closed_components
+    def test_one_pass_lays_the_runs_of_a_table_end_to_end(self, monkeypatch):
+        # j = 4 .. 14 at quad 1024 have three to six levels: four runs of
+        # 2, 3, 3 and 3 times, each continued once, in one pass; a grid that
+        # returns to a table makes a new run
+        passes, runs, closed = [], [], prinseries._closed_components
+        continued = prinseries._continued_endpoint
 
-        def counted(table, z):
-            passes.append(np.size(z))
-            return closed(table, z)
+        def counted(quad_points, z, probe=None):
+            data = closed(quad_points, z, probe)
+            passes.append(data[1][:, 0].tolist())
+            return data
 
+        def counted_continued(trig, z):
+            runs.append(np.size(z))
+            return continued(trig, z)
+
+        prinseries._node_memo.clear()
         monkeypatch.setattr(prinseries, "_closed_components", counted)
+        monkeypatch.setattr(prinseries, "_continued_endpoint", counted_continued)
         grid = [1.0 - 2.0**-j for j in range(4, 15)]
         boundary_pairing(V_MIX, smooth_test_vector(), S_AXIS, grid, 1024)
-        assert passes == [2, 3, 3, 3]
+        assert passes == [[2, 3, 3, 3]] and runs == [2, 3, 3, 3]
         passes.clear()
+        runs.clear()
         extended_norm_sq(V_MIX, S_AXIS, [0.9, 0.95, 0.5, -0.95], 1024)
-        assert passes == [2, 1, 1]
+        assert passes == [[2, 1, 1]] and runs == [2, 1, 1]
         passes.clear()
+        runs.clear()
         orbit_derivative_norm(V_MIX, S_AXIS, [0.9, 0.95], 1024)
-        assert passes == [2]
+        assert passes == [[2]] and runs == [2]
+
+    # (runs, grid): grids of 1 to 8 runs of a table, with negative, zero and
+    # positive t
+    RUN_GRIDS = {
+        "one_run": (1, list(np.linspace(0.05, 0.2, 12))),
+        "two_runs": (2, [0.0, 0.1, 0.5, 0.6]),
+        "criterion_11": (4, [1.0 - 2.0**-j for j in range(4, 15)]),
+        "six_runs": (6, [-0.99, -0.9, 0.0, 0.5, 0.9, 0.99]),
+        "eight_runs": (8, TIME_GRID),
+    }
+
+    @pytest.mark.parametrize("quad", [64, 1024, 8193])
+    @pytest.mark.parametrize("grid", sorted(RUN_GRIDS))
+    def test_one_pass_equals_a_pass_per_run(self, grid, quad):
+        # on a miss, on the second request and from the kept data
+        runs, ts = self.RUN_GRIDS[grid]
+        z = prinseries._times(ts)
+        assert len(prinseries._rules(quad, z)) == runs
+        w = smooth_test_vector()
+        norms = per_run_norms_sq(V_ASYM, S_OFF, z, quad)
+        derivatives = np.sqrt(per_run_norms_sq(prinseries.dpi_x(V_ASYM, S_OFF), S_OFF, z, quad))
+        pairings = per_run_pairings(V_ASYM, w, S_OFF, ts, quad)
+        prinseries._node_memo.clear()
+        for _ in range(3):
+            assert extended_norm_sq(V_ASYM, S_OFF, ts, quad).tolist() == norms
+            assert orbit_derivative_norm(V_ASYM, S_OFF, ts, quad).tolist() == derivatives.tolist()
+            assert boundary_pairing(V_ASYM, w, S_OFF, ts, quad).values == pairings
+
+    @pytest.mark.parametrize("quad", [64, 1024, 8193])
+    def test_one_pass_equals_a_pass_per_run_at_real_times(self, quad):
+        # the real flow alone, and between crown times, where every time is
+        # a run of its own
+        prinseries._node_memo.clear()
+        for z in ([-0.7, 0.0, 1.1, 20.0], [0.5j, 1.1, 0.9j, -0.7, 0j]):
+            z = np.array(z, dtype=complex)
+            want = per_run_norms_sq(V_ASYM, S_OFF, z, quad)
+            for _ in range(3):
+                assert prinseries._orbit_norms_sq(V_ASYM, S_OFF, z, quad).tolist() == want
+
+    @pytest.mark.parametrize("quad", [8193, 20000])
+    def test_a_large_one_rule_grid_is_its_single_time_calls(self, quad):
+        # twelve times of one rule: past 256 KiB numpy reuses a temporary
+        # operand for a product, and multiplies complex values in the other
+        # order, which rounds differently; two of these pairings once
+        # differed from their single-time calls in their last bits
+        grid, w = self.RUN_GRIDS["one_run"][1], smooth_test_vector()
+        for norm in (extended_norm_sq, orbit_derivative_norm):
+            assert norm(V_ASYM, S_AXIS, grid, quad).tolist() == [
+                norm(V_ASYM, S_AXIS, t, quad) for t in grid
+            ]
+        got = boundary_pairing(V_ASYM, w, S_AXIS, grid, quad).values
+        assert got == [boundary_pairing(V_ASYM, w, S_AXIS, alone(t), quad).values[-1] for t in grid]
 
     def test_pairing_does_not_depend_on_the_other_times(self):
         w = smooth_test_vector()
@@ -1158,11 +1264,11 @@ class TestTimeGrid:
             assert values == [full[t] for t in part]
 
     def test_pairing_does_not_depend_on_the_test_vectors_paired_before(self, monkeypatch):
-        # the mode moments are kept per (table, times, test vector, v's
+        # the mode moments are kept per (count, times, test vector, v's
         # modes) from a key's second request on: the kept moments give the
         # bits of the first call's, whatever was paired in between.  Five
-        # runs of one time each: the four moment keys per run and the node
-        # data's one stay within NODE_MEMO_SIZE
+        # runs of one time each, built one run at a time; the five keys stay
+        # within NODE_MEMO_BYTES
         grid = [0.0, 0.5, 0.9, 0.99, 1.0 - 2.0**-15]
         w = smooth_test_vector()
         others = [
@@ -1386,22 +1492,33 @@ def count_series_at_nodes(monkeypatch):
     return calls
 
 
+def kept_bytes() -> int:
+    """What ``_node_memo`` holds against NODE_MEMO_BYTES: every kept array,
+    and every key's times plus MEMO_KEY_BYTES."""
+    return sum(
+        prinseries.MEMO_KEY_BYTES + len(key[1]) + sum(array.nbytes for array in data)
+        for key, data in prinseries._node_memo.items()
+    )
+
+
 class TestNodeMemo:
-    """H1 and q are kept per (table, the run's exact times), and a pairing's
-    mode moments per (table, times, test vector, v's modes), from a key's
-    second request on: a hit gives the bits of a miss, and nothing but a
-    table's successful data is kept."""
+    """A call's node data is kept per (count, the call's exact times,
+    probe), a pairing's with its mode moments per test vector and v's modes,
+    from a key's second request on and within NODE_MEMO_BYTES: a hit gives
+    the bits of a miss, and nothing but a call's successful data is kept."""
 
     def test_kept_moments_are_read_only(self):
         prinseries._node_memo.clear()
         for _ in range(2):
             boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, [0.5, 0.9, 0.99], 1024)
-        kept = [data for key, data in prinseries._node_memo.items() if len(key) == 4]
-        assert len(kept) == 3
-        for [moments] in kept:
-            assert moments.shape == (1, 3, 2, moments.shape[-1])
+        # three runs of one time each, in one record
+        [(key, (h1, layout, moments))] = prinseries._node_memo.items()
+        assert key[2] == (smooth_test_vector(), (-1, 0, 1))
+        assert layout[:, 0].tolist() == [1, 1, 1] and layout[:, 1].sum() == h1.size
+        assert moments.shape == (3, h1.size)
+        for array in (h1, layout, moments):
             with pytest.raises(ValueError, match="read-only"):
-                moments[...] = 0.0
+                array[...] = 0
 
     def test_clearing_the_node_memo_clears_the_moments(self, monkeypatch):
         grid = [0.5, 0.9, 0.95]
@@ -1415,17 +1532,21 @@ class TestNodeMemo:
         boundary_pairing(V_ASYM, smooth_test_vector(), S_AXIS, grid, 1024)
         assert builds == [1, 2]
 
-    def test_moments_keep_the_bound(self):
-        # a new mode set per call: every call adds keys, and the least
-        # recently requested go
+    def test_moments_keep_the_bound(self, monkeypatch):
+        # a new mode set per call: every call adds a key, and the least
+        # recently requested go; a record here holds about 28 kB
+        monkeypatch.setattr(prinseries, "NODE_MEMO_BYTES", 300_000)
         prinseries._node_memo.clear()
         w = smooth_test_vector()
         for _ in range(2):
-            for k in range(prinseries.NODE_MEMO_SIZE):
+            for k in range(32):
                 v = ModeVector({0: 1.0, 2 * k + 2: 0.5})
                 boundary_pairing(v, w, S_AXIS, [0.5, 0.9, 0.99], 64)
-                assert len(prinseries._node_memo) <= prinseries.NODE_MEMO_SIZE
-        assert len(prinseries._node_memo) == prinseries.NODE_MEMO_SIZE
+                assert kept_bytes() <= 300_000
+        # the most recently requested stay, some of them with their data
+        modes = [key[2][1] for key in prinseries._node_memo]
+        assert modes == [(0, k + 1) for k in range(32 - len(modes), 32)]
+        assert 5 < sum(1 for data in prinseries._node_memo.values() if data) < 32
 
     @pytest.mark.parametrize("quad", [64, 1024, 8193])
     def test_a_hit_equals_a_miss(self, quad, monkeypatch):
@@ -1437,11 +1558,12 @@ class TestNodeMemo:
         }
         evaluations = count_evaluations(monkeypatch)
         for name, call in calls.items():
+            # V_MIX has V_ASYM's modes: its call is the key's second request
             prinseries._node_memo.clear()
             miss = call(V_ASYM, S_AXIS)
             call(V_MIX, S_OFF)
-            evaluations.clear()
             call(ModeVector({-4: 0.3, 6: 0.1j}), unitary_params(-0.9))
+            evaluations.clear()
             hit = call(V_ASYM, S_AXIS)
             assert evaluations == [], name
             assert hit == miss, name
@@ -1457,31 +1579,74 @@ class TestNodeMemo:
         assert list(prinseries._node_memo.values()) == [()]
 
     def test_memoised_arrays_are_read_only(self):
-        table = rule(1024, 0.9j)
+        z = np.array([0.9j, 0.95j, 0.5j])
         prinseries._node_memo.clear()
-        for _ in range(3):
-            for array in prinseries._closed_components(table, [0.9j, 0.95j]):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0.0
+        for probe in (None, (smooth_test_vector(), (0, 1))):
+            for _ in range(3):
+                for array in prinseries._closed_components(1024, z, probe):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
 
     def test_an_exit_raises_the_same_payload_every_time(self):
-        # 0.5 and 0.9 take a pass each before 1 - 6e-14 exits; the exit's
-        # key is never kept
+        # 0.5 and 0.9 are continued before 1 - 6e-14 exits; nothing of a
+        # call that exits is kept, not even its place
         ts = TestTimeGrid.FAILING_GRIDS["later_exit"]
         prinseries._node_memo.clear()
         first = raised(lambda: extended_norm_sq(V_MIX, S_AXIS, ts, 1024))
         assert first[0] == "exit"
         for _ in range(2):
             assert raised(lambda: extended_norm_sq(V_MIX, S_AXIS, ts, 1024)) == first
-            assert len(prinseries._node_memo) == 2
+            assert prinseries._node_memo == {}
 
-    def test_the_bound_holds(self):
+    def test_the_bound_holds(self, monkeypatch):
+        # a norm's record here holds 4.6 or 9.2 kB
+        monkeypatch.setattr(prinseries, "NODE_MEMO_BYTES", 40_000)
         prinseries._node_memo.clear()
         for _ in range(2):
-            for k in range(prinseries.NODE_MEMO_SIZE + 5):
+            for k in range(37):
                 extended_norm_sq(V_MIX, S_AXIS, 0.01 * k, 64)
-                assert len(prinseries._node_memo) <= prinseries.NODE_MEMO_SIZE
-        assert len(prinseries._node_memo) == prinseries.NODE_MEMO_SIZE
+                assert kept_bytes() <= 40_000
+        # the most recently requested stay, some of them with their data
+        times = [key[1] for key in prinseries._node_memo]
+        assert times == [prinseries._times(0.01 * k).tobytes() for k in range(37 - len(times), 37)]
+        assert 3 < sum(1 for data in prinseries._node_memo.values() if data) < 37
+
+    def test_keys_requested_once_are_bounded(self, monkeypatch):
+        # each costs its times and MEMO_KEY_BYTES: at most 36 fit in 10 kB
+        monkeypatch.setattr(prinseries, "NODE_MEMO_BYTES", 10_000)
+        prinseries._node_memo.clear()
+        for k in range(100):
+            extended_norm_sq(V_MIX, S_AXIS, 0.001 * k, 64)
+            assert kept_bytes() <= 10_000
+        assert len(prinseries._node_memo) == 10_000 // (prinseries.MEMO_KEY_BYTES + 16)
+
+    def test_the_benchmarks_keys_stay_kept(self, monkeypatch):
+        # the pairing workload's calls, pairings on j = 4 .. j_max for
+        # j_max = 10 .. 14 at quad 1024 and norms on the fit grid at 512:
+        # from their third round on every call is a hit
+        w = smooth_test_vector()
+        grids = [[1.0 - 2.0**-j for j in range(4, j_max + 1)] for j_max in range(10, 15)]
+        prinseries._node_memo.clear()
+        evaluations = count_evaluations(monkeypatch)
+        for _ in range(3):
+            evaluations.clear()
+            for grid in grids:
+                boundary_pairing(V_ASYM, w, S_AXIS, grid, 1024)
+                growth_exponent(V_ASYM, S_AXIS, FIT_GRID, 512)
+        assert evaluations == [] and len(prinseries._node_memo) == 6
+        assert kept_bytes() <= prinseries.NODE_MEMO_BYTES // 2
+
+    def test_the_largest_moment_keys_stay_within_the_budget(self):
+        # 21 modes at quad 8193 on 16 three-time grids near t = 1, each
+        # paired twice: counted by keys, the memo held 65.1 MB of them
+        v = ModeVector({m: 1.0 / (1.0 + abs(m)) for m in range(-20, 21, 2)})
+        w = smooth_test_vector()
+        prinseries._node_memo.clear()
+        for k in range(16):
+            grid = [1.0 - 2.0 ** -(k + 3.0 + f) for f in (0.0, 0.3, 0.6)]
+            for _ in range(2):
+                boundary_pairing(v, w, S_AXIS, grid, 8193)
+                assert kept_bytes() <= prinseries.NODE_MEMO_BYTES
 
     def test_trig_given_as_arrays_is_never_stored(self):
         prinseries._node_memo.clear()
@@ -1556,7 +1721,7 @@ def test_crown_boundary_time_is_rejected_before_any_node(entry, x_scale, t, monk
     def no_orbit(*args):
         raise AssertionError("orbit evaluated for a crown-boundary time")
 
-    monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
+    monkeypatch.setattr(prinseries, "_continued_endpoint", no_orbit)
     # a pairing grid is checked as a grid first, by ``growth.check_t_grid``
     message = "crown boundary"
     if entry == "boundary_pairing":
@@ -1584,7 +1749,7 @@ def test_non_finite_time_is_rejected_before_any_node(entry, t, monkeypatch):
     def no_orbit(*args):
         raise AssertionError("orbit evaluated for a non-finite time")
 
-    monkeypatch.setattr(prinseries, "_closed_components", no_orbit)
+    monkeypatch.setattr(prinseries, "_continued_endpoint", no_orbit)
     message = "t_grid must be finite" if entry == "boundary_pairing" else "t must be finite"
     with pytest.raises(ValueError, match=f"{message}, got t = {t!r}"):
         NON_FINITE_TIME_ENTRY_POINTS[entry](t)
